@@ -46,7 +46,6 @@ from .green import (
 from .lyapunov import (
     ConservationReport,
     DegenerateOrbitError,
-    LyapunovReport,
     NonlinearExponent,
     backward_qr_frame,
     conservation_experiment,

@@ -8,7 +8,7 @@ generator, so a fixed seed reproduces identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .green import (
 )
 from .shadowing import (
     iteration_bound,
-    make_weight,
     nonlinear_orbit,
     solve,
     source_term,
@@ -276,21 +275,13 @@ def admissible_weight_kinds(scenario) -> list[str]:
     return kinds
 
 
-def _weights_of_kind(scenario, kind: str, window: Window) -> WeightSequence:
-    if kind == "exponential":
-        return make_weight(
-            "exponential", window, rate=scenario.dichotomy.rate - scenario.epsilon
-        )
-    return make_weight(kind, window, scale=scenario.weight_scale)
-
-
 def check_green_norm_bounds(scenario, rng, trials: int = 100, half: int = 8) -> CheckResult:
     """Weighted-norm amplification below (1+e^{-eps})/(1-e^{-eps}) + 1e-6."""
     window = Window.symmetric(half)
     worst = -math.inf
     kinds = admissible_weight_kinds(scenario)
     for kind in kinds:
-        weights = _weights_of_kind(scenario, kind, window)
+        weights = replace(scenario, weight_kind=kind).default_weights(window)
         rep = green_norm_bound_check(
             scenario.cocycle, scenario.dichotomy, scenario.base_point, weights,
             scenario.epsilon, trials, scenario.horizon, rng,
@@ -301,6 +292,32 @@ def check_green_norm_bounds(scenario, rng, trials: int = 100, half: int = 8) -> 
         "green-norm-bound", worst, 1e-6, worst <= 1e-6,
         detail=f"families {', '.join(kinds)}",
     )
+
+
+def _jitter(
+    cache: OrbitCache,
+    window: Window,
+    allowed: np.ndarray,
+    lipschitz: float,
+    noise: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Random rows of norm noise * allowed(n) / (1 + G k) on the window.
+
+    G is the largest |A| on the window plus ``lipschitz`` and k the worst
+    adjacent ratio of the allowances, so the triangle inequality keeps every
+    defect of an exact orbit plus this jitter within noise times its allowance.
+    """
+    growth = max(
+        (operator_norm(cache.matrix(n)) for n in range(window.n_min, window.n_max)),
+        default=0.0,
+    ) + lipschitz
+    adjacent = float(np.max(allowed[:-1] / allowed[1:])) if len(allowed) > 1 else 1.0
+    amp = noise * allowed / (1.0 + growth * adjacent)
+    jitter = rng.standard_normal((window.length, cache.dim))
+    norms = np.linalg.norm(jitter, axis=1)
+    norms[norms == 0] = 1.0
+    return jitter / norms[:, None] * amp[:, None]
 
 
 def noisy_pseudo_orbit(
@@ -314,10 +331,8 @@ def noisy_pseudo_orbit(
 ) -> tuple[WindowSequence, WeightSequence]:
     """An exact orbit plus jitter scaled to respect the defect allowance.
 
-    The jitter at index n has norm at most noise * allowed(n) / (1 + G r k),
-    where G bounds |A| plus the perturbation Lipschitz constant, r is the
-    weight ratio bound, and k the worst adjacent ratio of the allowances, so
-    the triangle inequality keeps every defect within its allowance.
+    The allowance at index n is delta(n) / (2 K(sigma^n w)); ``_jitter`` is
+    given the perturbation Lipschitz constant c / min K over the window.
     """
     if not 0 <= noise <= 1:
         raise ValueError("noise must lie in [0, 1]")
@@ -333,17 +348,10 @@ def noisy_pseudo_orbit(
     allowed = np.array(
         [weights.value_at(n) / (2.0 * cache.bound(n)) for n in window.indices()]
     )
-    growth = max(
-        operator_norm(cache.matrix(n)) for n in range(window.n_min, window.n_max)
-    ) + scenario.perturbation.lipschitz_budget / min(
+    lipschitz = scenario.perturbation.lipschitz_budget / min(
         cache.bound(n) for n in window.indices()
     )
-    adjacent = float(np.max(allowed[:-1] / allowed[1:])) if len(allowed) > 1 else 1.0
-    amp = noise * allowed / (1.0 + growth * adjacent)
-    jitter = rng.standard_normal((window.length, scenario.cocycle.dim))
-    norms = np.linalg.norm(jitter, axis=1)
-    norms[norms == 0] = 1.0
-    jitter = jitter / norms[:, None] * amp[:, None]
+    jitter = _jitter(cache, window, allowed, lipschitz, noise, rng)
     return WindowSequence(window, orbit.values + jitter), weights
 
 
@@ -466,7 +474,6 @@ def check_layered_shadowing(scenario, rng, half: int = 10) -> CheckResult:
     layering = scenario.layering
     if layering is None:
         raise ValueError("scenario has no layering data")
-    rng_local = rng
     point = scenario.base_point
     m = layering.layer_index(point)
     if m is None:
@@ -476,7 +483,7 @@ def check_layered_shadowing(scenario, rng, half: int = 10) -> CheckResult:
     cache = OrbitCache(scenario.cocycle, point, scenario.dichotomy)
     orbit = nonlinear_orbit(
         scenario.cocycle, scenario.perturbation, point,
-        0.5 * rng_local.standard_normal(scenario.cocycle.dim), window, cache=cache,
+        0.5 * rng.standard_normal(scenario.cocycle.dim), window, cache=cache,
     )
     allowed = np.array(
         [
@@ -494,15 +501,9 @@ def check_layered_shadowing(scenario, rng, half: int = 10) -> CheckResult:
             "layered-shadowing", float(np.max(allowed / generic)) - 1.0, 0.0, False,
             detail="layer allowance exceeds the generic allowance",
         )
-    growth = max(
-        operator_norm(cache.matrix(n)) for n in range(window.n_min, window.n_max)
-    ) + scenario.perturbation.lipschitz_budget
-    adjacent = float(np.max(allowed[:-1] / allowed[1:]))
-    amp = 0.8 * allowed / (1.0 + growth * adjacent)
-    jitter = rng_local.standard_normal((window.length, scenario.cocycle.dim))
-    norms = np.linalg.norm(jitter, axis=1)
-    norms[norms == 0] = 1.0
-    jitter = jitter / norms[:, None] * amp[:, None]
+    jitter = _jitter(
+        cache, window, allowed, scenario.perturbation.lipschitz_budget, 0.8, rng
+    )
     pseudo = WindowSequence(window, orbit.values + jitter)
     prob = scenario.problem(pseudo, weights)
     res = solve(prob, tol=1e-10)

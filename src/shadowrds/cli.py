@@ -4,7 +4,10 @@
     shadow-rds list-scenarios
     shadow-rds selftest
 
-Exit codes: 0 success, 1 certificate failure, 2 usage error.
+Exit codes: 0 success; 1 a certificate failed or the solver did not
+converge; 2 a usage or config error, including configs the numerics reject
+(a ValueError such as q >= 1 or inadmissible weights, or a failed backward
+inversion).  Errors print one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import ConfigError, load_config, run_experiment
+from .experiments import load_config, run_experiment
+from .shadowing import InversionError, NonConvergenceError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -34,9 +38,12 @@ def main(argv: list[str] | None = None) -> int:
         try:
             cfg = load_config(args.config)
             return run_experiment(cfg)
-        except ConfigError as exc:
+        except (ValueError, InversionError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        except NonConvergenceError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     if args.command == "list-scenarios":
         from .scenarios import builtin_scenarios
 

@@ -120,6 +120,12 @@ class DichotomyData:
 class OrbitCache:
     """Lazily evaluated matrices, inverses, and projectors along one orbit.
 
+    A cache belongs to one (system, base point, dichotomy): every function
+    that accepts a cache obtains it through ``OrbitCache.for_orbit``, which
+    raises ValueError when the cache was built for another system, base
+    point, or dichotomy.  A cache built without dichotomy data serves every
+    function that needs none.
+
     All entries are memoized by the integer orbit index n (the point
     sigma^n w).  The composite factors keep stable/unstable iterations
     sandwiched between projectors, see the module docstring.
@@ -143,6 +149,31 @@ class OrbitCache:
         self._unstable_maps: dict[int, np.ndarray] = {}
         self._stable_factors: dict[int, np.ndarray] = {}
         self._unstable_factors: dict[int, np.ndarray] = {}
+
+    @classmethod
+    def for_orbit(
+        cls,
+        cache: OrbitCache | None,
+        system: CocycleSystem,
+        omega: BasePoint,
+        dichotomy: DichotomyData | None = None,
+    ) -> OrbitCache:
+        """The given cache after checking that it fits, or a new one when None.
+
+        With ``dichotomy`` None the cache's own dichotomy data is not checked,
+        since the caller uses none.
+        """
+        if cache is not None:
+            if cache.system != system:
+                raise ValueError("cache was built for another cocycle system")
+            if cache.omega != omega:
+                raise ValueError(
+                    f"cache was built at base point {cache.omega}, not at {omega}"
+                )
+            if dichotomy is not None and cache.dichotomy != dichotomy:
+                raise ValueError("cache was built for other dichotomy data")
+            return cache
+        return cls(system, omega, dichotomy)
 
     @property
     def dim(self) -> int:
@@ -248,8 +279,7 @@ def cocycle_eval(
     n = int(n)
     if abs(n) > 10**6:
         raise ValueError("cocycle step count limited to |n| <= 10**6")
-    if cache is None:
-        cache = OrbitCache(system, omega)
+    cache = OrbitCache.for_orbit(cache, system, omega)
     out = np.eye(system.dim)
     if n >= 0:
         for j in range(n):
@@ -338,8 +368,7 @@ def adapted_norm(
     cache: OrbitCache | None = None,
 ) -> AdaptedNorm:
     """Truncated adapted norm of x at omega with certified tail bound."""
-    if cache is None:
-        cache = OrbitCache(system, omega, dichotomy)
+    cache = OrbitCache.for_orbit(cache, system, omega, dichotomy)
     return _adapted_norm_at(cache, 0, x, horizon, allow_uncertified)
 
 
@@ -365,8 +394,7 @@ def check_norm_equivalence(
     rel_slack: float = 1e-9,
 ) -> NormEquivalenceReport:
     """Verify the two-sided equivalence of plain and adapted norms."""
-    if cache is None:
-        cache = OrbitCache(system, omega, dichotomy)
+    cache = OrbitCache.for_orbit(cache, system, omega, dichotomy)
     x = np.asarray(x, dtype=float)
     plain = float(np.linalg.norm(x))
     nrm = _adapted_norm_at(cache, 0, x, horizon, allow_uncertified)
@@ -407,8 +435,7 @@ def check_one_step_contraction(
     """Check the n-step contraction of adapted norms along both directions."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    if cache is None:
-        cache = OrbitCache(system, omega, dichotomy)
+    cache = OrbitCache.for_orbit(cache, system, omega, dichotomy)
     x = np.asarray(x, dtype=float)
     lam = dichotomy.rate
     decay = math.exp(-lam * steps)

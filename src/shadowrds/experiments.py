@@ -36,15 +36,9 @@ import numpy as np
 
 from .checks import noisy_pseudo_orbit, run_invariant_suite
 from .green import Window
-from .lyapunov import (
-    LyapunovReport,
-    OrbitExponentRecord,
-    conservation_experiment,
-    linear_exponents_qr,
-    nonlinear_exponent,
-)
+from .lyapunov import conservation_experiment, linear_exponents_qr, nonlinear_exponent
 from .scenarios import Scenario, get_scenario
-from .shadowing import Perturbation, iteration_bound, make_weight, solve
+from .shadowing import Perturbation, iteration_bound, solve
 
 __all__ = [
     "ConfigError",
@@ -169,26 +163,21 @@ def _write_summary(path: Path, payload: dict) -> None:
     )
 
 
-def _scenario_weights(scenario: Scenario, cfg: ExperimentConfig, window: Window):
-    eps = scenario.epsilon if cfg.epsilon is None else cfg.epsilon
-    kind = cfg.weight or scenario.weight_kind
-    if kind == "exponential":
-        return make_weight("exponential", window, rate=scenario.dichotomy.rate - eps), eps
-    return make_weight(kind, window, scale=cfg.weight_scale), eps
-
-
 def _run_shadow(cfg: ExperimentConfig, scenario: Scenario, out: Path) -> int:
-    if cfg.linear:
-        scenario = dataclasses.replace(
-            scenario, perturbation=Perturbation.zero(scenario.cocycle.dim)
-        )
+    scenario = dataclasses.replace(
+        scenario,
+        weight_kind=cfg.weight or scenario.weight_kind,
+        epsilon=scenario.epsilon if cfg.epsilon is None else cfg.epsilon,
+        weight_scale=cfg.weight_scale,
+        perturbation=(
+            Perturbation.zero(scenario.cocycle.dim) if cfg.linear
+            else scenario.perturbation
+        ),
+    )
     rng = np.random.default_rng(cfg.seed)
     window = Window.symmetric(cfg.window)
-    weights, eps = _scenario_weights(scenario, cfg, window)
-    pseudo, weights = noisy_pseudo_orbit(
-        scenario, window, rng, noise=cfg.noise, weights=weights
-    )
-    prob = scenario.problem(pseudo, weights, epsilon=eps)
+    pseudo, weights = noisy_pseudo_orbit(scenario, window, rng, noise=cfg.noise)
+    prob = scenario.problem(pseudo, weights)
     res = solve(prob, tol=cfg.tol, max_iter=cfg.max_iter)
     shadow_bound, q = prob.constants
 
@@ -226,7 +215,7 @@ def _run_shadow(cfg: ExperimentConfig, scenario: Scenario, out: Path) -> int:
         "seed": cfg.seed,
         "constants": {
             "rate": scenario.dichotomy.rate,
-            "epsilon": eps,
+            "epsilon": scenario.epsilon,
             "budget": scenario.perturbation.lipschitz_budget,
             "contraction": q,
             "shadow_bound": shadow_bound,
@@ -255,7 +244,6 @@ def _run_lyapunov(cfg: ExperimentConfig, scenario: Scenario, out: Path) -> int:
         ["linear-" + str(i), "qr", cfg.steps, float(ex), float(abs(ex - half[i]))]
         for i, ex in enumerate(lin)
     ]
-    records = []
     converged = True
     for i in range(cfg.samples):
         x = rng.standard_normal(scenario.cocycle.dim)
@@ -265,16 +253,14 @@ def _run_lyapunov(cfg: ExperimentConfig, scenario: Scenario, out: Path) -> int:
         bwd = nonlinear_exponent(
             scenario.cocycle, scenario.perturbation, omega, x, "backward", cfg.steps
         )
-        records.append(OrbitExponentRecord(x, fwd, bwd))
         converged = converged and fwd.converged and bwd.converged
         rows.append([f"orbit-{i}", "forward", cfg.steps, fwd.estimate,
                      fwd.regression_residual])
         rows.append([f"orbit-{i}", "backward", cfg.steps, bwd.estimate,
                      bwd.regression_residual])
-    report = LyapunovReport(lin, cfg.steps, tuple(records))
     _write_csv(out / "lyapunov.csv",
                ["orbit_id", "direction", "N", "exponent", "residual"], rows)
-    nonzero = bool(np.min(np.abs(report.linear_exponents)) > 1e-2)
+    nonzero = bool(np.min(np.abs(lin)) > 1e-2)
     passed = converged and nonzero
     _write_summary(out / "summary.json", {
         "scenario": scenario.name,

@@ -148,17 +148,9 @@ class WeightSequence:
             raise ValueError("weights must be positive and finite")
         if self.ratio_bound < 1:
             raise ValueError("ratio bound must be >= 1")
-        ratios = np.maximum(v[1:] / v[:-1], v[:-1] / v[1:])
-        bad = np.nonzero(ratios > self.ratio_bound * (1 + 1e-12))[0]
-        if bad.size:
-            n = self.window.n_min + int(bad[0])
-            raise AdmissibilityError(
-                f"weight ratio {ratios[bad[0]]:.6g} between indices {n} and {n + 1}"
-                f" exceeds declared bound {self.ratio_bound:.6g}",
-                index=n,
-            )
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+        self.require_admissible(self.ratio_bound)
 
     def value_at(self, n: int) -> float:
         return float(self.values[self.window.offset(n)])
@@ -176,8 +168,8 @@ class WeightSequence:
         if bad.size:
             n = self.window.n_min + int(bad[0])
             raise AdmissibilityError(
-                f"weights are not {ratio:.6g}-admissible: ratio {ratios[bad[0]]:.6g}"
-                f" between indices {n} and {n + 1}",
+                f"weight ratio {ratios[bad[0]]:.6g} between indices {n} and {n + 1}"
+                f" exceeds the bound {ratio:.6g}",
                 index=n,
             )
 
@@ -196,8 +188,7 @@ def weighted_norm(
     """sup over the window of weight(n)^{-1} |seq_n| in the adapted norm at sigma^n w."""
     if seq.window != weights.window:
         raise ValueError("window mismatch between sequence and weights")
-    if cache is None:
-        cache = OrbitCache(system, omega, dichotomy)
+    cache = OrbitCache.for_orbit(cache, system, omega, dichotomy)
     best = 0.0
     for n in seq.window.indices():
         nrm = _adapted_norm_at(
@@ -224,8 +215,7 @@ def green_apply(
     evaluated with running matrix products whose factors stay sandwiched
     between projectors (see module docstring of the cocycle module).
     """
-    if cache is None:
-        cache = OrbitCache(system, omega, dichotomy)
+    cache = OrbitCache.for_orbit(cache, system, omega, dichotomy)
     win = z.window
     d = z.dim
     projs = {n: cache.projector(n) for n in win.indices()}
@@ -270,8 +260,7 @@ def green_residual(
     """Difference-equation residual of w against input z on interior indices."""
     if z.window != w.window:
         raise ValueError("window mismatch between input and output sequences")
-    if cache is None:
-        cache = OrbitCache(system, omega, dichotomy)
+    cache = OrbitCache.for_orbit(cache, system, omega, dichotomy)
     win = z.window
     res = np.zeros((win.length - 1, z.dim))
     for i, n in enumerate(range(win.n_min + 1, win.n_max + 1)):
@@ -297,8 +286,7 @@ def dense_green_solve(
     system by least squares.  The system is consistent with unique solution,
     so this reproduces the Green series up to round-off.
     """
-    if cache is None:
-        cache = OrbitCache(system, omega, dichotomy)
+    cache = OrbitCache.for_orbit(cache, system, omega, dichotomy)
     win = z.window
     d = z.dim
     size = win.length * d
@@ -356,8 +344,7 @@ def green_norm_bound_check(
     if not 0 < epsilon <= dichotomy.rate:
         raise ValueError("epsilon must lie in (0, rate]")
     weights.require_admissible(math.exp(dichotomy.rate - epsilon))
-    if cache is None:
-        cache = OrbitCache(system, omega, dichotomy)
+    cache = OrbitCache.for_orbit(cache, system, omega, dichotomy)
     bound = (1 + math.exp(-epsilon)) / (1 - math.exp(-epsilon))
     win = weights.window
     worst = 0.0

@@ -31,6 +31,7 @@ from .shadowing import (
     ShadowingProblem,
     ShadowingResult,
     invert_step,
+    nonlinear_orbit,
     solve,
 )
 
@@ -44,8 +45,6 @@ __all__ = [
     "nonlinear_exponent",
     "SpecialPointResult",
     "find_special_point",
-    "OrbitExponentRecord",
-    "LyapunovReport",
     "ForwardConservationRow",
     "ConverseConservationRow",
     "ConservationReport",
@@ -86,8 +85,7 @@ def linear_exponents_qr(
     """
     if steps < 1:
         raise ValueError("steps must be positive")
-    if cache is None:
-        cache = OrbitCache(system, omega)
+    cache = OrbitCache.for_orbit(cache, system, omega)
     q = np.eye(system.dim)
     logs = np.zeros(system.dim)
     for n in range(steps):
@@ -110,8 +108,7 @@ def backward_qr_frame(
     """
     if steps < 1:
         raise ValueError("steps must be positive")
-    if cache is None:
-        cache = OrbitCache(system, omega)
+    cache = OrbitCache.for_orbit(cache, system, omega)
     q = np.eye(system.dim)
     logs = np.zeros(system.dim)
     for n in range(-steps, 0):
@@ -217,8 +214,7 @@ def nonlinear_exponent(
         raise ValueError("direction must be 'forward' or 'backward'")
     if steps < 4:
         raise ValueError("steps must be at least 4")
-    if cache is None:
-        cache = OrbitCache(system, omega)
+    cache = OrbitCache.for_orbit(cache, system, omega)
     forward = direction == "forward"
     logs = _orbit_log_norms(
         system, perturbation, cache, x, forward, steps, inversion_tol
@@ -303,22 +299,6 @@ def find_special_point(
 
 
 @dataclass(frozen=True)
-class OrbitExponentRecord:
-    start: np.ndarray
-    forward: NonlinearExponent
-    backward: NonlinearExponent
-
-
-@dataclass(frozen=True)
-class LyapunovReport:
-    """Linear exponents plus per-orbit forward/backward exponents."""
-
-    linear_exponents: np.ndarray
-    steps: int
-    records: tuple[OrbitExponentRecord, ...]
-
-
-@dataclass(frozen=True)
 class ForwardConservationRow:
     index: int
     target: float
@@ -384,30 +364,10 @@ def conservation_experiment(
     frame, _ = backward_qr_frame(system, omega, min(steps, frame_steps), cache=cache)
 
     forward_rows = []
+    linear = Perturbation.zero(system.dim)
     for i, target in enumerate(lin):
-        v = frame[:, i]
-        values = np.zeros((window.length, system.dim))
-        values[window.offset(0)] = v
-        x = v.copy()
-        for n in range(0, window.n_max):
-            x = cache.matrix(n) @ x
-            values[window.offset(n + 1)] = x
-        x = v.copy()
-        for n in range(0, window.n_min, -1):
-            x = cache.inverse(n - 1) @ x
-            values[window.offset(n - 1)] = x
-        prob = ShadowingProblem(
-            cocycle=system,
-            dichotomy=scenario.dichotomy,
-            perturbation=scenario.perturbation,
-            omega=omega,
-            pseudo_orbit=WindowSequence(window, values),
-            weights=weights,
-            epsilon=scenario.epsilon,
-            horizon=scenario.horizon,
-            allow_uncertified_truncation=scenario.allow_uncertified_truncation,
-        )
-        res = solve(prob, tol=solver_tol)
+        pseudo = nonlinear_orbit(system, linear, omega, frame[:, i], window, cache=cache)
+        res = solve(scenario.problem(pseudo, weights), tol=solver_tol)
         start = res.orbit.value_at(0)
         direction = "forward" if target > 0 else "backward"
         measured = nonlinear_exponent(
@@ -421,17 +381,7 @@ def conservation_experiment(
         )
 
     special = find_special_point(
-        ShadowingProblem(
-            cocycle=system,
-            dichotomy=scenario.dichotomy,
-            perturbation=scenario.perturbation,
-            omega=omega,
-            pseudo_orbit=WindowSequence.zeros(window, system.dim),
-            weights=weights,
-            epsilon=scenario.epsilon,
-            horizon=scenario.horizon,
-            allow_uncertified_truncation=scenario.allow_uncertified_truncation,
-        ),
+        scenario.problem(WindowSequence.zeros(window, system.dim), weights),
         tol=solver_tol,
     )
 

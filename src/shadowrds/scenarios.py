@@ -47,9 +47,8 @@ from .driving import (
     step,
     symbol_at,
 )
-from .green import WeightSequence, Window
+from .green import WeightSequence, Window, WindowSequence
 from .shadowing import Perturbation, ShadowingProblem, make_weight
-from .green import WindowSequence
 
 __all__ = [
     "Scenario",
@@ -102,6 +101,11 @@ class Scenario:
         return sample_point(self.base, rng)
 
     def default_weights(self, window: Window) -> WeightSequence:
+        """The scenario's weight family on a window.
+
+        Other families, epsilons and scales come from
+        ``dataclasses.replace(scenario, weight_kind=..., epsilon=..., weight_scale=...)``.
+        """
         rate = self.dichotomy.rate - self.epsilon
         if self.weight_kind == "exponential":
             return make_weight("exponential", window, rate=rate)
@@ -111,16 +115,16 @@ class Scenario:
         self,
         pseudo_orbit: WindowSequence,
         weights: WeightSequence | None = None,
-        omega: BasePoint | None = None,
         epsilon: float | None = None,
     ) -> ShadowingProblem:
+        """The shadowing problem of a pseudo-orbit at the scenario's base point."""
         if weights is None:
             weights = self.default_weights(pseudo_orbit.window)
         return ShadowingProblem(
             cocycle=self.cocycle,
             dichotomy=self.dichotomy,
             perturbation=self.perturbation,
-            omega=self.base_point if omega is None else omega,
+            omega=self.base_point,
             pseudo_orbit=pseudo_orbit,
             weights=weights,
             epsilon=self.epsilon if epsilon is None else epsilon,

@@ -169,8 +169,7 @@ class ShadowingProblem:
 def nonlinear_step(prob: ShadowingProblem, n: int, x: np.ndarray,
                    cache: OrbitCache | None = None) -> np.ndarray:
     """One step of the perturbed map at time n: A(sigma^n w) x + f_{sigma^n w}(x)."""
-    if cache is None:
-        cache = prob.cache()
+    cache = OrbitCache.for_orbit(cache, prob.cocycle, prob.omega, prob.dichotomy)
     x = np.asarray(x, dtype=float)
     return cache.matrix(n) @ x + prob.perturbation(cache.point(n), x)
 
@@ -196,8 +195,7 @@ class DefectReport:
 
 def defect(prob: ShadowingProblem, cache: OrbitCache | None = None) -> DefectReport:
     """Defect sequence y_n - F_{sigma^{n-1} w}(y_{n-1}) with admissibility flags."""
-    if cache is None:
-        cache = prob.cache()
+    cache = OrbitCache.for_orbit(cache, prob.cocycle, prob.omega, prob.dichotomy)
     win = prob.window
     y = prob.pseudo_orbit
     count = win.length - 1
@@ -221,8 +219,7 @@ def source_term(prob: ShadowingProblem, z: WindowSequence,
     """
     if z.window != prob.window:
         raise ValueError("window mismatch")
-    if cache is None:
-        cache = prob.cache()
+    cache = OrbitCache.for_orbit(cache, prob.cocycle, prob.omega, prob.dichotomy)
     win = prob.window
     y = prob.pseudo_orbit
     out = np.zeros((win.length, z.dim))
@@ -477,8 +474,7 @@ def nonlinear_orbit(
     cache: OrbitCache | None = None,
 ) -> WindowSequence:
     """Exact two-sided orbit of the perturbed map through x0 on a window."""
-    if cache is None:
-        cache = OrbitCache(cocycle, omega)
+    cache = OrbitCache.for_orbit(cache, cocycle, omega)
     x0 = np.asarray(x0, dtype=float)
     values = np.zeros((window.length, x0.size))
     values[window.offset(0)] = x0

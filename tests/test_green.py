@@ -1,18 +1,25 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shadowrds import (
     AdmissibilityError,
+    OrbitCache,
     WeightSequence,
     Window,
     WindowSequence,
+    cocycle_eval,
     dense_green_solve,
     green_apply,
     green_norm_bound_check,
     green_residual,
     make_weight,
+    source_term,
+    step,
     weighted_norm,
 )
 from shadowrds.checks import (
@@ -261,3 +268,96 @@ def test_norm_bound_rejects_inadmissible_weights(scenarios):
             np.random.default_rng(28), allow_uncertified=True,
         )
     assert err.value.index is not None
+
+
+_MISMATCHED_CALLS = {
+    "green_apply": lambda sc, z, cache: green_apply(
+        sc.cocycle, sc.dichotomy, sc.base_point, z, cache=cache
+    ),
+    "weighted_norm": lambda sc, z, cache: weighted_norm(
+        sc.cocycle, sc.dichotomy, sc.base_point, z,
+        sc.default_weights(z.window), sc.horizon, cache=cache,
+    ),
+    "green_residual": lambda sc, z, cache: green_residual(
+        sc.cocycle, sc.dichotomy, sc.base_point, z, z, cache=cache
+    ),
+    "dense_green_solve": lambda sc, z, cache: dense_green_solve(
+        sc.cocycle, sc.dichotomy, sc.base_point, z, cache=cache
+    ),
+    "cocycle_eval": lambda sc, z, cache: cocycle_eval(
+        sc.cocycle, sc.base_point, 3, cache=cache
+    ),
+    "source_term": lambda sc, z, cache: source_term(
+        sc.problem(WindowSequence.zeros(z.window, sc.cocycle.dim)), z, cache
+    ),
+}
+
+
+def _foreign_cache(scenarios, kind: str) -> OrbitCache:
+    sc = scenarios["uniform-rot-coupled"]
+    if kind == "point":
+        return OrbitCache(sc.cocycle, step(sc.base, sc.base_point, 5), sc.dichotomy)
+    if kind == "system":
+        other = scenarios["uniform-diag"].cocycle
+        return OrbitCache(other, sc.base_point, sc.dichotomy)
+    return OrbitCache(sc.cocycle, sc.base_point, replace(sc.dichotomy, margin=0.1))
+
+
+@pytest.mark.parametrize("kind", ["point", "system", "dichotomy"])
+@pytest.mark.parametrize("func", sorted(_MISMATCHED_CALLS))
+def test_cache_built_for_another_orbit_is_rejected(scenarios, func, kind):
+    # A cache belongs to one (system, base point, dichotomy); cocycle_eval uses
+    # no dichotomy, so only a foreign system or base point concerns it.
+    sc = scenarios["uniform-rot-coupled"]
+    window = Window(-3, 4)
+    z = WindowSequence(window, np.random.default_rng(5).standard_normal((8, 2)))
+    call = _MISMATCHED_CALLS[func]
+    call(sc, z, OrbitCache(sc.cocycle, sc.base_point, sc.dichotomy))
+    if func == "cocycle_eval" and kind == "dichotomy":
+        call(sc, z, _foreign_cache(scenarios, kind))
+        return
+    with pytest.raises(ValueError, match="cache was built"):
+        call(sc, z, _foreign_cache(scenarios, kind))
+
+
+def test_cache_without_dichotomy_serves_dichotomy_free_calls(scenarios):
+    sc = scenarios["uniform-rot-coupled"]
+    cache = OrbitCache(sc.cocycle, sc.base_point)
+    assert np.array_equal(
+        cocycle_eval(sc.cocycle, sc.base_point, -4, cache=cache),
+        cocycle_eval(sc.cocycle, sc.base_point, -4),
+    )
+    z = WindowSequence.zeros(Window(-2, 2), 2)
+    with pytest.raises(ValueError, match="cache was built"):
+        green_apply(sc.cocycle, sc.dichotomy, sc.base_point, z, cache=cache)
+
+
+_WINDOW_SCENARIOS = (
+    "uniform-diag", "uniform-rot-coupled", "nonuniform-layered", "remark-scalar",
+    "block4",
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(
+    name=st.sampled_from(_WINDOW_SCENARIOS),
+    left=st.integers(0, 12),
+    right=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(name="uniform-rot-coupled", left=0, right=0, seed=0)
+@example(name="block4", left=12, right=0, seed=1)
+@example(name="nonuniform-layered", left=0, right=12, seed=2)
+def test_green_matches_oracle_on_asymmetric_windows(
+    scenarios, block4, name, left, right, seed
+):
+    sc = block4 if name == "block4" else scenarios[name]
+    window = Window(-left, right)
+    rng = np.random.default_rng(seed)
+    z = WindowSequence(window, rng.standard_normal((window.length, sc.cocycle.dim)))
+    cache = OrbitCache(sc.cocycle, sc.base_point, sc.dichotomy)
+    w = green_apply(sc.cocycle, sc.dichotomy, sc.base_point, z, cache=cache)
+    dense = dense_green_solve(sc.cocycle, sc.dichotomy, sc.base_point, z, cache=cache)
+    assert (w - dense).sup_norm() <= 1e-10 * w.sup_norm()
+    rep = green_residual(sc.cocycle, sc.dichotomy, sc.base_point, z, w, cache=cache)
+    assert max(rep.max_norm, rep.left_edge_gap) <= 1e-10 * (1.0 + z.sup_norm())

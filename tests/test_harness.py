@@ -205,3 +205,30 @@ def test_csv_float_format_full_precision(tmp_path):
     val = rows[0].split(",")[1]
     # round-trips through 17 significant digits
     assert float(val) == float(f"{float(val):.17g}")
+
+
+@pytest.mark.parametrize(
+    "body, code",
+    [
+        ("scenario = uniform-rot-coupled\nepsilon = 0.01\n", 2),  # q >= 1
+        ("scenario = uniform-rot-coupled\nweight = polynomial\n", 2),  # inadmissible
+        ("scenario = uniform-diag\nwindow = -3\n", 2),
+        ("scenario = uniform-diag\nnoise = 2\n", 2),
+        ("scenario = uniform-diag\ntol = 0\n", 2),
+        ("scenario = uniform-diag\nexperiment = lyapunov\nsteps = 2\n", 2),
+        ("scenario = uniform-diag\nwindow = 1100\n", 2),  # backward inversion fails
+        ("scenario = uniform-diag\nmax_iter = 1\n", 1),  # no convergence
+        ("scenario = uniform-diag\nwindow = 0\n", 0),  # length-1 window
+    ],
+)
+def test_cli_exit_codes_for_configs(tmp_path, capsys, body, code):
+    cfg = _write(tmp_path, body + f"out_dir = {tmp_path / 'out'}\n")
+    assert main(["run", "--config", str(cfg)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == (0 if code == 0 else 1)
+    if code == 0:
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["pass"] is True
+        assert all(summary["certificates"].values())
