@@ -1,0 +1,84 @@
+"""Warm-call timings of ``green_apply`` and ``weighted_norm`` against window length.
+
+Run from the repository root (or with ``PYTHONPATH`` pointing at any other
+checkout's ``src`` to time that version):
+
+    PYTHONPATH=src python3 bench/green_scaling.py > green_scaling.json
+
+For each window length L in LENGTHS it builds the window [-(L-1)/2, (L-1)/2]
+on ``uniform-rot-coupled`` (d = 2, horizon 48, constant weights), a seeded
+standard-normal input z and one ``OrbitCache``.  A first, untimed call of each
+function fills the cache; the warm calls are then timed until one second has
+passed or MAX_CALLS calls were made, and the median is reported.  BLAS is
+pinned to one thread, as in ``perfbench``.  The result is one JSON object on
+stdout.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+import shadowrds  # noqa: E402
+from shadowrds import OrbitCache, Window, WindowSequence, make_weight  # noqa: E402
+
+LENGTHS = (17, 65, 257, 1025, 4097)
+SCENARIO = "uniform-rot-coupled"
+MAX_CALLS = 9
+BUDGET_S = 1.0
+
+
+def _warm_median(call) -> tuple[float, int]:
+    call()
+    times = []
+    start = time.perf_counter()
+    while len(times) < MAX_CALLS and (not times or time.perf_counter() - start < BUDGET_S):
+        t = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t)
+    return statistics.median(times), len(times)
+
+
+def main() -> None:
+    sc = shadowrds.get_scenario(SCENARIO)
+    rows = []
+    for length in LENGTHS:
+        window = Window.symmetric((length - 1) // 2)
+        rng = np.random.default_rng(length)
+        z = WindowSequence(window, rng.standard_normal((length, sc.cocycle.dim)))
+        weights = make_weight("constant", window)
+        cache = OrbitCache(sc.cocycle, sc.base_point, sc.dichotomy)
+        args = (sc.cocycle, sc.dichotomy, sc.base_point, z)
+        green_s, green_calls = _warm_median(
+            lambda: shadowrds.green_apply(*args, cache=cache)
+        )
+        norm_s, norm_calls = _warm_median(
+            lambda: shadowrds.weighted_norm(*args, weights, sc.horizon, cache=cache)
+        )
+        rows.append({
+            "L": length,
+            "green_apply_s": green_s,
+            "green_apply_calls": green_calls,
+            "weighted_norm_s": norm_s,
+            "weighted_norm_calls": norm_calls,
+        })
+    print(json.dumps({
+        "scenario": SCENARIO,
+        "horizon": sc.horizon,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "rows": rows,
+    }, indent=2))
+
+
+if __name__ == "__main__":
+    main()

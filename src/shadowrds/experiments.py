@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import noisy_pseudo_orbit, run_invariant_suite
+from .cocycle import OrbitCache
 from .green import Window
 from .lyapunov import conservation_experiment, linear_exponents_qr, nonlinear_exponent
 from .scenarios import Scenario, get_scenario
@@ -237,22 +238,31 @@ def _run_shadow(cfg: ExperimentConfig, scenario: Scenario, out: Path) -> int:
 
 def _run_lyapunov(cfg: ExperimentConfig, scenario: Scenario, out: Path) -> int:
     rng = np.random.default_rng(cfg.seed)
-    omega = scenario.base_point
-    lin = linear_exponents_qr(scenario.cocycle, omega, cfg.steps)
-    half = linear_exponents_qr(scenario.cocycle, omega, cfg.steps // 2)
+    system, omega = scenario.cocycle, scenario.base_point
+    xs = [rng.standard_normal(system.dim) for _ in range(cfg.samples)]
+
+    def exponents(direction: str, cache: OrbitCache) -> list:
+        return [
+            nonlinear_exponent(system, scenario.perturbation, omega, x, direction,
+                               cfg.steps, cache=cache)
+            for x in xs
+        ]
+
+    # One cache per direction: the forward walks share the orbit's matrices,
+    # the backward walks its inverses.  Dropping the first before filling the
+    # second keeps only one orbit's worth of entries alive at a time.
+    cache = OrbitCache(system, omega)
+    lin = linear_exponents_qr(system, omega, cfg.steps, cache=cache)
+    half = linear_exponents_qr(system, omega, cfg.steps // 2, cache=cache)
+    fwds = exponents("forward", cache)
+    del cache
+    bwds = exponents("backward", OrbitCache(system, omega))
     rows = [
         ["linear-" + str(i), "qr", cfg.steps, float(ex), float(abs(ex - half[i]))]
         for i, ex in enumerate(lin)
     ]
     converged = True
-    for i in range(cfg.samples):
-        x = rng.standard_normal(scenario.cocycle.dim)
-        fwd = nonlinear_exponent(
-            scenario.cocycle, scenario.perturbation, omega, x, "forward", cfg.steps
-        )
-        bwd = nonlinear_exponent(
-            scenario.cocycle, scenario.perturbation, omega, x, "backward", cfg.steps
-        )
+    for i, (fwd, bwd) in enumerate(zip(fwds, bwds)):
         converged = converged and fwd.converged and bwd.converged
         rows.append([f"orbit-{i}", "forward", cfg.steps, fwd.estimate,
                      fwd.regression_residual])

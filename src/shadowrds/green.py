@@ -14,8 +14,14 @@ before n_min, no unstable future after n_max":
     P(sigma^{n_min} w) w_{n_min} = P(sigma^{n_min} w) z_{n_min},
     (I - P(sigma^{n_max} w)) w_{n_max} = 0.
 
+The problem is block-bidiagonal, so ``green_apply`` solves it exactly in
+O(L) steps on a window of length L: a forward sweep accumulates the stable
+sum, s_n = P_n A_{n-1} s_{n-1} + P_n z_n, and a backward sweep accumulates
+the unstable sum, u_n = (I - P_n) A_n^{-1} (u_{n+1} + (I - P_{n+1}) z_{n+1}),
+starting from u_{n_max} = 0; the output is s - u.
+
 An independent dense boundary-value solver assembling exactly this system is
-provided as an oracle; the series evaluation must reproduce it to round-off.
+provided as an oracle; the sweeps must reproduce it to round-off.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import CocycleSystem, DichotomyData, OrbitCache, _adapted_norm_at
+from .cocycle import CocycleSystem, DichotomyData, OrbitCache, _adapted_norm_parts
 from .driving import BasePoint
 
 __all__ = [
@@ -110,7 +116,12 @@ class WindowSequence:
         return self.values[self.window.offset(n)]
 
     def sup_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.values, axis=1)))
+        # Each row is scaled by the power of two of its largest entry, so
+        # finite rows near the float limit do not overflow in the sum of
+        # squares, and other rows give the unscaled result bit for bit.
+        _, exp = np.frexp(np.max(np.abs(self.values), axis=1))
+        norms = np.linalg.norm(np.ldexp(self.values, -exp[:, None]), axis=1)
+        return float(np.max(np.ldexp(norms, exp)))
 
     @classmethod
     def zeros(cls, window: Window, dim: int) -> "WindowSequence":
@@ -189,13 +200,10 @@ def weighted_norm(
     if seq.window != weights.window:
         raise ValueError("window mismatch between sequence and weights")
     cache = OrbitCache.for_orbit(cache, system, omega, dichotomy)
-    best = 0.0
-    for n in seq.window.indices():
-        nrm = _adapted_norm_at(
-            cache, n, seq.value_at(n), horizon, allow_uncertified
-        ).value
-        best = max(best, nrm / weights.value_at(n))
-    return best
+    stable, unstable = _adapted_norm_parts(
+        cache, seq.window.n_min, seq.values, horizon, allow_uncertified
+    )
+    return float(np.max((stable + unstable) / weights.values))
 
 
 def green_apply(
@@ -207,30 +215,32 @@ def green_apply(
 ) -> WindowSequence:
     """Apply the Green operator to z (extended by zero outside its window).
 
-    Output entry n is
+    Output entry n is w_n = s_n - u_n, the stable and unstable sums
 
-        sum_{k=0}^{n-n_min} A(s^{n-k}w, k) P(s^{n-k}w) z_{n-k}
-      - sum_{k=1}^{n_max-n} A(s^{n+k}w, -k) (I - P(s^{n+k}w)) z_{n+k},
+        s_n = sum_{k=0}^{n-n_min} A(s^{n-k}w, k) P(s^{n-k}w) z_{n-k},
+        u_n = sum_{k=1}^{n_max-n} A(s^{n+k}w, -k) (I - P(s^{n+k}w)) z_{n+k},
 
-    evaluated with running matrix products whose factors stay sandwiched
-    between projectors (see module docstring of the cocycle module).
+    evaluated exactly by one forward and one backward sweep:
+
+        s_{n_min} = P_{n_min} z_{n_min},  s_n = P_n A_{n-1} s_{n-1} + P_n z_n,
+        u_{n_max} = 0,  u_n = (I - P_n) A_n^{-1} (u_{n+1} + (I - P_{n+1}) z_{n+1}),
+
+    with the one-step maps of ``OrbitCache.stable_map``/``unstable_map``,
+    which keep every step sandwiched between projectors (see the module
+    docstring of the cocycle module).
     """
     cache = OrbitCache.for_orbit(cache, system, omega, dichotomy)
     win = z.window
-    d = z.dim
-    projs = {n: cache.projector(n) for n in win.indices()}
-    out = np.zeros((win.length, d))
-    for n in win.indices():
-        acc = projs[n] @ z.value_at(n)
-        m = projs[n]
-        for k in range(1, n - win.n_min + 1):
-            m = m @ cache.stable_factor(n - k)
-            acc = acc + m @ z.value_at(n - k)
-        c = np.eye(d) - projs[n]
-        for k in range(1, win.n_max - n + 1):
-            c = c @ cache.unstable_factor(n + k - 1)
-            acc = acc - c @ z.value_at(n + k)
-        out[win.offset(n)] = acc
+    projs = np.stack([cache.projector(n) for n in win.indices()])
+    pz = np.matmul(projs, z.values[:, :, None])[:, :, 0]
+    qz = z.values - pz
+    out = pz.copy()
+    for i in range(1, win.length):
+        out[i] += cache.stable_map(win.n_min + i - 1) @ out[i - 1]
+    u = np.zeros(z.dim)
+    for i in range(win.length - 2, -1, -1):
+        u = cache.unstable_map(win.n_min + i) @ (u + qz[i + 1])
+        out[i] -= u
     return WindowSequence(win, out)
 
 

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cocycle import CocycleSystem, DichotomyData, OrbitCache, _adapted_norm_at
+from .cocycle import CocycleSystem, DichotomyData, OrbitCache, _adapted_norm_parts
 from .driving import BasePoint
 from .green import (
     WeightSequence,
@@ -402,16 +402,15 @@ def check_uniqueness(
                 )
     if shadow_bound is None:
         shadow_bound = prob.constants[0]
-    max_adapted = 0.0
-    hypothesis = True
-    for n in win.indices():
-        gap = _adapted_norm_at(
-            cache, n, orbit1.value_at(n) - orbit2.value_at(n), prob.horizon,
-            prob.allow_uncertified_truncation,
-        ).value
-        max_adapted = max(max_adapted, gap)
-        if gap > shadow_bound * prob.weights.value_at(n) * (1 + 1e-12):
-            hypothesis = False
+    stable, unstable = _adapted_norm_parts(
+        cache, win.n_min, orbit1.values - orbit2.values, prob.horizon,
+        prob.allow_uncertified_truncation,
+    )
+    gaps = stable + unstable
+    max_adapted = float(np.max(gaps))
+    hypothesis = not bool(
+        np.any(gaps > shadow_bound * prob.weights.values * (1 + 1e-12))
+    )
     max_plain = (orbit1 - orbit2).sup_norm()
     coincide = max_plain <= coincidence_tol if hypothesis else None
     return UniquenessReport(hypothesis, max_adapted, max_plain, coincide)
@@ -473,20 +472,33 @@ def nonlinear_orbit(
     inversion_tol: float = 1e-14,
     cache: OrbitCache | None = None,
 ) -> WindowSequence:
-    """Exact two-sided orbit of the perturbed map through x0 on a window."""
+    """Exact two-sided orbit of the perturbed map through x0 on a window.
+
+    Raises ValueError naming the first index, counted outward from 0, whose
+    value leaves the float range.
+    """
     cache = OrbitCache.for_orbit(cache, cocycle, omega)
     x0 = np.asarray(x0, dtype=float)
     values = np.zeros((window.length, x0.size))
     values[window.offset(0)] = x0
-    x = x0
-    for n in range(0, window.n_max):
-        x = cache.matrix(n) @ x + perturbation(cache.point(n), x)
-        values[window.offset(n + 1)] = x
-    x = x0
-    for n in range(0, window.n_min, -1):
-        x = invert_step(
-            cache.inverse(n - 1), perturbation, cache.point(n - 1), x,
-            tol=inversion_tol,
-        )
-        values[window.offset(n - 1)] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x0
+        for n in range(0, window.n_max):
+            x = cache.matrix(n) @ x + perturbation(cache.point(n), x)
+            if not np.all(np.isfinite(x)):
+                raise ValueError(f"orbit is not finite at index {n + 1}")
+            values[window.offset(n + 1)] = x
+        x = x0
+        for n in range(0, window.n_min, -1):
+            try:
+                x = invert_step(
+                    cache.inverse(n - 1), perturbation, cache.point(n - 1), x,
+                    tol=inversion_tol,
+                )
+            except InversionError:
+                # The iteration cannot settle once its first guess overflows.
+                if np.all(np.isfinite(cache.inverse(n - 1) @ x)):
+                    raise
+                raise ValueError(f"orbit is not finite at index {n - 1}") from None
+            values[window.offset(n - 1)] = x
     return WindowSequence(window, values)

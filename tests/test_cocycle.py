@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shadowrds import (
+    AdaptedNorm,
     CocycleSystem,
     DichotomyData,
     IrrationalRotation,
@@ -19,6 +20,7 @@ from shadowrds import (
     step,
 )
 from shadowrds.checks import check_cocycle_property, check_dichotomy_bounds
+from shadowrds.cocycle import _adapted_norm_at, _adapted_norm_parts
 
 
 def _scalar_half():
@@ -231,3 +233,100 @@ def test_envelope_invariants_on_sampled_points(scenarios):
         for n in (-7, -2, 1, 5):
             q = step(sc.base, p, n)
             assert env.bound(q) <= d_here * math.exp(env.rho * abs(n)) * (1 + 1e-9)
+
+
+def _reference_adapted_norm_at(cache, base_index, x, horizon, allow_uncertified):
+    """The per-vector adapted norm: one matrix-vector product per step."""
+    dich = cache.dichotomy
+    if dich is None:
+        raise ValueError("adapted norm requires dichotomy data")
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    mu = dich.margin
+    if mu <= 0 and not allow_uncertified:
+        raise UncertifiedTruncationError(
+            "strictness margin is zero: adapted-norm truncation cannot be"
+            " certified (pass allow_uncertified=True to override)"
+        )
+    x = np.asarray(x, dtype=float)
+    growth = math.exp(dich.rate)
+
+    v = cache.projector(base_index) @ x
+    stable = float(np.linalg.norm(v))
+    weight = 1.0
+    for k in range(horizon):
+        v = cache.stable_map(base_index + k) @ v
+        weight *= growth
+        stable = max(stable, float(np.linalg.norm(v)) * weight)
+
+    u = x - cache.projector(base_index) @ x
+    unstable = float(np.linalg.norm(u))
+    weight = 1.0
+    for k in range(horizon):
+        u = cache.unstable_map(base_index - k - 1) @ u
+        weight *= growth
+        unstable = max(unstable, float(np.linalg.norm(u)) * weight)
+
+    value = stable + unstable
+    if mu > 0:
+        t = cache.bound(base_index) * math.exp(-mu * (horizon + 1)) * float(
+            np.linalg.norm(x)
+        )
+        tail = max(stable, t) + max(unstable, t) - value
+        certified = True
+    else:
+        tail = math.inf
+        certified = False
+    return AdaptedNorm(value, tail, certified, stable, unstable)
+
+
+@pytest.mark.parametrize("rows, n_lo", [(1, 3), (17, -5), (257, -200)])
+def test_adapted_norm_kernel_matches_per_vector_loop(scenarios, block4, rows, n_lo):
+    rng = np.random.default_rng(rows)
+    for sc in list(scenarios.values()) + [block4]:
+        cache = OrbitCache(sc.cocycle, sc.base_point, sc.dichotomy)
+        xs = rng.standard_normal((rows, sc.cocycle.dim))
+        stable, unstable = _adapted_norm_parts(cache, n_lo, xs, sc.horizon, True)
+        for i, x in enumerate(xs):
+            ref = _reference_adapted_norm_at(cache, n_lo + i, x, sc.horizon, True)
+            assert stable[i] == pytest.approx(ref.stable_part, rel=1e-14, abs=0.0)
+            assert unstable[i] == pytest.approx(ref.unstable_part, rel=1e-14, abs=0.0)
+            if rows == 1:
+                one = _adapted_norm_at(cache, n_lo + i, x, sc.horizon, True)
+                assert one.certified == ref.certified
+                assert one.value == pytest.approx(ref.value, rel=1e-14, abs=0.0)
+                assert one.tail == pytest.approx(ref.tail, rel=1e-14, abs=1e-14 * ref.value)
+
+
+def _raised(fn):
+    try:
+        fn()
+    except Exception as exc:  # noqa: BLE001 - the test compares what was raised
+        return type(exc), str(exc)
+    return None
+
+
+def test_adapted_norm_kernel_raises_like_per_vector_loop(block4):
+    sc = block4
+    xs = np.ones((3, 4))
+    nonpositive = DichotomyData(
+        sc.dichotomy.projector, sc.dichotomy.rate, sc.dichotomy.margin, lambda p: 0.0
+    )
+    zero_margin = DichotomyData(
+        sc.dichotomy.projector, sc.dichotomy.rate, 0.0, sc.dichotomy.bound
+    )
+    cases = [
+        (sc.dichotomy, 0, False),  # horizon < 1
+        (zero_margin, 8, False),  # uncertified truncation
+        (None, 8, False),  # no dichotomy data
+        (nonpositive, 8, False),  # K <= 0
+    ]
+    for dich, horizon, allow in cases:
+        cache = OrbitCache(sc.cocycle, sc.base_point, dich)
+        ref = _raised(lambda: [
+            _reference_adapted_norm_at(cache, n, x, horizon, allow)
+            for n, x in enumerate(xs, -1)
+        ])
+        assert ref is not None
+        assert _raised(lambda: _adapted_norm_parts(cache, -1, xs, horizon, allow)) == ref
+        assert _raised(lambda: _adapted_norm_at(cache, -1, xs[0], horizon, allow)) == ref

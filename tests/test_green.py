@@ -58,6 +58,11 @@ def test_window_sequence_arithmetic():
         a + WindowSequence(Window(-1, 1), np.ones((3, 2)))
 
 
+def test_sup_norm_of_rows_near_the_float_limit():
+    seq = WindowSequence(Window(0, 1), np.array([[1e200, 1e200], [0.0, 0.0]]))
+    assert seq.sup_norm() == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+
+
 def test_weight_sequence_detects_bad_ratio():
     w = Window(-2, 2)
     with pytest.raises(AdmissibilityError) as err:
@@ -361,3 +366,22 @@ def test_green_matches_oracle_on_asymmetric_windows(
     assert (w - dense).sup_norm() <= 1e-10 * w.sup_norm()
     rep = green_residual(sc.cocycle, sc.dichotomy, sc.base_point, z, w, cache=cache)
     assert max(rep.max_norm, rep.left_edge_gap) <= 1e-10 * (1.0 + z.sup_norm())
+
+
+@pytest.mark.parametrize("name", _WINDOW_SCENARIOS)
+def test_green_long_window_residual_identity(scenarios, block4, name):
+    # L = 4097: too long for the dense oracle, so the output is checked
+    # against the difference equation and both boundary conditions.
+    sc = block4 if name == "block4" else scenarios[name]
+    window = Window.symmetric(2048)
+    rng = np.random.default_rng(4097)
+    z = WindowSequence(window, rng.standard_normal((window.length, sc.cocycle.dim)))
+    cache = OrbitCache(sc.cocycle, sc.base_point, sc.dichotomy)
+    w = green_apply(sc.cocycle, sc.dichotomy, sc.base_point, z, cache=cache)
+    scale = 1.0 + z.sup_norm()
+    rep = green_residual(sc.cocycle, sc.dichotomy, sc.base_point, z, w, cache=cache)
+    assert rep.max_norm <= 1e-10 * scale
+    assert rep.left_edge_gap <= 1e-12 * scale
+    right = w.value_at(window.n_max)
+    right_gap = np.linalg.norm(right - cache.projector(window.n_max) @ right)
+    assert right_gap <= 1e-12 * scale

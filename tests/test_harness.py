@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -216,18 +217,22 @@ def test_csv_float_format_full_precision(tmp_path):
         ("scenario = uniform-diag\nnoise = 2\n", 2),
         ("scenario = uniform-diag\ntol = 0\n", 2),
         ("scenario = uniform-diag\nexperiment = lyapunov\nsteps = 2\n", 2),
-        ("scenario = uniform-diag\nwindow = 1100\n", 2),  # backward inversion fails
+        ("scenario = uniform-diag\nwindow = 1100\n", 2),  # the orbit overflows
         ("scenario = uniform-diag\nmax_iter = 1\n", 1),  # no convergence
         ("scenario = uniform-diag\nwindow = 0\n", 0),  # length-1 window
     ],
 )
 def test_cli_exit_codes_for_configs(tmp_path, capsys, body, code):
     cfg = _write(tmp_path, body + f"out_dir = {tmp_path / 'out'}\n")
-    assert main(["run", "--config", str(cfg)]) == code
+    with warnings.catch_warnings():
+        # A numpy RuntimeWarning would reach stderr outside pytest.
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg)]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
     assert len(errors) == (0 if code == 0 else 1)
+    assert len(err.splitlines()) == len(errors)
     if code == 0:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["pass"] is True

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -87,6 +88,22 @@ def test_nonlinear_step_composition(scenarios):
         sc.cocycle, sc.perturbation, sc.base_point, x, Window(-1, 3)
     )
     assert np.allclose(via_steps, orbit.value_at(3))
+
+
+@pytest.mark.parametrize("window", [Window(0, 1100), Window(-1100, 0)])
+def test_nonlinear_orbit_overflow_names_first_non_finite_index(scenarios, window):
+    sc = scenarios["uniform-diag"]
+    x0 = np.array([0.5, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="orbit is not finite at index") as err:
+            nonlinear_orbit(sc.cocycle, sc.perturbation, sc.base_point, x0, window)
+        index = int(str(err.value).rsplit(" ", 1)[1])
+        assert index != 0 and window.n_min <= index <= window.n_max
+        # Every index strictly between 0 and the reported one is finite.
+        inner = Window(0, index - 1) if index > 0 else Window(index + 1, 0)
+        orbit = nonlinear_orbit(sc.cocycle, sc.perturbation, sc.base_point, x0, inner)
+    assert np.all(np.isfinite(orbit.values))
 
 
 def test_defect_zero_for_exact_orbit(scenarios):
