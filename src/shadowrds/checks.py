@@ -14,6 +14,8 @@ import numpy as np
 
 from .cocycle import (
     OrbitCache,
+    _bounds_along_orbit,
+    _sliding_max,
     check_norm_equivalence,
     check_one_step_contraction,
     cocycle_eval,
@@ -360,7 +362,7 @@ def check_source_lipschitz(scenario, rng, pairs: int = 50, half: int = 8) -> Che
     window = Window.symmetric(half)
     pseudo, weights = noisy_pseudo_orbit(scenario, window, rng)
     prob = scenario.problem(pseudo, weights)
-    cache = prob.cache()
+    cache = prob.orbit
     factor = (
         2.0
         * scenario.perturbation.lipschitz_budget
@@ -373,7 +375,7 @@ def check_source_lipschitz(scenario, rng, pairs: int = 50, half: int = 8) -> Che
         z2 = WindowSequence(window, rng.standard_normal((window.length, scenario.cocycle.dim)))
         num = weighted_norm(
             scenario.cocycle, scenario.dichotomy, scenario.base_point,
-            source_term(prob, z1, cache) - source_term(prob, z2, cache),
+            source_term(prob, z1) - source_term(prob, z2),
             weights, scenario.horizon, allow_uncertified=uncert, cache=cache,
         )
         den = weighted_norm(
@@ -423,15 +425,15 @@ def check_envelope_growth(scenario, rng, horizon: int = 200,
     if layering is None:
         raise ValueError("scenario has no layering data")
     rho = layering.rho
-    base = scenario.base
-    bound = scenario.dichotomy.bound
+    reach = horizon + layering.envelope.horizon
+    ns = np.arange(-horizon, horizon + 1)
     worst = 0.0
     for point in _points(scenario, rng, samples):
-        values = envelope_along_orbit(
-            base, bound, point, rho, layering.envelope.horizon, -horizon, horizon
+        ks_wide = _bounds_along_orbit(
+            scenario.base, scenario.dichotomy.bound, point, -reach, reach
         )
-        ns = np.arange(-horizon, horizon + 1)
-        ks = np.array([bound(step(base, point, int(n))) for n in ns])
+        values = _sliding_max(ks_wide, rho, layering.envelope.horizon)
+        ks = ks_wide[reach - horizon : reach + horizon + 1]
         worst = max(worst, float(np.max(ks / values)) - 1.0)
         origin = values[horizon]
         worst = max(

@@ -51,18 +51,17 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{scenario.name:22s} d={scenario.cocycle.dim}  {scenario.notes}")
         return 0
     if args.command == "selftest":
-        from .checks import scenario_self_test
         from .scenarios import builtin_scenarios
 
-        failed = False
-        for scenario in builtin_scenarios():
-            report = scenario_self_test(scenario)
-            status = "ok" if report.passed else "FAIL"
-            print(f"{scenario.name:22s} {status}")
-            if not report.passed:
-                print(report.describe())
-                failed = True
-        return 1 if failed else 0
+        # The registry runs every self-test; its error names the failing checks.
+        try:
+            scenarios = builtin_scenarios()
+        except ValueError as exc:
+            print(exc)
+            return 1
+        for scenario in scenarios:
+            print(f"{scenario.name:22s} ok")
+        return 0
     return 2
 
 

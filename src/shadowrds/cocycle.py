@@ -191,6 +191,11 @@ class OrbitCache:
             self._mats[n] = m
         return m
 
+    def apply(self, n_lo: int, xs: np.ndarray) -> np.ndarray:
+        """Rows A(sigma^{n_lo + i} w) xs_i of an (m, d) array, as one batched product."""
+        mats = np.array([self.matrix(n) for n in range(n_lo, n_lo + len(xs))])
+        return np.matmul(mats.reshape(-1, self.dim, self.dim), xs[:, :, None])[:, :, 0]
+
     def inverse(self, n: int) -> np.ndarray:
         m = self._invs.get(n)
         if m is None:
@@ -284,6 +289,9 @@ class AdaptedNorm:
     stable_part: float
     unstable_part: float
 
+
+_EQUIVALENCE_SLACK = 1e-9  # relative, in check_norm_equivalence
+_CONTRACTION_SLACK = 1e-9  # relative to max(1, rhs), in check_one_step_contraction
 
 #: Rows per batch of the adapted-norm kernel; bounds its scratch buffer to
 #: (horizon + 1) * _NORM_ROWS * d floats on windows up to MAX_WINDOW.
@@ -409,7 +417,6 @@ def check_norm_equivalence(
     *,
     allow_uncertified: bool = False,
     cache: OrbitCache | None = None,
-    rel_slack: float = 1e-9,
 ) -> NormEquivalenceReport:
     """Verify the two-sided equivalence of plain and adapted norms."""
     cache = OrbitCache.for_orbit(cache, system, omega, dichotomy)
@@ -417,8 +424,8 @@ def check_norm_equivalence(
     plain = float(np.linalg.norm(x))
     nrm = _adapted_norm_at(cache, 0, x, horizon, allow_uncertified)
     upper = 2.0 * cache.bound(0) * plain
-    lower_ok = plain <= nrm.value * (1.0 + rel_slack)
-    upper_ok = nrm.value <= upper * (1.0 + rel_slack)
+    lower_ok = plain <= nrm.value * (1.0 + _EQUIVALENCE_SLACK)
+    upper_ok = nrm.value <= upper * (1.0 + _EQUIVALENCE_SLACK)
     return NormEquivalenceReport(plain, nrm, upper, lower_ok and upper_ok)
 
 
@@ -448,7 +455,6 @@ def check_one_step_contraction(
     *,
     allow_uncertified: bool = False,
     cache: OrbitCache | None = None,
-    abs_slack: float = 1e-9,
 ) -> OneStepContractionReport:
     """Check the n-step contraction of adapted norms along both directions."""
     if steps < 0:
@@ -477,10 +483,27 @@ def check_one_step_contraction(
     stable_margin = rhs - (fwd.value + fwd_tail)
     unstable_margin = rhs - (bwd.value + bwd_tail)
     scale = max(1.0, rhs)
-    passed = (
-        stable_margin >= -abs_slack * scale and unstable_margin >= -abs_slack * scale
-    )
+    slack = -_CONTRACTION_SLACK * scale
+    passed = stable_margin >= slack and unstable_margin >= slack
     return OneStepContractionReport(steps, stable_margin, unstable_margin, certified, passed)
+
+
+def _bounds_along_orbit(
+    base: DrivingSystem,
+    bound: Callable[[BasePoint], float],
+    omega: BasePoint,
+    j_lo: int,
+    j_hi: int,
+) -> np.ndarray:
+    """K(sigma^j w) for j in [j_lo, j_hi]."""
+    return np.array([float(bound(step(base, omega, j))) for j in range(j_lo, j_hi + 1)])
+
+
+def _sliding_max(ks: np.ndarray, rho: float, horizon: int) -> np.ndarray:
+    """max_{|j| <= horizon} ks[i + horizon + j] e^{-rho |j|} for every full window i."""
+    decay = np.exp(-rho * np.abs(np.arange(-horizon, horizon + 1)))
+    windows = np.lib.stride_tricks.sliding_window_view(ks, 2 * horizon + 1)
+    return np.max(windows * decay, axis=1)
 
 
 def envelope_along_orbit(
@@ -499,15 +522,8 @@ def envelope_along_orbit(
     """
     if n_hi < n_lo:
         raise ValueError("empty index range")
-    ks = np.array(
-        [float(bound(step(base, omega, j))) for j in range(n_lo - horizon, n_hi + horizon + 1)]
-    )
-    decay = np.exp(-rho * np.abs(np.arange(-horizon, horizon + 1)))
-    width = 2 * horizon + 1
-    out = np.empty(n_hi - n_lo + 1)
-    for i in range(out.size):
-        out[i] = float(np.max(ks[i : i + width] * decay))
-    return out
+    ks = _bounds_along_orbit(base, bound, omega, n_lo - horizon, n_hi + horizon)
+    return _sliding_max(ks, rho, horizon)
 
 
 @dataclass(frozen=True)
@@ -554,14 +570,15 @@ def build_envelope(
     def envelope(point: BasePoint) -> float:
         return float(envelope_along_orbit(base, bnd, point, rho, horizon)[0])
 
-    values = envelope_along_orbit(base, bnd, omega, rho, horizon, -horizon, horizon)
+    # One sweep of K over [-2 horizon, 2 horizon] serves D on [-horizon, horizon]
+    # and the defining terms of D(w).
+    ks_wide = _bounds_along_orbit(base, bnd, omega, -2 * horizon, 2 * horizon)
+    values = _sliding_max(ks_wide, rho, horizon)
     origin = values[horizon]
     offsets = np.abs(np.arange(-horizon, horizon + 1))
     violation = float(np.max(values / (origin * np.exp(rho * offsets))) - 1.0)
 
-    ks = np.array(
-        [float(bnd(step(base, omega, j))) for j in range(-horizon, horizon + 1)]
-    )
+    ks = ks_wide[horizon : 3 * horizon + 1]
     decay = np.exp(-rho * offsets)
     terms = ks * decay
     interior = float(np.max(terms[1:-1]))

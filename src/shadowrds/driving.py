@@ -127,10 +127,8 @@ class BernoulliShift:
         if abs(sum(w) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
         object.__setattr__(self, "weights", w)
-
-    @property
-    def _cumulative(self) -> tuple[float, ...]:
-        return tuple(np.cumsum(self.weights))
+        # Thresholds of symbol_at, kept out of the dataclass fields.
+        object.__setattr__(self, "_cumulative", tuple(np.cumsum(w)))
 
 
 DrivingSystem = IrrationalRotation | BernoulliShift

@@ -53,6 +53,9 @@ __all__ = [
 
 _BIG_NORM = 1e30
 _CONVERGENCE_SPREAD = 0.05
+_INVERSION_TOL = 1e-13  # of each backward step of a perturbed orbit
+_SPECIAL_MAX_ITER = 400  # iteration cap of the solve in find_special_point
+_FRAME_STEPS = 256  # QR steps of the backward frame in conservation_experiment
 
 
 class NumericalBreakdownError(RuntimeError):
@@ -146,7 +149,6 @@ def _orbit_log_norms(
     x: np.ndarray,
     forward: bool,
     steps: int,
-    inversion_tol: float,
 ) -> np.ndarray:
     """log |orbit| after 1..steps applications of F (or F^{-1})."""
     x = np.asarray(x, dtype=float)
@@ -172,7 +174,7 @@ def _orbit_log_norms(
             else:
                 vec = invert_step(
                     cache.inverse(time_index), perturbation, cache.point(time_index),
-                    vec, tol=inversion_tol,
+                    vec, tol=_INVERSION_TOL,
                 )
             norm = float(np.linalg.norm(vec))
             if norm == 0.0:
@@ -206,7 +208,6 @@ def nonlinear_exponent(
     direction: str,
     steps: int,
     *,
-    inversion_tol: float = 1e-13,
     cache: OrbitCache | None = None,
 ) -> NonlinearExponent:
     """Forward or backward growth exponent of the perturbed orbit through x."""
@@ -216,9 +217,7 @@ def nonlinear_exponent(
         raise ValueError("steps must be at least 4")
     cache = OrbitCache.for_orbit(cache, system, omega)
     forward = direction == "forward"
-    logs = _orbit_log_norms(
-        system, perturbation, cache, x, forward, steps, inversion_tol
-    )
+    logs = _orbit_log_norms(system, perturbation, cache, x, forward, steps)
     ns = np.arange(1, steps + 1)
     signed = ns if forward else -ns
     values = logs / signed
@@ -254,7 +253,6 @@ def find_special_point(
     prob: ShadowingProblem,
     *,
     tol: float = 1e-10,
-    max_iter: int = 400,
 ) -> SpecialPointResult:
     """Shadow the zero sequence and return the time-0 point of the result.
 
@@ -266,10 +264,9 @@ def find_special_point(
     pert = prob.perturbation
     if pert.bound is None:
         raise ValueError("perturbation must declare a uniform bound")
-    cache = prob.cache()
     win = prob.window
     allowed = min(
-        prob.weights.value_at(n) / (4.0 * cache.bound(n)) for n in win.indices()
+        prob.weights.value_at(n) / (4.0 * prob.orbit.bound(n)) for n in win.indices()
     )
     if pert.bound > allowed * (1 + 1e-12):
         raise ValueError(
@@ -280,15 +277,9 @@ def find_special_point(
         pseudo_orbit=WindowSequence.zeros(win, prob.cocycle.dim),
         weights=prob.weights.scaled(0.5),
     )
-    res = solve(zero_prob, tol=tol, max_iter=max_iter)
-    shadow_bound = res.shadow_bound
-    margins = np.array(
-        [
-            shadow_bound * zero_prob.weights.value_at(n)
-            - np.linalg.norm(res.orbit.value_at(n))
-            for n in win.indices()
-        ]
-    )
+    res = solve(zero_prob, tol=tol, max_iter=_SPECIAL_MAX_ITER)
+    norms = np.array([np.linalg.norm(v) for v in res.orbit.values])
+    margins = res.shadow_bound * zero_prob.weights.values - norms
     return SpecialPointResult(
         point=res.orbit.value_at(0).copy(),
         orbit=res.orbit,
@@ -338,7 +329,6 @@ def conservation_experiment(
     seed: int = 0,
     tolerance: float = 0.02,
     solver_tol: float = 1e-10,
-    frame_steps: int = 256,
 ) -> ConservationReport:
     """Match linear exponents against perturbed-orbit exponents both ways.
 
@@ -361,7 +351,7 @@ def conservation_experiment(
     weights = scenario.default_weights(window)
 
     lin = linear_exponents_qr(system, omega, steps, cache=cache)
-    frame, _ = backward_qr_frame(system, omega, min(steps, frame_steps), cache=cache)
+    frame, _ = backward_qr_frame(system, omega, min(steps, _FRAME_STEPS), cache=cache)
 
     forward_rows = []
     linear = Perturbation.zero(system.dim)

@@ -47,7 +47,7 @@ from .driving import (
     step,
     symbol_at,
 )
-from .green import WeightSequence, Window, WindowSequence
+from .green import MAX_WINDOW, WeightSequence, Window, WindowSequence
 from .shadowing import Perturbation, ShadowingProblem, make_weight
 
 __all__ = [
@@ -233,6 +233,7 @@ def _uniform_rot_coupled() -> Scenario:
 
 
 _LAYER_SEED = 916191
+_LAYER_MEMO = 2 * MAX_WINDOW  # memoized layer indices: a full-window solve keeps hitting
 
 
 def _nonuniform_layered() -> Scenario:
@@ -278,18 +279,12 @@ def _nonuniform_layered() -> Scenario:
     samples = [envelope.bound(sample_point(base, rng)) for _ in range(1000)]
     level = float(np.percentile(samples, 70.0))
 
-    memo: dict[BasePoint, int | None] = {}
-
+    @lru_cache(maxsize=_LAYER_MEMO)
     def layer_index(point: BasePoint) -> int | None:
-        got = memo.get(point)
-        if got is None and point not in memo:
-            got = None
-            for n in range(scan_limit + 1):
-                if envelope.bound(step(base, point, n)) <= level:
-                    got = n
-                    break
-            memo[point] = got
-        return got
+        for n in range(scan_limit + 1):
+            if envelope.bound(step(base, point, n)) <= level:
+                return n
+        return None
 
     budget = 0.03
 
@@ -324,9 +319,10 @@ def _nonuniform_layered() -> Scenario:
 
 
 _REMARK_SEED = 1736215
+_REMARK_KICK = 0.01
 
 
-def _remark_scalar(kick: float = 0.01) -> Scenario:
+def _remark_scalar() -> Scenario:
     base = BernoulliShift(2, (0.5, 0.5))
     anchor = ShiftPoint(_REMARK_SEED, 0)
     a = np.array([[0.5]])
@@ -345,9 +341,9 @@ def _remark_scalar(kick: float = 0.01) -> Scenario:
             and point.seed == anchor.seed
             and point.offset >= anchor.offset
         )
-        return np.array([kick]) if on_forward_orbit else np.zeros(1)
+        return np.array([_REMARK_KICK]) if on_forward_orbit else np.zeros(1)
 
-    pert = Perturbation(f, 0.0, bound=kick)
+    pert = Perturbation(f, 0.0, bound=_REMARK_KICK)
     return Scenario(
         name="remark-scalar",
         cocycle=cocycle,

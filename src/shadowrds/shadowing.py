@@ -17,12 +17,16 @@ L = B / (1 - q), B = (1 + e^{-eps}) / (1 - e^{-eps}).
 The iteration starts at z = 0 (the centre of the invariant ball of radius L)
 and stops on the a-posteriori contraction estimate
 |z^k - z*| <= q/(1-q) |z^k - z^{k-1}|.
+
+A problem owns its orbit segment, ``ShadowingProblem.orbit``: one
+``OrbitCache`` built on first use and shared by every function of the problem.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -58,6 +62,11 @@ __all__ = [
     "invert_step",
     "nonlinear_orbit",
 ]
+
+_FLOOR_UNIT = 64.0 * float(np.finfo(float).eps)  # residual floor per unit of magnitude
+_ORBIT_TOL = 1e-8  # largest one-step residual of an orbit in check_uniqueness
+_COINCIDENCE_TOL = 1e-8  # plain distance of orbits that check_uniqueness calls equal
+_INVERT_MAX_ITER = 256  # iteration cap of invert_step
 
 
 class ContractionError(ValueError):
@@ -162,16 +171,38 @@ class ShadowingProblem:
             self.dichotomy.rate, self.epsilon, self.perturbation.lipschitz_budget
         )
 
-    def cache(self) -> OrbitCache:
+    @cached_property
+    def orbit(self) -> OrbitCache:
+        """The problem's orbit segment, built on first use; ``replace`` starts a new one."""
         return OrbitCache(self.cocycle, self.omega, self.dichotomy)
 
 
-def nonlinear_step(prob: ShadowingProblem, n: int, x: np.ndarray,
-                   cache: OrbitCache | None = None) -> np.ndarray:
+def nonlinear_step(prob: ShadowingProblem, n: int, x: np.ndarray) -> np.ndarray:
     """One step of the perturbed map at time n: A(sigma^n w) x + f_{sigma^n w}(x)."""
-    cache = OrbitCache.for_orbit(cache, prob.cocycle, prob.omega, prob.dichotomy)
     x = np.asarray(x, dtype=float)
-    return cache.matrix(n) @ x + prob.perturbation(cache.point(n), x)
+    return prob.orbit.matrix(n) @ x + prob.perturbation(prob.orbit.point(n), x)
+
+
+def _window_steps(
+    prob: ShadowingProblem, x: np.ndarray, at: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows A(sigma^{n-1} w) x_{n-1} and f_{sigma^{n-1} w}(at_{n-1}) for the
+    interior n = n_min + 1 + i of the window; ``at`` defaults to ``x``."""
+    cache = prob.orbit
+    n_min = prob.window.n_min
+    at = x if at is None else at
+    linear = cache.apply(n_min, x[:-1])
+    kicks = np.array(
+        [prob.perturbation(cache.point(n_min + i), row) for i, row in enumerate(at[:-1])]
+    ).reshape(linear.shape)
+    return linear, kicks
+
+
+def _norm(row: np.ndarray) -> float:
+    """np.linalg.norm of one row, scaled by the power of two of its largest
+    entry so that finite rows near the float limit do not overflow."""
+    _, exp = np.frexp(np.max(np.abs(row)))
+    return float(np.ldexp(np.linalg.norm(np.ldexp(row, -exp)), exp))
 
 
 @dataclass(frozen=True)
@@ -193,24 +224,20 @@ class DefectReport:
         return float(np.max(self.norms)) if self.norms.size else 0.0
 
 
-def defect(prob: ShadowingProblem, cache: OrbitCache | None = None) -> DefectReport:
+def defect(prob: ShadowingProblem) -> DefectReport:
     """Defect sequence y_n - F_{sigma^{n-1} w}(y_{n-1}) with admissibility flags."""
-    cache = OrbitCache.for_orbit(cache, prob.cocycle, prob.omega, prob.dichotomy)
     win = prob.window
-    y = prob.pseudo_orbit
-    count = win.length - 1
-    values = np.zeros((count, y.dim))
-    allowed = np.zeros(count)
-    for i, n in enumerate(range(win.n_min + 1, win.n_max + 1)):
-        values[i] = y.value_at(n) - nonlinear_step(prob, n - 1, y.value_at(n - 1), cache)
-        allowed[i] = prob.weights.value_at(n) / (2.0 * cache.bound(n))
-    norms = np.linalg.norm(values, axis=1) if count else np.zeros(0)
+    y = prob.pseudo_orbit.values
+    linear, kicks = _window_steps(prob, y)
+    values = y[1:] - (linear + kicks)
+    bounds = np.array([prob.orbit.bound(n) for n in range(win.n_min + 1, win.n_max + 1)])
+    allowed = prob.weights.values[1:] / (2.0 * bounds)
+    norms = np.linalg.norm(values, axis=1)
     within = norms <= allowed * (1 + 1e-12)
     return DefectReport(win, values, norms, allowed, within, bool(np.all(within)))
 
 
-def source_term(prob: ShadowingProblem, z: WindowSequence,
-                cache: OrbitCache | None = None) -> WindowSequence:
+def source_term(prob: ShadowingProblem, z: WindowSequence) -> WindowSequence:
     """Forcing sequence fed to the Green operator in the fixed-point iteration.
 
     Entry n (interior) is f_{s^{n-1}w}(z_{n-1} + y_{n-1}) + A(s^{n-1}w) y_{n-1} - y_n;
@@ -219,19 +246,11 @@ def source_term(prob: ShadowingProblem, z: WindowSequence,
     """
     if z.window != prob.window:
         raise ValueError("window mismatch")
-    cache = OrbitCache.for_orbit(cache, prob.cocycle, prob.omega, prob.dichotomy)
-    win = prob.window
-    y = prob.pseudo_orbit
-    out = np.zeros((win.length, z.dim))
-    for n in range(win.n_min + 1, win.n_max + 1):
-        m = n - 1
-        pt = cache.point(m)
-        out[win.offset(n)] = (
-            prob.perturbation(pt, z.value_at(m) + y.value_at(m))
-            + cache.matrix(m) @ y.value_at(m)
-            - y.value_at(n)
-        )
-    return WindowSequence(win, out)
+    y = prob.pseudo_orbit.values
+    linear, kicks = _window_steps(prob, y, at=z.values + y)
+    out = np.zeros((z.window.length, z.dim))
+    out[1:] = kicks + linear - y[1:]
+    return WindowSequence(z.window, out)
 
 
 @dataclass(frozen=True)
@@ -272,9 +291,7 @@ def solve(prob: ShadowingProblem, tol: float = 1e-10, max_iter: int = 200) -> Sh
     if tol <= 0:
         raise ValueError("tol must be positive")
     shadow_bound, q = prob.constants
-    cache = prob.cache()
-    win = prob.window
-    dim = prob.pseudo_orbit.dim
+    cache = prob.orbit
     uncert = prob.allow_uncertified_truncation
 
     def wnorm(seq: WindowSequence) -> float:
@@ -283,16 +300,15 @@ def solve(prob: ShadowingProblem, tol: float = 1e-10, max_iter: int = 200) -> Sh
             prob.horizon, allow_uncertified=uncert, cache=cache,
         )
 
-    defect_report = defect(prob, cache)
-    z = WindowSequence.zeros(win, dim)
+    defect_report = defect(prob)
+    z = WindowSequence.zeros(prob.window, prob.pseudo_orbit.dim)
     trace: list[IterationRecord] = []
     ball_ok = True
     converged = False
     step_norm = math.inf
     for k in range(1, max_iter + 1):
         z_next = green_apply(
-            prob.cocycle, prob.dichotomy, prob.omega, source_term(prob, z, cache),
-            cache=cache,
+            prob.cocycle, prob.dichotomy, prob.omega, source_term(prob, z), cache=cache,
         )
         step_norm = wnorm(z_next - z)
         z_norm = wnorm(z_next)
@@ -312,34 +328,23 @@ def solve(prob: ShadowingProblem, tol: float = 1e-10, max_iter: int = 200) -> Sh
 
     gap = wnorm(
         green_apply(prob.cocycle, prob.dichotomy, prob.omega,
-                    source_term(prob, z, cache), cache=cache)
+                    source_term(prob, z), cache=cache)
         - z
     )
 
     orbit = prob.pseudo_orbit + z
-    count = win.length - 1
-    residuals = np.zeros((count, dim))
+    linear, kicks = _window_steps(prob, orbit.values)
+    residuals = orbit.values[1:] - (linear + kicks)
+    # Round-off floor of the residual evaluation: differences of values this
+    # large cannot be certified below machine epsilon times their magnitude,
+    # which matters on windows where hyperbolic orbits grow to ~1e8 and beyond.
     floor = 0.0
-    for i, n in enumerate(range(win.n_min + 1, win.n_max + 1)):
-        prev = orbit.value_at(n - 1)
-        residuals[i] = orbit.value_at(n) - nonlinear_step(prob, n - 1, prev, cache)
-        # Round-off floor of the residual evaluation: differences of values
-        # this large cannot be certified below machine epsilon times their
-        # magnitude, which matters on windows where hyperbolic orbits grow
-        # to ~1e8 and beyond.
-        scale = float(np.linalg.norm(orbit.value_at(n))) + float(
-            np.linalg.norm(cache.matrix(n - 1) @ prev)
-        )
-        floor = max(floor, 64.0 * np.finfo(float).eps * (1.0 + scale))
-    max_residual = float(np.max(np.linalg.norm(residuals, axis=1))) if count else 0.0
+    for x_n, ax in zip(orbit.values[1:], linear):
+        floor = max(floor, _FLOOR_UNIT * (1.0 + (_norm(x_n) + _norm(ax))))
+    max_residual = float(np.max(np.linalg.norm(residuals, axis=1))) if len(residuals) else 0.0
 
-    margins = np.array(
-        [
-            shadow_bound * prob.weights.value_at(n)
-            - float(np.linalg.norm(z.value_at(n)))
-            for n in win.indices()
-        ]
-    )
+    z_norms = np.array([np.linalg.norm(v) for v in z.values])
+    margins = shadow_bound * prob.weights.values - z_norms
     shadow_ok = bool(np.all(margins >= -1e-9))
 
     return ShadowingResult(
@@ -382,28 +387,24 @@ def check_uniqueness(
     prob: ShadowingProblem,
     orbit1: WindowSequence,
     orbit2: WindowSequence,
-    shadow_bound: float | None = None,
-    *,
-    orbit_tol: float = 1e-8,
-    coincidence_tol: float = 1e-8,
 ) -> UniquenessReport:
     """Expansivity check at window scale for two orbit sequences."""
-    cache = prob.cache()
     win = prob.window
     if orbit1.window != win or orbit2.window != win:
         raise ValueError("orbits must live on the problem window")
     for seq in (orbit1, orbit2):
-        for n in range(win.n_min + 1, win.n_max + 1):
-            res = seq.value_at(n) - nonlinear_step(prob, n - 1, seq.value_at(n - 1), cache)
-            if np.linalg.norm(res) > orbit_tol:
-                raise ValueError(
-                    f"input is not an orbit: residual {np.linalg.norm(res):.3e}"
-                    f" at index {n} exceeds {orbit_tol:.1e}"
-                )
-    if shadow_bound is None:
-        shadow_bound = prob.constants[0]
+        linear, kicks = _window_steps(prob, seq.values)
+        norms = np.linalg.norm(seq.values[1:] - (linear + kicks), axis=1)
+        bad = np.nonzero(norms > _ORBIT_TOL)[0]
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"input is not an orbit: residual {norms[i]:.3e}"
+                f" at index {win.n_min + 1 + i} exceeds {_ORBIT_TOL:.1e}"
+            )
+    shadow_bound = prob.constants[0]
     stable, unstable = _adapted_norm_parts(
-        cache, win.n_min, orbit1.values - orbit2.values, prob.horizon,
+        prob.orbit, win.n_min, orbit1.values - orbit2.values, prob.horizon,
         prob.allow_uncertified_truncation,
     )
     gaps = stable + unstable
@@ -412,7 +413,7 @@ def check_uniqueness(
         np.any(gaps > shadow_bound * prob.weights.values * (1 + 1e-12))
     )
     max_plain = (orbit1 - orbit2).sup_norm()
-    coincide = max_plain <= coincidence_tol if hypothesis else None
+    coincide = max_plain <= _COINCIDENCE_TOL if hypothesis else None
     return UniquenessReport(hypothesis, max_adapted, max_plain, coincide)
 
 
@@ -445,20 +446,19 @@ def invert_step(
     target: np.ndarray,
     *,
     tol: float = 1e-14,
-    max_iter: int = 256,
 ) -> np.ndarray:
     """Solve F_point(u) = target by the contraction u <- A^{-1}(target - f(u)).
 
     Convergent whenever |A^{-1}| Lip(f) < 1, which all scenarios guarantee.
     """
     u = inverse_matrix @ target
-    for _ in range(max_iter):
+    for _ in range(_INVERT_MAX_ITER):
         u_next = inverse_matrix @ (target - perturbation(point, u))
         if float(np.linalg.norm(u_next - u)) <= tol * (1.0 + float(np.linalg.norm(u_next))):
             return u_next
         u = u_next
     raise InversionError(
-        f"backward inversion did not converge within {max_iter} iterations"
+        f"backward inversion did not converge within {_INVERT_MAX_ITER} iterations"
     )
 
 
@@ -469,7 +469,6 @@ def nonlinear_orbit(
     x0: np.ndarray,
     window: Window,
     *,
-    inversion_tol: float = 1e-14,
     cache: OrbitCache | None = None,
 ) -> WindowSequence:
     """Exact two-sided orbit of the perturbed map through x0 on a window.
@@ -491,10 +490,7 @@ def nonlinear_orbit(
         x = x0
         for n in range(0, window.n_min, -1):
             try:
-                x = invert_step(
-                    cache.inverse(n - 1), perturbation, cache.point(n - 1), x,
-                    tol=inversion_tol,
-                )
+                x = invert_step(cache.inverse(n - 1), perturbation, cache.point(n - 1), x)
             except InversionError:
                 # The iteration cannot settle once its first guess overflows.
                 if np.all(np.isfinite(cache.inverse(n - 1) @ x)):

@@ -150,7 +150,7 @@ def test_criterion_04_contraction_of_iteration_map(scenarios):
     shadow_bound, q = prob.constants
     assert q == pytest.approx(0.3, rel=1e-12)
     assert shadow_bound == pytest.approx(3.0 / 0.7, rel=1e-12)
-    cache = prob.cache()
+    cache = prob.orbit
     rng = np.random.default_rng(106)
 
     def wnorm(seq):
@@ -161,7 +161,7 @@ def test_criterion_04_contraction_of_iteration_map(scenarios):
 
     def apply_t(z):
         return green_apply(
-            sc.cocycle, sc.dichotomy, sc.base_point, source_term(prob, z, cache),
+            sc.cocycle, sc.dichotomy, sc.base_point, source_term(prob, z),
             cache=cache,
         )
 

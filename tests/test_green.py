@@ -18,7 +18,6 @@ from shadowrds import (
     green_norm_bound_check,
     green_residual,
     make_weight,
-    source_term,
     step,
     weighted_norm,
 )
@@ -291,9 +290,6 @@ _MISMATCHED_CALLS = {
     ),
     "cocycle_eval": lambda sc, z, cache: cocycle_eval(
         sc.cocycle, sc.base_point, 3, cache=cache
-    ),
-    "source_term": lambda sc, z, cache: source_term(
-        sc.problem(WindowSequence.zeros(z.window, sc.cocycle.dim)), z, cache
     ),
 }
 

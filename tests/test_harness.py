@@ -1,10 +1,14 @@
 import json
+import math
 import warnings
 from pathlib import Path
 
 import pytest
 
+from shadowrds import checks
+from shadowrds.checks import CheckResult, SelfTestReport
 from shadowrds.cli import main
+from shadowrds.scenarios import builtin_scenarios
 from shadowrds.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -190,6 +194,22 @@ def test_cli_selftest(capsys):
     assert out.count("ok") >= 4
 
 
+def test_cli_selftest_reports_a_failing_scenario(capsys, monkeypatch):
+    def failing(scenario):
+        result = CheckResult("stub-check", 1.0, 0.0, False)
+        return SelfTestReport(scenario.name, (result,), False)
+
+    monkeypatch.setattr(checks, "scenario_self_test", failing)
+    builtin_scenarios.cache_clear()
+    try:
+        assert main(["selftest"]) == 1
+    finally:
+        builtin_scenarios.cache_clear()
+    out = capsys.readouterr().out
+    assert "failed its self-test" in out
+    assert "[FAIL] stub-check" in out
+
+
 def test_cli_unknown_command_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
@@ -220,6 +240,8 @@ def test_csv_float_format_full_precision(tmp_path):
         ("scenario = uniform-diag\nwindow = 1100\n", 2),  # the orbit overflows
         ("scenario = uniform-diag\nmax_iter = 1\n", 1),  # no convergence
         ("scenario = uniform-diag\nwindow = 0\n", 0),  # length-1 window
+        # The orbit reaches ~1e180: the round-off floor must stay finite.
+        ("scenario = uniform-diag\nwindow = 600\n", 0),
     ],
 )
 def test_cli_exit_codes_for_configs(tmp_path, capsys, body, code):
@@ -234,6 +256,10 @@ def test_cli_exit_codes_for_configs(tmp_path, capsys, body, code):
     assert len(errors) == (0 if code == 0 else 1)
     assert len(err.splitlines()) == len(errors)
     if code == 0:
-        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        summary = json.loads(
+            (tmp_path / "out" / "summary.json").read_text(),
+            parse_constant=lambda name: pytest.fail(f"summary.json holds {name}"),
+        )
         assert summary["pass"] is True
         assert all(summary["certificates"].values())
+        assert math.isfinite(summary["residual_floor"])

@@ -8,6 +8,7 @@ import pytest
 from shadowrds import (
     ContractionError,
     NonConvergenceError,
+    OrbitCache,
     Perturbation,
     ShadowingProblem,
     Window,
@@ -16,6 +17,7 @@ from shadowrds import (
     defect,
     dense_green_solve,
     green_apply,
+    green_residual,
     iteration_bound,
     make_weight,
     nonlinear_orbit,
@@ -174,7 +176,7 @@ def test_source_term_at_zero_is_negated_defect(scenarios):
 def test_source_term_weighted_lipschitz(scenarios):
     sc = scenarios["uniform-diag"]
     prob = _problem_from(sc)
-    cache = prob.cache()
+    cache = prob.orbit
     factor = 2 * sc.perturbation.lipschitz_budget * math.exp(
         sc.dichotomy.rate - sc.epsilon
     )
@@ -184,7 +186,7 @@ def test_source_term_weighted_lipschitz(scenarios):
         z2 = WindowSequence(prob.window, rng.standard_normal((prob.window.length, 2)))
         num = weighted_norm(
             sc.cocycle, sc.dichotomy, sc.base_point,
-            source_term(prob, z1, cache) - source_term(prob, z2, cache),
+            source_term(prob, z1) - source_term(prob, z2),
             prob.weights, prob.horizon, allow_uncertified=True, cache=cache,
         )
         den = weighted_norm(
@@ -386,3 +388,97 @@ def test_uniqueness_rejects_non_orbits(scenarios):
     prob = sc.problem(orbit)
     with pytest.raises(ValueError):
         check_uniqueness(prob, orbit, junk)
+
+
+# Per-index reference loops for the batched window stepper: each entry is
+# built from nonlinear_step (or its two terms) one index at a time.
+def _reference_defect(prob):
+    y = prob.pseudo_orbit
+    return np.array(
+        [
+            y.value_at(n) - nonlinear_step(prob, n - 1, y.value_at(n - 1))
+            for n in range(prob.window.n_min + 1, prob.window.n_max + 1)
+        ]
+    ).reshape(-1, y.dim)
+
+
+def _reference_source(prob, z):
+    win, y, cache = prob.window, prob.pseudo_orbit, prob.orbit
+    out = np.zeros((win.length, z.dim))
+    for n in range(win.n_min + 1, win.n_max + 1):
+        m = n - 1
+        out[win.offset(n)] = (
+            prob.perturbation(cache.point(m), z.value_at(m) + y.value_at(m))
+            + cache.matrix(m) @ y.value_at(m)
+            - y.value_at(n)
+        )
+    return out
+
+
+def _reference_green_residual(cache, z, w):
+    win = z.window
+    return np.array(
+        [
+            w.value_at(n) - cache.matrix(n - 1) @ w.value_at(n - 1) - z.value_at(n)
+            for n in range(win.n_min + 1, win.n_max + 1)
+        ]
+    ).reshape(-1, z.dim)
+
+
+def _reference_orbit_residuals(prob, orbit):
+    residuals, floor = [], 0.0
+    for n in range(prob.window.n_min + 1, prob.window.n_max + 1):
+        prev = orbit.value_at(n - 1)
+        residuals.append(orbit.value_at(n) - nonlinear_step(prob, n - 1, prev))
+        scale = float(np.linalg.norm(orbit.value_at(n))) + float(
+            np.linalg.norm(prob.orbit.matrix(n - 1) @ prev)
+        )
+        floor = max(floor, 64.0 * float(np.finfo(float).eps) * (1.0 + scale))
+    return np.array(residuals).reshape(-1, orbit.dim), floor
+
+
+_STEPPER_WINDOWS = [Window(0, 0), Window(-3, 12), Window.symmetric(16)]
+
+
+@pytest.mark.parametrize("window", _STEPPER_WINDOWS, ids=lambda w: f"{w.n_min}..{w.n_max}")
+@pytest.mark.parametrize(
+    "name",
+    ["uniform-diag", "uniform-rot-coupled", "nonuniform-layered", "remark-scalar", "block4"],
+)
+def test_window_stepper_matches_per_index_loop(scenarios, block4, name, window):
+    sc = block4 if name == "block4" else scenarios[name]
+    rng = np.random.default_rng(61)
+    pseudo, weights = noisy_pseudo_orbit(sc, window, rng)
+    prob = sc.problem(pseudo, weights)
+    z = WindowSequence(window, rng.standard_normal((window.length, sc.cocycle.dim)))
+
+    assert np.array_equal(defect(prob).values, _reference_defect(prob))
+    assert np.array_equal(source_term(prob, z).values, _reference_source(prob, z))
+    cache = OrbitCache(sc.cocycle, sc.base_point, sc.dichotomy)
+    w = green_apply(sc.cocycle, sc.dichotomy, sc.base_point, z, cache=cache)
+    rep = green_residual(sc.cocycle, sc.dichotomy, sc.base_point, z, w, cache=cache)
+    assert np.array_equal(rep.residuals, _reference_green_residual(cache, z, w))
+
+    res = solve(prob)
+    residuals, floor = _reference_orbit_residuals(prob, res.orbit)
+    assert np.array_equal(res.orbit_residuals, residuals)
+    assert type(res.residual_floor) is float
+    assert res.residual_floor == floor
+
+
+def test_solve_and_defect_share_one_orbit_cache(scenarios, monkeypatch):
+    sc = scenarios["uniform-rot-coupled"]
+    prob = _problem_from(sc)
+    created = []
+    init = OrbitCache.__init__
+
+    def counting(self, *args, **kwargs):
+        created.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OrbitCache, "__init__", counting)
+    solve(prob)
+    defect(prob)
+    assert created == [prob.orbit]
+    # A replaced problem gets an orbit segment of its own.
+    assert replace(prob, epsilon=0.4).orbit is not prob.orbit
