@@ -12,7 +12,6 @@ from .cocycle import (
     DichotomyData,
     OrbitCache,
     SingularityError,
-    TemperedEnvelope,
     UncertifiedTruncationError,
     adapted_norm,
     build_envelope,
@@ -22,9 +21,7 @@ from .cocycle import (
     operator_norm,
 )
 from .driving import (
-    BasePoint,
     BernoulliShift,
-    DrivingSystem,
     IrrationalRotation,
     RotationPoint,
     ShiftPoint,
@@ -44,30 +41,22 @@ from .green import (
     weighted_norm,
 )
 from .lyapunov import (
-    ConservationReport,
     DegenerateOrbitError,
-    NonlinearExponent,
     backward_qr_frame,
-    conservation_experiment,
     find_special_point,
     linear_exponents_qr,
     nonlinear_exponent,
 )
 from .scenarios import (
-    NonuniformLayering,
     Scenario,
     builtin_scenarios,
     get_scenario,
-    uniform_rescale,
 )
 from .shadowing import (
     ContractionError,
-    DefectReport,
-    InversionError,
     NonConvergenceError,
     Perturbation,
     ShadowingProblem,
-    ShadowingResult,
     check_uniqueness,
     defect,
     invert_step,

@@ -34,8 +34,10 @@ from .green import (
     weighted_norm,
 )
 from .shadowing import (
+    ContractionError,
     iteration_bound,
     nonlinear_orbit,
+    shadow_constant,
     solve,
     source_term,
 )
@@ -61,6 +63,10 @@ __all__ = [
     "check_layered_shadowing",
     "run_invariant_suite",
 ]
+
+_GREEN_HALF = 8  # window half-width of the Green and source-map checks
+_SOLVER_HALF = 10  # window half-width of the solver runs
+_SELF_TEST_SEED = 90521
 
 
 @dataclass(frozen=True)
@@ -168,14 +174,13 @@ def check_dichotomy_bounds(scenario, rng, points: int = 3, max_n: int = 64) -> C
     return CheckResult("dichotomy-bounds", worst, 1e-9, worst <= 1e-9)
 
 
-def check_norm_equivalence_sweep(scenario, rng, vectors: int = 1000) -> CheckResult:
-    """|x| <= |x|_w <= 2 K(w) |x| over random vectors and points."""
+def check_norm_equivalence_sweep(scenario, rng) -> CheckResult:
+    """|x| <= |x|_w <= 2 K(w) |x| over 250 random vectors at each of 4 points."""
     worst = 0.0
     failures = 0
-    per_point = max(1, vectors // 4)
     for point in _points(scenario, rng, 4):
         cache = OrbitCache(scenario.cocycle, point, scenario.dichotomy)
-        for _ in range(per_point):
+        for _ in range(250):
             x = rng.standard_normal(scenario.cocycle.dim)
             rep = check_norm_equivalence(
                 scenario.cocycle, scenario.dichotomy, point, x, scenario.horizon,
@@ -193,16 +198,17 @@ def check_norm_equivalence_sweep(scenario, rng, vectors: int = 1000) -> CheckRes
     )
 
 
-def check_one_step_contraction_sweep(scenario, rng, pairs: int = 200,
-                                     max_n: int = 10) -> CheckResult:
-    """n-step adapted-norm contraction margins stay above -1e-9."""
+def check_one_step_contraction_sweep(scenario, rng) -> CheckResult:
+    """n-step adapted-norm contraction margins stay above -1e-9.
+
+    50 random vectors at each of 4 points, each with a random n in [0, 10].
+    """
     worst = 0.0
-    per_point = max(1, pairs // 4)
     for point in _points(scenario, rng, 4):
         cache = OrbitCache(scenario.cocycle, point, scenario.dichotomy)
-        for _ in range(per_point):
+        for _ in range(50):
             x = rng.standard_normal(scenario.cocycle.dim)
-            n = int(rng.integers(0, max_n + 1))
+            n = int(rng.integers(0, 11))
             rep = check_one_step_contraction(
                 scenario.cocycle, scenario.dichotomy, point, x, n, scenario.horizon,
                 allow_uncertified=scenario.allow_uncertified_truncation,
@@ -212,12 +218,12 @@ def check_one_step_contraction_sweep(scenario, rng, pairs: int = 200,
     return CheckResult("adapted-contraction", worst, 1e-9, worst <= 1e-9)
 
 
-def check_green_linearity(scenario, rng, trials: int = 10, half: int = 8) -> CheckResult:
-    """Linearity of the Green operator to 1e-12 relative."""
-    window = Window.symmetric(half)
+def check_green_linearity(scenario, rng) -> CheckResult:
+    """Linearity of the Green operator to 1e-12 relative, over 10 trials."""
+    window = Window.symmetric(_GREEN_HALF)
     cache = OrbitCache(scenario.cocycle, scenario.base_point, scenario.dichotomy)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(10):
         z1 = WindowSequence(window, rng.standard_normal((window.length, scenario.cocycle.dim)))
         z2 = WindowSequence(window, rng.standard_normal((window.length, scenario.cocycle.dim)))
         a, b = float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))
@@ -235,20 +241,20 @@ def check_green_linearity(scenario, rng, trials: int = 10, half: int = 8) -> Che
     return CheckResult("green-linearity", worst, 1e-12, worst <= 1e-12)
 
 
-def check_green_inversion(scenario, rng, trials: int = 20, half: int = 8) -> CheckResult:
-    """Residual identity and dense-oracle equivalence, both directions.
+def check_green_inversion(scenario, rng) -> CheckResult:
+    """Residual identity and dense-oracle equivalence, both directions, 20 trials.
 
     Forward: the residual of green_apply output vanishes on interior indices.
     Converse: the dense boundary-value solve of the same input reproduces
     green_apply, so any sequence satisfying the residual identity plus the
     two boundary conditions is the Green image of its residual.
     """
-    window = Window.symmetric(half)
+    window = Window.symmetric(_GREEN_HALF)
     point = scenario.base_point
     cache = OrbitCache(scenario.cocycle, point, scenario.dichotomy)
     worst_res = 0.0
     worst_dense = 0.0
-    for _ in range(trials):
+    for _ in range(20):
         z = WindowSequence(window, rng.standard_normal((window.length, scenario.cocycle.dim)))
         w = green_apply(scenario.cocycle, scenario.dichotomy, point, z, cache=cache)
         rep = green_residual(scenario.cocycle, scenario.dichotomy, point, z, w, cache=cache)
@@ -277,16 +283,19 @@ def admissible_weight_kinds(scenario) -> list[str]:
     return kinds
 
 
-def check_green_norm_bounds(scenario, rng, trials: int = 100, half: int = 8) -> CheckResult:
-    """Weighted-norm amplification below (1+e^{-eps})/(1-e^{-eps}) + 1e-6."""
-    window = Window.symmetric(half)
+def check_green_norm_bounds(scenario, rng) -> CheckResult:
+    """Weighted-norm amplification below (1+e^{-eps})/(1-e^{-eps}) + 1e-6.
+
+    100 random inputs per admissible weight family.
+    """
+    window = Window.symmetric(_GREEN_HALF)
     worst = -math.inf
     kinds = admissible_weight_kinds(scenario)
     for kind in kinds:
         weights = replace(scenario, weight_kind=kind).default_weights(window)
         rep = green_norm_bound_check(
             scenario.cocycle, scenario.dichotomy, scenario.base_point, weights,
-            scenario.epsilon, trials, scenario.horizon, rng,
+            scenario.epsilon, 100, scenario.horizon, rng,
             allow_uncertified=scenario.allow_uncertified_truncation,
         )
         worst = max(worst, rep.max_ratio - rep.bound)
@@ -329,7 +338,6 @@ def noisy_pseudo_orbit(
     *,
     noise: float = 0.5,
     weights: WeightSequence | None = None,
-    start: np.ndarray | None = None,
 ) -> tuple[WindowSequence, WeightSequence]:
     """An exact orbit plus jitter scaled to respect the defect allowance.
 
@@ -341,8 +349,7 @@ def noisy_pseudo_orbit(
     if weights is None:
         weights = scenario.default_weights(window)
     cache = OrbitCache(scenario.cocycle, scenario.base_point, scenario.dichotomy)
-    if start is None:
-        start = 0.5 * rng.standard_normal(scenario.cocycle.dim)
+    start = 0.5 * rng.standard_normal(scenario.cocycle.dim)
     orbit = nonlinear_orbit(
         scenario.cocycle, scenario.perturbation, scenario.base_point, start, window,
         cache=cache,
@@ -357,9 +364,9 @@ def noisy_pseudo_orbit(
     return WindowSequence(window, orbit.values + jitter), weights
 
 
-def check_source_lipschitz(scenario, rng, pairs: int = 50, half: int = 8) -> CheckResult:
-    """Weighted-norm Lipschitz bound 2 c e^{rate-eps} of the source map."""
-    window = Window.symmetric(half)
+def check_source_lipschitz(scenario, rng) -> CheckResult:
+    """Weighted-norm Lipschitz bound 2 c e^{rate-eps} of the source map, 50 pairs."""
+    window = Window.symmetric(_GREEN_HALF)
     pseudo, weights = noisy_pseudo_orbit(scenario, window, rng)
     prob = scenario.problem(pseudo, weights)
     cache = prob.orbit
@@ -370,7 +377,7 @@ def check_source_lipschitz(scenario, rng, pairs: int = 50, half: int = 8) -> Che
     )
     worst = 0.0
     uncert = scenario.allow_uncertified_truncation
-    for _ in range(pairs):
+    for _ in range(50):
         z1 = WindowSequence(window, rng.standard_normal((window.length, scenario.cocycle.dim)))
         z2 = WindowSequence(window, rng.standard_normal((window.length, scenario.cocycle.dim)))
         num = weighted_norm(
@@ -386,15 +393,15 @@ def check_source_lipschitz(scenario, rng, pairs: int = 50, half: int = 8) -> Che
     return CheckResult("source-lipschitz", worst, 1e-9, worst <= 1e-9)
 
 
-def check_solver_certificates(scenario, rng, half: int = 10,
-                              tol: float = 1e-10) -> CheckResult:
+def check_solver_certificates(scenario, rng) -> CheckResult:
     """Run the solver on a noisy orbit and verify every certificate.
 
     Window sizes are kept moderate so two-sided orbit magnitudes stay well
     inside the range where the absolute residual threshold is meaningful
-    (hyperbolic orbits grow like e^{rate * half} toward the window edges).
+    (hyperbolic orbits grow like e^{rate * |n|} toward the window edges).
     """
-    window = Window.symmetric(half)
+    tol = 1e-10
+    window = Window.symmetric(_SOLVER_HALF)
     pseudo, weights = noisy_pseudo_orbit(scenario, window, rng)
     prob = scenario.problem(pseudo, weights)
     res = solve(prob, tol=tol)
@@ -418,9 +425,8 @@ def check_solver_certificates(scenario, rng, half: int = 10,
     )
 
 
-def check_envelope_growth(scenario, rng, horizon: int = 200,
-                          samples: int = 5) -> CheckResult:
-    """K <= D and D(sigma^n w) <= D(w) e^{rho |n|} along sampled orbits."""
+def check_envelope_growth(scenario, rng, horizon: int = 200) -> CheckResult:
+    """K <= D and D(sigma^n w) <= D(w) e^{rho |n|} along 5 sampled orbits."""
     layering = scenario.layering
     if layering is None:
         raise ValueError("scenario has no layering data")
@@ -428,7 +434,7 @@ def check_envelope_growth(scenario, rng, horizon: int = 200,
     reach = horizon + layering.envelope.horizon
     ns = np.arange(-horizon, horizon + 1)
     worst = 0.0
-    for point in _points(scenario, rng, samples):
+    for point in _points(scenario, rng, 5):
         ks_wide = _bounds_along_orbit(
             scenario.base, scenario.dichotomy.bound, point, -reach, reach
         )
@@ -466,7 +472,7 @@ def check_layer_coverage(scenario, rng, samples: int = 400,
     )
 
 
-def check_layered_shadowing(scenario, rng, half: int = 10) -> CheckResult:
+def check_layered_shadowing(scenario, rng) -> CheckResult:
     """Shadow a pseudo-orbit whose defects obey the per-layer allowance.
 
     For a point in layer m the allowance at index n is
@@ -480,7 +486,7 @@ def check_layered_shadowing(scenario, rng, half: int = 10) -> CheckResult:
     m = layering.layer_index(point)
     if m is None:
         raise ValueError("anchor point has no layer index")
-    window = Window.symmetric(half)
+    window = Window.symmetric(_SOLVER_HALF)
     weights = scenario.default_weights(window)
     cache = OrbitCache(scenario.cocycle, point, scenario.dichotomy)
     orbit = nonlinear_orbit(
@@ -517,9 +523,9 @@ def check_layered_shadowing(scenario, rng, half: int = 10) -> CheckResult:
     )
 
 
-def scenario_self_test(scenario, seed: int = 90521) -> SelfTestReport:
+def scenario_self_test(scenario) -> SelfTestReport:
     """Fast structural validation run when the registry is built."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SELF_TEST_SEED)
     results = [
         check_cocycle_property(scenario, rng, pairs=8, span=16),
         check_projectors(scenario, rng, points=3, span=16),
@@ -532,13 +538,13 @@ def scenario_self_test(scenario, seed: int = 90521) -> SelfTestReport:
     )
 
 
-def _check_perturbation_lipschitz(scenario, rng, pairs: int = 40) -> CheckResult:
+def _check_perturbation_lipschitz(scenario, rng) -> CheckResult:
     budget = scenario.perturbation.lipschitz_budget
     worst = 0.0
     for point in _points(scenario, rng, 4):
         nxt = step(scenario.base, point, 1)
         allowed = budget / scenario.dichotomy.bound(nxt)
-        for _ in range(pairs):
+        for _ in range(40):
             x = rng.standard_normal(scenario.cocycle.dim) * 2.0
             y = rng.standard_normal(scenario.cocycle.dim) * 2.0
             num = float(np.linalg.norm(
@@ -551,8 +557,6 @@ def _check_perturbation_lipschitz(scenario, rng, pairs: int = 40) -> CheckResult
 
 
 def _check_contraction_constant(scenario) -> CheckResult:
-    from .shadowing import shadow_constant, ContractionError
-
     try:
         _, q = shadow_constant(
             scenario.dichotomy.rate, scenario.epsilon,

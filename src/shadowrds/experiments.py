@@ -37,7 +37,12 @@ import numpy as np
 from .checks import noisy_pseudo_orbit, run_invariant_suite
 from .cocycle import OrbitCache
 from .green import Window
-from .lyapunov import conservation_experiment, linear_exponents_qr, nonlinear_exponent
+from .lyapunov import (
+    _qr_sweep,
+    _sorted_exponents,
+    conservation_experiment,
+    nonlinear_exponent,
+)
 from .scenarios import Scenario, get_scenario
 from .shadowing import Perturbation, iteration_bound, solve
 
@@ -47,8 +52,6 @@ __all__ = [
     "load_config",
     "run_experiment",
 ]
-
-EXPERIMENT_KINDS = ("shadow", "lyapunov", "conservation", "invariants")
 
 OUTPUT_DIR_ENV = "SHADOW_RDS_OUT"
 
@@ -88,22 +91,12 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-_SCHEMA = {
-    "scenario": str,
-    "experiment": str,
-    "seed": int,
-    "out_dir": str,
-    "window": int,
-    "tol": float,
-    "max_iter": int,
-    "noise": float,
-    "linear": _parse_bool,
-    "weight": str,
-    "weight_scale": float,
-    "epsilon": float,
-    "steps": int,
-    "samples": int,
-    "tolerance": float,
+# Each key is parsed by its field's type; ``X | None`` is parsed as X.
+_PARSERS = {
+    field.name: {"str": str, "int": int, "float": float, "bool": _parse_bool}[
+        field.type.removesuffix(" | None")
+    ]
+    for field in dataclasses.fields(ExperimentConfig)
 }
 
 
@@ -120,16 +113,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if "=" not in text:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in text.split("=", 1))
-        if key not in _SCHEMA:
+        if key not in _PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         raw[key] = value
     if "scenario" not in raw:
         raise ConfigError(f"{path}: missing required key 'scenario'")
     kwargs: dict[str, object] = {}
     for key, value in raw.items():
-        caster = _SCHEMA[key]
         try:
-            kwargs[key] = caster(value)
+            kwargs[key] = _PARSERS[key](value)
         except ValueError as exc:
             raise ConfigError(f"{path}: bad value for {key!r}: {value!r}") from exc
     cfg = ExperimentConfig(**kwargs)  # type: ignore[arg-type]
@@ -248,12 +240,14 @@ def _run_lyapunov(cfg: ExperimentConfig, scenario: Scenario, out: Path) -> int:
             for x in xs
         ]
 
-    # One cache per direction: the forward walks share the orbit's matrices,
-    # the backward walks its inverses.  Dropping the first before filling the
-    # second keeps only one orbit's worth of entries alive at a time.
+    # One QR sweep gives the exponents at N and, for the convergence column,
+    # at N // 2.  One cache per direction: the forward walks share the orbit's
+    # matrices, the backward walks its inverses.  Dropping the first before
+    # filling the second keeps only one orbit's worth of entries alive at a time.
     cache = OrbitCache(system, omega)
-    lin = linear_exponents_qr(system, omega, cfg.steps, cache=cache)
-    half = linear_exponents_qr(system, omega, cfg.steps // 2, cache=cache)
+    _, sums = _qr_sweep(cache, range(cfg.steps))
+    lin = _sorted_exponents(sums, cfg.steps)
+    half = _sorted_exponents(sums, cfg.steps // 2)
     fwds = exponents("forward", cache)
     del cache
     bwds = exponents("backward", OrbitCache(system, omega))
@@ -348,6 +342,15 @@ def _run_invariants(cfg: ExperimentConfig, scenario: Scenario, out: Path) -> int
     return 0 if passed else 1
 
 
+# Experiment kind -> runner; the keys are the valid ``experiment`` values.
+EXPERIMENT_KINDS = {
+    "shadow": _run_shadow,
+    "lyapunov": _run_lyapunov,
+    "conservation": _run_conservation,
+    "invariants": _run_invariants,
+}
+
+
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Run one experiment; returns the process exit code (0 ok, 1 failed)."""
     try:
@@ -356,10 +359,4 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         raise ConfigError(str(exc)) from exc
     out = cfg.resolve_out_dir()
     out.mkdir(parents=True, exist_ok=True)
-    runner = {
-        "shadow": _run_shadow,
-        "lyapunov": _run_lyapunov,
-        "conservation": _run_conservation,
-        "invariants": _run_invariants,
-    }[cfg.experiment]
-    return runner(cfg, scenario, out)
+    return EXPERIMENT_KINDS[cfg.experiment](cfg, scenario, out)

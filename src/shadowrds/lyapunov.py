@@ -24,7 +24,8 @@ import numpy as np
 
 from .cocycle import CocycleSystem, OrbitCache
 from .driving import BasePoint
-from .green import WindowSequence
+from .green import Window, WindowSequence
+from .scenarios import Scenario
 from .shadowing import (
     InversionError,
     Perturbation,
@@ -75,6 +76,27 @@ def _positive_qr(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * s, r * s[:, None]
 
 
+def _qr_sweep(cache: OrbitCache, indices: range) -> tuple[np.ndarray, np.ndarray]:
+    """Repeated QR of the matrices at ``indices``, starting from the identity.
+
+    Returns the last orthonormal factor and the running sums of the log R
+    diagonals: row k holds the sum over the first k + 1 factorizations.
+    """
+    q = np.eye(cache.dim)
+    logs = np.empty((len(indices), cache.dim))
+    for k, n in enumerate(indices):
+        q, r = _positive_qr(cache.matrix(n) @ q)
+        logs[k] = np.log(np.diagonal(r))
+    return q, np.cumsum(logs, axis=0)
+
+
+def _sorted_exponents(sums: np.ndarray, steps: int) -> np.ndarray:
+    """Exponents after the first ``steps`` factorizations of a sweep, descending."""
+    if steps < 1:
+        raise ValueError("steps must be positive")
+    return np.sort(sums[steps - 1] / steps)[::-1]
+
+
 def linear_exponents_qr(
     system: CocycleSystem,
     omega: BasePoint,
@@ -86,15 +108,9 @@ def linear_exponents_qr(
     Repeated QR along the orbit: exponents are the averaged logs of the R
     diagonals over ``steps`` factorizations.
     """
-    if steps < 1:
-        raise ValueError("steps must be positive")
     cache = OrbitCache.for_orbit(cache, system, omega)
-    q = np.eye(system.dim)
-    logs = np.zeros(system.dim)
-    for n in range(steps):
-        q, r = _positive_qr(cache.matrix(n) @ q)
-        logs += np.log(np.diagonal(r))
-    return np.sort(logs / steps)[::-1]
+    _, sums = _qr_sweep(cache, range(steps))
+    return _sorted_exponents(sums, steps)
 
 
 def backward_qr_frame(
@@ -112,12 +128,8 @@ def backward_qr_frame(
     if steps < 1:
         raise ValueError("steps must be positive")
     cache = OrbitCache.for_orbit(cache, system, omega)
-    q = np.eye(system.dim)
-    logs = np.zeros(system.dim)
-    for n in range(-steps, 0):
-        q, r = _positive_qr(cache.matrix(n) @ q)
-        logs += np.log(np.diagonal(r))
-    rates = logs / steps
+    q, sums = _qr_sweep(cache, range(-steps, 0))
+    rates = sums[-1] / steps
     order = np.argsort(-rates)
     return q[:, order], rates[order]
 
@@ -143,7 +155,6 @@ class NonlinearExponent:
 
 
 def _orbit_log_norms(
-    system: CocycleSystem,
     perturbation: Perturbation,
     cache: OrbitCache,
     x: np.ndarray,
@@ -182,7 +193,7 @@ def _orbit_log_norms(
                     f"orbit norm vanished after {n + 1} steps"
                 )
             logs[n] = math.log(norm)
-            if not pure_linear and norm > _BIG_NORM:
+            if norm > _BIG_NORM:
                 unit, lognorm = vec / norm, math.log(norm)
                 scaled = True
         else:
@@ -217,7 +228,7 @@ def nonlinear_exponent(
         raise ValueError("steps must be at least 4")
     cache = OrbitCache.for_orbit(cache, system, omega)
     forward = direction == "forward"
-    logs = _orbit_log_norms(system, perturbation, cache, x, forward, steps)
+    logs = _orbit_log_norms(perturbation, cache, x, forward, steps)
     ns = np.arange(1, steps + 1)
     signed = ns if forward else -ns
     values = logs / signed
@@ -339,9 +350,6 @@ def conservation_experiment(
     from the special point must have at least one of their two exponents
     matching some linear exponent.
     """
-    from .green import Window
-    from .scenarios import Scenario  # local import to avoid a cycle
-
     assert isinstance(scenario, Scenario)
     rng = np.random.default_rng(seed)
     omega = scenario.base_point

@@ -55,7 +55,6 @@ __all__ = [
     "NonuniformLayering",
     "builtin_scenarios",
     "get_scenario",
-    "uniform_rescale",
 ]
 
 
@@ -131,18 +130,6 @@ class Scenario:
             horizon=self.horizon,
             allow_uncertified_truncation=self.allow_uncertified_truncation,
         )
-
-
-def uniform_rescale(weights: WeightSequence, bound: float) -> WeightSequence:
-    """Rescale weights to n -> 2 K delta(n); the ratio bound is unchanged.
-
-    This converts plain defect bounds delta(n) into the normalized form
-    delta(n) / (2K) expected by the solver when the dichotomy bound is a
-    constant K.
-    """
-    if bound <= 0:
-        raise ValueError("bound must be positive")
-    return weights.scaled(2.0 * bound)
 
 
 def _rotation(theta: float) -> np.ndarray:

@@ -19,6 +19,7 @@ from shadowrds import (
     cocycle_eval,
     step,
 )
+from shadowrds import cocycle as cocycle_module
 from shadowrds.checks import check_cocycle_property, check_dichotomy_bounds
 from shadowrds.cocycle import _adapted_norm_at, _adapted_norm_parts
 
@@ -280,8 +281,22 @@ def _reference_adapted_norm_at(cache, base_index, x, horizon, allow_uncertified)
     return AdaptedNorm(value, tail, certified, stable, unstable)
 
 
-@pytest.mark.parametrize("rows, n_lo", [(1, 3), (17, -5), (257, -200)])
-def test_adapted_norm_kernel_matches_per_vector_loop(scenarios, block4, rows, n_lo):
+@pytest.mark.parametrize(
+    "rows, n_lo, norm_rows",
+    [
+        pytest.param(1, 3, None, id="1-3"),
+        pytest.param(17, -5, None, id="17--5"),
+        pytest.param(257, -200, None, id="257--200"),
+        # Chunks of 7 rows put chunk boundaries inside both windows.
+        pytest.param(17, -5, 7, id="17--5-chunks-of-7"),
+        pytest.param(257, -200, 7, id="257--200-chunks-of-7"),
+    ],
+)
+def test_adapted_norm_kernel_matches_per_vector_loop(
+    scenarios, block4, monkeypatch, rows, n_lo, norm_rows
+):
+    if norm_rows is not None:
+        monkeypatch.setattr(cocycle_module, "_NORM_ROWS", norm_rows)
     rng = np.random.default_rng(rows)
     for sc in list(scenarios.values()) + [block4]:
         cache = OrbitCache(sc.cocycle, sc.base_point, sc.dichotomy)

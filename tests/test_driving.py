@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from shadowrds import (
     BernoulliShift,
@@ -10,6 +12,7 @@ from shadowrds import (
     step,
     symbol_at,
 )
+from shadowrds.driving import MAX_OFFSET
 
 
 def test_step_identity_is_exact():
@@ -63,6 +66,44 @@ def test_step_offset_overflow_rejected():
     rot = IrrationalRotation.default()
     with pytest.raises(ValueError):
         step(rot, RotationPoint.from_angle(0.1), 1 << 41)
+
+
+_STEPS = st.integers(-MAX_OFFSET, MAX_OFFSET)
+_BEYOND = st.integers(MAX_OFFSET + 1, 2 * MAX_OFFSET)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(ticks=st.integers(0, 2**128 - 1), n=_STEPS, m=_STEPS, beyond=_BEYOND,
+       sign=st.sampled_from([-1, 1]))
+@example(ticks=0, n=MAX_OFFSET, m=-MAX_OFFSET, beyond=MAX_OFFSET + 1, sign=1)
+def test_rotation_group_law_property(ticks, n, m, beyond, sign):
+    assume(abs(n + m) <= MAX_OFFSET)
+    rot = IrrationalRotation.default()
+    w = RotationPoint(ticks)
+    assert step(rot, step(rot, w, m), n) == step(rot, w, n + m)
+    assert step(rot, step(rot, w, n), -n) == w
+    with pytest.raises(ValueError):
+        step(rot, w, sign * beyond)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(seed=st.integers(0, 2**63 - 1), offset=_STEPS, n=_STEPS, m=_STEPS,
+       beyond=_BEYOND, sign=st.sampled_from([-1, 1]))
+@example(seed=1, offset=MAX_OFFSET, n=-MAX_OFFSET, m=0,
+         beyond=MAX_OFFSET + 1, sign=1)
+@example(seed=2, offset=-MAX_OFFSET, n=0, m=MAX_OFFSET,
+         beyond=MAX_OFFSET + 1, sign=-1)
+def test_shift_group_law_property(seed, offset, n, m, beyond, sign):
+    # Every offset the two sides pass through stays in the supported range.
+    assume(all(abs(v) <= MAX_OFFSET for v in (n + m, offset + m, offset + n,
+                                               offset + n + m)))
+    sh = BernoulliShift(3, (0.2, 0.3, 0.5))
+    w = ShiftPoint(seed, offset)
+    assert step(sh, step(sh, w, m), n) == step(sh, w, n + m)
+    assert step(sh, step(sh, w, n), -n) == w
+    # A step whose target offset lies past the range raises, never wraps.
+    with pytest.raises(ValueError):
+        step(sh, w, sign * beyond - offset)
 
 
 def test_symbol_determinism():

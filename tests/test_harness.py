@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from shadowrds import checks
+from shadowrds import checks, experiments, get_scenario, linear_exponents_qr, lyapunov
 from shadowrds.checks import CheckResult, SelfTestReport
 from shadowrds.cli import main
 from shadowrds.scenarios import builtin_scenarios
@@ -37,6 +40,24 @@ def test_config_parsing_and_defaults(tmp_path):
     assert cfg.window == 9
     assert cfg.tol == 1e-9
     assert cfg.max_iter == 400  # default
+
+
+def test_module_docstring_lists_every_config_key_with_its_default():
+    documented = {}
+    for line in experiments.__doc__.splitlines():
+        match = re.fullmatch(r"    (\w+) *= *(\S*) *# *(.*)", line)
+        if match:
+            documented[match[1]] = (match[2], match[3])
+    fields = dataclasses.fields(ExperimentConfig)
+    assert sorted(documented) == sorted(f.name for f in fields)
+    for f in fields:
+        text, comment = documented[f.name]
+        if f.default is dataclasses.MISSING:
+            assert comment.startswith("required"), f.name
+        elif f.default is None:
+            assert text == "", f.name
+        else:
+            assert experiments._PARSERS[f.name](text) == f.default, f.name
 
 
 def test_config_errors(tmp_path):
@@ -125,6 +146,30 @@ def test_lyapunov_experiment_outputs(tmp_path):
     assert any(r.startswith("orbit-0,forward,") for r in rows)
     summary = json.loads((tmp_path / "lyap" / "summary.json").read_text())
     assert summary["pass"] is True
+
+
+def test_lyapunov_run_makes_one_qr_sweep(tmp_path, monkeypatch):
+    sc = get_scenario("uniform-rot-coupled")
+    lin = linear_exponents_qr(sc.cocycle, sc.base_point, 40)
+    half = linear_exponents_qr(sc.cocycle, sc.base_point, 20)
+    qr = lyapunov._positive_qr
+    calls = []
+
+    def counted(b):
+        calls.append(1)
+        return qr(b)
+
+    monkeypatch.setattr(lyapunov, "_positive_qr", counted)
+    cfg = ExperimentConfig(
+        scenario=sc.name, experiment="lyapunov", out_dir=str(tmp_path),
+        steps=40, samples=0,
+    )
+    run_experiment(cfg)
+    assert len(calls) == 40
+    # The exponents at N and the gap to N // 2 equal those of separate sweeps.
+    rows = [r.split(",") for r in (tmp_path / "lyapunov.csv").read_text().splitlines()[1:]]
+    assert [float(r[3]) for r in rows] == list(lin)
+    assert [float(r[4]) for r in rows] == list(np.abs(lin - half))
 
 
 def test_conservation_experiment_outputs(tmp_path):
@@ -237,6 +282,8 @@ def test_csv_float_format_full_precision(tmp_path):
         ("scenario = uniform-diag\nnoise = 2\n", 2),
         ("scenario = uniform-diag\ntol = 0\n", 2),
         ("scenario = uniform-diag\nexperiment = lyapunov\nsteps = 2\n", 2),
+        # N // 2 = 0: no exponent is defined at the half-way point.
+        ("scenario = uniform-diag\nexperiment = lyapunov\nsteps = 1\nsamples = 0\n", 2),
         ("scenario = uniform-diag\nwindow = 1100\n", 2),  # the orbit overflows
         ("scenario = uniform-diag\nmax_iter = 1\n", 1),  # no convergence
         ("scenario = uniform-diag\nwindow = 0\n", 0),  # length-1 window

@@ -15,7 +15,23 @@ from shadowrds import (
     linear_exponents_qr,
     nonlinear_exponent,
 )
-from shadowrds.lyapunov import conservation_experiment
+from shadowrds.lyapunov import _positive_qr, _qr_sweep, conservation_experiment
+
+
+@pytest.mark.parametrize(
+    "indices", [range(300), range(-300, 0)], ids=["forward", "backward"]
+)
+def test_qr_sweep_matches_running_sum_loop(scenarios, block4, indices):
+    for sc in list(scenarios.values()) + [block4]:
+        cache = OrbitCache(sc.cocycle, sc.base_point)
+        q, sums = _qr_sweep(cache, indices)
+        ref_q = np.eye(sc.cocycle.dim)
+        logs = np.zeros(sc.cocycle.dim)
+        for k, n in enumerate(indices):
+            ref_q, r = _positive_qr(cache.matrix(n) @ ref_q)
+            logs += np.log(np.diagonal(r))
+            assert np.array_equal(sums[k], logs), (sc.name, k)
+        assert np.array_equal(q, ref_q), sc.name
 
 
 def test_qr_exponents_diagonal_exact(scenarios):

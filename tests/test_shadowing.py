@@ -28,7 +28,6 @@ from shadowrds import (
     weighted_norm,
 )
 from shadowrds.checks import noisy_pseudo_orbit
-from shadowrds.scenarios import uniform_rescale
 
 
 def _problem_from(scenario, half=8, seed=31, noise=0.5):
@@ -333,10 +332,10 @@ def test_linear_hyers_ulam_constant_defect(scenarios):
 def test_uniform_rescale_families(scenarios):
     window = Window.symmetric(6)
     base = make_weight("constant", window)
-    assert np.allclose(uniform_rescale(base, 0.5).values, base.values)
-    assert np.allclose(uniform_rescale(base, 1.0).values, 2.0 * base.values)
+    assert np.allclose(base.scaled(1.0).values, base.values)
+    assert np.allclose(base.scaled(2.0).values, 2.0 * base.values)
     expo = make_weight("exponential", window, rate=0.3)
-    scaled = uniform_rescale(expo, 2.0)
+    scaled = expo.scaled(4.0)
     assert scaled.ratio_bound == expo.ratio_bound
     ratios = scaled.values[1:] / scaled.values[:-1]
     assert np.allclose(ratios, expo.values[1:] / expo.values[:-1])
