@@ -7,8 +7,8 @@ checkout's ``src`` to time that version):
 
 For each window length L in LENGTHS it builds the window [-(L-1)/2, (L-1)/2]
 on ``uniform-rot-coupled`` (d = 2, horizon 48, constant weights), a seeded
-standard-normal input z and one ``OrbitCache``.  A first, untimed call of each
-function fills the cache; the warm calls are then timed until one second has
+standard-normal input z and one orbit segment, ``Scenario.orbit()``.  A first,
+untimed call of each function fills the orbit's cache; the warm calls are then timed until one second has
 passed or MAX_CALLS calls were made, and the median is reported.  BLAS is
 pinned to one thread, as in ``perfbench``.  The result is one JSON object on
 stdout.
@@ -29,7 +29,7 @@ import time  # noqa: E402
 import numpy as np  # noqa: E402
 
 import shadowrds  # noqa: E402
-from shadowrds import OrbitCache, Window, WindowSequence, make_weight  # noqa: E402
+from shadowrds import Window, WindowSequence, make_weight  # noqa: E402
 
 LENGTHS = (17, 65, 257, 1025, 4097)
 SCENARIO = "uniform-rot-coupled"
@@ -56,13 +56,10 @@ def main() -> None:
         rng = np.random.default_rng(length)
         z = WindowSequence(window, rng.standard_normal((length, sc.cocycle.dim)))
         weights = make_weight("constant", window)
-        cache = OrbitCache(sc.cocycle, sc.base_point, sc.dichotomy)
-        args = (sc.cocycle, sc.dichotomy, sc.base_point, z)
-        green_s, green_calls = _warm_median(
-            lambda: shadowrds.green_apply(*args, cache=cache)
-        )
+        orbit = sc.orbit()
+        green_s, green_calls = _warm_median(lambda: shadowrds.green_apply(orbit, z))
         norm_s, norm_calls = _warm_median(
-            lambda: shadowrds.weighted_norm(*args, weights, sc.horizon, cache=cache)
+            lambda: shadowrds.weighted_norm(orbit, z, weights, sc.horizon)
         )
         rows.append({
             "L": length,

@@ -45,19 +45,19 @@ print(f"orbit frequency of [0, 0.1): {hits / 100_000:.4f} (expect about 0.1)")
 # --- cocycles and their composition law ------------------------------------
 
 sc = get_scenario("uniform-rot-coupled")
-omega = sc.base_point
-a5 = cocycle_eval(sc.cocycle, omega, 5)
-a32 = cocycle_eval(sc.cocycle, step(sc.base, omega, 2), 3)
-a2 = cocycle_eval(sc.cocycle, omega, 2)
+orbit = sc.orbit()
+a5 = cocycle_eval(orbit, 5)
+a32 = cocycle_eval(sc.orbit(orbit.point(2)), 3)
+a2 = cocycle_eval(orbit, 2)
 gap = np.linalg.norm(a5 - a32 @ a2, 2) / np.linalg.norm(a5, 2)
 print(f"composition law A(w,5) = A(s^2 w,3) A(w,2): relative gap {gap:.2e}")
 
 # --- adapted norms ----------------------------------------------------------
 
 x = np.array([0.8, -0.6])
-nrm = adapted_norm(sc.cocycle, sc.dichotomy, omega, x, horizon=48)
+nrm = adapted_norm(orbit, x, horizon=48)
 print(f"adapted norm of {x}: value {nrm.value:.6f}, certified tail {nrm.tail:.2e}")
-rep = check_norm_equivalence(sc.cocycle, sc.dichotomy, omega, x, horizon=48)
+rep = check_norm_equivalence(orbit, x, horizon=48)
 print(f"norm chain |x| <= |x|_w <= 2K|x|: "
       f"{rep.plain:.4f} <= {rep.adapted.value:.4f} <= {rep.upper:.4f}"
       f" -> {'ok' if rep.passed else 'VIOLATED'}")
@@ -66,8 +66,7 @@ print(f"norm chain |x| <= |x|_w <= 2K|x|: "
 # l1 norm of the split components, exactly, at any horizon
 diag = get_scenario("uniform-diag")
 y = np.array([0.3, -0.7])
-val = adapted_norm(diag.cocycle, diag.dichotomy, diag.base_point, y, 8,
-                   allow_uncertified=True).value
+val = adapted_norm(diag.orbit(), y, 8, allow_uncertified=True).value
 print(f"diagonal scenario: adapted norm {val:.12f} vs |y_1| + |y_2| = "
       f"{abs(y[0]) + abs(y[1]):.12f}")
 print(f"one-step contraction factor e^-rate = {math.exp(-diag.dichotomy.rate):.4f}")

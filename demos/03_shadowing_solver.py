@@ -4,7 +4,9 @@ defect allowances.
 
 import numpy as np
 
-from shadowrds import Window, get_scenario, make_weight, shadow_constant, solve
+import dataclasses
+
+from shadowrds import Window, get_scenario, shadow_constant, solve
 from shadowrds.checks import noisy_pseudo_orbit
 
 sc = get_scenario("uniform-diag")
@@ -38,11 +40,9 @@ print(f"interior orbit residual {res.max_orbit_residual:.2e},"
 
 eps = sc.dichotomy.rate / 2.0
 window = Window.symmetric(32)
-weights = make_weight("exponential", window, rate=sc.dichotomy.rate - eps)
-pseudo, weights = noisy_pseudo_orbit(
-    sc, window, np.random.default_rng(4), noise=0.6, weights=weights
-)
-prob = sc.problem(pseudo, weights, epsilon=eps)
+expo = dataclasses.replace(sc, weight_kind="exponential", epsilon=eps)
+pseudo, weights = noisy_pseudo_orbit(expo, window, np.random.default_rng(4), noise=0.6)
+prob = expo.problem(pseudo, weights)
 L2, q2 = prob.constants
 res = solve(prob, tol=1e-9, max_iter=400)
 print(f"\nexponential weights on [-32, 32] (defects grow like e^{{0.35|n|}}):")

@@ -19,7 +19,7 @@ from shadowrds.lyapunov import conservation_experiment
 # --- linear exponents by repeated QR -----------------------------------------
 
 sc = get_scenario("uniform-diag")
-lin = linear_exponents_qr(sc.cocycle, sc.base_point, 2000)
+lin = linear_exponents_qr(sc.orbit(), 2000)
 print(f"linear exponents of diag(1/2, 2): {lin[0]:+.6f}, {lin[1]:+.6f}"
       f" (log 2 = {math.log(2):.6f})")
 
@@ -42,10 +42,8 @@ print("special point (orbit shadowing the zero sequence):",
 
 rs = get_scenario("remark-scalar")
 x = np.array([1.0])
-fwd = nonlinear_exponent(rs.cocycle, rs.perturbation, rs.base_point, x,
-                         "forward", 10_000)
-bwd = nonlinear_exponent(rs.cocycle, rs.perturbation, rs.base_point, x,
-                         "backward", 10_000)
+fwd = nonlinear_exponent(rs.orbit(), rs.perturbation, x, "forward", 10_000)
+bwd = nonlinear_exponent(rs.orbit(), rs.perturbation, x, "backward", 10_000)
 print(f"\nkicked contraction at x = 1: forward exponent {fwd.estimate:+.5f}"
       f" (not a linear exponent), backward {bwd.estimate:+.5f} = -log 2")
 

@@ -31,7 +31,7 @@ for _ in range(300):
 for m in sorted(k for k in counts if k is not None)[:6]:
     print(f"  layer {m}: {counts[m] / 300:.3f}")
 
-cov = check_layer_coverage(sc, rng, samples=300, depth=200)
+cov = check_layer_coverage(sc, rng, samples=300)
 print(f"coverage of the union of layers within depth 200: "
       f"{1.0 - cov.worst:.3f} (want >= 0.99)")
 

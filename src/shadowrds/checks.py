@@ -66,6 +66,8 @@ __all__ = [
 
 _GREEN_HALF = 8  # window half-width of the Green and source-map checks
 _SOLVER_HALF = 10  # window half-width of the solver runs
+_ENVELOPE_HORIZON = 200  # orbit half-length of check_envelope_growth
+_COVERAGE_DEPTH = 200  # steps within which check_layer_coverage looks for a hit
 _SELF_TEST_SEED = 90521
 
 
@@ -112,13 +114,13 @@ def check_cocycle_property(scenario, rng, pairs: int = 25, span: int = 32) -> Ch
     """
     worst = 0.0
     for point in _points(scenario, rng, 3):
-        cache = OrbitCache(scenario.cocycle, point)
+        orbit = scenario.orbit(point)
         for _ in range(pairs):
             n = int(rng.integers(-span, span + 1))
             m = int(rng.integers(-span, span + 1))
-            whole = cocycle_eval(scenario.cocycle, point, n + m, cache=cache)
-            left = cocycle_eval(scenario.cocycle, cache.point(m), n)
-            right = cocycle_eval(scenario.cocycle, point, m, cache=cache)
+            whole = cocycle_eval(orbit, n + m)
+            left = cocycle_eval(scenario.orbit(orbit.point(m)), n)
+            right = cocycle_eval(orbit, m)
             scale = max(operator_norm(whole), operator_norm(left) * operator_norm(right))
             err = operator_norm(whole - left @ right) / max(scale, 1e-300)
             worst = max(worst, err)
@@ -130,11 +132,11 @@ def check_projectors(scenario, rng, points: int = 4, span: int = 32) -> CheckRes
     worst_idem = 0.0
     worst_equiv = 0.0
     for point in _points(scenario, rng, points):
-        cache = OrbitCache(scenario.cocycle, point, scenario.dichotomy)
+        cache = scenario.orbit(point)
         p = cache.projector(0)
         worst_idem = max(worst_idem, operator_norm(p @ p - p))
         for n in (1, 2, 5, span // 2, span):
-            a_n = cocycle_eval(scenario.cocycle, point, n, cache=cache)
+            a_n = cocycle_eval(cache, n)
             lhs = cache.projector(n) @ a_n
             rhs = a_n @ p
             err = operator_norm(lhs - rhs) / max(operator_norm(a_n), 1e-300)
@@ -158,7 +160,7 @@ def check_dichotomy_bounds(scenario, rng, points: int = 3, max_n: int = 64) -> C
     strict = dich.rate + dich.margin
     worst = 0.0
     for point in _points(scenario, rng, points):
-        cache = OrbitCache(scenario.cocycle, point, dich)
+        cache = scenario.orbit(point)
         k = cache.bound(0)
         fwd = cache.projector(0).copy()
         bwd = np.eye(scenario.cocycle.dim) - cache.projector(0)
@@ -179,13 +181,12 @@ def check_norm_equivalence_sweep(scenario, rng) -> CheckResult:
     worst = 0.0
     failures = 0
     for point in _points(scenario, rng, 4):
-        cache = OrbitCache(scenario.cocycle, point, scenario.dichotomy)
+        orbit = scenario.orbit(point)
         for _ in range(250):
             x = rng.standard_normal(scenario.cocycle.dim)
             rep = check_norm_equivalence(
-                scenario.cocycle, scenario.dichotomy, point, x, scenario.horizon,
+                orbit, x, scenario.horizon,
                 allow_uncertified=scenario.allow_uncertified_truncation,
-                cache=cache,
             )
             if not rep.passed:
                 failures += 1
@@ -205,14 +206,13 @@ def check_one_step_contraction_sweep(scenario, rng) -> CheckResult:
     """
     worst = 0.0
     for point in _points(scenario, rng, 4):
-        cache = OrbitCache(scenario.cocycle, point, scenario.dichotomy)
+        orbit = scenario.orbit(point)
         for _ in range(50):
             x = rng.standard_normal(scenario.cocycle.dim)
             n = int(rng.integers(0, 11))
             rep = check_one_step_contraction(
-                scenario.cocycle, scenario.dichotomy, point, x, n, scenario.horizon,
+                orbit, x, steps=n, horizon=scenario.horizon,
                 allow_uncertified=scenario.allow_uncertified_truncation,
-                cache=cache,
             )
             worst = max(worst, -rep.stable_margin, -rep.unstable_margin)
     return CheckResult("adapted-contraction", worst, 1e-9, worst <= 1e-9)
@@ -221,21 +221,14 @@ def check_one_step_contraction_sweep(scenario, rng) -> CheckResult:
 def check_green_linearity(scenario, rng) -> CheckResult:
     """Linearity of the Green operator to 1e-12 relative, over 10 trials."""
     window = Window.symmetric(_GREEN_HALF)
-    cache = OrbitCache(scenario.cocycle, scenario.base_point, scenario.dichotomy)
+    orbit = scenario.orbit()
     worst = 0.0
     for _ in range(10):
         z1 = WindowSequence(window, rng.standard_normal((window.length, scenario.cocycle.dim)))
         z2 = WindowSequence(window, rng.standard_normal((window.length, scenario.cocycle.dim)))
         a, b = float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))
-        combo = green_apply(
-            scenario.cocycle, scenario.dichotomy, scenario.base_point,
-            a * z1 + b * z2, cache=cache,
-        )
-        parts = a * green_apply(
-            scenario.cocycle, scenario.dichotomy, scenario.base_point, z1, cache=cache
-        ) + b * green_apply(
-            scenario.cocycle, scenario.dichotomy, scenario.base_point, z2, cache=cache
-        )
+        combo = green_apply(orbit, z=a * z1 + b * z2)
+        parts = a * green_apply(orbit, z=z1) + b * green_apply(orbit, z=z2)
         scale = max(combo.sup_norm(), 1e-300)
         worst = max(worst, (combo - parts).sup_norm() / scale)
     return CheckResult("green-linearity", worst, 1e-12, worst <= 1e-12)
@@ -250,19 +243,18 @@ def check_green_inversion(scenario, rng) -> CheckResult:
     two boundary conditions is the Green image of its residual.
     """
     window = Window.symmetric(_GREEN_HALF)
-    point = scenario.base_point
-    cache = OrbitCache(scenario.cocycle, point, scenario.dichotomy)
+    orbit = scenario.orbit()
     worst_res = 0.0
     worst_dense = 0.0
     for _ in range(20):
         z = WindowSequence(window, rng.standard_normal((window.length, scenario.cocycle.dim)))
-        w = green_apply(scenario.cocycle, scenario.dichotomy, point, z, cache=cache)
-        rep = green_residual(scenario.cocycle, scenario.dichotomy, point, z, w, cache=cache)
+        w = green_apply(orbit, z=z)
+        rep = green_residual(orbit, z=z, w=w)
         worst_res = max(
             worst_res,
             max(rep.max_norm, rep.left_edge_gap) / (1.0 + z.sup_norm()),
         )
-        dense = dense_green_solve(scenario.cocycle, scenario.dichotomy, point, z, cache=cache)
+        dense = dense_green_solve(orbit, z=z)
         scale = max(w.sup_norm(), 1e-300)
         worst_dense = max(worst_dense, (w - dense).sup_norm() / scale)
     worst = max(worst_res, worst_dense)
@@ -294,8 +286,7 @@ def check_green_norm_bounds(scenario, rng) -> CheckResult:
     for kind in kinds:
         weights = replace(scenario, weight_kind=kind).default_weights(window)
         rep = green_norm_bound_check(
-            scenario.cocycle, scenario.dichotomy, scenario.base_point, weights,
-            scenario.epsilon, 100, scenario.horizon, rng,
+            scenario.orbit(), weights, scenario.epsilon, 100, scenario.horizon, rng,
             allow_uncertified=scenario.allow_uncertified_truncation,
         )
         worst = max(worst, rep.max_ratio - rep.bound)
@@ -306,7 +297,7 @@ def check_green_norm_bounds(scenario, rng) -> CheckResult:
 
 
 def _jitter(
-    cache: OrbitCache,
+    orbit: OrbitCache,
     window: Window,
     allowed: np.ndarray,
     lipschitz: float,
@@ -320,12 +311,12 @@ def _jitter(
     defect of an exact orbit plus this jitter within noise times its allowance.
     """
     growth = max(
-        (operator_norm(cache.matrix(n)) for n in range(window.n_min, window.n_max)),
+        (operator_norm(orbit.matrix(n)) for n in range(window.n_min, window.n_max)),
         default=0.0,
     ) + lipschitz
     adjacent = float(np.max(allowed[:-1] / allowed[1:])) if len(allowed) > 1 else 1.0
     amp = noise * allowed / (1.0 + growth * adjacent)
-    jitter = rng.standard_normal((window.length, cache.dim))
+    jitter = rng.standard_normal((window.length, orbit.dim))
     norms = np.linalg.norm(jitter, axis=1)
     norms[norms == 0] = 1.0
     return jitter / norms[:, None] * amp[:, None]
@@ -337,23 +328,19 @@ def noisy_pseudo_orbit(
     rng: np.random.Generator,
     *,
     noise: float = 0.5,
-    weights: WeightSequence | None = None,
 ) -> tuple[WindowSequence, WeightSequence]:
     """An exact orbit plus jitter scaled to respect the defect allowance.
 
-    The allowance at index n is delta(n) / (2 K(sigma^n w)); ``_jitter`` is
+    The weights are the scenario's default weights on the window.  The
+    allowance at index n is delta(n) / (2 K(sigma^n w)); ``_jitter`` is
     given the perturbation Lipschitz constant c / min K over the window.
     """
     if not 0 <= noise <= 1:
         raise ValueError("noise must lie in [0, 1]")
-    if weights is None:
-        weights = scenario.default_weights(window)
-    cache = OrbitCache(scenario.cocycle, scenario.base_point, scenario.dichotomy)
+    weights = scenario.default_weights(window)
+    cache = scenario.orbit()
     start = 0.5 * rng.standard_normal(scenario.cocycle.dim)
-    orbit = nonlinear_orbit(
-        scenario.cocycle, scenario.perturbation, scenario.base_point, start, window,
-        cache=cache,
-    )
+    orbit = nonlinear_orbit(cache, scenario.perturbation, start, window)
     allowed = np.array(
         [weights.value_at(n) / (2.0 * cache.bound(n)) for n in window.indices()]
     )
@@ -369,7 +356,6 @@ def check_source_lipschitz(scenario, rng) -> CheckResult:
     window = Window.symmetric(_GREEN_HALF)
     pseudo, weights = noisy_pseudo_orbit(scenario, window, rng)
     prob = scenario.problem(pseudo, weights)
-    cache = prob.orbit
     factor = (
         2.0
         * scenario.perturbation.lipschitz_budget
@@ -381,13 +367,12 @@ def check_source_lipschitz(scenario, rng) -> CheckResult:
         z1 = WindowSequence(window, rng.standard_normal((window.length, scenario.cocycle.dim)))
         z2 = WindowSequence(window, rng.standard_normal((window.length, scenario.cocycle.dim)))
         num = weighted_norm(
-            scenario.cocycle, scenario.dichotomy, scenario.base_point,
-            source_term(prob, z1) - source_term(prob, z2),
-            weights, scenario.horizon, allow_uncertified=uncert, cache=cache,
+            prob.orbit, seq=source_term(prob, z1) - source_term(prob, z2),
+            weights=weights, horizon=scenario.horizon, allow_uncertified=uncert,
         )
         den = weighted_norm(
-            scenario.cocycle, scenario.dichotomy, scenario.base_point,
-            z1 - z2, weights, scenario.horizon, allow_uncertified=uncert, cache=cache,
+            prob.orbit, seq=z1 - z2, weights=weights, horizon=scenario.horizon,
+            allow_uncertified=uncert,
         )
         worst = max(worst, num - factor * den)
     return CheckResult("source-lipschitz", worst, 1e-9, worst <= 1e-9)
@@ -425,11 +410,13 @@ def check_solver_certificates(scenario, rng) -> CheckResult:
     )
 
 
-def check_envelope_growth(scenario, rng, horizon: int = 200) -> CheckResult:
-    """K <= D and D(sigma^n w) <= D(w) e^{rho |n|} along 5 sampled orbits."""
+def check_envelope_growth(scenario, rng) -> CheckResult:
+    """K <= D and D(sigma^n w) <= D(w) e^{rho |n|} along 5 sampled orbits of
+    half-length _ENVELOPE_HORIZON."""
     layering = scenario.layering
     if layering is None:
         raise ValueError("scenario has no layering data")
+    horizon = _ENVELOPE_HORIZON
     rho = layering.rho
     reach = horizon + layering.envelope.horizon
     ns = np.arange(-horizon, horizon + 1)
@@ -448,9 +435,8 @@ def check_envelope_growth(scenario, rng, horizon: int = 200) -> CheckResult:
     return CheckResult("envelope-growth", worst, 1e-9, worst <= 1e-9)
 
 
-def check_layer_coverage(scenario, rng, samples: int = 400,
-                         depth: int = 200) -> CheckResult:
-    """Fraction of points hitting the good level set within `depth` steps."""
+def check_layer_coverage(scenario, rng, samples: int = 400) -> CheckResult:
+    """Fraction of points hitting the good level set within _COVERAGE_DEPTH steps."""
     layering = scenario.layering
     if layering is None:
         raise ValueError("scenario has no layering data")
@@ -461,14 +447,14 @@ def check_layer_coverage(scenario, rng, samples: int = 400,
         point = scenario.sample_point(rng)
         values = envelope_along_orbit(
             base, scenario.dichotomy.bound, point, layering.rho, env.horizon,
-            0, depth,
+            0, _COVERAGE_DEPTH,
         )
         if np.any(values <= layering.level_threshold):
             hits += 1
     coverage = hits / samples
     return CheckResult(
         "layer-coverage", 1.0 - coverage, 0.01, coverage >= 0.99,
-        detail=f"coverage {coverage:.3f} at depth {depth}",
+        detail=f"coverage {coverage:.3f} at depth {_COVERAGE_DEPTH}",
     )
 
 
@@ -488,10 +474,9 @@ def check_layered_shadowing(scenario, rng) -> CheckResult:
         raise ValueError("anchor point has no layer index")
     window = Window.symmetric(_SOLVER_HALF)
     weights = scenario.default_weights(window)
-    cache = OrbitCache(scenario.cocycle, point, scenario.dichotomy)
+    cache = scenario.orbit()
     orbit = nonlinear_orbit(
-        scenario.cocycle, scenario.perturbation, point,
-        0.5 * rng.standard_normal(scenario.cocycle.dim), window, cache=cache,
+        cache, scenario.perturbation, 0.5 * rng.standard_normal(scenario.cocycle.dim), window
     )
     allowed = np.array(
         [

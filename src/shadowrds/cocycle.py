@@ -16,6 +16,10 @@ K(w) e^{-mu(N+1)} |x|, so the reported value R encloses the untruncated norm
 in [R, R + tail].  When the bound already lies below both attained partial
 sups the tail is zero and the truncated value is certified exact.
 
+Every function that works along one orbit sigma^n w takes that orbit segment,
+an ``OrbitCache``, as its first argument: the segment carries the system, the
+base point w and the dichotomy data, and memoizes what is evaluated along it.
+
 Vector iterations along the stable (resp. unstable) direction re-apply the
 projector at every step.  This is deliberate: round-off seeds a tiny
 component in the complementary subspace, which hyperbolicity then amplifies
@@ -118,13 +122,13 @@ class DichotomyData:
 
 
 class OrbitCache:
-    """Lazily evaluated matrices, inverses, and projectors along one orbit.
+    """The orbit segment sigma^n w: lazily evaluated matrices, inverses, and projectors.
 
-    A cache belongs to one (system, base point, dichotomy): every function
-    that accepts a cache obtains it through ``OrbitCache.for_orbit``, which
-    raises ValueError when the cache was built for another system, base
-    point, or dichotomy.  A cache built without dichotomy data serves every
-    function that needs none.
+    An orbit belongs to one (system, base point, dichotomy) and is the only
+    orbit argument of every function that works along an orbit, so those
+    functions cannot mix data of two orbits.  An orbit built without
+    dichotomy data serves every function that needs none; the others raise
+    ValueError for it.
 
     All entries are memoized by the integer orbit index n (the point
     sigma^n w).
@@ -146,31 +150,6 @@ class OrbitCache:
         self._bounds: dict[int, float] = {}
         self._stable_maps: dict[int, np.ndarray] = {}
         self._unstable_maps: dict[int, np.ndarray] = {}
-
-    @classmethod
-    def for_orbit(
-        cls,
-        cache: OrbitCache | None,
-        system: CocycleSystem,
-        omega: BasePoint,
-        dichotomy: DichotomyData | None = None,
-    ) -> OrbitCache:
-        """The given cache after checking that it fits, or a new one when None.
-
-        With ``dichotomy`` None the cache's own dichotomy data is not checked,
-        since the caller uses none.
-        """
-        if cache is not None:
-            if cache.system != system:
-                raise ValueError("cache was built for another cocycle system")
-            if cache.omega != omega:
-                raise ValueError(
-                    f"cache was built at base point {cache.omega}, not at {omega}"
-                )
-            if dichotomy is not None and cache.dichotomy != dichotomy:
-                raise ValueError("cache was built for other dichotomy data")
-            return cache
-        return cls(system, omega, dichotomy)
 
     @property
     def dim(self) -> int:
@@ -204,12 +183,16 @@ class OrbitCache:
             self._invs[n] = m
         return m
 
-    def projector(self, n: int) -> np.ndarray:
+    def require_dichotomy(self) -> DichotomyData:
+        """The orbit's dichotomy data; ValueError when it was built without."""
         if self.dichotomy is None:
             raise ValueError("cache was built without dichotomy data")
+        return self.dichotomy
+
+    def projector(self, n: int) -> np.ndarray:
         p = self._projs.get(n)
         if p is None:
-            p = np.asarray(self.dichotomy.projector(self.point(n)), dtype=float)
+            p = np.asarray(self.require_dichotomy().projector(self.point(n)), dtype=float)
             if p.shape != (self.dim, self.dim):
                 raise ValueError("projector has wrong shape")
             p.setflags(write=False)
@@ -220,11 +203,9 @@ class OrbitCache:
         return np.eye(self.dim) - self.projector(n)
 
     def bound(self, n: int) -> float:
-        if self.dichotomy is None:
-            raise ValueError("cache was built without dichotomy data")
         k = self._bounds.get(n)
         if k is None:
-            k = float(self.dichotomy.bound(self.point(n)))
+            k = float(self.require_dichotomy().bound(self.point(n)))
             if k <= 0:
                 raise ValueError("dichotomy bound K must be positive")
             self._bounds[n] = k
@@ -249,13 +230,8 @@ class OrbitCache:
         return m
 
 
-def cocycle_eval(
-    system: CocycleSystem,
-    omega: BasePoint,
-    n: int,
-    cache: OrbitCache | None = None,
-) -> np.ndarray:
-    """Evaluate the n-step cocycle matrix, n in Z, |n| <= 10**6.
+def cocycle_eval(orbit: OrbitCache, n: int) -> np.ndarray:
+    """Evaluate the n-step cocycle matrix A(w, n) at the orbit's base point, |n| <= 10**6.
 
     Satisfies A(w, 0) = Id exactly and the composition law
     A(w, n + m) = A(sigma^m w, n) A(w, m).
@@ -263,14 +239,13 @@ def cocycle_eval(
     n = int(n)
     if abs(n) > 10**6:
         raise ValueError("cocycle step count limited to |n| <= 10**6")
-    cache = OrbitCache.for_orbit(cache, system, omega)
-    out = np.eye(system.dim)
+    out = np.eye(orbit.dim)
     if n >= 0:
         for j in range(n):
-            out = cache.matrix(j) @ out
+            out = orbit.matrix(j) @ out
     else:
         for k in range(1, -n + 1):
-            out = cache.inverse(-k) @ out
+            out = orbit.inverse(-k) @ out
     return out
 
 
@@ -299,7 +274,7 @@ _NORM_ROWS = 1024
 
 
 def _adapted_norm_parts(
-    cache: OrbitCache,
+    orbit: OrbitCache,
     n_lo: int,
     xs: np.ndarray,
     horizon: int,
@@ -312,7 +287,7 @@ def _adapted_norm_parts(
     in one batched product; the norms are taken once at the end and weighted
     by e^{lam k}, formed by repeated multiplication.
     """
-    dich = cache.dichotomy
+    dich = orbit.dichotomy
     if dich is None:
         raise ValueError("adapted norm requires dichotomy data")
     if horizon < 1:
@@ -338,9 +313,9 @@ def _adapted_norm_parts(
     for lo in range(0, m, _NORM_ROWS):
         rows = min(_NORM_ROWS, m - lo)
         n0 = n_lo + lo
-        projs = np.array([cache.projector(n) for n in range(n0, n0 + rows)])
-        fwd = np.array([cache.stable_map(j) for j in range(n0, n0 + rows + horizon - 1)])
-        bwd = np.array([cache.unstable_map(j) for j in range(n0 - horizon, n0 + rows - 1)])
+        projs = np.array([orbit.projector(n) for n in range(n0, n0 + rows)])
+        fwd = np.array([orbit.stable_map(j) for j in range(n0, n0 + rows + horizon - 1)])
+        bwd = np.array([orbit.unstable_map(j) for j in range(n0 - horizon, n0 + rows - 1)])
         buf = np.empty((horizon + 1, rows, d, 1))
         x = xs[lo : lo + rows, :, None]
         np.matmul(projs, x, out=buf[0])
@@ -355,24 +330,24 @@ def _adapted_norm_parts(
     if mu > 0:
         # The tail bound of every row needs a valid K; raise as the tail would.
         for n in range(n_lo, n_lo + m):
-            cache.bound(n)
+            orbit.bound(n)
     return stable, unstable
 
 
 def _adapted_norm_at(
-    cache: OrbitCache,
+    orbit: OrbitCache,
     base_index: int,
     x: np.ndarray,
     horizon: int,
     allow_uncertified: bool,
 ) -> AdaptedNorm:
     x = np.asarray(x, dtype=float)
-    parts = _adapted_norm_parts(cache, base_index, x[None, :], horizon, allow_uncertified)
+    parts = _adapted_norm_parts(orbit, base_index, x[None, :], horizon, allow_uncertified)
     stable, unstable = float(parts[0][0]), float(parts[1][0])
-    mu = cache.dichotomy.margin
+    mu = orbit.dichotomy.margin
     value = stable + unstable
     if mu > 0:
-        t = cache.bound(base_index) * math.exp(-mu * (horizon + 1)) * float(
+        t = orbit.bound(base_index) * math.exp(-mu * (horizon + 1)) * float(
             np.linalg.norm(x)
         )
         tail = max(stable, t) + max(unstable, t) - value
@@ -384,18 +359,14 @@ def _adapted_norm_at(
 
 
 def adapted_norm(
-    system: CocycleSystem,
-    dichotomy: DichotomyData,
-    omega: BasePoint,
+    orbit: OrbitCache,
     x: np.ndarray,
     horizon: int,
     *,
     allow_uncertified: bool = False,
-    cache: OrbitCache | None = None,
 ) -> AdaptedNorm:
-    """Truncated adapted norm of x at omega with certified tail bound."""
-    cache = OrbitCache.for_orbit(cache, system, omega, dichotomy)
-    return _adapted_norm_at(cache, 0, x, horizon, allow_uncertified)
+    """Truncated adapted norm of x at the orbit's base point with certified tail bound."""
+    return _adapted_norm_at(orbit, 0, x, horizon, allow_uncertified)
 
 
 @dataclass(frozen=True)
@@ -409,21 +380,17 @@ class NormEquivalenceReport:
 
 
 def check_norm_equivalence(
-    system: CocycleSystem,
-    dichotomy: DichotomyData,
-    omega: BasePoint,
+    orbit: OrbitCache,
     x: np.ndarray,
     horizon: int,
     *,
     allow_uncertified: bool = False,
-    cache: OrbitCache | None = None,
 ) -> NormEquivalenceReport:
     """Verify the two-sided equivalence of plain and adapted norms."""
-    cache = OrbitCache.for_orbit(cache, system, omega, dichotomy)
     x = np.asarray(x, dtype=float)
     plain = float(np.linalg.norm(x))
-    nrm = _adapted_norm_at(cache, 0, x, horizon, allow_uncertified)
-    upper = 2.0 * cache.bound(0) * plain
+    nrm = _adapted_norm_at(orbit, 0, x, horizon, allow_uncertified)
+    upper = 2.0 * orbit.bound(0) * plain
     lower_ok = plain <= nrm.value * (1.0 + _EQUIVALENCE_SLACK)
     upper_ok = nrm.value <= upper * (1.0 + _EQUIVALENCE_SLACK)
     return NormEquivalenceReport(plain, nrm, upper, lower_ok and upper_ok)
@@ -446,36 +413,31 @@ class OneStepContractionReport:
 
 
 def check_one_step_contraction(
-    system: CocycleSystem,
-    dichotomy: DichotomyData,
-    omega: BasePoint,
+    orbit: OrbitCache,
     x: np.ndarray,
     steps: int,
     horizon: int,
     *,
     allow_uncertified: bool = False,
-    cache: OrbitCache | None = None,
 ) -> OneStepContractionReport:
     """Check the n-step contraction of adapted norms along both directions."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    cache = OrbitCache.for_orbit(cache, system, omega, dichotomy)
     x = np.asarray(x, dtype=float)
-    lam = dichotomy.rate
-    decay = math.exp(-lam * steps)
+    decay = math.exp(-orbit.require_dichotomy().rate * steps)
 
-    base = _adapted_norm_at(cache, 0, x, horizon, allow_uncertified)
+    base = _adapted_norm_at(orbit, 0, x, horizon, allow_uncertified)
     rhs = decay * base.value
 
-    v = cache.projector(0) @ x
+    v = orbit.projector(0) @ x
     for k in range(steps):
-        v = cache.stable_map(k) @ v
-    fwd = _adapted_norm_at(cache, steps, v, horizon, allow_uncertified)
+        v = orbit.stable_map(k) @ v
+    fwd = _adapted_norm_at(orbit, steps, v, horizon, allow_uncertified)
 
-    u = x - cache.projector(0) @ x
+    u = x - orbit.projector(0) @ x
     for k in range(steps):
-        u = cache.unstable_map(-k - 1) @ u
-    bwd = _adapted_norm_at(cache, -steps, u, horizon, allow_uncertified)
+        u = orbit.unstable_map(-k - 1) @ u
+    bwd = _adapted_norm_at(orbit, -steps, u, horizon, allow_uncertified)
 
     certified = base.certified and fwd.certified and bwd.certified
     fwd_tail = fwd.tail if certified else 0.0

@@ -229,28 +229,28 @@ def _run_shadow(cfg: ExperimentConfig, scenario: Scenario, out: Path) -> int:
 
 
 def _run_lyapunov(cfg: ExperimentConfig, scenario: Scenario, out: Path) -> int:
+    if cfg.samples < 0:
+        raise ValueError("samples must be nonnegative")
     rng = np.random.default_rng(cfg.seed)
-    system, omega = scenario.cocycle, scenario.base_point
-    xs = [rng.standard_normal(system.dim) for _ in range(cfg.samples)]
+    xs = [rng.standard_normal(scenario.cocycle.dim) for _ in range(cfg.samples)]
 
-    def exponents(direction: str, cache: OrbitCache) -> list:
+    def exponents(direction: str, orbit: OrbitCache) -> list:
         return [
-            nonlinear_exponent(system, scenario.perturbation, omega, x, direction,
-                               cfg.steps, cache=cache)
+            nonlinear_exponent(orbit, scenario.perturbation, x, direction, steps=cfg.steps)
             for x in xs
         ]
 
     # One QR sweep gives the exponents at N and, for the convergence column,
-    # at N // 2.  One cache per direction: the forward walks share the orbit's
+    # at N // 2.  One orbit per direction: the forward walks share the orbit's
     # matrices, the backward walks its inverses.  Dropping the first before
     # filling the second keeps only one orbit's worth of entries alive at a time.
-    cache = OrbitCache(system, omega)
-    _, sums = _qr_sweep(cache, range(cfg.steps))
+    orbit = scenario.orbit()
+    _, sums = _qr_sweep(orbit, range(cfg.steps))
     lin = _sorted_exponents(sums, cfg.steps)
     half = _sorted_exponents(sums, cfg.steps // 2)
-    fwds = exponents("forward", cache)
-    del cache
-    bwds = exponents("backward", OrbitCache(system, omega))
+    fwds = exponents("forward", orbit)
+    del orbit
+    bwds = exponents("backward", scenario.orbit())
     rows = [
         ["linear-" + str(i), "qr", cfg.steps, float(ex), float(abs(ex - half[i]))]
         for i, ex in enumerate(lin)

@@ -22,6 +22,9 @@ starting from u_{n_max} = 0; the output is s - u.
 
 An independent dense boundary-value solver assembling exactly this system is
 provided as an oracle; the sweeps must reproduce it to round-off.
+
+Every operator here takes the orbit segment it acts along, an ``OrbitCache``
+with dichotomy data, as its first argument.
 """
 
 from __future__ import annotations
@@ -31,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import CocycleSystem, DichotomyData, OrbitCache, _adapted_norm_parts
-from .driving import BasePoint
+from .cocycle import OrbitCache, _adapted_norm_parts
 
 __all__ = [
     "MAX_WINDOW",
@@ -187,33 +189,23 @@ class WeightSequence:
 
 
 def weighted_norm(
-    system: CocycleSystem,
-    dichotomy: DichotomyData,
-    omega: BasePoint,
+    orbit: OrbitCache,
     seq: WindowSequence,
     weights: WeightSequence,
     horizon: int,
     *,
     allow_uncertified: bool = False,
-    cache: OrbitCache | None = None,
 ) -> float:
     """sup over the window of weight(n)^{-1} |seq_n| in the adapted norm at sigma^n w."""
     if seq.window != weights.window:
         raise ValueError("window mismatch between sequence and weights")
-    cache = OrbitCache.for_orbit(cache, system, omega, dichotomy)
     stable, unstable = _adapted_norm_parts(
-        cache, seq.window.n_min, seq.values, horizon, allow_uncertified
+        orbit, seq.window.n_min, seq.values, horizon, allow_uncertified
     )
     return float(np.max((stable + unstable) / weights.values))
 
 
-def green_apply(
-    system: CocycleSystem,
-    dichotomy: DichotomyData,
-    omega: BasePoint,
-    z: WindowSequence,
-    cache: OrbitCache | None = None,
-) -> WindowSequence:
+def green_apply(orbit: OrbitCache, z: WindowSequence) -> WindowSequence:
     """Apply the Green operator to z (extended by zero outside its window).
 
     Output entry n is w_n = s_n - u_n, the stable and unstable sums
@@ -230,17 +222,16 @@ def green_apply(
     which keep every step sandwiched between projectors (see the module
     docstring of the cocycle module).
     """
-    cache = OrbitCache.for_orbit(cache, system, omega, dichotomy)
     win = z.window
-    projs = np.stack([cache.projector(n) for n in win.indices()])
+    projs = np.stack([orbit.projector(n) for n in win.indices()])
     pz = np.matmul(projs, z.values[:, :, None])[:, :, 0]
     qz = z.values - pz
     out = pz.copy()
     for i in range(1, win.length):
-        out[i] += cache.stable_map(win.n_min + i - 1) @ out[i - 1]
+        out[i] += orbit.stable_map(win.n_min + i - 1) @ out[i - 1]
     u = np.zeros(z.dim)
     for i in range(win.length - 2, -1, -1):
-        u = cache.unstable_map(win.n_min + i) @ (u + qz[i + 1])
+        u = orbit.unstable_map(win.n_min + i) @ (u + qz[i + 1])
         out[i] -= u
     return WindowSequence(win, out)
 
@@ -261,32 +252,20 @@ class GreenResidualReport:
 
 
 def green_residual(
-    system: CocycleSystem,
-    dichotomy: DichotomyData,
-    omega: BasePoint,
-    z: WindowSequence,
-    w: WindowSequence,
-    cache: OrbitCache | None = None,
+    orbit: OrbitCache, z: WindowSequence, w: WindowSequence
 ) -> GreenResidualReport:
     """Difference-equation residual of w against input z on interior indices."""
     if z.window != w.window:
         raise ValueError("window mismatch between input and output sequences")
-    cache = OrbitCache.for_orbit(cache, system, omega, dichotomy)
     win = z.window
-    res = w.values[1:] - cache.apply(win.n_min, w.values[:-1]) - z.values[1:]
+    res = w.values[1:] - orbit.apply(win.n_min, w.values[:-1]) - z.values[1:]
     max_norm = float(np.max(np.linalg.norm(res, axis=1))) if res.size else 0.0
-    p = cache.projector(win.n_min)
+    p = orbit.projector(win.n_min)
     gap = float(np.linalg.norm(p @ (w.value_at(win.n_min) - z.value_at(win.n_min))))
     return GreenResidualReport(win, res, max_norm, gap)
 
 
-def dense_green_solve(
-    system: CocycleSystem,
-    dichotomy: DichotomyData,
-    omega: BasePoint,
-    z: WindowSequence,
-    cache: OrbitCache | None = None,
-) -> WindowSequence:
+def dense_green_solve(orbit: OrbitCache, z: WindowSequence) -> WindowSequence:
     """Independent oracle: solve the windowed boundary-value problem densely.
 
     Stacks the interior difference equations together with the two boundary
@@ -295,7 +274,6 @@ def dense_green_solve(
     system by least squares.  The system is consistent with unique solution,
     so this reproduces the Green series up to round-off.
     """
-    cache = OrbitCache.for_orbit(cache, system, omega, dichotomy)
     win = z.window
     d = z.dim
     size = win.length * d
@@ -307,14 +285,14 @@ def dense_green_solve(
     for n in range(win.n_min + 1, win.n_max + 1):
         i, j = win.offset(n), win.offset(n - 1)
         mat[r : r + d, i * d : (i + 1) * d] = eye
-        mat[r : r + d, j * d : (j + 1) * d] = -cache.matrix(n - 1)
+        mat[r : r + d, j * d : (j + 1) * d] = -orbit.matrix(n - 1)
         rhs[r : r + d] = z.value_at(n)
         r += d
-    p_lo = cache.projector(win.n_min)
+    p_lo = orbit.projector(win.n_min)
     mat[r : r + d, 0:d] = p_lo
     rhs[r : r + d] = p_lo @ z.value_at(win.n_min)
     r += d
-    q_hi = np.eye(d) - cache.projector(win.n_max)
+    q_hi = np.eye(d) - orbit.projector(win.n_max)
     mat[r : r + d, size - d : size] = q_hi
     rhs[r : r + d] = 0.0
     sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
@@ -332,9 +310,7 @@ class NormBoundReport:
 
 
 def green_norm_bound_check(
-    system: CocycleSystem,
-    dichotomy: DichotomyData,
-    omega: BasePoint,
+    orbit: OrbitCache,
     weights: WeightSequence,
     epsilon: float,
     trials: int,
@@ -342,33 +318,32 @@ def green_norm_bound_check(
     rng: np.random.Generator,
     *,
     allow_uncertified: bool = False,
-    cache: OrbitCache | None = None,
 ) -> NormBoundReport:
     """Check |Gz| <= (1+e^{-eps})/(1-e^{-eps}) |z| in the weighted norm.
 
     Requires the weights to be e^{rate - eps}-admissible for the declared
     eps in (0, rate].
     """
-    if not 0 < epsilon <= dichotomy.rate:
+    rate = orbit.require_dichotomy().rate
+    if not 0 < epsilon <= rate:
         raise ValueError("epsilon must lie in (0, rate]")
-    weights.require_admissible(math.exp(dichotomy.rate - epsilon))
-    cache = OrbitCache.for_orbit(cache, system, omega, dichotomy)
+    weights.require_admissible(math.exp(rate - epsilon))
     bound = (1 + math.exp(-epsilon)) / (1 - math.exp(-epsilon))
     win = weights.window
     worst = 0.0
     for _ in range(trials):
-        raw = rng.standard_normal((win.length, system.dim))
+        raw = rng.standard_normal((win.length, orbit.dim))
         z = WindowSequence(win, raw)
         zn = weighted_norm(
-            system, dichotomy, omega, z, weights, horizon,
-            allow_uncertified=allow_uncertified, cache=cache,
+            orbit, seq=z, weights=weights, horizon=horizon,
+            allow_uncertified=allow_uncertified,
         )
         if zn == 0.0:
             continue
-        w = green_apply(system, dichotomy, omega, z, cache=cache)
+        w = green_apply(orbit, z=z)
         wn = weighted_norm(
-            system, dichotomy, omega, w, weights, horizon,
-            allow_uncertified=allow_uncertified, cache=cache,
+            orbit, seq=w, weights=weights, horizon=horizon,
+            allow_uncertified=allow_uncertified,
         )
         worst = max(worst, wn / zn)
     return NormBoundReport(bound, worst, trials, worst <= bound + _NORM_BOUND_SLACK)

@@ -22,8 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cocycle import CocycleSystem, OrbitCache
-from .driving import BasePoint
+from .cocycle import OrbitCache
 from .green import Window, WindowSequence
 from .scenarios import Scenario
 from .shadowing import (
@@ -76,16 +75,16 @@ def _positive_qr(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * s, r * s[:, None]
 
 
-def _qr_sweep(cache: OrbitCache, indices: range) -> tuple[np.ndarray, np.ndarray]:
+def _qr_sweep(orbit: OrbitCache, indices: range) -> tuple[np.ndarray, np.ndarray]:
     """Repeated QR of the matrices at ``indices``, starting from the identity.
 
     Returns the last orthonormal factor and the running sums of the log R
     diagonals: row k holds the sum over the first k + 1 factorizations.
     """
-    q = np.eye(cache.dim)
-    logs = np.empty((len(indices), cache.dim))
+    q = np.eye(orbit.dim)
+    logs = np.empty((len(indices), orbit.dim))
     for k, n in enumerate(indices):
-        q, r = _positive_qr(cache.matrix(n) @ q)
+        q, r = _positive_qr(orbit.matrix(n) @ q)
         logs[k] = np.log(np.diagonal(r))
     return q, np.cumsum(logs, axis=0)
 
@@ -97,28 +96,17 @@ def _sorted_exponents(sums: np.ndarray, steps: int) -> np.ndarray:
     return np.sort(sums[steps - 1] / steps)[::-1]
 
 
-def linear_exponents_qr(
-    system: CocycleSystem,
-    omega: BasePoint,
-    steps: int,
-    cache: OrbitCache | None = None,
-) -> np.ndarray:
+def linear_exponents_qr(orbit: OrbitCache, steps: int) -> np.ndarray:
     """Finite-time Lyapunov exponents of the linear cocycle, sorted descending.
 
     Repeated QR along the orbit: exponents are the averaged logs of the R
     diagonals over ``steps`` factorizations.
     """
-    cache = OrbitCache.for_orbit(cache, system, omega)
-    _, sums = _qr_sweep(cache, range(steps))
+    _, sums = _qr_sweep(orbit, range(steps))
     return _sorted_exponents(sums, steps)
 
 
-def backward_qr_frame(
-    system: CocycleSystem,
-    omega: BasePoint,
-    steps: int,
-    cache: OrbitCache | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def backward_qr_frame(orbit: OrbitCache, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal frame at time 0 accumulated by QR from sigma^{-steps} w.
 
     Returns (frame, rates): column i of the frame is the direction whose
@@ -127,8 +115,7 @@ def backward_qr_frame(
     """
     if steps < 1:
         raise ValueError("steps must be positive")
-    cache = OrbitCache.for_orbit(cache, system, omega)
-    q, sums = _qr_sweep(cache, range(-steps, 0))
+    q, sums = _qr_sweep(orbit, range(-steps, 0))
     rates = sums[-1] / steps
     order = np.argsort(-rates)
     return q[:, order], rates[order]
@@ -156,7 +143,7 @@ class NonlinearExponent:
 
 def _orbit_log_norms(
     perturbation: Perturbation,
-    cache: OrbitCache,
+    orbit: OrbitCache,
     x: np.ndarray,
     forward: bool,
     steps: int,
@@ -179,12 +166,12 @@ def _orbit_log_norms(
         time_index = n if forward else -(n + 1)
         if not scaled:
             if forward:
-                vec = cache.matrix(time_index) @ vec + perturbation(
-                    cache.point(time_index), vec
+                vec = orbit.matrix(time_index) @ vec + perturbation(
+                    orbit.point(time_index), vec
                 )
             else:
                 vec = invert_step(
-                    cache.inverse(time_index), perturbation, cache.point(time_index),
+                    orbit.inverse(time_index), perturbation, orbit.point(time_index),
                     vec, tol=_INVERSION_TOL,
                 )
             norm = float(np.linalg.norm(vec))
@@ -197,7 +184,7 @@ def _orbit_log_norms(
                 unit, lognorm = vec / norm, math.log(norm)
                 scaled = True
         else:
-            m = cache.matrix(time_index) if forward else cache.inverse(time_index)
+            m = orbit.matrix(time_index) if forward else orbit.inverse(time_index)
             w = m @ unit
             growth = float(np.linalg.norm(w))
             if growth == 0.0:
@@ -212,23 +199,19 @@ def _orbit_log_norms(
 
 
 def nonlinear_exponent(
-    system: CocycleSystem,
+    orbit: OrbitCache,
     perturbation: Perturbation,
-    omega: BasePoint,
     x: np.ndarray,
     direction: str,
     steps: int,
-    *,
-    cache: OrbitCache | None = None,
 ) -> NonlinearExponent:
     """Forward or backward growth exponent of the perturbed orbit through x."""
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     if steps < 4:
         raise ValueError("steps must be at least 4")
-    cache = OrbitCache.for_orbit(cache, system, omega)
     forward = direction == "forward"
-    logs = _orbit_log_norms(perturbation, cache, x, forward, steps)
+    logs = _orbit_log_norms(perturbation, orbit, x, forward, steps)
     ns = np.arange(1, steps + 1)
     signed = ns if forward else -ns
     values = logs / signed
@@ -351,26 +334,26 @@ def conservation_experiment(
     matching some linear exponent.
     """
     assert isinstance(scenario, Scenario)
+    if sample_count < 0:
+        raise ValueError("sample count must be nonnegative")
     rng = np.random.default_rng(seed)
-    omega = scenario.base_point
-    system = scenario.cocycle
-    cache = OrbitCache(system, omega, scenario.dichotomy)
+    dim = scenario.cocycle.dim
+    orbit = scenario.orbit()
     window = Window.symmetric(window_half)
     weights = scenario.default_weights(window)
 
-    lin = linear_exponents_qr(system, omega, steps, cache=cache)
-    frame, _ = backward_qr_frame(system, omega, min(steps, _FRAME_STEPS), cache=cache)
+    lin = linear_exponents_qr(orbit, steps=steps)
+    frame, _ = backward_qr_frame(orbit, steps=min(steps, _FRAME_STEPS))
 
     forward_rows = []
-    linear = Perturbation.zero(system.dim)
+    linear = Perturbation.zero(dim)
     for i, target in enumerate(lin):
-        pseudo = nonlinear_orbit(system, linear, omega, frame[:, i], window, cache=cache)
+        pseudo = nonlinear_orbit(orbit, linear, frame[:, i], window)
         res = solve(scenario.problem(pseudo, weights), tol=solver_tol)
         start = res.orbit.value_at(0)
         direction = "forward" if target > 0 else "backward"
         measured = nonlinear_exponent(
-            system, scenario.perturbation, omega, start, direction, steps,
-            cache=cache,
+            orbit, scenario.perturbation, start, direction, steps=steps
         ).estimate
         gap = float(abs(measured - target))
         forward_rows.append(
@@ -379,21 +362,21 @@ def conservation_experiment(
         )
 
     special = find_special_point(
-        scenario.problem(WindowSequence.zeros(window, system.dim), weights),
+        scenario.problem(WindowSequence.zeros(window, dim), weights),
         tol=solver_tol,
     )
 
     converse_rows = []
     for s in range(sample_count):
         while True:
-            x = rng.standard_normal(system.dim)
+            x = rng.standard_normal(dim)
             if np.linalg.norm(x - special.point) > 0.1:
                 break
         fwd = nonlinear_exponent(
-            system, scenario.perturbation, omega, x, "forward", steps, cache=cache
+            orbit, scenario.perturbation, x, "forward", steps=steps
         ).estimate
         bwd = nonlinear_exponent(
-            system, scenario.perturbation, omega, x, "backward", steps, cache=cache
+            orbit, scenario.perturbation, x, "backward", steps=steps
         ).estimate
         gaps = np.array([min(abs(fwd - t), abs(bwd - t)) for t in lin])
         best = int(np.argmin(gaps))

@@ -33,6 +33,7 @@ import numpy as np
 from .cocycle import (
     CocycleSystem,
     DichotomyData,
+    OrbitCache,
     TemperedEnvelope,
     build_envelope,
 )
@@ -110,11 +111,16 @@ class Scenario:
             return make_weight("exponential", window, rate=rate)
         return make_weight(self.weight_kind, window, scale=self.weight_scale)
 
+    def orbit(self, point: BasePoint | None = None) -> OrbitCache:
+        """A new orbit segment through ``point``, by default the base point."""
+        return OrbitCache(
+            self.cocycle, self.base_point if point is None else point, self.dichotomy
+        )
+
     def problem(
         self,
         pseudo_orbit: WindowSequence,
         weights: WeightSequence | None = None,
-        epsilon: float | None = None,
     ) -> ShadowingProblem:
         """The shadowing problem of a pseudo-orbit at the scenario's base point."""
         if weights is None:
@@ -126,7 +132,7 @@ class Scenario:
             omega=self.base_point,
             pseudo_orbit=pseudo_orbit,
             weights=weights,
-            epsilon=self.epsilon if epsilon is None else epsilon,
+            epsilon=self.epsilon,
             horizon=self.horizon,
             allow_uncertified_truncation=self.allow_uncertified_truncation,
         )

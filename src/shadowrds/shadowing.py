@@ -19,7 +19,9 @@ and stops on the a-posteriori contraction estimate
 |z^k - z*| <= q/(1-q) |z^k - z^{k-1}|.
 
 A problem owns its orbit segment, ``ShadowingProblem.orbit``: one
-``OrbitCache`` built on first use and shared by every function of the problem.
+``OrbitCache`` built on first use, shared by every function of the problem
+and passed as the orbit argument of the Green operator and the weighted
+norm.  ``nonlinear_orbit`` takes the orbit segment to step along directly.
 """
 
 from __future__ import annotations
@@ -290,14 +292,14 @@ def solve(prob: ShadowingProblem, tol: float = 1e-10, max_iter: int = 200) -> Sh
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     shadow_bound, q = prob.constants
-    cache = prob.orbit
-    uncert = prob.allow_uncertified_truncation
 
     def wnorm(seq: WindowSequence) -> float:
         return weighted_norm(
-            prob.cocycle, prob.dichotomy, prob.omega, seq, prob.weights,
-            prob.horizon, allow_uncertified=uncert, cache=cache,
+            prob.orbit, seq=seq, weights=prob.weights, horizon=prob.horizon,
+            allow_uncertified=prob.allow_uncertified_truncation,
         )
 
     defect_report = defect(prob)
@@ -307,9 +309,7 @@ def solve(prob: ShadowingProblem, tol: float = 1e-10, max_iter: int = 200) -> Sh
     converged = False
     step_norm = math.inf
     for k in range(1, max_iter + 1):
-        z_next = green_apply(
-            prob.cocycle, prob.dichotomy, prob.omega, source_term(prob, z), cache=cache,
-        )
+        z_next = green_apply(prob.orbit, z=source_term(prob, z))
         step_norm = wnorm(z_next - z)
         z_norm = wnorm(z_next)
         trace.append(IterationRecord(k, step_norm, z_norm))
@@ -326,11 +326,7 @@ def solve(prob: ShadowingProblem, tol: float = 1e-10, max_iter: int = 200) -> Sh
             last_step=step_norm,
         )
 
-    gap = wnorm(
-        green_apply(prob.cocycle, prob.dichotomy, prob.omega,
-                    source_term(prob, z), cache=cache)
-        - z
-    )
+    gap = wnorm(green_apply(prob.orbit, z=source_term(prob, z)) - z)
 
     orbit = prob.pseudo_orbit + z
     linear, kicks = _window_steps(prob, orbit.values)
@@ -463,37 +459,33 @@ def invert_step(
 
 
 def nonlinear_orbit(
-    cocycle: CocycleSystem,
+    orbit: OrbitCache,
     perturbation: Perturbation,
-    omega: BasePoint,
     x0: np.ndarray,
     window: Window,
-    *,
-    cache: OrbitCache | None = None,
 ) -> WindowSequence:
     """Exact two-sided orbit of the perturbed map through x0 on a window.
 
     Raises ValueError naming the first index, counted outward from 0, whose
     value leaves the float range.
     """
-    cache = OrbitCache.for_orbit(cache, cocycle, omega)
     x0 = np.asarray(x0, dtype=float)
     values = np.zeros((window.length, x0.size))
     values[window.offset(0)] = x0
     with np.errstate(over="ignore", invalid="ignore"):
         x = x0
         for n in range(0, window.n_max):
-            x = cache.matrix(n) @ x + perturbation(cache.point(n), x)
+            x = orbit.matrix(n) @ x + perturbation(orbit.point(n), x)
             if not np.all(np.isfinite(x)):
                 raise ValueError(f"orbit is not finite at index {n + 1}")
             values[window.offset(n + 1)] = x
         x = x0
         for n in range(0, window.n_min, -1):
             try:
-                x = invert_step(cache.inverse(n - 1), perturbation, cache.point(n - 1), x)
+                x = invert_step(orbit.inverse(n - 1), perturbation, orbit.point(n - 1), x)
             except InversionError:
                 # The iteration cannot settle once its first guess overflows.
-                if np.all(np.isfinite(cache.inverse(n - 1) @ x)):
+                if np.all(np.isfinite(orbit.inverse(n - 1) @ x)):
                     raise
                 raise ValueError(f"orbit is not finite at index {n - 1}") from None
             values[window.offset(n - 1)] = x

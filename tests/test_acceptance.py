@@ -6,6 +6,7 @@ lines; every tolerance is pinned here, nothing is calibrated elsewhere.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,15 +72,13 @@ def test_criterion_01_green_matches_dense_oracle(scenarios, block4):
     start = time.monotonic()
     worst = 0.0
     for sc in cases:
-        cache = OrbitCache(sc.cocycle, sc.base_point, sc.dichotomy)
+        orbit = sc.orbit()
         for _ in range(20):
             z = WindowSequence(
                 window, rng.standard_normal((window.length, sc.cocycle.dim))
             )
-            w = green_apply(sc.cocycle, sc.dichotomy, sc.base_point, z, cache=cache)
-            dense = dense_green_solve(
-                sc.cocycle, sc.dichotomy, sc.base_point, z, cache=cache
-            )
+            w = green_apply(orbit, z)
+            dense = dense_green_solve(orbit, z)
             worst = max(worst, (w - dense).sup_norm() / w.sup_norm())
     elapsed = time.monotonic() - start
     ok = worst <= 1e-10 and elapsed <= 10.0
@@ -94,16 +93,14 @@ def test_criterion_02_residual_identity(all_scenarios):
     rng = np.random.default_rng(103)
     worst = 0.0
     for sc in all_scenarios:
-        cache = OrbitCache(sc.cocycle, sc.base_point, sc.dichotomy)
+        orbit = sc.orbit()
         window = Window.symmetric(10)
         for _ in range(5):
             z = WindowSequence(
                 window, rng.standard_normal((window.length, sc.cocycle.dim))
             )
-            w = green_apply(sc.cocycle, sc.dichotomy, sc.base_point, z, cache=cache)
-            rep = green_residual(
-                sc.cocycle, sc.dichotomy, sc.base_point, z, w, cache=cache
-            )
+            w = green_apply(orbit, z)
+            rep = green_residual(orbit, z, w)
             allowance = 1e-10 * (1.0 + z.sup_norm())
             worst = max(worst, rep.max_norm / allowance)
     ok = worst <= 1.0
@@ -128,8 +125,7 @@ def test_criterion_03_norm_bound(all_scenarios):
             else:
                 weights = make_weight(kind, window)
             rep = green_norm_bound_check(
-                sc.cocycle, sc.dichotomy, sc.base_point, weights, sc.epsilon,
-                100, sc.horizon, np.random.default_rng(104),
+                sc.orbit(), weights, sc.epsilon, 100, sc.horizon, np.random.default_rng(104),
                 allow_uncertified=sc.allow_uncertified_truncation,
             )
             ok = ok and rep.passed
@@ -150,20 +146,13 @@ def test_criterion_04_contraction_of_iteration_map(scenarios):
     shadow_bound, q = prob.constants
     assert q == pytest.approx(0.3, rel=1e-12)
     assert shadow_bound == pytest.approx(3.0 / 0.7, rel=1e-12)
-    cache = prob.orbit
     rng = np.random.default_rng(106)
 
     def wnorm(seq):
-        return weighted_norm(
-            sc.cocycle, sc.dichotomy, sc.base_point, seq, weights, prob.horizon,
-            allow_uncertified=True, cache=cache,
-        )
+        return weighted_norm(prob.orbit, seq, weights, prob.horizon, allow_uncertified=True)
 
     def apply_t(z):
-        return green_apply(
-            sc.cocycle, sc.dichotomy, sc.base_point, source_term(prob, z),
-            cache=cache,
-        )
+        return green_apply(prob.orbit, source_term(prob, z))
 
     def random_in_ball():
         z = WindowSequence(prob.window, rng.standard_normal((prob.window.length, 2)))
@@ -218,12 +207,13 @@ def test_criterion_07_exponentially_growing_allowance(scenarios):
     rate = sc.dichotomy.rate
     eps = rate / 2.0
     window = Window.symmetric(32)
-    weights = make_weight("exponential", window, rate=rate - eps)
+    expo = replace(sc, weight_kind="exponential", epsilon=eps)
     start = time.monotonic()
-    pseudo, weights = noisy_pseudo_orbit(
-        sc, window, np.random.default_rng(107), noise=0.6, weights=weights
+    pseudo, weights = noisy_pseudo_orbit(expo, window, np.random.default_rng(107), noise=0.6)
+    assert np.array_equal(
+        weights.values, make_weight("exponential", window, rate=rate - eps).values
     )
-    prob = sc.problem(pseudo, weights, epsilon=eps)
+    prob = expo.problem(pseudo, weights)
     res = solve(prob, tol=1e-9, max_iter=400)
     elapsed = time.monotonic() - start
     shadow_bound, _ = prob.constants
@@ -244,17 +234,11 @@ def test_criterion_08_sharpness_example_exponents(scenarios):
     # special one; runtime <= 5 s.
     sc = scenarios["remark-scalar"]
     start = time.monotonic()
-    cache = OrbitCache(sc.cocycle, sc.base_point)
+    orbit = sc.orbit()
     ok = True
     for x0 in (1.0, -0.7):
-        fwd = nonlinear_exponent(
-            sc.cocycle, sc.perturbation, sc.base_point, np.array([x0]),
-            "forward", 10_000, cache=cache,
-        )
-        bwd = nonlinear_exponent(
-            sc.cocycle, sc.perturbation, sc.base_point, np.array([x0]),
-            "backward", 10_000, cache=cache,
-        )
+        fwd = nonlinear_exponent(orbit, sc.perturbation, np.array([x0]), "forward", 10_000)
+        bwd = nonlinear_exponent(orbit, sc.perturbation, np.array([x0]), "backward", 10_000)
         ok = ok and abs(fwd.estimate - 0.0) <= 0.01
         ok = ok and abs(bwd.estimate + math.log(2.0)) <= 0.01
     elapsed = time.monotonic() - start
@@ -342,13 +326,8 @@ def test_criterion_11_expansivity(scenarios):
     starts = [np.array([1.0, 0.0]), np.array([2.0, 0.0])]
     for _ in range(6):
         starts.append(rng.standard_normal(2))
-    orbit_prob = sc.problem(
-        nonlinear_orbit(sc.cocycle, sc.perturbation, sc.base_point, starts[0], window)
-    )
-    orbits = [
-        nonlinear_orbit(sc.cocycle, sc.perturbation, sc.base_point, x0, window)
-        for x0 in starts
-    ]
+    orbit_prob = sc.problem(nonlinear_orbit(sc.orbit(), sc.perturbation, starts[0], window))
+    orbits = [nonlinear_orbit(sc.orbit(), sc.perturbation, x0, window) for x0 in starts]
     for i in range(len(orbits)):
         for j in range(i + 1, len(orbits)):
             rep = check_uniqueness(orbit_prob, orbits[i], orbits[j])
@@ -365,8 +344,8 @@ def test_criterion_12_nonuniform_setting(scenarios):
     results = run_invariant_suite(sc, seed=111)
     ok = all(r.passed for r in results)
     rng = np.random.default_rng(112)
-    env = check_envelope_growth(sc, rng, horizon=200)
-    cov = check_layer_coverage(sc, rng, samples=300, depth=200)
+    env = check_envelope_growth(sc, rng)
+    cov = check_layer_coverage(sc, rng, samples=300)
     lay = check_layered_shadowing(sc, rng)
     ok = ok and env.passed and cov.passed and lay.passed
     _report(12, "nonuniform layered setting", ok)

@@ -50,17 +50,17 @@ def _diag_half_two():
 
 def test_cocycle_identity_at_zero():
     cocycle, _, p = _scalar_half()
-    assert np.array_equal(cocycle_eval(cocycle, p, 0), np.eye(1))
+    assert np.array_equal(cocycle_eval(OrbitCache(cocycle, p), 0), np.eye(1))
 
 
 def test_cocycle_constant_scalar_power():
     cocycle, _, p = _scalar_half()
-    assert cocycle_eval(cocycle, p, 3)[0, 0] == pytest.approx(0.125, abs=0.0)
+    assert cocycle_eval(OrbitCache(cocycle, p), 3)[0, 0] == pytest.approx(0.125, abs=0.0)
 
 
 def test_cocycle_negative_steps_are_inverses():
     cocycle, _, p = _diag_half_two()
-    m = cocycle_eval(cocycle, p, -3)
+    m = cocycle_eval(OrbitCache(cocycle, p), -3)
     assert np.allclose(m, np.diag([8.0, 0.125]))
 
 
@@ -68,10 +68,8 @@ def test_cocycle_composition_random_2x2(scenarios):
     # A(w,5) = A(s^2 w, 3) A(w, 2), direct product oracle.
     sc = scenarios["uniform-rot-coupled"]
     p = sc.base_point
-    whole = cocycle_eval(sc.cocycle, p, 5)
-    part = cocycle_eval(sc.cocycle, step(sc.base, p, 2), 3) @ cocycle_eval(
-        sc.cocycle, p, 2
-    )
+    whole = cocycle_eval(sc.orbit(), 5)
+    part = cocycle_eval(sc.orbit(step(sc.base, p, 2)), 3) @ cocycle_eval(sc.orbit(), 2)
     rel = np.linalg.norm(whole - part, 2) / np.linalg.norm(whole, 2)
     assert rel <= 1e-12
 
@@ -92,38 +90,40 @@ def test_singular_generator_rejected():
     base = IrrationalRotation.default()
     cocycle = CocycleSystem(2, lambda p: np.array([[1.0, 0.0], [0.0, 0.0]]), base)
     with pytest.raises(SingularityError) as err:
-        cocycle_eval(cocycle, RotationPoint.from_angle(0.2), 3)
+        cocycle_eval(OrbitCache(cocycle, RotationPoint.from_angle(0.2)), 3)
     assert err.value.index == 0
 
 
 def test_adapted_norm_zero_vector():
     cocycle, dich, p = _scalar_half()
-    res = adapted_norm(cocycle, dich, p, np.zeros(1), 8, allow_uncertified=True)
+    res = adapted_norm(OrbitCache(cocycle, p, dich), np.zeros(1), 8, allow_uncertified=True)
     assert res.value == 0.0
 
 
 def test_adapted_norm_scalar_exact_cancellation():
     # A = 1/2, projector identity, rate log 2: every sup term equals |x|.
     cocycle, dich, p = _scalar_half()
-    res = adapted_norm(cocycle, dich, p, np.array([1.0]), 8, allow_uncertified=True)
+    res = adapted_norm(
+        OrbitCache(cocycle, p, dich), np.array([1.0]), 8, allow_uncertified=True
+    )
     assert res.value == pytest.approx(1.0, abs=1e-14)
 
 
 def test_adapted_norm_requires_margin_or_override():
     cocycle, dich, p = _scalar_half()
     with pytest.raises(UncertifiedTruncationError):
-        adapted_norm(cocycle, dich, p, np.array([1.0]), 8)
+        adapted_norm(OrbitCache(cocycle, p, dich), np.array([1.0]), 8)
 
 
 def test_adapted_norm_extended_horizon_oracle(scenarios):
     # Brute-force sup over 10x the horizon agrees within the reported tail.
     sc = scenarios["uniform-rot-coupled"]
-    cache = OrbitCache(sc.cocycle, sc.base_point, sc.dichotomy)
+    orbit = sc.orbit()
     rng = np.random.default_rng(8)
     for _ in range(25):
         x = rng.standard_normal(2)
-        short = adapted_norm(sc.cocycle, sc.dichotomy, sc.base_point, x, 12, cache=cache)
-        long = adapted_norm(sc.cocycle, sc.dichotomy, sc.base_point, x, 120, cache=cache)
+        short = adapted_norm(orbit, x, 12)
+        long = adapted_norm(orbit, x, 120)
         assert long.value >= short.value - 1e-12
         assert long.value <= short.value + short.tail + 1e-12
 
@@ -133,24 +133,17 @@ def test_adapted_norm_diag_extended_horizon(scenarios):
     rng = np.random.default_rng(9)
     for _ in range(25):
         x = rng.standard_normal(2)
-        short = adapted_norm(
-            sc.cocycle, sc.dichotomy, sc.base_point, x, 8, allow_uncertified=True
-        )
-        long = adapted_norm(
-            sc.cocycle, sc.dichotomy, sc.base_point, x, 80, allow_uncertified=True
-        )
+        short = adapted_norm(sc.orbit(), x, 8, allow_uncertified=True)
+        long = adapted_norm(sc.orbit(), x, 80, allow_uncertified=True)
         assert long.value == pytest.approx(short.value, abs=1e-12)
 
 
 def test_norm_equivalence_zero_and_scalar():
     cocycle, dich, p = _scalar_half()
-    rep = check_norm_equivalence(
-        cocycle, dich, p, np.zeros(1), 8, allow_uncertified=True
-    )
+    orbit = OrbitCache(cocycle, p, dich)
+    rep = check_norm_equivalence(orbit, np.zeros(1), 8, allow_uncertified=True)
     assert rep.passed and rep.plain == 0.0 and rep.adapted.value == 0.0
-    rep = check_norm_equivalence(
-        cocycle, dich, p, np.array([1.0]), 8, allow_uncertified=True
-    )
+    rep = check_norm_equivalence(orbit, np.array([1.0]), 8, allow_uncertified=True)
     assert rep.passed
     assert (rep.plain, rep.adapted.value, rep.upper) == (1.0, 1.0, 2.0)
 
@@ -161,20 +154,17 @@ def test_norm_equivalence_sweep_diag():
     for _ in range(100):
         x = rng.standard_normal(2)
         rep = check_norm_equivalence(
-            cocycle, dich, p, x, 12, allow_uncertified=True
+            OrbitCache(cocycle, p, dich), x, 12, allow_uncertified=True
         )
         assert rep.passed
 
 
 def test_one_step_contraction_trivial_and_scalar():
     cocycle, dich, p = _scalar_half()
-    rep = check_one_step_contraction(
-        cocycle, dich, p, np.array([1.0]), 0, 8, allow_uncertified=True
-    )
+    orbit = OrbitCache(cocycle, p, dich)
+    rep = check_one_step_contraction(orbit, np.array([1.0]), 0, 8, allow_uncertified=True)
     assert rep.passed and rep.stable_margin >= 0.0
-    rep = check_one_step_contraction(
-        cocycle, dich, p, np.array([1.0]), 3, 8, allow_uncertified=True
-    )
+    rep = check_one_step_contraction(orbit, np.array([1.0]), 3, 8, allow_uncertified=True)
     assert rep.passed
 
 
@@ -185,7 +175,7 @@ def test_one_step_contraction_sweep_diag():
         x = rng.standard_normal(2)
         n = int(rng.integers(0, 11))
         rep = check_one_step_contraction(
-            cocycle, dich, p, x, n, 12, allow_uncertified=True
+            OrbitCache(cocycle, p, dich), x, n, 12, allow_uncertified=True
         )
         assert rep.stable_margin >= -1e-9 and rep.unstable_margin >= -1e-9
 

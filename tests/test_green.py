@@ -1,6 +1,4 @@
 import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,12 +10,17 @@ from shadowrds import (
     WeightSequence,
     Window,
     WindowSequence,
+    adapted_norm,
+    check_norm_equivalence,
+    check_one_step_contraction,
     cocycle_eval,
     dense_green_solve,
     green_apply,
     green_norm_bound_check,
     green_residual,
+    linear_exponents_qr,
     make_weight,
+    nonlinear_orbit,
     step,
     weighted_norm,
 )
@@ -88,9 +91,10 @@ def test_make_weight_families():
 def test_green_zero_maps_to_zero(scenarios):
     sc = scenarios["uniform-diag"]
     z = WindowSequence.zeros(Window(-6, 6), 2)
-    w = green_apply(sc.cocycle, sc.dichotomy, sc.base_point, z)
+    orbit = sc.orbit()
+    w = green_apply(orbit, z)
     assert w.sup_norm() == 0.0
-    rep = green_residual(sc.cocycle, sc.dichotomy, sc.base_point, z, w)
+    rep = green_residual(orbit, z, w)
     assert rep.max_norm == 0.0
 
 
@@ -99,11 +103,12 @@ def test_green_scalar_impulse_geometric(scenarios):
     sc = scenarios["remark-scalar"]
     win = Window(-4, 4)
     z = _impulse(win, 1)
-    w = green_apply(sc.cocycle, sc.dichotomy, sc.base_point, z)
+    orbit = sc.orbit()
+    w = green_apply(orbit, z)
     for n in win.indices():
         expect = 0.5**n if n >= 0 else 0.0
         assert w.value_at(n)[0] == pytest.approx(expect, abs=1e-15)
-    rep = green_residual(sc.cocycle, sc.dichotomy, sc.base_point, z, w)
+    rep = green_residual(orbit, z, w)
     assert rep.max_norm <= 1e-15
     assert rep.left_edge_gap <= 1e-15
 
@@ -123,7 +128,7 @@ def test_green_unstable_impulse_backward():
     )
     point = s.RotationPoint.from_angle(0.4)
     win = Window(-4, 4)
-    w = green_apply(cocycle, dich, point, _impulse(win, 1))
+    w = green_apply(s.OrbitCache(cocycle, point, dich), _impulse(win, 1))
     for n in win.indices():
         expect = -(2.0**n) if n < 0 else 0.0
         assert w.value_at(n)[0] == pytest.approx(expect, abs=1e-15)
@@ -136,8 +141,8 @@ def test_green_matches_dense_oracle(scenarios, block4):
         win = Window(-8, 8)
         for _ in range(5):
             z = WindowSequence(win, rng.standard_normal((win.length, sc.cocycle.dim)))
-            w = green_apply(sc.cocycle, sc.dichotomy, sc.base_point, z)
-            dense = dense_green_solve(sc.cocycle, sc.dichotomy, sc.base_point, z)
+            w = green_apply(sc.orbit(), z)
+            dense = dense_green_solve(sc.orbit(), z)
             rel = (w - dense).sup_norm() / w.sup_norm()
             assert rel <= 1e-10, sc.name
 
@@ -156,17 +161,14 @@ def test_green_converse_inversion(scenarios):
     rng = np.random.default_rng(23)
     win = Window(-6, 6)
     z = WindowSequence(win, rng.standard_normal((win.length, 2)))
-    w = green_apply(sc.cocycle, sc.dichotomy, sc.base_point, z)
+    cache = sc.orbit()
+    w = green_apply(cache, z)
     # Rebuild the input from w via the residual identity, then re-apply.
-    import shadowrds as s
-
-    cache = s.OrbitCache(sc.cocycle, sc.base_point, sc.dichotomy)
     rebuilt = np.zeros_like(z.values)
     rebuilt[0] = z.value_at(win.n_min)  # only the instantaneous term survives
     for i, n in enumerate(range(win.n_min + 1, win.n_max + 1), start=1):
         rebuilt[i] = w.value_at(n) - cache.matrix(n - 1) @ w.value_at(n - 1)
-    again = green_apply(sc.cocycle, sc.dichotomy, sc.base_point,
-                        WindowSequence(win, rebuilt))
+    again = green_apply(cache, WindowSequence(win, rebuilt))
     assert (again - w).sup_norm() / w.sup_norm() <= 1e-10
 
 
@@ -181,36 +183,23 @@ def test_weighted_norm_zero_and_single_term(scenarios):
     win = Window(-4, 4)
     weights = make_weight("constant", win)
     zero = WindowSequence.zeros(win, 1)
-    assert weighted_norm(
-        sc.cocycle, sc.dichotomy, sc.base_point, zero, weights, 8,
-        allow_uncertified=True,
-    ) == 0.0
+    assert weighted_norm(sc.orbit(), zero, weights, 8, allow_uncertified=True) == 0.0
     # Unit impulse: single-term sup equals the adapted norm of the unit vector.
-    val = weighted_norm(
-        sc.cocycle, sc.dichotomy, sc.base_point, _impulse(win, 1), weights, 8,
-        allow_uncertified=True,
-    )
+    val = weighted_norm(sc.orbit(), _impulse(win, 1), weights, 8, allow_uncertified=True)
     assert val == pytest.approx(1.0, abs=1e-14)
 
 
 def test_weighted_norm_dominates_each_index(scenarios):
-    from shadowrds.cocycle import adapted_norm
-
     sc = scenarios["uniform-diag"]
     win = Window(-6, 6)
     weights = make_weight("constant", win)
     rng = np.random.default_rng(25)
     z = WindowSequence(win, rng.standard_normal((win.length, 2)))
-    total = weighted_norm(
-        sc.cocycle, sc.dichotomy, sc.base_point, z, weights, 8,
-        allow_uncertified=True,
-    )
-    import shadowrds as s
-
+    total = weighted_norm(sc.orbit(), z, weights, 8, allow_uncertified=True)
     for n in win.indices():
         here = adapted_norm(
-            sc.cocycle, sc.dichotomy, s.step(sc.base, sc.base_point, n),
-            z.value_at(n), 8, allow_uncertified=True,
+            sc.orbit(step(sc.base, sc.base_point, n)), z.value_at(n), 8,
+            allow_uncertified=True,
         ).value
         assert total >= here / weights.value_at(n) - 1e-12
 
@@ -220,8 +209,7 @@ def test_weighted_norm_window_mismatch(scenarios):
     z = WindowSequence.zeros(Window(-3, 3), 2)
     weights = make_weight("constant", Window(-2, 2))
     with pytest.raises(ValueError):
-        weighted_norm(sc.cocycle, sc.dichotomy, sc.base_point, z, weights, 8,
-                      allow_uncertified=True)
+        weighted_norm(sc.orbit(), z, weights, 8, allow_uncertified=True)
 
 
 def test_norm_bound_formula_at_log2():
@@ -236,8 +224,7 @@ def test_norm_bound_impulse_scalar(scenarios):
     weights = make_weight("constant", win)
     rng = np.random.default_rng(26)
     rep = green_norm_bound_check(
-        sc.cocycle, sc.dichotomy, sc.base_point, weights, sc.epsilon, 20, 8, rng,
-        allow_uncertified=True,
+        sc.orbit(), weights, sc.epsilon, 20, 8, rng, allow_uncertified=True
     )
     assert rep.bound == pytest.approx(3.0, rel=1e-14)
     assert rep.passed
@@ -254,8 +241,7 @@ def test_norm_bound_all_scenarios_and_families(scenarios, block4):
             else:
                 weights = make_weight(kind, win)
             rep = green_norm_bound_check(
-                sc.cocycle, sc.dichotomy, sc.base_point, weights, sc.epsilon,
-                40, sc.horizon, np.random.default_rng(27),
+                sc.orbit(), weights, sc.epsilon, 40, sc.horizon, np.random.default_rng(27),
                 allow_uncertified=sc.allow_uncertified_truncation,
             )
             assert rep.passed, f"{sc.name}/{kind}: ratio {rep.max_ratio} > {rep.bound}"
@@ -268,69 +254,39 @@ def test_norm_bound_rejects_inadmissible_weights(scenarios):
     weights = make_weight("polynomial", win)
     with pytest.raises(AdmissibilityError) as err:
         green_norm_bound_check(
-            sc.cocycle, sc.dichotomy, sc.base_point, weights, sc.epsilon, 5, 8,
-            np.random.default_rng(28), allow_uncertified=True,
+            sc.orbit(), weights, sc.epsilon, 5, 8, np.random.default_rng(28),
+            allow_uncertified=True,
         )
     assert err.value.index is not None
 
 
-_MISMATCHED_CALLS = {
-    "green_apply": lambda sc, z, cache: green_apply(
-        sc.cocycle, sc.dichotomy, sc.base_point, z, cache=cache
-    ),
-    "weighted_norm": lambda sc, z, cache: weighted_norm(
-        sc.cocycle, sc.dichotomy, sc.base_point, z,
-        sc.default_weights(z.window), sc.horizon, cache=cache,
-    ),
-    "green_residual": lambda sc, z, cache: green_residual(
-        sc.cocycle, sc.dichotomy, sc.base_point, z, z, cache=cache
-    ),
-    "dense_green_solve": lambda sc, z, cache: dense_green_solve(
-        sc.cocycle, sc.dichotomy, sc.base_point, z, cache=cache
-    ),
-    "cocycle_eval": lambda sc, z, cache: cocycle_eval(
-        sc.cocycle, sc.base_point, 3, cache=cache
-    ),
-}
-
-
-def _foreign_cache(scenarios, kind: str) -> OrbitCache:
-    sc = scenarios["uniform-rot-coupled"]
-    if kind == "point":
-        return OrbitCache(sc.cocycle, step(sc.base, sc.base_point, 5), sc.dichotomy)
-    if kind == "system":
-        other = scenarios["uniform-diag"].cocycle
-        return OrbitCache(other, sc.base_point, sc.dichotomy)
-    return OrbitCache(sc.cocycle, sc.base_point, replace(sc.dichotomy, margin=0.1))
-
-
-@pytest.mark.parametrize("kind", ["point", "system", "dichotomy"])
-@pytest.mark.parametrize("func", sorted(_MISMATCHED_CALLS))
-def test_cache_built_for_another_orbit_is_rejected(scenarios, func, kind):
-    # A cache belongs to one (system, base point, dichotomy); cocycle_eval uses
-    # no dichotomy, so only a foreign system or base point concerns it.
-    sc = scenarios["uniform-rot-coupled"]
-    window = Window(-3, 4)
-    z = WindowSequence(window, np.random.default_rng(5).standard_normal((8, 2)))
-    call = _MISMATCHED_CALLS[func]
-    call(sc, z, OrbitCache(sc.cocycle, sc.base_point, sc.dichotomy))
-    if func == "cocycle_eval" and kind == "dichotomy":
-        call(sc, z, _foreign_cache(scenarios, kind))
-        return
-    with pytest.raises(ValueError, match="cache was built"):
-        call(sc, z, _foreign_cache(scenarios, kind))
-
-
 def test_cache_without_dichotomy_serves_dichotomy_free_calls(scenarios):
     sc = scenarios["uniform-rot-coupled"]
-    cache = OrbitCache(sc.cocycle, sc.base_point)
+    bare = OrbitCache(sc.cocycle, sc.base_point)
+    assert np.array_equal(cocycle_eval(bare, -4), cocycle_eval(sc.orbit(), -4))
+    assert np.array_equal(linear_exponents_qr(bare, 50), linear_exponents_qr(sc.orbit(), 50))
+    x = np.array([0.3, -0.2])
+    window = Window(-2, 2)
     assert np.array_equal(
-        cocycle_eval(sc.cocycle, sc.base_point, -4, cache=cache),
-        cocycle_eval(sc.cocycle, sc.base_point, -4),
+        nonlinear_orbit(bare, sc.perturbation, x, window).values,
+        nonlinear_orbit(sc.orbit(), sc.perturbation, x, window).values,
     )
-    z = WindowSequence.zeros(Window(-2, 2), 2)
-    with pytest.raises(ValueError, match="cache was built"):
-        green_apply(sc.cocycle, sc.dichotomy, sc.base_point, z, cache=cache)
+    z = WindowSequence.zeros(window, 2)
+    weights = make_weight("constant", window)
+    rng = np.random.default_rng(0)
+    needs_dichotomy = [
+        lambda: green_apply(bare, z),
+        lambda: adapted_norm(bare, x, 8),
+        lambda: check_one_step_contraction(bare, x, 2, 8),
+        lambda: check_norm_equivalence(bare, x, 8),
+        lambda: weighted_norm(bare, z, weights, 8),
+        lambda: green_residual(bare, z, z),
+        lambda: dense_green_solve(bare, z),
+        lambda: green_norm_bound_check(bare, weights, sc.epsilon, 1, 8, rng),
+    ]
+    for call in needs_dichotomy:
+        with pytest.raises(ValueError, match="dichotomy data"):
+            call()
 
 
 _WINDOW_SCENARIOS = (
@@ -356,11 +312,11 @@ def test_green_matches_oracle_on_asymmetric_windows(
     window = Window(-left, right)
     rng = np.random.default_rng(seed)
     z = WindowSequence(window, rng.standard_normal((window.length, sc.cocycle.dim)))
-    cache = OrbitCache(sc.cocycle, sc.base_point, sc.dichotomy)
-    w = green_apply(sc.cocycle, sc.dichotomy, sc.base_point, z, cache=cache)
-    dense = dense_green_solve(sc.cocycle, sc.dichotomy, sc.base_point, z, cache=cache)
+    orbit = sc.orbit()
+    w = green_apply(orbit, z)
+    dense = dense_green_solve(orbit, z)
     assert (w - dense).sup_norm() <= 1e-10 * w.sup_norm()
-    rep = green_residual(sc.cocycle, sc.dichotomy, sc.base_point, z, w, cache=cache)
+    rep = green_residual(orbit, z, w)
     assert max(rep.max_norm, rep.left_edge_gap) <= 1e-10 * (1.0 + z.sup_norm())
 
 
@@ -372,12 +328,12 @@ def test_green_long_window_residual_identity(scenarios, block4, name):
     window = Window.symmetric(2048)
     rng = np.random.default_rng(4097)
     z = WindowSequence(window, rng.standard_normal((window.length, sc.cocycle.dim)))
-    cache = OrbitCache(sc.cocycle, sc.base_point, sc.dichotomy)
-    w = green_apply(sc.cocycle, sc.dichotomy, sc.base_point, z, cache=cache)
+    orbit = sc.orbit()
+    w = green_apply(orbit, z)
     scale = 1.0 + z.sup_norm()
-    rep = green_residual(sc.cocycle, sc.dichotomy, sc.base_point, z, w, cache=cache)
+    rep = green_residual(orbit, z, w)
     assert rep.max_norm <= 1e-10 * scale
     assert rep.left_edge_gap <= 1e-12 * scale
     right = w.value_at(window.n_max)
-    right_gap = np.linalg.norm(right - cache.projector(window.n_max) @ right)
+    right_gap = np.linalg.norm(right - orbit.projector(window.n_max) @ right)
     assert right_gap <= 1e-12 * scale

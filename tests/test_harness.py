@@ -1,14 +1,27 @@
 import dataclasses
+import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shadowrds import checks, experiments, get_scenario, linear_exponents_qr, lyapunov
+from shadowrds import (
+    checks,
+    cocycle,
+    experiments,
+    get_scenario,
+    green,
+    linear_exponents_qr,
+    lyapunov,
+    shadowing,
+)
 from shadowrds.checks import CheckResult, SelfTestReport
 from shadowrds.cli import main
 from shadowrds.scenarios import builtin_scenarios
@@ -150,8 +163,8 @@ def test_lyapunov_experiment_outputs(tmp_path):
 
 def test_lyapunov_run_makes_one_qr_sweep(tmp_path, monkeypatch):
     sc = get_scenario("uniform-rot-coupled")
-    lin = linear_exponents_qr(sc.cocycle, sc.base_point, 40)
-    half = linear_exponents_qr(sc.cocycle, sc.base_point, 20)
+    lin = linear_exponents_qr(sc.orbit(), 40)
+    half = linear_exponents_qr(sc.orbit(), 20)
     qr = lyapunov._positive_qr
     calls = []
 
@@ -286,6 +299,9 @@ def test_csv_float_format_full_precision(tmp_path):
         ("scenario = uniform-diag\nexperiment = lyapunov\nsteps = 1\nsamples = 0\n", 2),
         ("scenario = uniform-diag\nwindow = 1100\n", 2),  # the orbit overflows
         ("scenario = uniform-diag\nmax_iter = 1\n", 1),  # no convergence
+        ("scenario = uniform-diag\nmax_iter = 0\n", 2),
+        ("scenario = remark-scalar\nexperiment = lyapunov\nsamples = -3\n", 2),
+        ("scenario = remark-scalar\nexperiment = conservation\nsamples = -3\n", 2),
         ("scenario = uniform-diag\nwindow = 0\n", 0),  # length-1 window
         # The orbit reaches ~1e180: the round-off floor must stay finite.
         ("scenario = uniform-diag\nwindow = 600\n", 0),
@@ -310,3 +326,53 @@ def test_cli_exit_codes_for_configs(tmp_path, capsys, body, code):
         assert summary["pass"] is True
         assert all(summary["certificates"].values())
         assert math.isfinite(summary["residual_floor"])
+
+
+def test_the_orbit_segment_is_the_only_orbit_argument():
+    for module in (cocycle, green, lyapunov, shadowing):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if not inspect.isfunction(obj):
+                continue
+            params = set(inspect.signature(obj).parameters)
+            assert "cache" not in params, f"{module.__name__}.{name}"
+            if "orbit" in params:
+                assert not params & {"system", "cocycle", "omega"}, f"{module.__name__}.{name}"
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+# The benchmark's tracer reads z, seq and steps by keyword when they are
+# passed so, else at fixed positions; a call site in src/ that passes one of
+# them by position makes a hook raise or read the wrong argument.
+_TRACED_RUN = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install()
+tracer.active = True
+from shadowrds import checks, experiments, get_scenario
+checks.run_invariant_suite(get_scenario("remark-scalar"))
+for kind in ("lyapunov", "conservation"):
+    experiments.run_experiment(experiments.ExperimentConfig(
+        scenario="remark-scalar", experiment=kind, steps=200, samples=2,
+        out_dir=f"{sys.argv[2]}/{kind}",
+    ))
+print(json.dumps(tracer.counts))
+"""
+
+
+def test_benchmark_tracer_reads_the_traced_arguments(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN, str(_ROOT / "perfbench" / "tracing.py"),
+         str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(_ROOT / "src")),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    assert counts["green.green_apply.indices"] > 0
+    assert counts["green.weighted_norm.indices"] > 0
+    assert counts["lyapunov.orbit_steps"] > 0

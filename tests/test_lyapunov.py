@@ -37,22 +37,22 @@ def test_qr_sweep_matches_running_sum_loop(scenarios, block4, indices):
 def test_qr_exponents_diagonal_exact(scenarios):
     sc = scenarios["uniform-diag"]
     for steps in (3, 50, 500):
-        got = linear_exponents_qr(sc.cocycle, sc.base_point, steps)
+        got = linear_exponents_qr(sc.orbit(), steps)
         assert got[0] == pytest.approx(math.log(2.0), abs=1e-12)
         assert got[1] == pytest.approx(-math.log(2.0), abs=1e-12)
 
 
 def test_qr_exponent_scalar_half(scenarios):
     sc = scenarios["remark-scalar"]
-    got = linear_exponents_qr(sc.cocycle, sc.base_point, 200)
+    got = linear_exponents_qr(sc.orbit(), 200)
     assert got[0] == pytest.approx(-math.log(2.0), abs=1e-12)
 
 
 def test_qr_self_consistency_rot_coupled(scenarios):
     sc = scenarios["uniform-rot-coupled"]
     n = 400
-    a = linear_exponents_qr(sc.cocycle, sc.base_point, n)
-    b = linear_exponents_qr(sc.cocycle, sc.base_point, 2 * n)
+    a = linear_exponents_qr(sc.orbit(), n)
+    b = linear_exponents_qr(sc.orbit(), 2 * n)
     assert np.all(np.abs(a - b) <= 5.0 / math.sqrt(n))
 
 
@@ -65,13 +65,13 @@ def test_qr_sum_rule_against_determinant(scenarios, block4):
         logdet = sum(
             math.log(abs(np.linalg.det(cache.matrix(n)))) for n in range(steps)
         )
-        got = linear_exponents_qr(sc.cocycle, sc.base_point, steps, cache=cache)
+        got = linear_exponents_qr(cache, steps)
         assert float(np.sum(got)) == pytest.approx(logdet / steps, abs=1e-8)
 
 
 def test_backward_frame_identifies_axes(scenarios):
     sc = scenarios["uniform-diag"]
-    frame, rates = backward_qr_frame(sc.cocycle, sc.base_point, 200)
+    frame, rates = backward_qr_frame(sc.orbit(), 200)
     assert rates[0] == pytest.approx(math.log(2.0), abs=1e-12)
     assert np.allclose(np.abs(frame[:, 0]), [0.0, 1.0], atol=1e-12)
     assert np.allclose(np.abs(frame[:, 1]), [1.0, 0.0], atol=1e-12)
@@ -81,8 +81,7 @@ def test_nonlinear_exponent_stable_axis_linear(scenarios):
     # f = 0 along the stable axis of diag(1/2, 2): exact geometric decay.
     sc = scenarios["uniform-diag"]
     res = nonlinear_exponent(
-        sc.cocycle, Perturbation.zero(2), sc.base_point, np.array([1.0, 0.0]),
-        "forward", 400,
+        sc.orbit(), Perturbation.zero(2), np.array([1.0, 0.0]), "forward", 400
     )
     assert res.estimate == pytest.approx(-math.log(2.0), abs=1e-6)
     assert res.converged
@@ -92,12 +91,8 @@ def test_nonlinear_exponent_remark_values(scenarios):
     # Backward exponent -log 2, forward exponent 0, for x away from the
     # special point.
     sc = scenarios["remark-scalar"]
-    fwd = nonlinear_exponent(
-        sc.cocycle, sc.perturbation, sc.base_point, np.array([1.0]), "forward", 10_000
-    )
-    bwd = nonlinear_exponent(
-        sc.cocycle, sc.perturbation, sc.base_point, np.array([1.0]), "backward", 10_000
-    )
+    fwd = nonlinear_exponent(sc.orbit(), sc.perturbation, np.array([1.0]), "forward", 10_000)
+    bwd = nonlinear_exponent(sc.orbit(), sc.perturbation, np.array([1.0]), "backward", 10_000)
     assert abs(fwd.estimate - 0.0) <= 0.01
     assert abs(bwd.estimate + math.log(2.0)) <= 0.01
 
@@ -105,22 +100,15 @@ def test_nonlinear_exponent_remark_values(scenarios):
 def test_nonlinear_exponent_scaling_consistency(scenarios):
     sc = scenarios["remark-scalar"]
     n = 2000
-    a = nonlinear_exponent(
-        sc.cocycle, sc.perturbation, sc.base_point, np.array([0.7]), "forward", n
-    )
-    b = nonlinear_exponent(
-        sc.cocycle, sc.perturbation, sc.base_point, np.array([0.7]), "forward", 2 * n
-    )
+    a = nonlinear_exponent(sc.orbit(), sc.perturbation, np.array([0.7]), "forward", n)
+    b = nonlinear_exponent(sc.orbit(), sc.perturbation, np.array([0.7]), "forward", 2 * n)
     assert abs(a.estimate - b.estimate) <= 3.0 / math.sqrt(n)
 
 
 def test_nonlinear_exponent_degenerate_at_zero(scenarios):
     sc = scenarios["remark-scalar"]
     with pytest.raises(DegenerateOrbitError):
-        nonlinear_exponent(
-            sc.cocycle, sc.perturbation, sc.base_point, np.array([0.0]),
-            "backward", 100,
-        )
+        nonlinear_exponent(sc.orbit(), sc.perturbation, np.array([0.0]), "backward", 100)
 
 
 def test_nonlinear_exponent_survives_overflow_scale(scenarios):
@@ -128,8 +116,7 @@ def test_nonlinear_exponent_survives_overflow_scale(scenarios):
     # float range and the scaled representation must take over seamlessly.
     sc = scenarios["uniform-diag"]
     res = nonlinear_exponent(
-        sc.cocycle, sc.perturbation, sc.base_point, np.array([0.9, 0.4]),
-        "backward", 10_000,
+        sc.orbit(), sc.perturbation, np.array([0.9, 0.4]), "backward", 10_000
     )
     assert abs(res.estimate + math.log(2.0)) <= 0.01
 
@@ -226,12 +213,9 @@ def test_shadowed_orbit_exponent_transfer(scenarios):
     from shadowrds import solve
 
     res = solve(prob, tol=1e-10)
-    linear = nonlinear_exponent(
-        sc.cocycle, Perturbation.zero(2), sc.base_point, v, "forward", steps
-    )
+    linear = nonlinear_exponent(cache, Perturbation.zero(2), v, "forward", steps)
     shadowed = nonlinear_exponent(
-        sc.cocycle, sc.perturbation, sc.base_point, res.orbit.value_at(0),
-        "forward", steps,
+        cache, sc.perturbation, res.orbit.value_at(0), "forward", steps
     )
     allowance = 2 * math.log(steps) / steps + linear.regression_residual \
         + shadowed.regression_residual

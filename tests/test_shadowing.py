@@ -85,9 +85,7 @@ def test_nonlinear_step_composition(scenarios):
     via_steps = x
     for n in range(3):
         via_steps = nonlinear_step(prob, n, via_steps)
-    orbit = nonlinear_orbit(
-        sc.cocycle, sc.perturbation, sc.base_point, x, Window(-1, 3)
-    )
+    orbit = nonlinear_orbit(sc.orbit(), sc.perturbation, x, Window(-1, 3))
     assert np.allclose(via_steps, orbit.value_at(3))
 
 
@@ -98,21 +96,19 @@ def test_nonlinear_orbit_overflow_names_first_non_finite_index(scenarios, window
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="orbit is not finite at index") as err:
-            nonlinear_orbit(sc.cocycle, sc.perturbation, sc.base_point, x0, window)
+            nonlinear_orbit(sc.orbit(), sc.perturbation, x0, window)
         index = int(str(err.value).rsplit(" ", 1)[1])
         assert index != 0 and window.n_min <= index <= window.n_max
         # Every index strictly between 0 and the reported one is finite.
         inner = Window(0, index - 1) if index > 0 else Window(index + 1, 0)
-        orbit = nonlinear_orbit(sc.cocycle, sc.perturbation, sc.base_point, x0, inner)
+        orbit = nonlinear_orbit(sc.orbit(), sc.perturbation, x0, inner)
     assert np.all(np.isfinite(orbit.values))
 
 
 def test_defect_zero_for_exact_orbit(scenarios):
     sc = scenarios["uniform-diag"]
     window = Window.symmetric(8)
-    orbit = nonlinear_orbit(
-        sc.cocycle, sc.perturbation, sc.base_point, np.array([0.2, 0.1]), window
-    )
+    orbit = nonlinear_orbit(sc.orbit(), sc.perturbation, np.array([0.2, 0.1]), window)
     prob = sc.problem(orbit)
     rep = defect(prob)
     assert rep.max_norm() <= 1e-12
@@ -125,9 +121,7 @@ def test_defect_triangle_inequality_oracle(scenarios):
     sc = scenarios["uniform-diag"]
     rng = np.random.default_rng(33)
     window = Window.symmetric(8)
-    orbit = nonlinear_orbit(
-        sc.cocycle, sc.perturbation, sc.base_point, np.array([0.1, -0.3]), window
-    )
+    orbit = nonlinear_orbit(sc.orbit(), sc.perturbation, np.array([0.1, -0.3]), window)
     eta = 1e-3
     jitter = rng.standard_normal((window.length, 2))
     jitter *= eta / np.linalg.norm(jitter, axis=1)[:, None]
@@ -155,9 +149,7 @@ def test_defect_remark_linear_orbit_kick_sign(scenarios):
 def test_source_term_zero_cases(scenarios):
     sc = scenarios["uniform-diag"]
     window = Window.symmetric(6)
-    orbit = nonlinear_orbit(
-        sc.cocycle, Perturbation.zero(2), sc.base_point, np.array([0.3, 0.1]), window
-    )
+    orbit = nonlinear_orbit(sc.orbit(), Perturbation.zero(2), np.array([0.3, 0.1]), window)
     prob = replace(sc.problem(orbit), perturbation=Perturbation.zero(2))
     src = source_term(prob, WindowSequence.zeros(window, 2))
     assert src.sup_norm() <= 1e-12
@@ -184,13 +176,11 @@ def test_source_term_weighted_lipschitz(scenarios):
         z1 = WindowSequence(prob.window, rng.standard_normal((prob.window.length, 2)))
         z2 = WindowSequence(prob.window, rng.standard_normal((prob.window.length, 2)))
         num = weighted_norm(
-            sc.cocycle, sc.dichotomy, sc.base_point,
-            source_term(prob, z1) - source_term(prob, z2),
-            prob.weights, prob.horizon, allow_uncertified=True, cache=cache,
+            cache, source_term(prob, z1) - source_term(prob, z2),
+            prob.weights, prob.horizon, allow_uncertified=True,
         )
         den = weighted_norm(
-            sc.cocycle, sc.dichotomy, sc.base_point, z1 - z2,
-            prob.weights, prob.horizon, allow_uncertified=True, cache=cache,
+            cache, z1 - z2, prob.weights, prob.horizon, allow_uncertified=True
         )
         assert num <= factor * den + 1e-9
 
@@ -203,8 +193,7 @@ def test_source_norm_at_zero_below_one_under_admissible_defect(scenarios):
         prob = _problem_from(sc, seed=35)
         assert defect(prob).all_within
         src_norm = weighted_norm(
-            sc.cocycle, sc.dichotomy, prob.omega,
-            source_term(prob, WindowSequence.zeros(prob.window, 2)),
+            sc.orbit(), source_term(prob, WindowSequence.zeros(prob.window, 2)),
             prob.weights, prob.horizon,
             allow_uncertified=sc.allow_uncertified_truncation,
         )
@@ -214,9 +203,7 @@ def test_source_norm_at_zero_below_one_under_admissible_defect(scenarios):
 def test_solve_exact_orbit_one_iteration(scenarios):
     sc = scenarios["uniform-diag"]
     window = Window.symmetric(8)
-    orbit = nonlinear_orbit(
-        sc.cocycle, Perturbation.zero(2), sc.base_point, np.array([0.2, 0.05]), window
-    )
+    orbit = nonlinear_orbit(sc.orbit(), Perturbation.zero(2), np.array([0.2, 0.05]), window)
     prob = replace(sc.problem(orbit), perturbation=Perturbation.zero(2))
     res = solve(prob, tol=1e-12)
     assert res.iterations == 1
@@ -231,7 +218,7 @@ def test_solve_linear_noisy_matches_dense_oracle(scenarios):
     rng = np.random.default_rng(36)
     window = Window.symmetric(8)
     pert0 = Perturbation.zero(2)
-    orbit = nonlinear_orbit(sc.cocycle, pert0, sc.base_point, np.array([0.3, -0.1]), window)
+    orbit = nonlinear_orbit(sc.orbit(), pert0, np.array([0.3, -0.1]), window)
     weights = sc.default_weights(window)
     jitter = rng.standard_normal((window.length, 2)) * 0.05
     pseudo = WindowSequence(window, orbit.values + jitter)
@@ -240,14 +227,10 @@ def test_solve_linear_noisy_matches_dense_oracle(scenarios):
     assert res.iterations == 1
     assert res.max_orbit_residual <= 1e-10
     # The one-shot correction is the Green image of source(0).
-    expected = green_apply(
-        sc.cocycle, sc.dichotomy, sc.base_point,
-        source_term(prob, WindowSequence.zeros(window, 2)),
-    )
+    expected = green_apply(sc.orbit(), source_term(prob, WindowSequence.zeros(window, 2)))
     assert (res.correction - expected).sup_norm() <= 1e-14
     dense = dense_green_solve(
-        sc.cocycle, sc.dichotomy, sc.base_point,
-        source_term(prob, WindowSequence.zeros(window, 2)),
+        sc.orbit(), source_term(prob, WindowSequence.zeros(window, 2))
     )
     assert (res.correction - dense).sup_norm() <= 1e-10
 
@@ -314,7 +297,7 @@ def test_linear_hyers_ulam_constant_defect(scenarios):
     rng = np.random.default_rng(40)
     window = Window.symmetric(10)
     pert0 = Perturbation.zero(2)
-    orbit = nonlinear_orbit(sc.cocycle, pert0, sc.base_point, np.array([0.2, 0.3]), window)
+    orbit = nonlinear_orbit(sc.orbit(), pert0, np.array([0.2, 0.3]), window)
     t = 0.02
     weights = make_weight("constant", window, scale=t)
     jitter = rng.standard_normal((window.length, 2))
@@ -344,9 +327,7 @@ def test_uniform_rescale_families(scenarios):
 def test_uniqueness_identical_orbits(scenarios):
     sc = scenarios["uniform-diag"]
     window = Window.symmetric(8)
-    orbit = nonlinear_orbit(
-        sc.cocycle, sc.perturbation, sc.base_point, np.array([0.1, 0.02]), window
-    )
+    orbit = nonlinear_orbit(sc.orbit(), sc.perturbation, np.array([0.1, 0.02]), window)
     prob = sc.problem(orbit)
     rep = check_uniqueness(prob, orbit, orbit)
     assert rep.hypothesis_met and rep.coincide
@@ -367,10 +348,8 @@ def test_uniqueness_distinct_orbits_fail_hypothesis(scenarios):
     # adapted-norm closeness hypothesis fails and no verdict is issued.
     sc = scenarios["uniform-diag"]
     window = Window.symmetric(8)
-    o1 = nonlinear_orbit(sc.cocycle, sc.perturbation, sc.base_point,
-                         np.array([1.0, 0.0]), window)
-    o2 = nonlinear_orbit(sc.cocycle, sc.perturbation, sc.base_point,
-                         np.array([2.0, 0.0]), window)
+    o1 = nonlinear_orbit(sc.orbit(), sc.perturbation, np.array([1.0, 0.0]), window)
+    o2 = nonlinear_orbit(sc.orbit(), sc.perturbation, np.array([2.0, 0.0]), window)
     prob = sc.problem(o1)
     rep = check_uniqueness(prob, o1, o2)
     assert not rep.hypothesis_met
@@ -380,9 +359,7 @@ def test_uniqueness_distinct_orbits_fail_hypothesis(scenarios):
 def test_uniqueness_rejects_non_orbits(scenarios):
     sc = scenarios["uniform-diag"]
     window = Window.symmetric(6)
-    orbit = nonlinear_orbit(
-        sc.cocycle, sc.perturbation, sc.base_point, np.array([0.1, 0.0]), window
-    )
+    orbit = nonlinear_orbit(sc.orbit(), sc.perturbation, np.array([0.1, 0.0]), window)
     junk = WindowSequence(window, orbit.values + 0.5)
     prob = sc.problem(orbit)
     with pytest.raises(ValueError):
@@ -453,9 +430,9 @@ def test_window_stepper_matches_per_index_loop(scenarios, block4, name, window):
 
     assert np.array_equal(defect(prob).values, _reference_defect(prob))
     assert np.array_equal(source_term(prob, z).values, _reference_source(prob, z))
-    cache = OrbitCache(sc.cocycle, sc.base_point, sc.dichotomy)
-    w = green_apply(sc.cocycle, sc.dichotomy, sc.base_point, z, cache=cache)
-    rep = green_residual(sc.cocycle, sc.dichotomy, sc.base_point, z, w, cache=cache)
+    cache = sc.orbit()
+    w = green_apply(cache, z)
+    rep = green_residual(cache, z, w)
     assert np.array_equal(rep.residuals, _reference_green_residual(cache, z, w))
 
     res = solve(prob)
