@@ -59,7 +59,7 @@ def main() -> None:
         orbit = sc.orbit()
         green_s, green_calls = _warm_median(lambda: shadowrds.green_apply(orbit, z))
         norm_s, norm_calls = _warm_median(
-            lambda: shadowrds.weighted_norm(orbit, z, weights, sc.horizon)
+            lambda: shadowrds.weighted_norm(orbit, z, weights)
         )
         rows.append({
             "L": length,
@@ -70,7 +70,7 @@ def main() -> None:
         })
     print(json.dumps({
         "scenario": SCENARIO,
-        "horizon": sc.horizon,
+        "horizon": sc.dichotomy.horizon,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "rows": rows,

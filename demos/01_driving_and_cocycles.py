@@ -55,18 +55,19 @@ print(f"composition law A(w,5) = A(s^2 w,3) A(w,2): relative gap {gap:.2e}")
 # --- adapted norms ----------------------------------------------------------
 
 x = np.array([0.8, -0.6])
-nrm = adapted_norm(orbit, x, horizon=48)
+nrm = adapted_norm(orbit, x)  # truncated at the dichotomy's horizon, 48 here
 print(f"adapted norm of {x}: value {nrm.value:.6f}, certified tail {nrm.tail:.2e}")
-rep = check_norm_equivalence(orbit, x, horizon=48)
+rep = check_norm_equivalence(orbit, x)
 print(f"norm chain |x| <= |x|_w <= 2K|x|: "
       f"{rep.plain:.4f} <= {rep.adapted.value:.4f} <= {rep.upper:.4f}"
       f" -> {'ok' if rep.passed else 'VIOLATED'}")
 
 # the diagonal scenario has constant sup terms: the adapted norm is the
-# l1 norm of the split components, exactly, at any horizon
+# l1 norm of the split components, exactly, at any horizon (its margin is
+# zero, so its dichotomy consents to the uncertified truncation)
 diag = get_scenario("uniform-diag")
 y = np.array([0.3, -0.7])
-val = adapted_norm(diag.orbit(), y, 8, allow_uncertified=True).value
+val = adapted_norm(diag.orbit(), y).value
 print(f"diagonal scenario: adapted norm {val:.12f} vs |y_1| + |y_2| = "
       f"{abs(y[0]) + abs(y[1]):.12f}")
 print(f"one-step contraction factor e^-rate = {math.exp(-diag.dichotomy.rate):.4f}")

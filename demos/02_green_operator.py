@@ -50,9 +50,7 @@ print(f"series vs dense boundary-value solve: relative gap "
 eps = sc2.epsilon
 bound = (1 + math.exp(-eps)) / (1 - math.exp(-eps))
 weights = make_weight("exponential", window, rate=sc2.dichotomy.rate - eps)
-check = green_norm_bound_check(
-    orbit2, weights, eps, trials=60, horizon=sc2.horizon, rng=np.random.default_rng(2),
-)
+check = green_norm_bound_check(orbit2, weights, eps, trials=60, rng=np.random.default_rng(2))
 print(f"norm bound at eps = {eps:.3f}: theoretical {bound:.4f}, "
       f"worst observed {check.max_ratio:.4f} over {check.trials} inputs")
 print(f"at eps = log 2 the bound evaluates to "

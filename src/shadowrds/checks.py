@@ -35,6 +35,7 @@ from .green import (
 )
 from .shadowing import (
     ContractionError,
+    _defect_allowance,
     iteration_bound,
     nonlinear_orbit,
     shadow_constant,
@@ -184,10 +185,7 @@ def check_norm_equivalence_sweep(scenario, rng) -> CheckResult:
         orbit = scenario.orbit(point)
         for _ in range(250):
             x = rng.standard_normal(scenario.cocycle.dim)
-            rep = check_norm_equivalence(
-                orbit, x, scenario.horizon,
-                allow_uncertified=scenario.allow_uncertified_truncation,
-            )
+            rep = check_norm_equivalence(orbit, x)
             if not rep.passed:
                 failures += 1
             lower = rep.plain - rep.adapted.value
@@ -210,10 +208,7 @@ def check_one_step_contraction_sweep(scenario, rng) -> CheckResult:
         for _ in range(50):
             x = rng.standard_normal(scenario.cocycle.dim)
             n = int(rng.integers(0, 11))
-            rep = check_one_step_contraction(
-                orbit, x, steps=n, horizon=scenario.horizon,
-                allow_uncertified=scenario.allow_uncertified_truncation,
-            )
+            rep = check_one_step_contraction(orbit, x, steps=n)
             worst = max(worst, -rep.stable_margin, -rep.unstable_margin)
     return CheckResult("adapted-contraction", worst, 1e-9, worst <= 1e-9)
 
@@ -285,10 +280,7 @@ def check_green_norm_bounds(scenario, rng) -> CheckResult:
     kinds = admissible_weight_kinds(scenario)
     for kind in kinds:
         weights = replace(scenario, weight_kind=kind).default_weights(window)
-        rep = green_norm_bound_check(
-            scenario.orbit(), weights, scenario.epsilon, 100, scenario.horizon, rng,
-            allow_uncertified=scenario.allow_uncertified_truncation,
-        )
+        rep = green_norm_bound_check(scenario.orbit(), weights, scenario.epsilon, 100, rng)
         worst = max(worst, rep.max_ratio - rep.bound)
     return CheckResult(
         "green-norm-bound", worst, 1e-6, worst <= 1e-6,
@@ -341,9 +333,7 @@ def noisy_pseudo_orbit(
     cache = scenario.orbit()
     start = 0.5 * rng.standard_normal(scenario.cocycle.dim)
     orbit = nonlinear_orbit(cache, scenario.perturbation, start, window)
-    allowed = np.array(
-        [weights.value_at(n) / (2.0 * cache.bound(n)) for n in window.indices()]
-    )
+    allowed = _defect_allowance(cache, weights)
     lipschitz = scenario.perturbation.lipschitz_budget / min(
         cache.bound(n) for n in window.indices()
     )
@@ -362,18 +352,13 @@ def check_source_lipschitz(scenario, rng) -> CheckResult:
         * math.exp(scenario.dichotomy.rate - scenario.epsilon)
     )
     worst = 0.0
-    uncert = scenario.allow_uncertified_truncation
     for _ in range(50):
         z1 = WindowSequence(window, rng.standard_normal((window.length, scenario.cocycle.dim)))
         z2 = WindowSequence(window, rng.standard_normal((window.length, scenario.cocycle.dim)))
         num = weighted_norm(
-            prob.orbit, seq=source_term(prob, z1) - source_term(prob, z2),
-            weights=weights, horizon=scenario.horizon, allow_uncertified=uncert,
+            prob.orbit, seq=source_term(prob, z1) - source_term(prob, z2), weights=weights
         )
-        den = weighted_norm(
-            prob.orbit, seq=z1 - z2, weights=weights, horizon=scenario.horizon,
-            allow_uncertified=uncert,
-        )
+        den = weighted_norm(prob.orbit, seq=z1 - z2, weights=weights)
         worst = max(worst, num - factor * den)
     return CheckResult("source-lipschitz", worst, 1e-9, worst <= 1e-9)
 
@@ -418,14 +403,14 @@ def check_envelope_growth(scenario, rng) -> CheckResult:
         raise ValueError("scenario has no layering data")
     horizon = _ENVELOPE_HORIZON
     rho = layering.rho
-    reach = horizon + layering.envelope.horizon
+    reach = horizon + layering.envelope.half_width
     ns = np.arange(-horizon, horizon + 1)
     worst = 0.0
     for point in _points(scenario, rng, 5):
         ks_wide = _bounds_along_orbit(
             scenario.base, scenario.dichotomy.bound, point, -reach, reach
         )
-        values = _sliding_max(ks_wide, rho, layering.envelope.horizon)
+        values = _sliding_max(ks_wide, rho, layering.envelope.half_width)
         ks = ks_wide[reach - horizon : reach + horizon + 1]
         worst = max(worst, float(np.max(ks / values)) - 1.0)
         origin = values[horizon]
@@ -446,7 +431,7 @@ def check_layer_coverage(scenario, rng, samples: int = 400) -> CheckResult:
     for _ in range(samples):
         point = scenario.sample_point(rng)
         values = envelope_along_orbit(
-            base, scenario.dichotomy.bound, point, layering.rho, env.horizon,
+            base, scenario.dichotomy.bound, point, layering.rho, env.half_width,
             0, _COVERAGE_DEPTH,
         )
         if np.any(values <= layering.level_threshold):
@@ -486,9 +471,7 @@ def check_layered_shadowing(scenario, rng) -> CheckResult:
             for n in window.indices()
         ]
     )
-    generic = np.array(
-        [weights.value_at(n) / (2.0 * cache.bound(n)) for n in window.indices()]
-    )
+    generic = _defect_allowance(cache, weights)
     if np.any(allowed > generic * (1 + 1e-12)):
         return CheckResult(
             "layered-shadowing", float(np.max(allowed / generic)) - 1.0, 0.0, False,

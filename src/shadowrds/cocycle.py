@@ -14,7 +14,10 @@ The adapted norm of x at w is
 truncated here at a finite horizon N.  Every discarded term is bounded by
 K(w) e^{-mu(N+1)} |x|, so the reported value R encloses the untruncated norm
 in [R, R + tail].  When the bound already lies below both attained partial
-sups the tail is zero and the truncated value is certified exact.
+sups the tail is zero and the truncated value is certified exact.  The
+truncation is part of the dichotomy data: N is its ``horizon``, and with a
+zero margin, where no tail bound exists, its ``allow_uncertified`` flag is
+the consent to truncate anyway.
 
 Every function that works along one orbit sigma^n w takes that orbit segment,
 an ``OrbitCache``, as its first argument: the segment carries the system, the
@@ -58,6 +61,9 @@ __all__ = [
 
 #: Generator matrices with a 2-norm condition number above this are rejected.
 COND_LIMIT = 1e12
+
+#: Largest step count of a cocycle evaluation or of a per-step sweep along an orbit.
+MAX_STEPS = 10**6
 
 
 class SingularityError(ValueError):
@@ -107,18 +113,23 @@ class CocycleSystem:
 
 @dataclass(frozen=True)
 class DichotomyData:
-    """Projector family, contraction rate, strictness margin, and bound."""
+    """Projector family, contraction rate, strictness margin, bound, and the
+    adapted-norm truncation: horizon N and consent to an uncertified tail."""
 
     projector: Callable[[BasePoint], np.ndarray]
     rate: float
     margin: float
     bound: Callable[[BasePoint], float]
+    horizon: int
+    allow_uncertified: bool = False
 
     def __post_init__(self) -> None:
         if self.rate <= 0:
             raise ValueError("dichotomy rate must be positive")
         if self.margin < 0:
             raise ValueError("strictness margin must be nonnegative")
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
 
 
 class OrbitCache:
@@ -231,14 +242,14 @@ class OrbitCache:
 
 
 def cocycle_eval(orbit: OrbitCache, n: int) -> np.ndarray:
-    """Evaluate the n-step cocycle matrix A(w, n) at the orbit's base point, |n| <= 10**6.
+    """Evaluate the n-step cocycle matrix A(w, n) at the orbit's base point, |n| <= MAX_STEPS.
 
     Satisfies A(w, 0) = Id exactly and the composition law
     A(w, n + m) = A(sigma^m w, n) A(w, m).
     """
     n = int(n)
-    if abs(n) > 10**6:
-        raise ValueError("cocycle step count limited to |n| <= 10**6")
+    if abs(n) > MAX_STEPS:
+        raise ValueError(f"cocycle step count limited to |n| <= {MAX_STEPS}")
     out = np.eye(orbit.dim)
     if n >= 0:
         for j in range(n):
@@ -254,8 +265,8 @@ class AdaptedNorm:
     """Truncated adapted norm with its certified enclosure.
 
     The untruncated norm lies in [value, value + tail] when ``certified`` is
-    true.  With a zero margin no tail bound exists; callers must opt in via
-    ``allow_uncertified`` and the tail is reported as inf.
+    true.  With a zero margin no tail bound exists; the dichotomy must opt in
+    via ``allow_uncertified`` and the tail is reported as inf.
     """
 
     value: float
@@ -274,11 +285,7 @@ _NORM_ROWS = 1024
 
 
 def _adapted_norm_parts(
-    orbit: OrbitCache,
-    n_lo: int,
-    xs: np.ndarray,
-    horizon: int,
-    allow_uncertified: bool,
+    orbit: OrbitCache, n_lo: int, xs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stable and unstable parts of the truncated adapted norms of many vectors.
 
@@ -290,13 +297,12 @@ def _adapted_norm_parts(
     dich = orbit.dichotomy
     if dich is None:
         raise ValueError("adapted norm requires dichotomy data")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    horizon = dich.horizon
     mu = dich.margin
-    if mu <= 0 and not allow_uncertified:
+    if mu <= 0 and not dich.allow_uncertified:
         raise UncertifiedTruncationError(
             "strictness margin is zero: adapted-norm truncation cannot be"
-            " certified (pass allow_uncertified=True to override)"
+            " certified (set DichotomyData.allow_uncertified to override)"
         )
     xs = np.asarray(xs, dtype=float)
     m, d = xs.shape
@@ -334,20 +340,15 @@ def _adapted_norm_parts(
     return stable, unstable
 
 
-def _adapted_norm_at(
-    orbit: OrbitCache,
-    base_index: int,
-    x: np.ndarray,
-    horizon: int,
-    allow_uncertified: bool,
-) -> AdaptedNorm:
+def _adapted_norm_at(orbit: OrbitCache, base_index: int, x: np.ndarray) -> AdaptedNorm:
     x = np.asarray(x, dtype=float)
-    parts = _adapted_norm_parts(orbit, base_index, x[None, :], horizon, allow_uncertified)
+    parts = _adapted_norm_parts(orbit, base_index, x[None, :])
     stable, unstable = float(parts[0][0]), float(parts[1][0])
-    mu = orbit.dichotomy.margin
+    dich = orbit.dichotomy
+    mu = dich.margin
     value = stable + unstable
     if mu > 0:
-        t = orbit.bound(base_index) * math.exp(-mu * (horizon + 1)) * float(
+        t = orbit.bound(base_index) * math.exp(-mu * (dich.horizon + 1)) * float(
             np.linalg.norm(x)
         )
         tail = max(stable, t) + max(unstable, t) - value
@@ -358,15 +359,9 @@ def _adapted_norm_at(
     return AdaptedNorm(value, tail, certified, stable, unstable)
 
 
-def adapted_norm(
-    orbit: OrbitCache,
-    x: np.ndarray,
-    horizon: int,
-    *,
-    allow_uncertified: bool = False,
-) -> AdaptedNorm:
+def adapted_norm(orbit: OrbitCache, x: np.ndarray) -> AdaptedNorm:
     """Truncated adapted norm of x at the orbit's base point with certified tail bound."""
-    return _adapted_norm_at(orbit, 0, x, horizon, allow_uncertified)
+    return _adapted_norm_at(orbit, 0, x)
 
 
 @dataclass(frozen=True)
@@ -379,17 +374,11 @@ class NormEquivalenceReport:
     passed: bool
 
 
-def check_norm_equivalence(
-    orbit: OrbitCache,
-    x: np.ndarray,
-    horizon: int,
-    *,
-    allow_uncertified: bool = False,
-) -> NormEquivalenceReport:
+def check_norm_equivalence(orbit: OrbitCache, x: np.ndarray) -> NormEquivalenceReport:
     """Verify the two-sided equivalence of plain and adapted norms."""
     x = np.asarray(x, dtype=float)
     plain = float(np.linalg.norm(x))
-    nrm = _adapted_norm_at(orbit, 0, x, horizon, allow_uncertified)
+    nrm = _adapted_norm_at(orbit, 0, x)
     upper = 2.0 * orbit.bound(0) * plain
     lower_ok = plain <= nrm.value * (1.0 + _EQUIVALENCE_SLACK)
     upper_ok = nrm.value <= upper * (1.0 + _EQUIVALENCE_SLACK)
@@ -413,12 +402,7 @@ class OneStepContractionReport:
 
 
 def check_one_step_contraction(
-    orbit: OrbitCache,
-    x: np.ndarray,
-    steps: int,
-    horizon: int,
-    *,
-    allow_uncertified: bool = False,
+    orbit: OrbitCache, x: np.ndarray, steps: int
 ) -> OneStepContractionReport:
     """Check the n-step contraction of adapted norms along both directions."""
     if steps < 0:
@@ -426,18 +410,18 @@ def check_one_step_contraction(
     x = np.asarray(x, dtype=float)
     decay = math.exp(-orbit.require_dichotomy().rate * steps)
 
-    base = _adapted_norm_at(orbit, 0, x, horizon, allow_uncertified)
+    base = _adapted_norm_at(orbit, 0, x)
     rhs = decay * base.value
 
     v = orbit.projector(0) @ x
     for k in range(steps):
         v = orbit.stable_map(k) @ v
-    fwd = _adapted_norm_at(orbit, steps, v, horizon, allow_uncertified)
+    fwd = _adapted_norm_at(orbit, steps, v)
 
     u = x - orbit.projector(0) @ x
     for k in range(steps):
         u = orbit.unstable_map(-k - 1) @ u
-    bwd = _adapted_norm_at(orbit, -steps, u, horizon, allow_uncertified)
+    bwd = _adapted_norm_at(orbit, -steps, u)
 
     certified = base.certified and fwd.certified and bwd.certified
     fwd_tail = fwd.tail if certified else 0.0
@@ -461,10 +445,10 @@ def _bounds_along_orbit(
     return np.array([float(bound(step(base, omega, j))) for j in range(j_lo, j_hi + 1)])
 
 
-def _sliding_max(ks: np.ndarray, rho: float, horizon: int) -> np.ndarray:
-    """max_{|j| <= horizon} ks[i + horizon + j] e^{-rho |j|} for every full window i."""
-    decay = np.exp(-rho * np.abs(np.arange(-horizon, horizon + 1)))
-    windows = np.lib.stride_tricks.sliding_window_view(ks, 2 * horizon + 1)
+def _sliding_max(ks: np.ndarray, rho: float, half_width: int) -> np.ndarray:
+    """max_{|j| <= half_width} ks[i + half_width + j] e^{-rho |j|} for every full window i."""
+    decay = np.exp(-rho * np.abs(np.arange(-half_width, half_width + 1)))
+    windows = np.lib.stride_tricks.sliding_window_view(ks, 2 * half_width + 1)
     return np.max(windows * decay, axis=1)
 
 
@@ -473,19 +457,19 @@ def envelope_along_orbit(
     bound: Callable[[BasePoint], float],
     omega: BasePoint,
     rho: float,
-    horizon: int,
+    half_width: int,
     n_lo: int = 0,
     n_hi: int = 0,
 ) -> np.ndarray:
     """Values D(sigma^n w) for n in [n_lo, n_hi] of the windowed envelope.
 
-    D(p) = max_{|j| <= horizon} K(sigma^j p) e^{-rho |j|}; the K values along
+    D(p) = max_{|j| <= half_width} K(sigma^j p) e^{-rho |j|}; the K values along
     the orbit are evaluated once and reused across the sliding windows.
     """
     if n_hi < n_lo:
         raise ValueError("empty index range")
-    ks = _bounds_along_orbit(base, bound, omega, n_lo - horizon, n_hi + horizon)
-    return _sliding_max(ks, rho, horizon)
+    ks = _bounds_along_orbit(base, bound, omega, n_lo - half_width, n_hi + half_width)
+    return _sliding_max(ks, rho, half_width)
 
 
 @dataclass(frozen=True)
@@ -503,7 +487,7 @@ class TemperedEnvelope:
     """Windowed envelope D dominating K with controlled growth along orbits."""
 
     rho: float
-    horizon: int
+    half_width: int
     bound: Callable[[BasePoint], float]
     build_report: EnvelopeReport
 
@@ -513,34 +497,34 @@ def build_envelope(
     dichotomy: DichotomyData,
     omega: BasePoint,
     rho: float,
-    horizon: int,
+    half_width: int,
 ) -> TemperedEnvelope:
-    """Construct D(p) = max_{|j| <= horizon} K(sigma^j p) e^{-rho |j|}.
+    """Construct D(p) = max_{|j| <= half_width} K(sigma^j p) e^{-rho |j|}.
 
     The returned envelope satisfies K <= D everywhere by construction.  The
     build report checks D(sigma^n w) <= D(w) e^{rho |n|} on the sampled window
     around the given point and flags the result uncertified when the
     defining max is still attained at the window edge (K may keep growing
-    beyond the sampled horizon).
+    beyond the sampled window).
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    if half_width < 1:
+        raise ValueError("half_width must be >= 1")
     bnd = dichotomy.bound
 
     def envelope(point: BasePoint) -> float:
-        return float(envelope_along_orbit(base, bnd, point, rho, horizon)[0])
+        return float(envelope_along_orbit(base, bnd, point, rho, half_width)[0])
 
-    # One sweep of K over [-2 horizon, 2 horizon] serves D on [-horizon, horizon]
-    # and the defining terms of D(w).
-    ks_wide = _bounds_along_orbit(base, bnd, omega, -2 * horizon, 2 * horizon)
-    values = _sliding_max(ks_wide, rho, horizon)
-    origin = values[horizon]
-    offsets = np.abs(np.arange(-horizon, horizon + 1))
+    # One sweep of K over twice the half-width on each side serves D on
+    # [-half_width, half_width] and the defining terms of D(w).
+    ks_wide = _bounds_along_orbit(base, bnd, omega, -2 * half_width, 2 * half_width)
+    values = _sliding_max(ks_wide, rho, half_width)
+    origin = values[half_width]
+    offsets = np.abs(np.arange(-half_width, half_width + 1))
     violation = float(np.max(values / (origin * np.exp(rho * offsets))) - 1.0)
 
-    ks = ks_wide[horizon : 3 * horizon + 1]
+    ks = ks_wide[half_width : 3 * half_width + 1]
     decay = np.exp(-rho * offsets)
     terms = ks * decay
     interior = float(np.max(terms[1:-1]))
@@ -549,8 +533,8 @@ def build_envelope(
 
     report = EnvelopeReport(
         origin_value=float(origin),
-        dominates_bound=bool(ks[horizon] <= origin * (1 + 1e-12)),
+        dominates_bound=bool(ks[half_width] <= origin * (1 + 1e-12)),
         max_growth_violation=violation,
         boundary_certified=boundary_certified,
     )
-    return TemperedEnvelope(rho, horizon, envelope, report)
+    return TemperedEnvelope(rho, half_width, envelope, report)

@@ -24,7 +24,8 @@ An independent dense boundary-value solver assembling exactly this system is
 provided as an oracle; the sweeps must reproduce it to round-off.
 
 Every operator here takes the orbit segment it acts along, an ``OrbitCache``
-with dichotomy data, as its first argument.
+with dichotomy data, as its first argument; the weighted norm truncates its
+adapted norms as that dichotomy data says.
 """
 
 from __future__ import annotations
@@ -188,20 +189,11 @@ class WeightSequence:
             )
 
 
-def weighted_norm(
-    orbit: OrbitCache,
-    seq: WindowSequence,
-    weights: WeightSequence,
-    horizon: int,
-    *,
-    allow_uncertified: bool = False,
-) -> float:
+def weighted_norm(orbit: OrbitCache, seq: WindowSequence, weights: WeightSequence) -> float:
     """sup over the window of weight(n)^{-1} |seq_n| in the adapted norm at sigma^n w."""
     if seq.window != weights.window:
         raise ValueError("window mismatch between sequence and weights")
-    stable, unstable = _adapted_norm_parts(
-        orbit, seq.window.n_min, seq.values, horizon, allow_uncertified
-    )
+    stable, unstable = _adapted_norm_parts(orbit, seq.window.n_min, seq.values)
     return float(np.max((stable + unstable) / weights.values))
 
 
@@ -314,10 +306,7 @@ def green_norm_bound_check(
     weights: WeightSequence,
     epsilon: float,
     trials: int,
-    horizon: int,
     rng: np.random.Generator,
-    *,
-    allow_uncertified: bool = False,
 ) -> NormBoundReport:
     """Check |Gz| <= (1+e^{-eps})/(1-e^{-eps}) |z| in the weighted norm.
 
@@ -334,16 +323,10 @@ def green_norm_bound_check(
     for _ in range(trials):
         raw = rng.standard_normal((win.length, orbit.dim))
         z = WindowSequence(win, raw)
-        zn = weighted_norm(
-            orbit, seq=z, weights=weights, horizon=horizon,
-            allow_uncertified=allow_uncertified,
-        )
+        zn = weighted_norm(orbit, seq=z, weights=weights)
         if zn == 0.0:
             continue
         w = green_apply(orbit, z=z)
-        wn = weighted_norm(
-            orbit, seq=w, weights=weights, horizon=horizon,
-            allow_uncertified=allow_uncertified,
-        )
+        wn = weighted_norm(orbit, seq=w, weights=weights)
         worst = max(worst, wn / zn)
     return NormBoundReport(bound, worst, trials, worst <= bound + _NORM_BOUND_SLACK)

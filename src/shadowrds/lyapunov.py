@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cocycle import OrbitCache
+from .cocycle import MAX_STEPS, OrbitCache
 from .green import Window, WindowSequence
 from .scenarios import Scenario
 from .shadowing import (
@@ -30,6 +30,7 @@ from .shadowing import (
     Perturbation,
     ShadowingProblem,
     ShadowingResult,
+    _defect_allowance,
     invert_step,
     nonlinear_orbit,
     solve,
@@ -75,12 +76,19 @@ def _positive_qr(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * s, r * s[:, None]
 
 
+def _check_steps(steps: int) -> None:
+    """Reject a sweep longer than MAX_STEPS before its per-step arrays are allocated."""
+    if steps > MAX_STEPS:
+        raise ValueError(f"steps = {steps} exceeds the limit of {MAX_STEPS}")
+
+
 def _qr_sweep(orbit: OrbitCache, indices: range) -> tuple[np.ndarray, np.ndarray]:
     """Repeated QR of the matrices at ``indices``, starting from the identity.
 
     Returns the last orthonormal factor and the running sums of the log R
     diagonals: row k holds the sum over the first k + 1 factorizations.
     """
+    _check_steps(len(indices))
     q = np.eye(orbit.dim)
     logs = np.empty((len(indices), orbit.dim))
     for k, n in enumerate(indices):
@@ -149,6 +157,7 @@ def _orbit_log_norms(
     steps: int,
 ) -> np.ndarray:
     """log |orbit| after 1..steps applications of F (or F^{-1})."""
+    _check_steps(steps)
     x = np.asarray(x, dtype=float)
     norm = float(np.linalg.norm(x))
     if norm == 0.0:
@@ -259,16 +268,14 @@ def find_special_point(
     if pert.bound is None:
         raise ValueError("perturbation must declare a uniform bound")
     win = prob.window
-    allowed = min(
-        prob.weights.value_at(n) / (4.0 * prob.orbit.bound(n)) for n in win.indices()
-    )
+    allowed = 0.5 * float(np.min(_defect_allowance(prob.orbit, prob.weights)))
     if pert.bound > allowed * (1 + 1e-12):
         raise ValueError(
             f"perturbation bound {pert.bound:.3e} exceeds delta/(4K) = {allowed:.3e}"
         )
     zero_prob = replace(
         prob,
-        pseudo_orbit=WindowSequence.zeros(win, prob.cocycle.dim),
+        pseudo_orbit=WindowSequence.zeros(win, prob.orbit.dim),
         weights=prob.weights.scaled(0.5),
     )
     res = solve(zero_prob, tol=tol, max_iter=_SPECIAL_MAX_ITER)

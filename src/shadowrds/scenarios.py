@@ -2,8 +2,10 @@
 
 Each scenario packages a driving system, a generator with analytically known
 projectors and bounds, a perturbation built to satisfy the Lipschitz
-condition by construction, and default weights, epsilon, and truncation
-horizon.  Scenarios are validated by a self-test when the registry is built.
+condition by construction, and default weights and epsilon.  The adapted-norm
+truncation horizon, and the consent to truncate uncertified where the margin
+is zero, belong to each scenario's dichotomy data.  Scenarios are validated
+by a self-test when the registry is built.
 
 uniform-diag       diag(1/2, 2) over an irrational rotation; K = 1 and the
                    contraction rate log 2 is exactly attained, so the margin
@@ -87,8 +89,6 @@ class Scenario:
     epsilon: float
     weight_kind: str
     base_point: BasePoint
-    horizon: int
-    allow_uncertified_truncation: bool = False
     weight_scale: float = 1.0
     layering: NonuniformLayering | None = None
     notes: str = ""
@@ -122,19 +122,16 @@ class Scenario:
         pseudo_orbit: WindowSequence,
         weights: WeightSequence | None = None,
     ) -> ShadowingProblem:
-        """The shadowing problem of a pseudo-orbit at the scenario's base point."""
+        """The shadowing problem of a pseudo-orbit along a new orbit segment
+        through the scenario's base point."""
         if weights is None:
             weights = self.default_weights(pseudo_orbit.window)
         return ShadowingProblem(
-            cocycle=self.cocycle,
-            dichotomy=self.dichotomy,
+            orbit=self.orbit(),
             perturbation=self.perturbation,
-            omega=self.base_point,
             pseudo_orbit=pseudo_orbit,
             weights=weights,
             epsilon=self.epsilon,
-            horizon=self.horizon,
-            allow_uncertified_truncation=self.allow_uncertified_truncation,
         )
 
 
@@ -158,6 +155,8 @@ def _uniform_diag() -> Scenario:
         rate=math.log(2.0),
         margin=0.0,
         bound=lambda point: 1.0,
+        horizon=8,
+        allow_uncertified=True,
     )
     budget = 0.05
 
@@ -175,8 +174,6 @@ def _uniform_diag() -> Scenario:
         epsilon=math.log(2.0),
         weight_kind="constant",
         base_point=RotationPoint.from_angle(0.2),
-        horizon=8,
-        allow_uncertified_truncation=True,
         notes="constant diagonal hyperbolic cocycle, rate exactly log 2",
     )
 
@@ -203,6 +200,7 @@ def _uniform_rot_coupled() -> Scenario:
         rate=0.6,
         margin=0.2,
         bound=lambda point: 1.0,
+        horizon=48,
     )
     budget = 0.04
 
@@ -220,7 +218,6 @@ def _uniform_rot_coupled() -> Scenario:
         epsilon=0.45,
         weight_kind="exponential",
         base_point=RotationPoint.from_angle(0.35),
-        horizon=48,
         notes="rotation-conjugated splitting, declared rate below the true one",
     )
 
@@ -236,7 +233,7 @@ def _nonuniform_layered() -> Scenario:
     beta = 1.2
     rho = 0.1
     scan_limit = 400
-    envelope_horizon = 100
+    envelope_half_width = 100
 
     def exponent(point: BasePoint) -> float:
         return beta * symbol_at(base, point) / 2.0
@@ -261,10 +258,11 @@ def _nonuniform_layered() -> Scenario:
         rate=rate,
         margin=margin,
         bound=bound,
+        horizon=48,
     )
 
     anchor = ShiftPoint(20240915, 0)
-    envelope = build_envelope(base, dich, anchor, rho, envelope_horizon)
+    envelope = build_envelope(base, dich, anchor, rho, envelope_half_width)
 
     # Deterministic level threshold: the 70th percentile of the envelope over
     # a fixed sample, so the good set has probability well above zero.
@@ -305,7 +303,6 @@ def _nonuniform_layered() -> Scenario:
         epsilon=0.5,
         weight_kind="polynomial",
         base_point=anchor,
-        horizon=48,
         layering=layering,
         notes="symbol-dependent bound with layered perturbation strengths",
     )
@@ -326,6 +323,8 @@ def _remark_scalar() -> Scenario:
         rate=math.log(2.0),
         margin=0.0,
         bound=lambda point: 1.0,
+        horizon=8,
+        allow_uncertified=True,
     )
 
     def f(point: BasePoint, x: np.ndarray) -> np.ndarray:
@@ -345,8 +344,6 @@ def _remark_scalar() -> Scenario:
         epsilon=math.log(2.0),
         weight_kind="constant",
         base_point=anchor,
-        horizon=8,
-        allow_uncertified_truncation=True,
         notes="scalar contraction with a constant kick on one forward orbit",
     )
 

@@ -18,22 +18,24 @@ The iteration starts at z = 0 (the centre of the invariant ball of radius L)
 and stops on the a-posteriori contraction estimate
 |z^k - z*| <= q/(1-q) |z^k - z^{k-1}|.
 
-A problem owns its orbit segment, ``ShadowingProblem.orbit``: one
-``OrbitCache`` built on first use, shared by every function of the problem
+A problem is an orbit segment plus a pseudo-orbit: ``ShadowingProblem.orbit``
+is the ``OrbitCache`` of the system, base point and dichotomy (with its
+adapted-norm truncation), a field shared by every function of the problem
 and passed as the orbit argument of the Green operator and the weighted
-norm.  ``nonlinear_orbit`` takes the orbit segment to step along directly.
+norm.  ``dataclasses.replace`` keeps it, which is sound because the segment
+is a pure memo of its (system, point, dichotomy).  ``nonlinear_orbit`` takes
+the orbit segment to step along directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .cocycle import CocycleSystem, DichotomyData, OrbitCache, _adapted_norm_parts
+from .cocycle import OrbitCache, _adapted_norm_parts
 from .driving import BasePoint
 from .green import (
     WeightSequence,
@@ -139,28 +141,24 @@ def iteration_bound(shadow_bound: float, contraction: float, tol: float) -> int:
 
 @dataclass(frozen=True)
 class ShadowingProblem:
-    """A pseudo-orbit together with everything needed to shadow it."""
+    """A pseudo-orbit along an orbit segment with dichotomy data, and the
+    perturbation, weights and epsilon needed to shadow it."""
 
-    cocycle: CocycleSystem
-    dichotomy: DichotomyData
+    orbit: OrbitCache
     perturbation: Perturbation
-    omega: BasePoint
     pseudo_orbit: WindowSequence
     weights: WeightSequence
     epsilon: float
-    horizon: int = 48
-    allow_uncertified_truncation: bool = False
 
     def __post_init__(self) -> None:
+        rate = self.orbit.require_dichotomy().rate
         if self.pseudo_orbit.window != self.weights.window:
             raise ValueError("pseudo-orbit and weights must share a window")
-        if self.pseudo_orbit.dim != self.cocycle.dim:
+        if self.pseudo_orbit.dim != self.orbit.dim:
             raise ValueError("pseudo-orbit dimension must match the cocycle")
-        self.weights.require_admissible(
-            math.exp(self.dichotomy.rate - self.epsilon)
-        )
+        self.weights.require_admissible(math.exp(rate - self.epsilon))
         # Raises ContractionError when q >= 1.
-        shadow_constant(self.dichotomy.rate, self.epsilon, self.perturbation.lipschitz_budget)
+        shadow_constant(rate, self.epsilon, self.perturbation.lipschitz_budget)
 
     @property
     def window(self) -> Window:
@@ -170,13 +168,8 @@ class ShadowingProblem:
     def constants(self) -> tuple[float, float]:
         """(L, q) for this problem's rate, epsilon, and budget."""
         return shadow_constant(
-            self.dichotomy.rate, self.epsilon, self.perturbation.lipschitz_budget
+            self.orbit.dichotomy.rate, self.epsilon, self.perturbation.lipschitz_budget
         )
-
-    @cached_property
-    def orbit(self) -> OrbitCache:
-        """The problem's orbit segment, built on first use; ``replace`` starts a new one."""
-        return OrbitCache(self.cocycle, self.omega, self.dichotomy)
 
 
 def nonlinear_step(prob: ShadowingProblem, n: int, x: np.ndarray) -> np.ndarray:
@@ -226,14 +219,19 @@ class DefectReport:
         return float(np.max(self.norms)) if self.norms.size else 0.0
 
 
+def _defect_allowance(orbit: OrbitCache, weights: WeightSequence) -> np.ndarray:
+    """delta(n) / (2 K(sigma^n w)) at every index n of the weights' window."""
+    bounds = np.array([orbit.bound(n) for n in weights.window.indices()])
+    return weights.values / (2.0 * bounds)
+
+
 def defect(prob: ShadowingProblem) -> DefectReport:
     """Defect sequence y_n - F_{sigma^{n-1} w}(y_{n-1}) with admissibility flags."""
     win = prob.window
     y = prob.pseudo_orbit.values
     linear, kicks = _window_steps(prob, y)
     values = y[1:] - (linear + kicks)
-    bounds = np.array([prob.orbit.bound(n) for n in range(win.n_min + 1, win.n_max + 1)])
-    allowed = prob.weights.values[1:] / (2.0 * bounds)
+    allowed = _defect_allowance(prob.orbit, prob.weights)[1:]
     norms = np.linalg.norm(values, axis=1)
     within = norms <= allowed * (1 + 1e-12)
     return DefectReport(win, values, norms, allowed, within, bool(np.all(within)))
@@ -297,10 +295,7 @@ def solve(prob: ShadowingProblem, tol: float = 1e-10, max_iter: int = 200) -> Sh
     shadow_bound, q = prob.constants
 
     def wnorm(seq: WindowSequence) -> float:
-        return weighted_norm(
-            prob.orbit, seq=seq, weights=prob.weights, horizon=prob.horizon,
-            allow_uncertified=prob.allow_uncertified_truncation,
-        )
+        return weighted_norm(prob.orbit, seq=seq, weights=prob.weights)
 
     defect_report = defect(prob)
     z = WindowSequence.zeros(prob.window, prob.pseudo_orbit.dim)
@@ -400,8 +395,7 @@ def check_uniqueness(
             )
     shadow_bound = prob.constants[0]
     stable, unstable = _adapted_norm_parts(
-        prob.orbit, win.n_min, orbit1.values - orbit2.values, prob.horizon,
-        prob.allow_uncertified_truncation,
+        prob.orbit, win.n_min, orbit1.values - orbit2.values
     )
     gaps = stable + unstable
     max_adapted = float(np.max(gaps))

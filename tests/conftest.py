@@ -1,9 +1,15 @@
 import math
+import os
 
-import numpy as np
-import pytest
+# Multi-threaded BLAS makes wall-clock gates flaky on a loaded machine; pin it
+# to one thread, as the benchmark does, before numpy is first imported.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from shadowrds import (
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from shadowrds import (  # noqa: E402
     CocycleSystem,
     DichotomyData,
     IrrationalRotation,
@@ -47,6 +53,7 @@ def coupled_block_scenario() -> Scenario:
         rate=0.4,
         margin=0.11,
         bound=lambda point: 1.0,
+        horizon=48,
     )
     budget = 0.02
 
@@ -66,7 +73,6 @@ def coupled_block_scenario() -> Scenario:
         epsilon=0.4,
         weight_kind="constant",
         base_point=RotationPoint.from_angle(0.57),
-        horizon=48,
         notes="4-dimensional block-rotation test cocycle",
     )
 

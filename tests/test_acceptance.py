@@ -125,8 +125,7 @@ def test_criterion_03_norm_bound(all_scenarios):
             else:
                 weights = make_weight(kind, window)
             rep = green_norm_bound_check(
-                sc.orbit(), weights, sc.epsilon, 100, sc.horizon, np.random.default_rng(104),
-                allow_uncertified=sc.allow_uncertified_truncation,
+                sc.orbit(), weights, sc.epsilon, 100, np.random.default_rng(104)
             )
             ok = ok and rep.passed
             assert rep.passed, (
@@ -149,7 +148,7 @@ def test_criterion_04_contraction_of_iteration_map(scenarios):
     rng = np.random.default_rng(106)
 
     def wnorm(seq):
-        return weighted_norm(prob.orbit, seq, weights, prob.horizon, allow_uncertified=True)
+        return weighted_norm(prob.orbit, seq, weights)
 
     def apply_t(z):
         return green_apply(prob.orbit, source_term(prob, z))

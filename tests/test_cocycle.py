@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ def _scalar_half():
         rate=math.log(2.0),
         margin=0.0,
         bound=lambda p: 1.0,
+        horizon=8,
+        allow_uncertified=True,
     )
     return cocycle, dich, RotationPoint.from_angle(0.1)
 
@@ -44,6 +47,8 @@ def _diag_half_two():
         rate=math.log(2.0),
         margin=0.0,
         bound=lambda p: 1.0,
+        horizon=12,
+        allow_uncertified=True,
     )
     return cocycle, dich, RotationPoint.from_angle(0.3)
 
@@ -96,34 +101,45 @@ def test_singular_generator_rejected():
 
 def test_adapted_norm_zero_vector():
     cocycle, dich, p = _scalar_half()
-    res = adapted_norm(OrbitCache(cocycle, p, dich), np.zeros(1), 8, allow_uncertified=True)
+    res = adapted_norm(OrbitCache(cocycle, p, dich), np.zeros(1))
     assert res.value == 0.0
 
 
 def test_adapted_norm_scalar_exact_cancellation():
     # A = 1/2, projector identity, rate log 2: every sup term equals |x|.
     cocycle, dich, p = _scalar_half()
-    res = adapted_norm(
-        OrbitCache(cocycle, p, dich), np.array([1.0]), 8, allow_uncertified=True
-    )
+    res = adapted_norm(OrbitCache(cocycle, p, dich), np.array([1.0]))
     assert res.value == pytest.approx(1.0, abs=1e-14)
 
 
 def test_adapted_norm_requires_margin_or_override():
     cocycle, dich, p = _scalar_half()
     with pytest.raises(UncertifiedTruncationError):
-        adapted_norm(OrbitCache(cocycle, p, dich), np.array([1.0]), 8)
+        adapted_norm(
+            OrbitCache(cocycle, p, replace(dich, allow_uncertified=False)), np.array([1.0])
+        )
+
+
+def test_dichotomy_rejects_a_horizon_below_one():
+    _, dich, _ = _scalar_half()
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        replace(dich, horizon=0)
+
+
+def _with_horizon(sc, horizon):
+    """A new orbit segment of the scenario, its adapted norms truncated at ``horizon``."""
+    return OrbitCache(sc.cocycle, sc.base_point, replace(sc.dichotomy, horizon=horizon))
 
 
 def test_adapted_norm_extended_horizon_oracle(scenarios):
     # Brute-force sup over 10x the horizon agrees within the reported tail.
     sc = scenarios["uniform-rot-coupled"]
-    orbit = sc.orbit()
+    short_orbit, long_orbit = _with_horizon(sc, 12), _with_horizon(sc, 120)
     rng = np.random.default_rng(8)
     for _ in range(25):
         x = rng.standard_normal(2)
-        short = adapted_norm(orbit, x, 12)
-        long = adapted_norm(orbit, x, 120)
+        short = adapted_norm(short_orbit, x)
+        long = adapted_norm(long_orbit, x)
         assert long.value >= short.value - 1e-12
         assert long.value <= short.value + short.tail + 1e-12
 
@@ -133,17 +149,17 @@ def test_adapted_norm_diag_extended_horizon(scenarios):
     rng = np.random.default_rng(9)
     for _ in range(25):
         x = rng.standard_normal(2)
-        short = adapted_norm(sc.orbit(), x, 8, allow_uncertified=True)
-        long = adapted_norm(sc.orbit(), x, 80, allow_uncertified=True)
+        short = adapted_norm(_with_horizon(sc, 8), x)
+        long = adapted_norm(_with_horizon(sc, 80), x)
         assert long.value == pytest.approx(short.value, abs=1e-12)
 
 
 def test_norm_equivalence_zero_and_scalar():
     cocycle, dich, p = _scalar_half()
     orbit = OrbitCache(cocycle, p, dich)
-    rep = check_norm_equivalence(orbit, np.zeros(1), 8, allow_uncertified=True)
+    rep = check_norm_equivalence(orbit, np.zeros(1))
     assert rep.passed and rep.plain == 0.0 and rep.adapted.value == 0.0
-    rep = check_norm_equivalence(orbit, np.array([1.0]), 8, allow_uncertified=True)
+    rep = check_norm_equivalence(orbit, np.array([1.0]))
     assert rep.passed
     assert (rep.plain, rep.adapted.value, rep.upper) == (1.0, 1.0, 2.0)
 
@@ -153,18 +169,16 @@ def test_norm_equivalence_sweep_diag():
     rng = np.random.default_rng(10)
     for _ in range(100):
         x = rng.standard_normal(2)
-        rep = check_norm_equivalence(
-            OrbitCache(cocycle, p, dich), x, 12, allow_uncertified=True
-        )
+        rep = check_norm_equivalence(OrbitCache(cocycle, p, dich), x)
         assert rep.passed
 
 
 def test_one_step_contraction_trivial_and_scalar():
     cocycle, dich, p = _scalar_half()
     orbit = OrbitCache(cocycle, p, dich)
-    rep = check_one_step_contraction(orbit, np.array([1.0]), 0, 8, allow_uncertified=True)
+    rep = check_one_step_contraction(orbit, np.array([1.0]), 0)
     assert rep.passed and rep.stable_margin >= 0.0
-    rep = check_one_step_contraction(orbit, np.array([1.0]), 3, 8, allow_uncertified=True)
+    rep = check_one_step_contraction(orbit, np.array([1.0]), 3)
     assert rep.passed
 
 
@@ -174,15 +188,13 @@ def test_one_step_contraction_sweep_diag():
     for _ in range(50):
         x = rng.standard_normal(2)
         n = int(rng.integers(0, 11))
-        rep = check_one_step_contraction(
-            OrbitCache(cocycle, p, dich), x, n, 12, allow_uncertified=True
-        )
+        rep = check_one_step_contraction(OrbitCache(cocycle, p, dich), x, n)
         assert rep.stable_margin >= -1e-9 and rep.unstable_margin >= -1e-9
 
 
 def test_envelope_constant_bound():
     cocycle, dich, p = _scalar_half()
-    env = build_envelope(cocycle.base, dich, p, rho=0.1, horizon=50)
+    env = build_envelope(cocycle.base, dich, p, rho=0.1, half_width=50)
     assert env.bound(p) == pytest.approx(1.0)
     assert env.build_report.dominates_bound
 
@@ -203,12 +215,13 @@ def test_envelope_direct_max_oracle():
         rate=0.5,
         margin=0.1,
         bound=bound,
+        horizon=8,
     )
-    rho, horizon = 0.1, 100
-    env = build_envelope(base, dich, anchor, rho, horizon)
+    rho, half_width = 0.1, 100
+    env = build_envelope(base, dich, anchor, rho, half_width)
     terms = [
         bound(step(base, anchor, n)) * math.exp(-rho * abs(n))
-        for n in range(-horizon, horizon + 1)
+        for n in range(-half_width, half_width + 1)
     ]
     assert env.bound(anchor) == pytest.approx(max(terms), rel=1e-12)
 
@@ -226,18 +239,17 @@ def test_envelope_invariants_on_sampled_points(scenarios):
             assert env.bound(q) <= d_here * math.exp(env.rho * abs(n)) * (1 + 1e-9)
 
 
-def _reference_adapted_norm_at(cache, base_index, x, horizon, allow_uncertified):
+def _reference_adapted_norm_at(cache, base_index, x):
     """The per-vector adapted norm: one matrix-vector product per step."""
     dich = cache.dichotomy
     if dich is None:
         raise ValueError("adapted norm requires dichotomy data")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    horizon = dich.horizon
     mu = dich.margin
-    if mu <= 0 and not allow_uncertified:
+    if mu <= 0 and not dich.allow_uncertified:
         raise UncertifiedTruncationError(
             "strictness margin is zero: adapted-norm truncation cannot be"
-            " certified (pass allow_uncertified=True to override)"
+            " certified (set DichotomyData.allow_uncertified to override)"
         )
     x = np.asarray(x, dtype=float)
     growth = math.exp(dich.rate)
@@ -289,15 +301,16 @@ def test_adapted_norm_kernel_matches_per_vector_loop(
         monkeypatch.setattr(cocycle_module, "_NORM_ROWS", norm_rows)
     rng = np.random.default_rng(rows)
     for sc in list(scenarios.values()) + [block4]:
-        cache = OrbitCache(sc.cocycle, sc.base_point, sc.dichotomy)
+        dich = replace(sc.dichotomy, allow_uncertified=True)
+        cache = OrbitCache(sc.cocycle, sc.base_point, dich)
         xs = rng.standard_normal((rows, sc.cocycle.dim))
-        stable, unstable = _adapted_norm_parts(cache, n_lo, xs, sc.horizon, True)
+        stable, unstable = _adapted_norm_parts(cache, n_lo, xs)
         for i, x in enumerate(xs):
-            ref = _reference_adapted_norm_at(cache, n_lo + i, x, sc.horizon, True)
+            ref = _reference_adapted_norm_at(cache, n_lo + i, x)
             assert stable[i] == pytest.approx(ref.stable_part, rel=1e-14, abs=0.0)
             assert unstable[i] == pytest.approx(ref.unstable_part, rel=1e-14, abs=0.0)
             if rows == 1:
-                one = _adapted_norm_at(cache, n_lo + i, x, sc.horizon, True)
+                one = _adapted_norm_at(cache, n_lo + i, x)
                 assert one.certified == ref.certified
                 assert one.value == pytest.approx(ref.value, rel=1e-14, abs=0.0)
                 assert one.tail == pytest.approx(ref.tail, rel=1e-14, abs=1e-14 * ref.value)
@@ -314,24 +327,16 @@ def _raised(fn):
 def test_adapted_norm_kernel_raises_like_per_vector_loop(block4):
     sc = block4
     xs = np.ones((3, 4))
-    nonpositive = DichotomyData(
-        sc.dichotomy.projector, sc.dichotomy.rate, sc.dichotomy.margin, lambda p: 0.0
-    )
-    zero_margin = DichotomyData(
-        sc.dichotomy.projector, sc.dichotomy.rate, 0.0, sc.dichotomy.bound
-    )
     cases = [
-        (sc.dichotomy, 0, False),  # horizon < 1
-        (zero_margin, 8, False),  # uncertified truncation
-        (None, 8, False),  # no dichotomy data
-        (nonpositive, 8, False),  # K <= 0
+        replace(sc.dichotomy, horizon=8, margin=0.0),  # uncertified truncation
+        None,  # no dichotomy data
+        replace(sc.dichotomy, horizon=8, bound=lambda p: 0.0),  # K <= 0
     ]
-    for dich, horizon, allow in cases:
+    for dich in cases:
         cache = OrbitCache(sc.cocycle, sc.base_point, dich)
         ref = _raised(lambda: [
-            _reference_adapted_norm_at(cache, n, x, horizon, allow)
-            for n, x in enumerate(xs, -1)
+            _reference_adapted_norm_at(cache, n, x) for n, x in enumerate(xs, -1)
         ])
         assert ref is not None
-        assert _raised(lambda: _adapted_norm_parts(cache, -1, xs, horizon, allow)) == ref
-        assert _raised(lambda: _adapted_norm_at(cache, -1, xs[0], horizon, allow)) == ref
+        assert _raised(lambda: _adapted_norm_parts(cache, -1, xs)) == ref
+        assert _raised(lambda: _adapted_norm_at(cache, -1, xs[0])) == ref

@@ -125,6 +125,7 @@ def test_green_unstable_impulse_backward():
         rate=math.log(2.0),
         margin=0.0,
         bound=lambda p: 1.0,
+        horizon=8,
     )
     point = s.RotationPoint.from_angle(0.4)
     win = Window(-4, 4)
@@ -183,9 +184,9 @@ def test_weighted_norm_zero_and_single_term(scenarios):
     win = Window(-4, 4)
     weights = make_weight("constant", win)
     zero = WindowSequence.zeros(win, 1)
-    assert weighted_norm(sc.orbit(), zero, weights, 8, allow_uncertified=True) == 0.0
+    assert weighted_norm(sc.orbit(), zero, weights) == 0.0
     # Unit impulse: single-term sup equals the adapted norm of the unit vector.
-    val = weighted_norm(sc.orbit(), _impulse(win, 1), weights, 8, allow_uncertified=True)
+    val = weighted_norm(sc.orbit(), _impulse(win, 1), weights)
     assert val == pytest.approx(1.0, abs=1e-14)
 
 
@@ -195,12 +196,9 @@ def test_weighted_norm_dominates_each_index(scenarios):
     weights = make_weight("constant", win)
     rng = np.random.default_rng(25)
     z = WindowSequence(win, rng.standard_normal((win.length, 2)))
-    total = weighted_norm(sc.orbit(), z, weights, 8, allow_uncertified=True)
+    total = weighted_norm(sc.orbit(), z, weights)
     for n in win.indices():
-        here = adapted_norm(
-            sc.orbit(step(sc.base, sc.base_point, n)), z.value_at(n), 8,
-            allow_uncertified=True,
-        ).value
+        here = adapted_norm(sc.orbit(step(sc.base, sc.base_point, n)), z.value_at(n)).value
         assert total >= here / weights.value_at(n) - 1e-12
 
 
@@ -209,7 +207,7 @@ def test_weighted_norm_window_mismatch(scenarios):
     z = WindowSequence.zeros(Window(-3, 3), 2)
     weights = make_weight("constant", Window(-2, 2))
     with pytest.raises(ValueError):
-        weighted_norm(sc.orbit(), z, weights, 8, allow_uncertified=True)
+        weighted_norm(sc.orbit(), z, weights)
 
 
 def test_norm_bound_formula_at_log2():
@@ -223,9 +221,7 @@ def test_norm_bound_impulse_scalar(scenarios):
     win = Window(-4, 4)
     weights = make_weight("constant", win)
     rng = np.random.default_rng(26)
-    rep = green_norm_bound_check(
-        sc.orbit(), weights, sc.epsilon, 20, 8, rng, allow_uncertified=True
-    )
+    rep = green_norm_bound_check(sc.orbit(), weights, sc.epsilon, 20, rng)
     assert rep.bound == pytest.approx(3.0, rel=1e-14)
     assert rep.passed
 
@@ -241,8 +237,7 @@ def test_norm_bound_all_scenarios_and_families(scenarios, block4):
             else:
                 weights = make_weight(kind, win)
             rep = green_norm_bound_check(
-                sc.orbit(), weights, sc.epsilon, 40, sc.horizon, np.random.default_rng(27),
-                allow_uncertified=sc.allow_uncertified_truncation,
+                sc.orbit(), weights, sc.epsilon, 40, np.random.default_rng(27)
             )
             assert rep.passed, f"{sc.name}/{kind}: ratio {rep.max_ratio} > {rep.bound}"
 
@@ -253,10 +248,7 @@ def test_norm_bound_rejects_inadmissible_weights(scenarios):
     win = Window(-5, 5)
     weights = make_weight("polynomial", win)
     with pytest.raises(AdmissibilityError) as err:
-        green_norm_bound_check(
-            sc.orbit(), weights, sc.epsilon, 5, 8, np.random.default_rng(28),
-            allow_uncertified=True,
-        )
+        green_norm_bound_check(sc.orbit(), weights, sc.epsilon, 5, np.random.default_rng(28))
     assert err.value.index is not None
 
 
@@ -276,13 +268,13 @@ def test_cache_without_dichotomy_serves_dichotomy_free_calls(scenarios):
     rng = np.random.default_rng(0)
     needs_dichotomy = [
         lambda: green_apply(bare, z),
-        lambda: adapted_norm(bare, x, 8),
-        lambda: check_one_step_contraction(bare, x, 2, 8),
-        lambda: check_norm_equivalence(bare, x, 8),
-        lambda: weighted_norm(bare, z, weights, 8),
+        lambda: adapted_norm(bare, x),
+        lambda: check_one_step_contraction(bare, x, 2),
+        lambda: check_norm_equivalence(bare, x),
+        lambda: weighted_norm(bare, z, weights),
         lambda: green_residual(bare, z, z),
         lambda: dense_green_solve(bare, z),
-        lambda: green_norm_bound_check(bare, weights, sc.epsilon, 1, 8, rng),
+        lambda: green_norm_bound_check(bare, weights, sc.epsilon, 1, rng),
     ]
     for call in needs_dichotomy:
         with pytest.raises(ValueError, match="dichotomy data"):

@@ -302,6 +302,9 @@ def test_csv_float_format_full_precision(tmp_path):
         ("scenario = uniform-diag\nmax_iter = 0\n", 2),
         ("scenario = remark-scalar\nexperiment = lyapunov\nsamples = -3\n", 2),
         ("scenario = remark-scalar\nexperiment = conservation\nsamples = -3\n", 2),
+        # Above the step limit: rejected before the per-step arrays are allocated.
+        ("scenario = remark-scalar\nexperiment = lyapunov\nsteps = 1000000000000\n", 2),
+        ("scenario = remark-scalar\nexperiment = conservation\nsteps = 1000000000000\n", 2),
         ("scenario = uniform-diag\nwindow = 0\n", 0),  # length-1 window
         # The orbit reaches ~1e180: the round-off floor must stay finite.
         ("scenario = uniform-diag\nwindow = 600\n", 0),
@@ -338,6 +341,10 @@ def test_the_orbit_segment_is_the_only_orbit_argument():
             assert "cache" not in params, f"{module.__name__}.{name}"
             if "orbit" in params:
                 assert not params & {"system", "cocycle", "omega"}, f"{module.__name__}.{name}"
+            # The adapted-norm truncation is read from the orbit's dichotomy.
+            assert not params & {"horizon", "allow_uncertified"}, f"{module.__name__}.{name}"
+    fields = [f.name for f in dataclasses.fields(shadowing.ShadowingProblem)]
+    assert fields == ["orbit", "perturbation", "pseudo_orbit", "weights", "epsilon"]
 
 
 _ROOT = Path(__file__).resolve().parent.parent

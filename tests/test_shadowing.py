@@ -11,8 +11,10 @@ from shadowrds import (
     OrbitCache,
     Perturbation,
     ShadowingProblem,
+    UncertifiedTruncationError,
     Window,
     WindowSequence,
+    adapted_norm,
     check_uniqueness,
     defect,
     dense_green_solve,
@@ -28,6 +30,7 @@ from shadowrds import (
     weighted_norm,
 )
 from shadowrds.checks import noisy_pseudo_orbit
+from shadowrds.shadowing import _defect_allowance
 
 
 def _problem_from(scenario, half=8, seed=31, noise=0.5):
@@ -175,13 +178,8 @@ def test_source_term_weighted_lipschitz(scenarios):
     for _ in range(20):
         z1 = WindowSequence(prob.window, rng.standard_normal((prob.window.length, 2)))
         z2 = WindowSequence(prob.window, rng.standard_normal((prob.window.length, 2)))
-        num = weighted_norm(
-            cache, source_term(prob, z1) - source_term(prob, z2),
-            prob.weights, prob.horizon, allow_uncertified=True,
-        )
-        den = weighted_norm(
-            cache, z1 - z2, prob.weights, prob.horizon, allow_uncertified=True
-        )
+        num = weighted_norm(cache, source_term(prob, z1) - source_term(prob, z2), prob.weights)
+        den = weighted_norm(cache, z1 - z2, prob.weights)
         assert num <= factor * den + 1e-9
 
 
@@ -193,9 +191,7 @@ def test_source_norm_at_zero_below_one_under_admissible_defect(scenarios):
         prob = _problem_from(sc, seed=35)
         assert defect(prob).all_within
         src_norm = weighted_norm(
-            sc.orbit(), source_term(prob, WindowSequence.zeros(prob.window, 2)),
-            prob.weights, prob.horizon,
-            allow_uncertified=sc.allow_uncertified_truncation,
+            sc.orbit(), source_term(prob, WindowSequence.zeros(prob.window, 2)), prob.weights
         )
         assert src_norm <= 1.0 + 1e-9, name
 
@@ -271,16 +267,62 @@ def test_solve_rejects_supercritical_budget(scenarios):
     bad = Perturbation(lambda p, x: 0.5 * np.tanh(x), 0.5, bound=0.5)
     with pytest.raises(ContractionError):
         ShadowingProblem(
-            cocycle=sc.cocycle,
-            dichotomy=sc.dichotomy,
+            orbit=sc.orbit(),
             perturbation=bad,
-            omega=sc.base_point,
             pseudo_orbit=pseudo,
             weights=sc.default_weights(window),
             epsilon=sc.epsilon,
-            horizon=8,
-            allow_uncertified_truncation=True,
         )
+
+
+def test_margin_zero_without_consent_raises_everywhere(scenarios):
+    # The consent to truncate uncertified is the dichotomy's own: without it
+    # the norm, the weighted norm and the solver all refuse a zero margin.
+    sc = scenarios["uniform-diag"]
+    assert sc.dichotomy.margin == 0.0
+    strict = replace(sc, dichotomy=replace(sc.dichotomy, allow_uncertified=False))
+    window = Window.symmetric(3)
+    zero = WindowSequence.zeros(window, 2)
+    prob = strict.problem(zero)
+    calls = [
+        lambda: adapted_norm(strict.orbit(), np.array([1.0, 0.0])),
+        lambda: weighted_norm(strict.orbit(), zero, make_weight("constant", window)),
+        lambda: solve(prob),
+    ]
+    for call in calls:
+        with pytest.raises(UncertifiedTruncationError, match="allow_uncertified"):
+            call()
+
+
+def test_problem_needs_an_orbit_with_dichotomy_data(scenarios):
+    sc = scenarios["uniform-rot-coupled"]
+    window = Window.symmetric(3)
+    with pytest.raises(ValueError, match="without dichotomy data"):
+        ShadowingProblem(
+            orbit=OrbitCache(sc.cocycle, sc.base_point),
+            perturbation=sc.perturbation,
+            pseudo_orbit=WindowSequence.zeros(window, 2),
+            weights=sc.default_weights(window),
+            epsilon=sc.epsilon,
+        )
+
+
+def test_defect_allowance_matches_the_expressions_it_replaced(scenarios, block4):
+    # One helper replaces the per-index, interior and delta/(4K) forms of the
+    # allowance delta(n) / (2 K(sigma^n w)); halving is exact, so all agree bit for bit.
+    window = Window(-7, 9)
+    for sc in list(scenarios.values()) + [block4]:
+        weights = sc.default_weights(window)
+        orbit = sc.orbit()
+        allowed = _defect_allowance(orbit, weights)
+        per_index = np.array(
+            [weights.value_at(n) / (2.0 * orbit.bound(n)) for n in window.indices()]
+        )
+        assert np.array_equal(allowed, per_index), sc.name
+        bounds = np.array([orbit.bound(n) for n in range(window.n_min + 1, window.n_max + 1)])
+        assert np.array_equal(allowed[1:], weights.values[1:] / (2.0 * bounds)), sc.name
+        quarter = min(weights.value_at(n) / (4.0 * orbit.bound(n)) for n in window.indices())
+        assert 0.5 * float(np.min(allowed)) == quarter, sc.name
 
 
 def test_solve_nonconvergence_reports_last_step(scenarios):
@@ -444,7 +486,7 @@ def test_window_stepper_matches_per_index_loop(scenarios, block4, name, window):
 
 def test_solve_and_defect_share_one_orbit_cache(scenarios, monkeypatch):
     sc = scenarios["uniform-rot-coupled"]
-    prob = _problem_from(sc)
+    pseudo, weights = noisy_pseudo_orbit(sc, Window.symmetric(8), np.random.default_rng(31))
     created = []
     init = OrbitCache.__init__
 
@@ -453,8 +495,9 @@ def test_solve_and_defect_share_one_orbit_cache(scenarios, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(OrbitCache, "__init__", counting)
+    prob = sc.problem(pseudo, weights)
     solve(prob)
     defect(prob)
     assert created == [prob.orbit]
-    # A replaced problem gets an orbit segment of its own.
-    assert replace(prob, epsilon=0.4).orbit is not prob.orbit
+    # A replaced problem keeps its orbit segment.
+    assert replace(prob, epsilon=0.4).orbit is prob.orbit
