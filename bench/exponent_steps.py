@@ -1,0 +1,104 @@
+"""Per-step timings of the exponent layer: orbit fills, QR steps and lock-step walks.
+
+Run from the repository root (or with ``PYTHONPATH`` pointing at any other
+checkout's ``src`` to time that version):
+
+    PYTHONPATH=src python3 bench/exponent_steps.py > exponent_steps.json
+
+For each builtin scenario it times, over STEPS orbit indices:
+
+- ``fill_us``: one range read of the matrices on a new orbit segment (one
+  generator call per index, one stacked condition check), per index;
+- ``inverse_us``: one range read of the inverses once the matrices are held
+  (one stacked inverse), per index;
+- ``qr_us``: the repeated-QR sweep of the linear exponents on a filled
+  segment, per step;
+- ``walk_us``: the lock-step walk of the perturbed exponents on a filled
+  segment, per step of the whole block, for blocks of K_VALUES rows and both
+  directions.
+
+Each figure is the median of the timed calls, made until BUDGET_S seconds
+have passed or MAX_CALLS calls were made.  BLAS is pinned to one thread, as
+in ``perfbench``.  The result is one JSON object on stdout.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+import shadowrds  # noqa: E402
+from shadowrds.lyapunov import _orbit_log_norms, _qr_sweep  # noqa: E402
+
+STEPS = 2000
+K_VALUES = (1, 4, 8)
+MAX_CALLS = 5
+BUDGET_S = 1.0
+
+
+def _median_us(call, per: int, setup=None) -> float:
+    """Median microseconds per unit of ``call()``; ``setup()`` runs untimed before each call."""
+    times = []
+    start = time.perf_counter()
+    while len(times) < MAX_CALLS and (not times or time.perf_counter() - start < BUDGET_S):
+        arg = setup() if setup is not None else None
+        t = time.perf_counter()
+        call(arg)
+        times.append(time.perf_counter() - t)
+    return statistics.median(times) / per * 1e6
+
+
+def _scenario_row(sc) -> dict:
+    dim = sc.cocycle.dim
+    fill_us = _median_us(lambda orbit: orbit.matrices(-STEPS, 0), STEPS, setup=sc.orbit)
+
+    def filled():
+        orbit = sc.orbit()
+        orbit.matrices(-STEPS, 0)
+        return orbit
+
+    inverse_us = _median_us(lambda orbit: orbit.inverses(-STEPS, 0), STEPS, setup=filled)
+    orbit = sc.orbit()
+    orbit.matrices(0, STEPS)
+    orbit.inverses(-STEPS, 0)
+    qr_us = _median_us(lambda _: _qr_sweep(orbit, range(STEPS)), STEPS)
+    walk_us = {}
+    for direction, forward in (("forward", True), ("backward", False)):
+        walk_us[direction] = {}
+        for k in K_VALUES:
+            xs = np.random.default_rng(k).standard_normal((k, dim))
+            walk_us[direction][str(k)] = _median_us(
+                lambda _: _orbit_log_norms(sc.perturbation, orbit, xs, forward, STEPS), STEPS
+            )
+    return {
+        "scenario": sc.name,
+        "d": dim,
+        "fill_us": fill_us,
+        "inverse_us": inverse_us,
+        "qr_us": qr_us,
+        "walk_us": walk_us,
+    }
+
+
+def main() -> None:
+    rows = [_scenario_row(sc) for sc in shadowrds.builtin_scenarios()]
+    print(json.dumps({
+        "steps": STEPS,
+        "k": list(K_VALUES),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "rows": rows,
+    }, indent=2))
+
+
+if __name__ == "__main__":
+    main()

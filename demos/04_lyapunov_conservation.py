@@ -41,9 +41,9 @@ print("special point (orbit shadowing the zero sequence):",
 # --- the kicked contraction: forward and backward exponents differ -----------
 
 rs = get_scenario("remark-scalar")
-x = np.array([1.0])
-fwd = nonlinear_exponent(rs.orbit(), rs.perturbation, x, "forward", 10_000)
-bwd = nonlinear_exponent(rs.orbit(), rs.perturbation, x, "backward", 10_000)
+xs = np.array([[1.0]])  # a (k, d) block of starting points, one row here
+[fwd] = nonlinear_exponent(rs.orbit(), rs.perturbation, xs, "forward", 10_000)
+[bwd] = nonlinear_exponent(rs.orbit(), rs.perturbation, xs, "backward", 10_000)
 print(f"\nkicked contraction at x = 1: forward exponent {fwd.estimate:+.5f}"
       f" (not a linear exponent), backward {bwd.estimate:+.5f} = -log 2")
 

@@ -165,6 +165,8 @@ def check_dichotomy_bounds(scenario, rng, points: int = 3, max_n: int = 64) -> C
         k = cache.bound(0)
         fwd = cache.projector(0).copy()
         bwd = np.eye(scenario.cocycle.dim) - cache.projector(0)
+        cache.matrices(0, max_n)
+        cache.inverses(-max_n, 0)
         for n in range(1, max_n + 1):
             fwd = cache.stable_map(n - 1) @ fwd
             bwd = cache.unstable_map(-n) @ bwd
@@ -303,7 +305,7 @@ def _jitter(
     defect of an exact orbit plus this jitter within noise times its allowance.
     """
     growth = max(
-        (operator_norm(orbit.matrix(n)) for n in range(window.n_min, window.n_max)),
+        (operator_norm(m) for m in orbit.matrices(window.n_min, window.n_max)),
         default=0.0,
     ) + lipschitz
     adjacent = float(np.max(allowed[:-1] / allowed[1:])) if len(allowed) > 1 else 1.0

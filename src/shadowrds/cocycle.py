@@ -91,24 +91,36 @@ class CocycleSystem:
     generator: Callable[[BasePoint], np.ndarray]
     base: DrivingSystem
 
-    def matrix(self, point: BasePoint, index: int | None = None) -> np.ndarray:
-        """Evaluate and validate the generator at a point."""
+    def matrix(self, point: BasePoint) -> np.ndarray:
+        """Evaluate the generator at a point and check its shape.
+
+        Finiteness and conditioning are checked by ``OrbitCache`` once per
+        fill, over the whole stack of matrices it evaluated.
+        """
         m = np.asarray(self.generator(point), dtype=float)
         if m.shape != (self.dim, self.dim):
             raise ValueError(
                 f"generator returned shape {m.shape}, expected {(self.dim, self.dim)}"
             )
-        if not np.all(np.isfinite(m)):
-            raise ValueError("generator returned non-finite entries")
-        cond = np.linalg.cond(m)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            where = "" if index is None else f" at orbit index {index}"
-            raise SingularityError(
-                f"generator matrix{where} has condition number {cond:.3e}"
-                f" (limit {COND_LIMIT:.0e})",
-                index=index,
-            )
         return m
+
+
+def _check_invertible(mats: np.ndarray, ns: np.ndarray) -> None:
+    """Reject the first matrix of a stack (at orbit indices ``ns``) that is
+    non-finite or whose condition number exceeds COND_LIMIT."""
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    conds = np.linalg.cond(np.where(finite[:, None, None], mats, np.eye(mats.shape[1])))
+    bad = np.flatnonzero(~(finite & (conds <= COND_LIMIT)))
+    if bad.size:
+        i = int(bad[0])
+        if not finite[i]:
+            raise ValueError("generator returned non-finite entries")
+        n = int(ns[i])
+        raise SingularityError(
+            f"generator matrix at orbit index {n} has condition number {conds[i]:.3e}"
+            f" (limit {COND_LIMIT:.0e})",
+            index=n,
+        )
 
 
 @dataclass(frozen=True)
@@ -132,6 +144,68 @@ class DichotomyData:
             raise ValueError("horizon must be >= 1")
 
 
+#: A read that would stretch an orbit segment's matrix or inverse block past
+#: this many consecutive indices starts a new block instead.
+_SPAN_LIMIT = 4 * MAX_STEPS
+
+
+class _Block:
+    """d x d matrices by orbit index n, in one contiguous read-only array that
+    covers lo <= n < lo + len(data); ``filled`` marks the entries with a value.
+
+    The array grows at either end by at least its own length, so reads that
+    creep along the orbit one index at a time cost amortized O(1) copying.
+    """
+
+    def __init__(self, dim: int):
+        self.lo = 0
+        self.data = np.empty((0, dim, dim))
+        self.filled = np.zeros(0, dtype=bool)
+
+    def has(self, n: int) -> bool:
+        i = n - self.lo
+        return 0 <= i < len(self.filled) and bool(self.filled[i])
+
+    def missing(self, n_lo: int, n_hi: int) -> np.ndarray:
+        """Cover n_lo <= n < n_hi and return the indices there without a value."""
+        if n_hi <= n_lo:
+            return np.zeros(0, dtype=int)
+        self._cover(n_lo, n_hi)
+        i = n_lo - self.lo
+        return n_lo + np.flatnonzero(~self.filled[i : i + n_hi - n_lo])
+
+    def store(self, ns: np.ndarray, mats: np.ndarray) -> None:
+        self.data.flags.writeable = True
+        self.data[ns - self.lo] = mats
+        self.data.flags.writeable = False
+        self.filled[ns - self.lo] = True
+
+    def read(self, n_lo: int, n_hi: int) -> np.ndarray:
+        return self.data[n_lo - self.lo : n_hi - self.lo]
+
+    def _cover(self, n_lo: int, n_hi: int) -> None:
+        lo, size = self.lo, len(self.filled)
+        hi = lo + size
+        if lo <= n_lo and n_hi <= hi:
+            return
+        # Grow by the current length, within _SPAN_LIMIT; a request too far
+        # from what is held drops it and starts over at the request.
+        slack = min(size, (_SPAN_LIMIT - (max(n_hi, hi) - min(n_lo, lo))) // 2)
+        keep = size > 0 and slack >= 0
+        if keep:
+            new_lo = min(n_lo, lo - slack) if n_lo < lo else lo
+            new_hi = max(n_hi, hi + slack) if n_hi > hi else hi
+        else:
+            new_lo, new_hi = n_lo, n_hi
+        data = np.empty((new_hi - new_lo,) + self.data.shape[1:])
+        filled = np.zeros(new_hi - new_lo, dtype=bool)
+        if keep:
+            data[lo - new_lo : hi - new_lo] = self.data
+            filled[lo - new_lo : hi - new_lo] = self.filled
+        data.flags.writeable = False
+        self.lo, self.data, self.filled = new_lo, data, filled
+
+
 class OrbitCache:
     """The orbit segment sigma^n w: lazily evaluated matrices, inverses, and projectors.
 
@@ -141,8 +215,17 @@ class OrbitCache:
     dichotomy data serves every function that needs none; the others raise
     ValueError for it.
 
-    All entries are memoized by the integer orbit index n (the point
-    sigma^n w).
+    Matrices and inverses are read by index range: ``matrices(n_lo, n_hi)``
+    and ``inverses(n_lo, n_hi)`` return read-only (n_hi - n_lo, d, d) views
+    for n_lo <= n < n_hi, and ``matrix(n)`` / ``inverse(n)`` read one row.
+    A read fills only the missing entries of its range: one generator call
+    per missing point, then one stacked ``np.linalg.cond`` over the new
+    matrices (the finiteness and COND_LIMIT check; a SingularityError names
+    the lowest bad index of the fill) and, for inverses, one stacked
+    ``np.linalg.inv``.  Each is kept in one contiguous block per segment;
+    a read more than _SPAN_LIMIT indices away from a block replaces it.
+    Base points, projectors, bounds and the stable/unstable maps are
+    memoized by the integer orbit index n (the point sigma^n w).
     """
 
     def __init__(
@@ -155,8 +238,8 @@ class OrbitCache:
         self.omega = omega
         self.dichotomy = dichotomy
         self._points: dict[int, BasePoint] = {0: omega}
-        self._mats: dict[int, np.ndarray] = {}
-        self._invs: dict[int, np.ndarray] = {}
+        self._mats = _Block(system.dim)
+        self._invs = _Block(system.dim)
         self._projs: dict[int, np.ndarray] = {}
         self._bounds: dict[int, float] = {}
         self._stable_maps: dict[int, np.ndarray] = {}
@@ -173,26 +256,39 @@ class OrbitCache:
             self._points[n] = p
         return p
 
+    def matrices(self, n_lo: int, n_hi: int) -> np.ndarray:
+        """A(sigma^n w) for n_lo <= n < n_hi, as a read-only (n_hi - n_lo, d, d) view."""
+        missing = self._mats.missing(n_lo, n_hi)
+        if missing.size:
+            mats = np.empty((missing.size, self.dim, self.dim))
+            for i, n in enumerate(missing.tolist()):
+                mats[i] = self.system.matrix(self.point(n))
+            _check_invertible(mats, missing)
+            self._mats.store(missing, mats)
+        return self._mats.read(n_lo, n_hi)
+
+    def inverses(self, n_lo: int, n_hi: int) -> np.ndarray:
+        """A(sigma^n w)^{-1} for n_lo <= n < n_hi, as a read-only (n_hi - n_lo, d, d) view."""
+        missing = self._invs.missing(n_lo, n_hi)
+        if missing.size:
+            mats = self.matrices(n_lo, n_hi)
+            self._invs.store(missing, np.linalg.inv(mats[missing - n_lo]))
+        return self._invs.read(n_lo, n_hi)
+
     def matrix(self, n: int) -> np.ndarray:
-        m = self._mats.get(n)
-        if m is None:
-            m = self.system.matrix(self.point(n), index=n)
-            m.setflags(write=False)
-            self._mats[n] = m
-        return m
+        if self._mats.has(n):
+            return self._mats.data[n - self._mats.lo]
+        return self.matrices(n, n + 1)[0]
+
+    def inverse(self, n: int) -> np.ndarray:
+        if self._invs.has(n):
+            return self._invs.data[n - self._invs.lo]
+        return self.inverses(n, n + 1)[0]
 
     def apply(self, n_lo: int, xs: np.ndarray) -> np.ndarray:
         """Rows A(sigma^{n_lo + i} w) xs_i of an (m, d) array, as one batched product."""
-        mats = np.array([self.matrix(n) for n in range(n_lo, n_lo + len(xs))])
-        return np.matmul(mats.reshape(-1, self.dim, self.dim), xs[:, :, None])[:, :, 0]
-
-    def inverse(self, n: int) -> np.ndarray:
-        m = self._invs.get(n)
-        if m is None:
-            m = np.linalg.inv(self.matrix(n))
-            m.setflags(write=False)
-            self._invs[n] = m
-        return m
+        mats = self.matrices(n_lo, n_lo + len(xs))
+        return np.matmul(mats, xs[:, :, None])[:, :, 0]
 
     def require_dichotomy(self) -> DichotomyData:
         """The orbit's dichotomy data; ValueError when it was built without."""
@@ -251,12 +347,9 @@ def cocycle_eval(orbit: OrbitCache, n: int) -> np.ndarray:
     if abs(n) > MAX_STEPS:
         raise ValueError(f"cocycle step count limited to |n| <= {MAX_STEPS}")
     out = np.eye(orbit.dim)
-    if n >= 0:
-        for j in range(n):
-            out = orbit.matrix(j) @ out
-    else:
-        for k in range(1, -n + 1):
-            out = orbit.inverse(-k) @ out
+    mats = orbit.matrices(0, n) if n >= 0 else orbit.inverses(n, 0)[::-1]
+    for m in mats:
+        out = m @ out
     return out
 
 
@@ -319,6 +412,9 @@ def _adapted_norm_parts(
     for lo in range(0, m, _NORM_ROWS):
         rows = min(_NORM_ROWS, m - lo)
         n0 = n_lo + lo
+        # Fill the maps' matrices and inverses as two stacked ranges.
+        orbit.matrices(n0, n0 + rows + horizon - 1)
+        orbit.inverses(n0 - horizon, n0 + rows - 1)
         projs = np.array([orbit.projector(n) for n in range(n0, n0 + rows)])
         fwd = np.array([orbit.stable_map(j) for j in range(n0, n0 + rows + horizon - 1)])
         bwd = np.array([orbit.unstable_map(j) for j in range(n0 - horizon, n0 + rows - 1)])

@@ -35,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 from .checks import noisy_pseudo_orbit, run_invariant_suite
-from .cocycle import OrbitCache
 from .green import Window
 from .lyapunov import (
     _qr_sweep,
@@ -44,7 +43,7 @@ from .lyapunov import (
     nonlinear_exponent,
 )
 from .scenarios import Scenario, get_scenario
-from .shadowing import Perturbation, iteration_bound, solve
+from .shadowing import Perturbation, _row_norms, iteration_bound, solve
 
 __all__ = [
     "ConfigError",
@@ -178,8 +177,9 @@ def _run_shadow(cfg: ExperimentConfig, scenario: Scenario, out: Path) -> int:
     defect_norms = {n: 0.0 for n in window.indices()}
     for i, n in enumerate(range(window.n_min + 1, window.n_max + 1)):
         defect_norms[n] = float(res.defect.norms[i])
-    for n in window.indices():
-        err = float(np.linalg.norm(res.orbit.value_at(n) - pseudo.value_at(n)))
+    errs = _row_norms(res.orbit.values - pseudo.values)
+    for i, n in enumerate(window.indices()):
+        err = float(errs[i])
         bound = shadow_bound * weights.value_at(n)
         rows.append(
             [n, weights.value_at(n), defect_norms[n], err, bound, err <= bound + 1e-9]
@@ -232,25 +232,22 @@ def _run_lyapunov(cfg: ExperimentConfig, scenario: Scenario, out: Path) -> int:
     if cfg.samples < 0:
         raise ValueError("samples must be nonnegative")
     rng = np.random.default_rng(cfg.seed)
-    xs = [rng.standard_normal(scenario.cocycle.dim) for _ in range(cfg.samples)]
-
-    def exponents(direction: str, orbit: OrbitCache) -> list:
-        return [
-            nonlinear_exponent(orbit, scenario.perturbation, x, direction, steps=cfg.steps)
-            for x in xs
-        ]
+    dim = scenario.cocycle.dim
+    xs = np.array([rng.standard_normal(dim) for _ in range(cfg.samples)]).reshape(-1, dim)
 
     # One QR sweep gives the exponents at N and, for the convergence column,
-    # at N // 2.  One orbit per direction: the forward walks share the orbit's
-    # matrices, the backward walks its inverses.  Dropping the first before
-    # filling the second keeps only one orbit's worth of entries alive at a time.
+    # at N // 2.  One orbit per direction, walked by all samples together: the
+    # forward walk reads the orbit's matrices, the backward walk its inverses.
+    # Dropping the first orbit before filling the second keeps only one
+    # orbit's worth of entries alive at a time.
     orbit = scenario.orbit()
     _, sums = _qr_sweep(orbit, range(cfg.steps))
     lin = _sorted_exponents(sums, cfg.steps)
     half = _sorted_exponents(sums, cfg.steps // 2)
-    fwds = exponents("forward", orbit)
+    pert = scenario.perturbation
+    fwds = nonlinear_exponent(orbit, pert, xs, "forward", steps=cfg.steps)
     del orbit
-    bwds = exponents("backward", scenario.orbit())
+    bwds = nonlinear_exponent(scenario.orbit(), pert, xs, "backward", steps=cfg.steps)
     rows = [
         ["linear-" + str(i), "qr", cfg.steps, float(ex), float(abs(ex - half[i]))]
         for i, ex in enumerate(lin)

@@ -215,6 +215,7 @@ def green_apply(orbit: OrbitCache, z: WindowSequence) -> WindowSequence:
     docstring of the cocycle module).
     """
     win = z.window
+    orbit.inverses(win.n_min, win.n_max)  # every matrix and inverse of both sweeps
     projs = np.stack([orbit.projector(n) for n in win.indices()])
     pz = np.matmul(projs, z.values[:, :, None])[:, :, 0]
     qz = z.values - pz
@@ -273,11 +274,12 @@ def dense_green_solve(orbit: OrbitCache, z: WindowSequence) -> WindowSequence:
     mat = np.zeros((rows, size))
     rhs = np.zeros(rows)
     eye = np.eye(d)
+    mats = orbit.matrices(win.n_min, win.n_max)
     r = 0
     for n in range(win.n_min + 1, win.n_max + 1):
         i, j = win.offset(n), win.offset(n - 1)
         mat[r : r + d, i * d : (i + 1) * d] = eye
-        mat[r : r + d, j * d : (j + 1) * d] = -orbit.matrix(n - 1)
+        mat[r : r + d, j * d : (j + 1) * d] = -mats[j]
         rhs[r : r + d] = z.value_at(n)
         r += d
     p_lo = orbit.projector(win.n_min)

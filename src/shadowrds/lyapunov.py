@@ -13,6 +13,13 @@ bounded perturbation changes the log of the norm by less than
 |f|_inf * |A^{-1}| / 1e30 < 1e-28 per step, far below the resolution of the
 estimate, so the linearized step is exact at working precision.  Orbits of
 moderate size are always stepped exactly, perturbation included.
+
+The sampled orbits of one direction share the base orbit, so
+``nonlinear_exponent`` walks a (k, d) block of starting points in lock-step:
+each step is one batched product over the rows (one batched ``invert_step``
+backward), and each row switches between the plain and the scaled
+representation on its own, through a per-row flag.  Every row is bit for bit
+the orbit it would trace when walked alone.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .shadowing import (
     ShadowingProblem,
     ShadowingResult,
     _defect_allowance,
+    _row_norms,
     invert_step,
     nonlinear_orbit,
     solve,
@@ -83,7 +91,7 @@ def _check_steps(steps: int) -> None:
 
 
 def _qr_sweep(orbit: OrbitCache, indices: range) -> tuple[np.ndarray, np.ndarray]:
-    """Repeated QR of the matrices at ``indices``, starting from the identity.
+    """Repeated QR of the matrices at the unit-step ``indices``, starting from the identity.
 
     Returns the last orthonormal factor and the running sums of the log R
     diagonals: row k holds the sum over the first k + 1 factorizations.
@@ -91,8 +99,8 @@ def _qr_sweep(orbit: OrbitCache, indices: range) -> tuple[np.ndarray, np.ndarray
     _check_steps(len(indices))
     q = np.eye(orbit.dim)
     logs = np.empty((len(indices), orbit.dim))
-    for k, n in enumerate(indices):
-        q, r = _positive_qr(orbit.matrix(n) @ q)
+    for k, m in enumerate(orbit.matrices(indices.start, indices.stop)):
+        q, r = _positive_qr(m @ q)
         logs[k] = np.log(np.diagonal(r))
     return q, np.cumsum(logs, axis=0)
 
@@ -152,93 +160,132 @@ class NonlinearExponent:
 def _orbit_log_norms(
     perturbation: Perturbation,
     orbit: OrbitCache,
-    x: np.ndarray,
+    xs: np.ndarray,
     forward: bool,
     steps: int,
 ) -> np.ndarray:
-    """log |orbit| after 1..steps applications of F (or F^{-1})."""
+    """log |orbit| of each row of xs after 1..steps applications of F (or
+    F^{-1}), all rows walked in lock-step; shape (steps, k).
+
+    Each row is plain (``vec``, stepped exactly) or scaled (``unit`` and
+    ``lognorm``, stepped linearly); a pure linear map starts every row
+    scaled.  Steps with every row scaled take a fast path without masks.
+    Per-row logs use math.log, whose last bit np.log does not always match.
+    """
     _check_steps(steps)
-    x = np.asarray(x, dtype=float)
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0:
+    xs = np.asarray(xs, dtype=float)
+    k = len(xs)
+    norms = _row_norms(xs)
+    if not norms.all():
         raise DegenerateOrbitError("starting point has zero norm")
     pure_linear = perturbation.bound == 0.0
-    scaled = pure_linear
-    if scaled:
-        unit, lognorm = x / norm, math.log(norm)
-        vec = None
-    else:
-        vec, unit, lognorm = x, None, 0.0
+    mats = orbit.matrices(0, steps) if forward else orbit.inverses(-steps, 0)[::-1]
+    log_low = math.log(_BIG_NORM) - 2.0
+    scaled = [pure_linear] * k
+    plain_count = 0 if pure_linear else k
+    vec = xs.copy()
+    unit = xs / norms[:, None]
+    lognorm = [math.log(v) for v in norms.tolist()]
+    logs = np.empty((steps, k))
 
-    logs = np.empty(steps)
+    def unscale(rows) -> int:
+        """Switch the scaled rows that fell below _BIG_NORM / e^2 back to plain."""
+        count = 0
+        for i in rows:
+            if lognorm[i] < log_low:
+                vec[i] = unit[i] * math.exp(lognorm[i])
+                scaled[i] = False
+                count += 1
+        return count
+
     for n in range(steps):
-        time_index = n if forward else -(n + 1)
-        if not scaled:
-            if forward:
-                vec = orbit.matrix(time_index) @ vec + perturbation(
-                    orbit.point(time_index), vec
-                )
-            else:
-                vec = invert_step(
-                    orbit.inverse(time_index), perturbation, orbit.point(time_index),
-                    vec, tol=_INVERSION_TOL,
-                )
-            norm = float(np.linalg.norm(vec))
-            if norm == 0.0:
-                raise DegenerateOrbitError(
-                    f"orbit norm vanished after {n + 1} steps"
-                )
-            logs[n] = math.log(norm)
-            if norm > _BIG_NORM:
-                unit, lognorm = vec / norm, math.log(norm)
-                scaled = True
-        else:
-            m = orbit.matrix(time_index) if forward else orbit.inverse(time_index)
-            w = m @ unit
-            growth = float(np.linalg.norm(w))
-            if growth == 0.0:
+        m = mats[n]
+        if not plain_count:
+            w = np.matmul(m, unit[:, :, None])[:, :, 0]
+            growth = _row_norms(w)
+            gl = growth.tolist()
+            if 0.0 in gl:
                 raise DegenerateOrbitError("scaled orbit direction collapsed")
-            lognorm += math.log(growth)
-            unit = w / growth
+            lognorm = [a + math.log(g) for a, g in zip(lognorm, gl)]
+            unit = w / growth[:, None]
             logs[n] = lognorm
-            if not pure_linear and lognorm < math.log(_BIG_NORM) - 2.0:
-                vec = unit * math.exp(lognorm)
-                scaled = False
+            if not pure_linear and min(lognorm) < log_low:
+                plain_count = unscale(range(k))
+            continue
+        plain = [i for i in range(k) if not scaled[i]]
+        x = vec[plain]
+        point = orbit.point(n if forward else -(n + 1))
+        if forward:
+            new = np.matmul(m, x[:, :, None])[:, :, 0] + perturbation(point, x)
+        else:
+            new = invert_step(m, perturbation, point, x, tol=_INVERSION_TOL)
+        nl = _row_norms(new).tolist()
+        if 0.0 in nl:
+            raise DegenerateOrbitError(f"orbit norm vanished after {n + 1} steps")
+        plain_logs = [math.log(v) for v in nl]
+        vec[plain] = new
+        logs[n, plain] = plain_logs
+        rows = [i for i in range(k) if scaled[i]]
+        if rows:
+            w = np.matmul(m, unit[rows][:, :, None])[:, :, 0]
+            gl = _row_norms(w).tolist()
+            if 0.0 in gl:
+                raise DegenerateOrbitError("scaled orbit direction collapsed")
+            for j, i in enumerate(rows):
+                lognorm[i] += math.log(gl[j])
+                unit[i] = w[j] / gl[j]
+                logs[n, i] = lognorm[i]
+            plain_count += unscale(rows)
+        for j, i in enumerate(plain):
+            if nl[j] > _BIG_NORM:
+                unit[i] = new[j] / nl[j]
+                lognorm[i] = plain_logs[j]
+                scaled[i] = True
+                plain_count -= 1
     return logs
 
 
 def nonlinear_exponent(
     orbit: OrbitCache,
     perturbation: Perturbation,
-    x: np.ndarray,
+    xs: np.ndarray,
     direction: str,
     steps: int,
-) -> NonlinearExponent:
-    """Forward or backward growth exponent of the perturbed orbit through x."""
+) -> list[NonlinearExponent]:
+    """Forward or backward growth exponents of the perturbed orbits through
+    the rows of the (k, d) block xs, one per row, walked together."""
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     if steps < 4:
         raise ValueError("steps must be at least 4")
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != orbit.dim:
+        raise ValueError(f"xs must be a (k, {orbit.dim}) block of starting points")
+    if not len(xs):
+        return []
     forward = direction == "forward"
-    logs = _orbit_log_norms(perturbation, orbit, x, forward, steps)
+    walks = _orbit_log_norms(perturbation, orbit, xs, forward, steps)
     ns = np.arange(1, steps + 1)
     signed = ns if forward else -ns
-    values = logs / signed
     tail = slice(math.ceil(steps / 2) - 1, steps)
-    est = float(np.max(values[tail]))
-    low = float(np.min(values[tail]))
-    fit = np.polyfit(ns[tail], logs[tail], 1)
-    resid = logs[tail] - np.polyval(fit, ns[tail])
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return NonlinearExponent(
-        direction=direction,
-        steps=steps,
-        estimate=est,
-        tail_min=low,
-        converged=(est - low) <= _CONVERGENCE_SPREAD,
-        regression_residual=rms,
-        values=np.column_stack([ns, values]),
-    )
+    results = []
+    for logs in walks.T:
+        values = logs / signed
+        est = float(np.max(values[tail]))
+        low = float(np.min(values[tail]))
+        fit = np.polyfit(ns[tail], logs[tail], 1)
+        resid = logs[tail] - np.polyval(fit, ns[tail])
+        rms = float(np.sqrt(np.mean(resid**2)))
+        results.append(NonlinearExponent(
+            direction=direction,
+            steps=steps,
+            estimate=est,
+            tail_min=low,
+            converged=(est - low) <= _CONVERGENCE_SPREAD,
+            regression_residual=rms,
+            values=np.column_stack([ns, values]),
+        ))
+    return results
 
 
 @dataclass(frozen=True)
@@ -279,8 +326,7 @@ def find_special_point(
         weights=prob.weights.scaled(0.5),
     )
     res = solve(zero_prob, tol=tol, max_iter=_SPECIAL_MAX_ITER)
-    norms = np.array([np.linalg.norm(v) for v in res.orbit.values])
-    margins = res.shadow_bound * zero_prob.weights.values - norms
+    margins = res.shadow_bound * zero_prob.weights.values - _row_norms(res.orbit.values)
     return SpecialPointResult(
         point=res.orbit.value_at(0).copy(),
         orbit=res.orbit,
@@ -360,8 +406,8 @@ def conservation_experiment(
         start = res.orbit.value_at(0)
         direction = "forward" if target > 0 else "backward"
         measured = nonlinear_exponent(
-            orbit, scenario.perturbation, start, direction, steps=steps
-        ).estimate
+            orbit, scenario.perturbation, start[None], direction, steps=steps
+        )[0].estimate
         gap = float(abs(measured - target))
         forward_rows.append(
             ForwardConservationRow(i, float(target), direction, measured, gap,
@@ -373,18 +419,20 @@ def conservation_experiment(
         tol=solver_tol,
     )
 
-    converse_rows = []
+    # Every sample point is drawn before the walks; each direction walks all
+    # of them together.
+    xs = np.empty((sample_count, dim))
     for s in range(sample_count):
         while True:
             x = rng.standard_normal(dim)
             if np.linalg.norm(x - special.point) > 0.1:
                 break
-        fwd = nonlinear_exponent(
-            orbit, scenario.perturbation, x, "forward", steps=steps
-        ).estimate
-        bwd = nonlinear_exponent(
-            orbit, scenario.perturbation, x, "backward", steps=steps
-        ).estimate
+        xs[s] = x
+    fwds = nonlinear_exponent(orbit, scenario.perturbation, xs, "forward", steps=steps)
+    bwds = nonlinear_exponent(orbit, scenario.perturbation, xs, "backward", steps=steps)
+    converse_rows = []
+    for s, (fwd_exp, bwd_exp) in enumerate(zip(fwds, bwds)):
+        fwd, bwd = fwd_exp.estimate, bwd_exp.estimate
         gaps = np.array([min(abs(fwd - t), abs(bwd - t)) for t in lin])
         best = int(np.argmin(gaps))
         matched = float(lin[best]) if gaps[best] <= tolerance else None

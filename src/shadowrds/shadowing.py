@@ -96,6 +96,11 @@ class Perturbation:
     The maps must satisfy |f_w(x) - f_w(y)| <= (c / K(sigma w)) |x - y|;
     scenarios construct them so this holds analytically.  ``bound`` is an
     optional uniform bound on |f_w(x)|, needed by the Lyapunov machinery.
+
+    ``func(point, x)`` takes one vector of shape (d,) or a block of shape
+    (k, d) and maps the block row by row: row i of the result is f_w(x_i).
+    A value that does not depend on x may be returned as shape (d,) or (1,);
+    calling the perturbation broadcasts it to the shape of x.
     """
 
     func: Callable[[BasePoint, np.ndarray], np.ndarray]
@@ -103,11 +108,19 @@ class Perturbation:
     bound: float | None = None
 
     def __call__(self, point: BasePoint, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.func(point, x), dtype=float)
+        value = np.asarray(self.func(point, x), dtype=float)
+        shape = np.shape(x)
+        return value if value.shape == shape else np.full(shape, value)
 
     @classmethod
     def zero(cls, dim: int) -> "Perturbation":
         return cls(lambda point, x: np.zeros(dim), 0.0, 0.0)
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (m, d) array, bit for bit equal to
+    ``np.linalg.norm`` of that row (``np.linalg.norm(rows, axis=1)`` is not)."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))[:, 0, 0]
 
 
 def shadow_constant(rate: float, epsilon: float, budget: float) -> tuple[float, float]:
@@ -334,8 +347,7 @@ def solve(prob: ShadowingProblem, tol: float = 1e-10, max_iter: int = 200) -> Sh
         floor = max(floor, _FLOOR_UNIT * (1.0 + (_norm(x_n) + _norm(ax))))
     max_residual = float(np.max(np.linalg.norm(residuals, axis=1))) if len(residuals) else 0.0
 
-    z_norms = np.array([np.linalg.norm(v) for v in z.values])
-    margins = shadow_bound * prob.weights.values - z_norms
+    margins = shadow_bound * prob.weights.values - _row_norms(z.values)
     shadow_ok = bool(np.all(margins >= -1e-9))
 
     return ShadowingResult(
@@ -439,17 +451,29 @@ def invert_step(
 ) -> np.ndarray:
     """Solve F_point(u) = target by the contraction u <- A^{-1}(target - f(u)).
 
-    Convergent whenever |A^{-1}| Lip(f) < 1, which all scenarios guarantee.
+    ``target`` is one vector (d,) or a block (k, d) whose rows are solved
+    together; each row stops at its own convergence, so every row equals
+    the iteration run on it alone.  Convergent whenever |A^{-1}| Lip(f) < 1,
+    which all scenarios guarantee.
     """
-    u = inverse_matrix @ target
+    target = np.asarray(target, dtype=float)
+    rows = np.atleast_2d(target)
+    out = np.empty_like(rows)
+    live = np.arange(len(rows))
+    goal = rows
+    u = np.matmul(inverse_matrix, rows[:, :, None])[:, :, 0]
     for _ in range(_INVERT_MAX_ITER):
-        u_next = inverse_matrix @ (target - perturbation(point, u))
-        if float(np.linalg.norm(u_next - u)) <= tol * (1.0 + float(np.linalg.norm(u_next))):
-            return u_next
-        u = u_next
-    raise InversionError(
-        f"backward inversion did not converge within {_INVERT_MAX_ITER} iterations"
-    )
+        if not live.size:
+            break
+        u_next = np.matmul(inverse_matrix, (goal - perturbation(point, u))[:, :, None])[:, :, 0]
+        done = _row_norms(u_next - u) <= tol * (1.0 + _row_norms(u_next))
+        out[live[done]] = u_next[done]
+        live, goal, u = live[~done], goal[~done], u_next[~done]
+    if live.size:
+        raise InversionError(
+            f"backward inversion did not converge within {_INVERT_MAX_ITER} iterations"
+        )
+    return out.reshape(target.shape)
 
 
 def nonlinear_orbit(
@@ -467,19 +491,22 @@ def nonlinear_orbit(
     values = np.zeros((window.length, x0.size))
     values[window.offset(0)] = x0
     with np.errstate(over="ignore", invalid="ignore"):
+        mats = orbit.matrices(0, window.n_max)
         x = x0
         for n in range(0, window.n_max):
-            x = orbit.matrix(n) @ x + perturbation(orbit.point(n), x)
+            x = mats[n] @ x + perturbation(orbit.point(n), x)
             if not np.all(np.isfinite(x)):
                 raise ValueError(f"orbit is not finite at index {n + 1}")
             values[window.offset(n + 1)] = x
+        invs = orbit.inverses(window.n_min, 0)
         x = x0
         for n in range(0, window.n_min, -1):
+            inv = invs[n - 1 - window.n_min]
             try:
-                x = invert_step(orbit.inverse(n - 1), perturbation, orbit.point(n - 1), x)
+                x = invert_step(inv, perturbation, orbit.point(n - 1), x)
             except InversionError:
                 # The iteration cannot settle once its first guess overflows.
-                if np.all(np.isfinite(orbit.inverse(n - 1) @ x)):
+                if np.all(np.isfinite(inv @ x)):
                     raise
                 raise ValueError(f"orbit is not finite at index {n - 1}") from None
             values[window.offset(n - 1)] = x

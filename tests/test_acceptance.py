@@ -235,9 +235,10 @@ def test_criterion_08_sharpness_example_exponents(scenarios):
     start = time.monotonic()
     orbit = sc.orbit()
     ok = True
-    for x0 in (1.0, -0.7):
-        fwd = nonlinear_exponent(orbit, sc.perturbation, np.array([x0]), "forward", 10_000)
-        bwd = nonlinear_exponent(orbit, sc.perturbation, np.array([x0]), "backward", 10_000)
+    xs = np.array([[1.0], [-0.7]])
+    fwds = nonlinear_exponent(orbit, sc.perturbation, xs, "forward", 10_000)
+    bwds = nonlinear_exponent(orbit, sc.perturbation, xs, "backward", 10_000)
+    for fwd, bwd in zip(fwds, bwds):
         ok = ok and abs(fwd.estimate - 0.0) <= 0.01
         ok = ok and abs(bwd.estimate + math.log(2.0)) <= 0.01
     elapsed = time.monotonic() - start

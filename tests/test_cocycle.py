@@ -6,11 +6,13 @@ import pytest
 
 from shadowrds import (
     AdaptedNorm,
+    BernoulliShift,
     CocycleSystem,
     DichotomyData,
     IrrationalRotation,
     OrbitCache,
     RotationPoint,
+    ShiftPoint,
     SingularityError,
     UncertifiedTruncationError,
     adapted_norm,
@@ -97,6 +99,75 @@ def test_singular_generator_rejected():
     with pytest.raises(SingularityError) as err:
         cocycle_eval(OrbitCache(cocycle, RotationPoint.from_angle(0.2)), 3)
     assert err.value.index == 0
+
+
+def _offset_generator(bad=(), calls=None):
+    """A 2 x 2 generator over a Bernoulli shift, singular at the offsets in ``bad``."""
+
+    def gen(point):
+        if calls is not None:
+            calls.append(point.offset)
+        if point.offset in bad:
+            return np.array([[1.0, 0.0], [0.0, 0.0]])
+        return np.array([[2.0, 0.1 * (point.offset % 7)], [0.0, 0.5]])
+
+    return CocycleSystem(2, gen, BernoulliShift(2, (0.5, 0.5)))
+
+
+def test_range_fill_names_the_singular_index_like_a_single_fill():
+    cocycle = _offset_generator(bad=(7,))
+    with pytest.raises(SingularityError) as block:
+        OrbitCache(cocycle, ShiftPoint(5)).matrices(0, 20)
+    with pytest.raises(SingularityError) as single:
+        OrbitCache(cocycle, ShiftPoint(5)).matrix(7)
+    assert block.value.index == single.value.index == 7
+    assert str(block.value) == str(single.value)
+    with pytest.raises(SingularityError) as inverse:
+        OrbitCache(cocycle, ShiftPoint(5)).inverses(-3, 20)
+    assert inverse.value.index == 7
+    # Two bad entries in one fill: the lowest index is named.
+    with pytest.raises(SingularityError) as two:
+        OrbitCache(_offset_generator(bad=(4, 11)), ShiftPoint(5)).matrices(0, 20)
+    assert two.value.index == 4
+
+
+def test_range_fill_rejects_non_finite_generator_values():
+    cocycle = CocycleSystem(1, lambda p: np.array([[np.nan if p.offset == 3 else 1.0]]),
+                            BernoulliShift(2, (0.5, 0.5)))
+    with pytest.raises(ValueError, match="non-finite"):
+        OrbitCache(cocycle, ShiftPoint(5)).matrices(0, 8)
+
+
+def test_range_reads_fill_each_index_once_and_match_per_matrix_values():
+    calls = []
+    cocycle = _offset_generator(calls=calls)
+    cache = OrbitCache(cocycle, ShiftPoint(5))
+    cache.matrices(0, 5)
+    cache.matrix(12)
+    cache.inverses(-4, 2)
+    cache.matrix(-30)
+    mats = cache.matrices(-30, 15)
+    invs = cache.inverses(-30, 15)
+    assert sorted(calls) == list(range(-30, 15))
+    for n in range(-30, 15):
+        ref = np.asarray(cocycle.generator(ShiftPoint(5, n)), dtype=float)
+        assert np.array_equal(mats[n + 30], ref)
+        assert np.array_equal(cache.matrix(n), ref)
+        assert np.array_equal(invs[n + 30], np.linalg.inv(ref))
+        assert np.array_equal(cache.inverse(n), np.linalg.inv(ref))
+    assert mats.shape == (45, 2, 2) and cache.matrices(3, 3).shape == (0, 2, 2)
+    for block in (mats, invs, cache.matrix(0), cache.inverse(0)):
+        assert not block.flags.writeable
+
+
+def test_far_read_starts_a_new_block_instead_of_spanning_the_gap():
+    cocycle = _offset_generator()
+    cache = OrbitCache(cocycle, ShiftPoint(5))
+    cache.matrices(0, 10)
+    far = 3 * cocycle_module._SPAN_LIMIT
+    assert np.array_equal(cache.matrix(far), cocycle.generator(ShiftPoint(5, far)))
+    assert len(cache._mats.filled) <= cocycle_module._SPAN_LIMIT
+    assert np.array_equal(cache.matrix(3), cocycle.generator(ShiftPoint(5, 3)))
 
 
 def test_adapted_norm_zero_vector():

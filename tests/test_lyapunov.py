@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from shadowrds import (
+    BernoulliShift,
+    CocycleSystem,
     DegenerateOrbitError,
     OrbitCache,
     Perturbation,
+    RotationPoint,
+    ShiftPoint,
     Window,
     WindowSequence,
     backward_qr_frame,
@@ -15,7 +19,180 @@ from shadowrds import (
     linear_exponents_qr,
     nonlinear_exponent,
 )
-from shadowrds.lyapunov import _positive_qr, _qr_sweep, conservation_experiment
+from shadowrds.lyapunov import (
+    _BIG_NORM,
+    _INVERSION_TOL,
+    _orbit_log_norms,
+    _positive_qr,
+    _qr_sweep,
+    conservation_experiment,
+)
+from shadowrds.shadowing import _INVERT_MAX_ITER, InversionError
+
+
+def _reference_invert_step(inverse_matrix, perturbation, point, target, tol):
+    """The per-vector backward step: the fixed-point iteration on one vector."""
+    u = inverse_matrix @ target
+    for _ in range(_INVERT_MAX_ITER):
+        u_next = inverse_matrix @ (target - perturbation(point, u))
+        if float(np.linalg.norm(u_next - u)) <= tol * (1.0 + float(np.linalg.norm(u_next))):
+            return u_next
+        u = u_next
+    raise InversionError(
+        f"backward inversion did not converge within {_INVERT_MAX_ITER} iterations"
+    )
+
+
+def _reference_orbit_log_norms(perturbation, cache, x, forward, steps):
+    """The per-vector walk: one Python iteration per step of one vector."""
+    norm = float(np.linalg.norm(x))
+    if norm == 0.0:
+        raise DegenerateOrbitError("starting point has zero norm")
+    pure_linear = perturbation.bound == 0.0
+    scaled = pure_linear
+    if scaled:
+        unit, lognorm = x / norm, math.log(norm)
+    else:
+        vec, lognorm = x, 0.0
+    logs = np.empty(steps)
+    for n in range(steps):
+        t = n if forward else -(n + 1)
+        if not scaled:
+            if forward:
+                vec = cache.matrix(t) @ vec + perturbation(cache.point(t), vec)
+            else:
+                vec = _reference_invert_step(
+                    cache.inverse(t), perturbation, cache.point(t), vec, _INVERSION_TOL
+                )
+            norm = float(np.linalg.norm(vec))
+            if norm == 0.0:
+                raise DegenerateOrbitError(f"orbit norm vanished after {n + 1} steps")
+            logs[n] = math.log(norm)
+            if norm > _BIG_NORM:
+                unit, lognorm = vec / norm, math.log(norm)
+                scaled = True
+        else:
+            w = (cache.matrix(t) if forward else cache.inverse(t)) @ unit
+            growth = float(np.linalg.norm(w))
+            if growth == 0.0:
+                raise DegenerateOrbitError("scaled orbit direction collapsed")
+            lognorm += math.log(growth)
+            unit = w / growth
+            logs[n] = lognorm
+            if not pure_linear and lognorm < math.log(_BIG_NORM) - 2.0:
+                vec = unit * math.exp(lognorm)
+                scaled = False
+    return logs
+
+
+def _spread_rows(rng, k, dim, lo=1e-3, hi=1e3):
+    """k random directions with norms spread geometrically over [lo, hi]."""
+    rows = rng.standard_normal((k, dim))
+    return rows / np.linalg.norm(rows, axis=1)[:, None] * np.geomspace(lo, hi, k)[:, None]
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
+def test_lock_step_walk_matches_per_vector_walk(scenarios, block4, forward, k):
+    # Rows of norm 1e-3 ... 1e3 cross _BIG_NORM at different steps, so the
+    # per-row scaled switch is exercised with mixed rows in one block.
+    for sc in list(scenarios.values()) + [block4]:
+        dim = sc.cocycle.dim
+        rng = np.random.default_rng(k)
+        xs = _spread_rows(rng, k, dim)
+        cache = sc.orbit()
+        for pert in (sc.perturbation, Perturbation.zero(dim)):
+            got = _orbit_log_norms(pert, cache, xs, forward, 240)
+            assert got.shape == (240, k)
+            for i in range(k):
+                ref = _reference_orbit_log_norms(pert, cache, xs[i], forward, 240)
+                assert np.array_equal(got[:, i], ref), (sc.name, pert.bound, i)
+
+
+@pytest.mark.parametrize("name", ["uniform-diag", "remark-scalar"])
+def test_lock_step_walk_switches_rows_back_like_per_vector_walk(scenarios, name):
+    # A start of norm 1e31 on the stable axis turns scaled after one step and
+    # decays back below _BIG_NORM / e^2 a few steps later; the other rows stay
+    # plain or grow, so the block mixes both switches.
+    sc = scenarios[name]
+    dim = sc.cocycle.dim
+    xs = np.vstack([np.eye(dim)[:1] * 1e31, _spread_rows(np.random.default_rng(3), 3, dim)])
+    cache = sc.orbit()
+    got = _orbit_log_norms(sc.perturbation, cache, xs, True, 200)
+    assert got[0, 0] > math.log(_BIG_NORM) and np.min(got[:, 0]) < math.log(_BIG_NORM) - 2.0
+    for i in range(len(xs)):
+        ref = _reference_orbit_log_norms(sc.perturbation, cache, xs[i], True, 200)
+        assert np.array_equal(got[:, i], ref), i
+
+
+def test_lock_step_walk_errors_keep_types_and_messages():
+    base = BernoulliShift(2, (0.5, 0.5))
+
+    def orbit(scale):
+        return OrbitCache(CocycleSystem(1, lambda p: np.array([[scale]]), base), ShiftPoint(3))
+
+    # A nonzero bound keeps the rows plain; 1e-100 squared underflows at step 2.
+    plain = Perturbation(lambda p, x: np.zeros(1), 0.0, bound=1e-300)
+    cases = [
+        (orbit(1e-100), plain, [[1.0], [0.0]], 1, "starting point has zero norm"),
+        (orbit(1e-100), plain, [[1.0], [2.0]], 0, "orbit norm vanished after 2 steps"),
+        (orbit(1e-200), Perturbation.zero(1), [[1.0], [2.0]], 0,
+         "scaled orbit direction collapsed"),
+    ]
+    for cache, pert, xs, row, message in cases:
+        xs = np.array(xs)
+        with pytest.raises(DegenerateOrbitError, match=message):
+            _orbit_log_norms(pert, cache, xs, True, 10)
+        with pytest.raises(DegenerateOrbitError, match=message):
+            _reference_orbit_log_norms(pert, cache, xs[row], True, 10)
+
+
+def test_nonlinear_exponent_returns_one_result_per_row(scenarios):
+    sc = scenarios["uniform-rot-coupled"]
+    xs = _spread_rows(np.random.default_rng(5), 3, 2)
+    block = nonlinear_exponent(sc.orbit(), sc.perturbation, xs, "backward", 400)
+    for x, res in zip(xs, block, strict=True):
+        [alone] = nonlinear_exponent(sc.orbit(), sc.perturbation, x[None], "backward", 400)
+        assert res.estimate == alone.estimate
+        assert np.array_equal(res.values, alone.values)
+    assert nonlinear_exponent(sc.orbit(), sc.perturbation, xs[:0], "forward", 400) == []
+    with pytest.raises(ValueError, match="block of starting points"):
+        nonlinear_exponent(sc.orbit(), sc.perturbation, xs[0], "forward", 400)
+
+
+def test_batched_invert_step_matches_per_row_iteration(scenarios, block4):
+    for sc in list(scenarios.values()) + [block4]:
+        dim = sc.cocycle.dim
+        rng = np.random.default_rng(17)
+        cache = sc.orbit()
+        for n in range(-12, 0):
+            targets = _spread_rows(rng, 8, dim)
+            got = invert_step(cache.inverse(n), sc.perturbation, cache.point(n), targets,
+                              tol=_INVERSION_TOL)
+            for i in range(8):
+                ref = _reference_invert_step(cache.inverse(n), sc.perturbation,
+                                             cache.point(n), targets[i], _INVERSION_TOL)
+                assert np.array_equal(got[i], ref), (sc.name, n, i)
+            one = invert_step(cache.inverse(n), sc.perturbation, cache.point(n), targets[0],
+                              tol=_INVERSION_TOL)
+            assert one.shape == (dim,) and np.array_equal(one, got[0])
+
+
+def test_batched_invert_step_raises_like_per_row_iteration():
+    # u <- t - f(u) with f(u) = -1.5 u above |u| = 5 diverges; below it f = 0
+    # and the first step is exact.
+    pert = Perturbation(lambda p, x: np.where(np.abs(x) > 5.0, -1.5 * x, 0.0), 1.5)
+    point, one = RotationPoint.from_angle(0.1), np.eye(1)
+    targets = np.array([[1.0], [10.0]])
+    assert np.array_equal(
+        invert_step(one, pert, point, targets[:1]),
+        _reference_invert_step(one, pert, point, targets[0], 1e-14)[None],
+    )
+    message = f"did not converge within {_INVERT_MAX_ITER} iterations"
+    with pytest.raises(InversionError, match=message):
+        _reference_invert_step(one, pert, point, targets[1], 1e-14)
+    with pytest.raises(InversionError, match=message):
+        invert_step(one, pert, point, targets)
 
 
 @pytest.mark.parametrize(
@@ -80,8 +257,8 @@ def test_backward_frame_identifies_axes(scenarios):
 def test_nonlinear_exponent_stable_axis_linear(scenarios):
     # f = 0 along the stable axis of diag(1/2, 2): exact geometric decay.
     sc = scenarios["uniform-diag"]
-    res = nonlinear_exponent(
-        sc.orbit(), Perturbation.zero(2), np.array([1.0, 0.0]), "forward", 400
+    [res] = nonlinear_exponent(
+        sc.orbit(), Perturbation.zero(2), np.array([[1.0, 0.0]]), "forward", 400
     )
     assert res.estimate == pytest.approx(-math.log(2.0), abs=1e-6)
     assert res.converged
@@ -91,8 +268,8 @@ def test_nonlinear_exponent_remark_values(scenarios):
     # Backward exponent -log 2, forward exponent 0, for x away from the
     # special point.
     sc = scenarios["remark-scalar"]
-    fwd = nonlinear_exponent(sc.orbit(), sc.perturbation, np.array([1.0]), "forward", 10_000)
-    bwd = nonlinear_exponent(sc.orbit(), sc.perturbation, np.array([1.0]), "backward", 10_000)
+    [fwd] = nonlinear_exponent(sc.orbit(), sc.perturbation, np.array([[1.0]]), "forward", 10_000)
+    [bwd] = nonlinear_exponent(sc.orbit(), sc.perturbation, np.array([[1.0]]), "backward", 10_000)
     assert abs(fwd.estimate - 0.0) <= 0.01
     assert abs(bwd.estimate + math.log(2.0)) <= 0.01
 
@@ -100,23 +277,23 @@ def test_nonlinear_exponent_remark_values(scenarios):
 def test_nonlinear_exponent_scaling_consistency(scenarios):
     sc = scenarios["remark-scalar"]
     n = 2000
-    a = nonlinear_exponent(sc.orbit(), sc.perturbation, np.array([0.7]), "forward", n)
-    b = nonlinear_exponent(sc.orbit(), sc.perturbation, np.array([0.7]), "forward", 2 * n)
+    [a] = nonlinear_exponent(sc.orbit(), sc.perturbation, np.array([[0.7]]), "forward", n)
+    [b] = nonlinear_exponent(sc.orbit(), sc.perturbation, np.array([[0.7]]), "forward", 2 * n)
     assert abs(a.estimate - b.estimate) <= 3.0 / math.sqrt(n)
 
 
 def test_nonlinear_exponent_degenerate_at_zero(scenarios):
     sc = scenarios["remark-scalar"]
     with pytest.raises(DegenerateOrbitError):
-        nonlinear_exponent(sc.orbit(), sc.perturbation, np.array([0.0]), "backward", 100)
+        nonlinear_exponent(sc.orbit(), sc.perturbation, np.array([[0.0]]), "backward", 100)
 
 
 def test_nonlinear_exponent_survives_overflow_scale(scenarios):
     # Backward orbits grow like 2^n; at n = 10^4 the norms are far beyond
     # float range and the scaled representation must take over seamlessly.
     sc = scenarios["uniform-diag"]
-    res = nonlinear_exponent(
-        sc.orbit(), sc.perturbation, np.array([0.9, 0.4]), "backward", 10_000
+    [res] = nonlinear_exponent(
+        sc.orbit(), sc.perturbation, np.array([[0.9, 0.4]]), "backward", 10_000
     )
     assert abs(res.estimate + math.log(2.0)) <= 0.01
 
@@ -213,9 +390,9 @@ def test_shadowed_orbit_exponent_transfer(scenarios):
     from shadowrds import solve
 
     res = solve(prob, tol=1e-10)
-    linear = nonlinear_exponent(cache, Perturbation.zero(2), v, "forward", steps)
-    shadowed = nonlinear_exponent(
-        cache, sc.perturbation, res.orbit.value_at(0), "forward", steps
+    [linear] = nonlinear_exponent(cache, Perturbation.zero(2), v[None], "forward", steps)
+    [shadowed] = nonlinear_exponent(
+        cache, sc.perturbation, res.orbit.value_at(0)[None], "forward", steps
     )
     allowance = 2 * math.log(steps) / steps + linear.regression_residual \
         + shadowed.regression_residual

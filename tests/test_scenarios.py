@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from shadowrds import builtin_scenarios, get_scenario, step
+from shadowrds import Perturbation, builtin_scenarios, get_scenario, step
 from shadowrds.checks import (
     check_layer_coverage,
     check_layered_shadowing,
@@ -155,3 +155,22 @@ def test_noisy_pseudo_orbit_respects_allowance(scenarios):
 
 def test_registry_is_cached():
     assert builtin_scenarios() is builtin_scenarios()
+
+
+def test_perturbations_map_blocks_row_by_row(scenarios):
+    # Every builtin perturbation and the zero one: rows of a (k, d) block
+    # equal one-vector calls bit for bit, and a (d,) or (1,) value broadcasts.
+    rng = np.random.default_rng(23)
+    for sc in scenarios.values():
+        dim = sc.cocycle.dim
+        cache = sc.orbit()
+        for pert in (sc.perturbation, Perturbation.zero(dim)):
+            for n in range(-100, 100):
+                point = cache.point(n)
+                block = rng.standard_normal((8, dim)) * np.geomspace(1e-3, 1e3, 8)[:, None]
+                rows = pert(point, block)
+                assert rows.shape == block.shape
+                for i in range(8):
+                    one = pert(point, block[i])
+                    assert one.shape == (dim,)
+                    assert np.array_equal(rows[i], one), (sc.name, n, i)

@@ -30,7 +30,7 @@ from shadowrds import (
     weighted_norm,
 )
 from shadowrds.checks import noisy_pseudo_orbit
-from shadowrds.shadowing import _defect_allowance
+from shadowrds.shadowing import _defect_allowance, _row_norms
 
 
 def _problem_from(scenario, half=8, seed=31, noise=0.5):
@@ -501,3 +501,18 @@ def test_solve_and_defect_share_one_orbit_cache(scenarios, monkeypatch):
     assert created == [prob.orbit]
     # A replaced problem keeps its orbit segment.
     assert replace(prob, epsilon=0.4).orbit is prob.orbit
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_row_norms_match_linalg_norm_bitwise(dim):
+    rng = np.random.default_rng(dim)
+    rows = rng.standard_normal((20000, dim)) * 10.0 ** rng.uniform(-300, 300, (20000, 1))
+    # Rows near the float limit: squares near and past the overflow threshold.
+    top = np.finfo(float).max
+    rows[:64] = rng.uniform(-1.0, 1.0, (64, dim)) * top
+    rows[64:128] = rng.uniform(-1.0, 1.0, (64, dim)) * math.sqrt(top)
+    rows[128] = 0.0
+    with np.errstate(over="ignore"):
+        got = _row_norms(rows)
+        ref = np.array([np.linalg.norm(row) for row in rows])
+    assert np.array_equal(got, ref)
