@@ -11,6 +11,11 @@ For each builtin scenario it times, over STEPS orbit indices:
   generator call per index, one stacked condition check), per index;
 - ``inverse_us``: one range read of the inverses once the matrices are held
   (one stacked inverse), per index;
+- ``projector_us``: one range read of the projectors on a new orbit segment
+  (one projector call per index), per index;
+- ``stable_map_us`` / ``unstable_map_us``: one range read of the stable
+  (resp. unstable) one-step maps once the matrices, inverses and projectors
+  are held (one stacked product), per index;
 - ``qr_us``: the repeated-QR sweep of the linear exponents on a filled
   segment, per step;
 - ``walk_us``: the lock-step walk of the perturbed exponents on a filled
@@ -67,6 +72,16 @@ def _scenario_row(sc) -> dict:
         return orbit
 
     inverse_us = _median_us(lambda orbit: orbit.inverses(-STEPS, 0), STEPS, setup=filled)
+    projector_us = _median_us(lambda orbit: orbit.projectors(-STEPS, 0), STEPS, setup=sc.orbit)
+
+    def held():
+        orbit = filled()
+        orbit.inverses(-STEPS, 0)
+        orbit.projectors(-STEPS, 1)
+        return orbit
+
+    stable_map_us = _median_us(lambda orbit: orbit.stable_maps(-STEPS, 0), STEPS, setup=held)
+    unstable_map_us = _median_us(lambda orbit: orbit.unstable_maps(-STEPS, 0), STEPS, setup=held)
     orbit = sc.orbit()
     orbit.matrices(0, STEPS)
     orbit.inverses(-STEPS, 0)
@@ -84,6 +99,9 @@ def _scenario_row(sc) -> dict:
         "d": dim,
         "fill_us": fill_us,
         "inverse_us": inverse_us,
+        "projector_us": projector_us,
+        "stable_map_us": stable_map_us,
+        "unstable_map_us": unstable_map_us,
         "qr_us": qr_us,
         "walk_us": walk_us,
     }

@@ -165,11 +165,11 @@ def check_dichotomy_bounds(scenario, rng, points: int = 3, max_n: int = 64) -> C
         k = cache.bound(0)
         fwd = cache.projector(0).copy()
         bwd = np.eye(scenario.cocycle.dim) - cache.projector(0)
-        cache.matrices(0, max_n)
-        cache.inverses(-max_n, 0)
+        stable = cache.stable_maps(0, max_n)
+        unstable = cache.unstable_maps(-max_n, 0)
         for n in range(1, max_n + 1):
-            fwd = cache.stable_map(n - 1) @ fwd
-            bwd = cache.unstable_map(-n) @ bwd
+            fwd = stable[n - 1] @ fwd
+            bwd = unstable[max_n - n] @ bwd
             bound = k * math.exp(-strict * n)
             worst = max(
                 worst,
@@ -336,8 +336,8 @@ def noisy_pseudo_orbit(
     start = 0.5 * rng.standard_normal(scenario.cocycle.dim)
     orbit = nonlinear_orbit(cache, scenario.perturbation, start, window)
     allowed = _defect_allowance(cache, weights)
-    lipschitz = scenario.perturbation.lipschitz_budget / min(
-        cache.bound(n) for n in window.indices()
+    lipschitz = scenario.perturbation.lipschitz_budget / float(
+        np.min(cache.bounds(window.n_min, window.n_max + 1))
     )
     jitter = _jitter(cache, window, allowed, lipschitz, noise, rng)
     return WindowSequence(window, orbit.values + jitter), weights

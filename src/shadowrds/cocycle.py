@@ -21,7 +21,9 @@ the consent to truncate anyway.
 
 Every function that works along one orbit sigma^n w takes that orbit segment,
 an ``OrbitCache``, as its first argument: the segment carries the system, the
-base point w and the dichotomy data, and memoizes what is evaluated along it.
+base point w and the dichotomy data, and holds what is evaluated along it in
+blocks read by index range (matrices, inverses, projectors, bounds and the
+one-step maps).
 
 Vector iterations along the stable (resp. unstable) direction re-apply the
 projector at every step.  This is deliberate: round-off seeds a tiny
@@ -144,44 +146,47 @@ class DichotomyData:
             raise ValueError("horizon must be >= 1")
 
 
-#: A read that would stretch an orbit segment's matrix or inverse block past
-#: this many consecutive indices starts a new block instead.
+#: A read that would stretch an orbit segment's block past this many
+#: consecutive indices starts a new block instead.
 _SPAN_LIMIT = 4 * MAX_STEPS
+
+_Fill = Callable[[np.ndarray], np.ndarray]  # a block's values at ascending orbit indices
 
 
 class _Block:
-    """d x d matrices by orbit index n, in one contiguous read-only array that
-    covers lo <= n < lo + len(data); ``filled`` marks the entries with a value.
+    """Values of one trailing shape by orbit index n in one read-only array
+    over lo <= n < lo + len(data); ``filled`` marks the entries with a value.
 
     The array grows at either end by at least its own length, so reads that
     creep along the orbit one index at a time cost amortized O(1) copying.
     """
 
-    def __init__(self, dim: int):
+    def __init__(self, shape: tuple[int, ...]):
         self.lo = 0
-        self.data = np.empty((0, dim, dim))
+        self.data = np.empty((0,) + shape)
         self.filled = np.zeros(0, dtype=bool)
 
-    def has(self, n: int) -> bool:
-        i = n - self.lo
-        return 0 <= i < len(self.filled) and bool(self.filled[i])
-
-    def missing(self, n_lo: int, n_hi: int) -> np.ndarray:
-        """Cover n_lo <= n < n_hi and return the indices there without a value."""
+    def read(self, n_lo: int, n_hi: int, fill: _Fill) -> np.ndarray:
+        """The values for n_lo <= n < n_hi as a read-only view; ``fill(ns)``
+        evaluates the ascending indices ns there that have no value yet."""
         if n_hi <= n_lo:
-            return np.zeros(0, dtype=int)
+            return self.data[:0]
         self._cover(n_lo, n_hi)
         i = n_lo - self.lo
-        return n_lo + np.flatnonzero(~self.filled[i : i + n_hi - n_lo])
+        missing = n_lo + np.flatnonzero(~self.filled[i : i + n_hi - n_lo])
+        if missing.size:
+            values = fill(missing)
+            self.data.flags.writeable = True
+            self.data[missing - self.lo] = values
+            self.data.flags.writeable = False
+            self.filled[missing - self.lo] = True
+        return self.data[i : i + n_hi - n_lo]
 
-    def store(self, ns: np.ndarray, mats: np.ndarray) -> None:
-        self.data.flags.writeable = True
-        self.data[ns - self.lo] = mats
-        self.data.flags.writeable = False
-        self.filled[ns - self.lo] = True
-
-    def read(self, n_lo: int, n_hi: int) -> np.ndarray:
-        return self.data[n_lo - self.lo : n_hi - self.lo]
+    def row(self, n: int, fill: _Fill) -> np.ndarray:
+        i = n - self.lo
+        if 0 <= i < len(self.filled) and self.filled[i]:
+            return self.data[i]
+        return self.read(n, n + 1, fill)[0]
 
     def _cover(self, n_lo: int, n_hi: int) -> None:
         lo, size = self.lo, len(self.filled)
@@ -206,8 +211,14 @@ class _Block:
         self.lo, self.data, self.filled = new_lo, data, filled
 
 
+def _at(read: Callable[[int, int], np.ndarray], ns: np.ndarray) -> np.ndarray:
+    """Rows at the ascending orbit indices ns of a range read over their span."""
+    lo = int(ns[0])
+    return read(lo, int(ns[-1]) + 1)[ns - lo]
+
+
 class OrbitCache:
-    """The orbit segment sigma^n w: lazily evaluated matrices, inverses, and projectors.
+    """The orbit segment sigma^n w and everything evaluated along it.
 
     An orbit belongs to one (system, base point, dichotomy) and is the only
     orbit argument of every function that works along an orbit, so those
@@ -215,17 +226,19 @@ class OrbitCache:
     dichotomy data serves every function that needs none; the others raise
     ValueError for it.
 
-    Matrices and inverses are read by index range: ``matrices(n_lo, n_hi)``
-    and ``inverses(n_lo, n_hi)`` return read-only (n_hi - n_lo, d, d) views
-    for n_lo <= n < n_hi, and ``matrix(n)`` / ``inverse(n)`` read one row.
-    A read fills only the missing entries of its range: one generator call
-    per missing point, then one stacked ``np.linalg.cond`` over the new
-    matrices (the finiteness and COND_LIMIT check; a SingularityError names
-    the lowest bad index of the fill) and, for inverses, one stacked
-    ``np.linalg.inv``.  Each is kept in one contiguous block per segment;
-    a read more than _SPAN_LIMIT indices away from a block replaces it.
-    Base points, projectors, bounds and the stable/unstable maps are
-    memoized by the integer orbit index n (the point sigma^n w).
+    Six range reads return read-only views for n_lo <= n < n_hi, each of one
+    contiguous block per segment: ``matrices`` A_n = A(sigma^n w),
+    ``inverses`` A_n^{-1}, ``projectors`` P_n, ``bounds`` K_n (shape (m,);
+    the others are (m, d, d)), ``stable_maps`` P_{n+1} A_n and
+    ``unstable_maps`` (I - P_n) A_n^{-1}, which step stable vectors from n to
+    n+1 and unstable ones from n+1 to n.  ``matrix(n)``, ``inverse(n)``,
+    ``projector(n)`` and ``bound(n)`` read one entry.  A read fills only its
+    missing entries: one generator, projector or bound call per point, then
+    one stacked ``np.linalg.cond`` over new matrices (the finiteness and
+    COND_LIMIT check; a SingularityError names the lowest bad index of the
+    fill) and one stacked ``np.linalg.inv`` or ``np.matmul`` for inverses
+    and maps.  A read more than _SPAN_LIMIT indices away from a block
+    replaces it.  Base points are the only dict, keyed by n.
     """
 
     def __init__(
@@ -238,12 +251,10 @@ class OrbitCache:
         self.omega = omega
         self.dichotomy = dichotomy
         self._points: dict[int, BasePoint] = {0: omega}
-        self._mats = _Block(system.dim)
-        self._invs = _Block(system.dim)
-        self._projs: dict[int, np.ndarray] = {}
-        self._bounds: dict[int, float] = {}
-        self._stable_maps: dict[int, np.ndarray] = {}
-        self._unstable_maps: dict[int, np.ndarray] = {}
+        square = (system.dim, system.dim)
+        self._mats, self._invs, self._projs = _Block(square), _Block(square), _Block(square)
+        self._stable_maps, self._unstable_maps = _Block(square), _Block(square)
+        self._bounds = _Block(())
 
     @property
     def dim(self) -> int:
@@ -256,85 +267,79 @@ class OrbitCache:
             self._points[n] = p
         return p
 
-    def matrices(self, n_lo: int, n_hi: int) -> np.ndarray:
-        """A(sigma^n w) for n_lo <= n < n_hi, as a read-only (n_hi - n_lo, d, d) view."""
-        missing = self._mats.missing(n_lo, n_hi)
-        if missing.size:
-            mats = np.empty((missing.size, self.dim, self.dim))
-            for i, n in enumerate(missing.tolist()):
-                mats[i] = self.system.matrix(self.point(n))
-            _check_invertible(mats, missing)
-            self._mats.store(missing, mats)
-        return self._mats.read(n_lo, n_hi)
-
-    def inverses(self, n_lo: int, n_hi: int) -> np.ndarray:
-        """A(sigma^n w)^{-1} for n_lo <= n < n_hi, as a read-only (n_hi - n_lo, d, d) view."""
-        missing = self._invs.missing(n_lo, n_hi)
-        if missing.size:
-            mats = self.matrices(n_lo, n_hi)
-            self._invs.store(missing, np.linalg.inv(mats[missing - n_lo]))
-        return self._invs.read(n_lo, n_hi)
-
-    def matrix(self, n: int) -> np.ndarray:
-        if self._mats.has(n):
-            return self._mats.data[n - self._mats.lo]
-        return self.matrices(n, n + 1)[0]
-
-    def inverse(self, n: int) -> np.ndarray:
-        if self._invs.has(n):
-            return self._invs.data[n - self._invs.lo]
-        return self.inverses(n, n + 1)[0]
-
-    def apply(self, n_lo: int, xs: np.ndarray) -> np.ndarray:
-        """Rows A(sigma^{n_lo + i} w) xs_i of an (m, d) array, as one batched product."""
-        mats = self.matrices(n_lo, n_lo + len(xs))
-        return np.matmul(mats, xs[:, :, None])[:, :, 0]
-
     def require_dichotomy(self) -> DichotomyData:
         """The orbit's dichotomy data; ValueError when it was built without."""
         if self.dichotomy is None:
             raise ValueError("cache was built without dichotomy data")
         return self.dichotomy
 
-    def projector(self, n: int) -> np.ndarray:
-        p = self._projs.get(n)
-        if p is None:
-            p = np.asarray(self.require_dichotomy().projector(self.point(n)), dtype=float)
+    def _fill_matrices(self, ns: np.ndarray) -> np.ndarray:
+        mats = np.empty((ns.size, self.dim, self.dim))
+        for i, n in enumerate(ns.tolist()):
+            mats[i] = self.system.matrix(self.point(n))
+        _check_invertible(mats, ns)
+        return mats
+
+    def _fill_inverses(self, ns: np.ndarray) -> np.ndarray:
+        return np.linalg.inv(_at(self.matrices, ns))
+
+    def _fill_projectors(self, ns: np.ndarray) -> np.ndarray:
+        projector = self.require_dichotomy().projector
+        projs = np.empty((ns.size, self.dim, self.dim))
+        for i, n in enumerate(ns.tolist()):
+            p = np.asarray(projector(self.point(n)), dtype=float)
             if p.shape != (self.dim, self.dim):
                 raise ValueError("projector has wrong shape")
-            p.setflags(write=False)
-            self._projs[n] = p
-        return p
+            projs[i] = p
+        return projs
 
-    def complement(self, n: int) -> np.ndarray:
-        return np.eye(self.dim) - self.projector(n)
+    def _fill_bounds(self, ns: np.ndarray) -> np.ndarray:
+        bound = self.require_dichotomy().bound
+        ks = np.fromiter((float(bound(self.point(n))) for n in ns.tolist()), float, ns.size)
+        if np.any(ks <= 0):
+            raise ValueError("dichotomy bound K must be positive")
+        return ks
+
+    def _fill_stable_maps(self, js: np.ndarray) -> np.ndarray:
+        return np.matmul(_at(self.projectors, js + 1), _at(self.matrices, js))
+
+    def _fill_unstable_maps(self, js: np.ndarray) -> np.ndarray:
+        return np.matmul(np.eye(self.dim) - _at(self.projectors, js), _at(self.inverses, js))
+
+    def matrices(self, n_lo: int, n_hi: int) -> np.ndarray:
+        return self._mats.read(n_lo, n_hi, self._fill_matrices)
+
+    def inverses(self, n_lo: int, n_hi: int) -> np.ndarray:
+        return self._invs.read(n_lo, n_hi, self._fill_inverses)
+
+    def projectors(self, n_lo: int, n_hi: int) -> np.ndarray:
+        return self._projs.read(n_lo, n_hi, self._fill_projectors)
+
+    def bounds(self, n_lo: int, n_hi: int) -> np.ndarray:
+        return self._bounds.read(n_lo, n_hi, self._fill_bounds)
+
+    def stable_maps(self, j_lo: int, j_hi: int) -> np.ndarray:
+        return self._stable_maps.read(j_lo, j_hi, self._fill_stable_maps)
+
+    def unstable_maps(self, j_lo: int, j_hi: int) -> np.ndarray:
+        return self._unstable_maps.read(j_lo, j_hi, self._fill_unstable_maps)
+
+    def matrix(self, n: int) -> np.ndarray:
+        return self._mats.row(n, self._fill_matrices)
+
+    def inverse(self, n: int) -> np.ndarray:
+        return self._invs.row(n, self._fill_inverses)
+
+    def projector(self, n: int) -> np.ndarray:
+        return self._projs.row(n, self._fill_projectors)
 
     def bound(self, n: int) -> float:
-        k = self._bounds.get(n)
-        if k is None:
-            k = float(self.require_dichotomy().bound(self.point(n)))
-            if k <= 0:
-                raise ValueError("dichotomy bound K must be positive")
-            self._bounds[n] = k
-        return k
+        return float(self._bounds.row(n, self._fill_bounds))
 
-    def stable_map(self, j: int) -> np.ndarray:
-        """P(sigma^{j+1}w) A(sigma^j w): steps stable vectors from time j to j+1."""
-        m = self._stable_maps.get(j)
-        if m is None:
-            m = self.projector(j + 1) @ self.matrix(j)
-            m.setflags(write=False)
-            self._stable_maps[j] = m
-        return m
-
-    def unstable_map(self, j: int) -> np.ndarray:
-        """(I-P(sigma^j w)) A(sigma^j w)^{-1}: steps unstable vectors from j+1 to j."""
-        m = self._unstable_maps.get(j)
-        if m is None:
-            m = self.complement(j) @ self.inverse(j)
-            m.setflags(write=False)
-            self._unstable_maps[j] = m
-        return m
+    def apply(self, n_lo: int, xs: np.ndarray) -> np.ndarray:
+        """Rows A(sigma^{n_lo + i} w) xs_i of an (m, d) array, as one batched product."""
+        mats = self.matrices(n_lo, n_lo + len(xs))
+        return np.matmul(mats, xs[:, :, None])[:, :, 0]
 
 
 def cocycle_eval(orbit: OrbitCache, n: int) -> np.ndarray:
@@ -387,9 +392,7 @@ def _adapted_norm_parts(
     in one batched product; the norms are taken once at the end and weighted
     by e^{lam k}, formed by repeated multiplication.
     """
-    dich = orbit.dichotomy
-    if dich is None:
-        raise ValueError("adapted norm requires dichotomy data")
+    dich = orbit.require_dichotomy()
     horizon = dich.horizon
     mu = dich.margin
     if mu <= 0 and not dich.allow_uncertified:
@@ -412,12 +415,9 @@ def _adapted_norm_parts(
     for lo in range(0, m, _NORM_ROWS):
         rows = min(_NORM_ROWS, m - lo)
         n0 = n_lo + lo
-        # Fill the maps' matrices and inverses as two stacked ranges.
-        orbit.matrices(n0, n0 + rows + horizon - 1)
-        orbit.inverses(n0 - horizon, n0 + rows - 1)
-        projs = np.array([orbit.projector(n) for n in range(n0, n0 + rows)])
-        fwd = np.array([orbit.stable_map(j) for j in range(n0, n0 + rows + horizon - 1)])
-        bwd = np.array([orbit.unstable_map(j) for j in range(n0 - horizon, n0 + rows - 1)])
+        fwd = orbit.stable_maps(n0, n0 + rows + horizon - 1)
+        bwd = orbit.unstable_maps(n0 - horizon, n0 + rows - 1)
+        projs = orbit.projectors(n0, n0 + rows)
         buf = np.empty((horizon + 1, rows, d, 1))
         x = xs[lo : lo + rows, :, None]
         np.matmul(projs, x, out=buf[0])
@@ -431,8 +431,7 @@ def _adapted_norm_parts(
         unstable[lo : lo + rows] = weighted_sup(buf)
     if mu > 0:
         # The tail bound of every row needs a valid K; raise as the tail would.
-        for n in range(n_lo, n_lo + m):
-            orbit.bound(n)
+        orbit.bounds(n_lo, n_lo + m)
     return stable, unstable
 
 
@@ -510,13 +509,13 @@ def check_one_step_contraction(
     rhs = decay * base.value
 
     v = orbit.projector(0) @ x
-    for k in range(steps):
-        v = orbit.stable_map(k) @ v
+    for m in orbit.stable_maps(0, steps):
+        v = m @ v
     fwd = _adapted_norm_at(orbit, steps, v)
 
     u = x - orbit.projector(0) @ x
-    for k in range(steps):
-        u = orbit.unstable_map(-k - 1) @ u
+    for m in orbit.unstable_maps(-steps, 0)[::-1]:
+        u = m @ u
     bwd = _adapted_norm_at(orbit, -steps, u)
 
     certified = base.certified and fwd.certified and bwd.certified

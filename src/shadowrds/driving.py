@@ -48,7 +48,7 @@ def _to_ticks(value: float | Fraction) -> int:
     return round(frac * _FIXED_ONE) % _FIXED_ONE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RotationPoint:
     """A circle point, stored in fixed point so rotation steps are exact."""
 
@@ -67,7 +67,7 @@ class RotationPoint:
         return self.ticks / _FIXED_ONE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShiftPoint:
     """A point of the two-sided Bernoulli shift: a seed plus an integer offset."""
 

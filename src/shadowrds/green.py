@@ -210,21 +210,22 @@ def green_apply(orbit: OrbitCache, z: WindowSequence) -> WindowSequence:
         s_{n_min} = P_{n_min} z_{n_min},  s_n = P_n A_{n-1} s_{n-1} + P_n z_n,
         u_{n_max} = 0,  u_n = (I - P_n) A_n^{-1} (u_{n+1} + (I - P_{n+1}) z_{n+1}),
 
-    with the one-step maps of ``OrbitCache.stable_map``/``unstable_map``,
-    which keep every step sandwiched between projectors (see the module
-    docstring of the cocycle module).
+    with the one-step maps of the range reads ``OrbitCache.stable_maps`` and
+    ``unstable_maps``, which keep every step sandwiched between projectors
+    (see the module docstring of the cocycle module).
     """
     win = z.window
-    orbit.inverses(win.n_min, win.n_max)  # every matrix and inverse of both sweeps
-    projs = np.stack([orbit.projector(n) for n in win.indices()])
+    fwd = orbit.stable_maps(win.n_min, win.n_max)
+    bwd = orbit.unstable_maps(win.n_min, win.n_max)
+    projs = orbit.projectors(win.n_min, win.n_max + 1)
     pz = np.matmul(projs, z.values[:, :, None])[:, :, 0]
     qz = z.values - pz
     out = pz.copy()
     for i in range(1, win.length):
-        out[i] += orbit.stable_map(win.n_min + i - 1) @ out[i - 1]
+        out[i] += fwd[i - 1] @ out[i - 1]
     u = np.zeros(z.dim)
     for i in range(win.length - 2, -1, -1):
-        u = orbit.unstable_map(win.n_min + i) @ (u + qz[i + 1])
+        u = bwd[i] @ (u + qz[i + 1])
         out[i] -= u
     return WindowSequence(win, out)
 

@@ -234,8 +234,8 @@ class DefectReport:
 
 def _defect_allowance(orbit: OrbitCache, weights: WeightSequence) -> np.ndarray:
     """delta(n) / (2 K(sigma^n w)) at every index n of the weights' window."""
-    bounds = np.array([orbit.bound(n) for n in weights.window.indices()])
-    return weights.values / (2.0 * bounds)
+    win = weights.window
+    return weights.values / (2.0 * orbit.bounds(win.n_min, win.n_max + 1))
 
 
 def defect(prob: ShadowingProblem) -> DefectReport:

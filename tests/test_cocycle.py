@@ -160,6 +160,74 @@ def test_range_reads_fill_each_index_once_and_match_per_matrix_values():
         assert not block.flags.writeable
 
 
+def _counting_dichotomy(dich, calls):
+    """``dich`` with projector and bound callables that record each point they see."""
+
+    def projector(point):
+        calls["projector"].append(point)
+        return dich.projector(point)
+
+    def bound(point):
+        calls["bound"].append(point)
+        return dich.bound(point)
+
+    return replace(dich, projector=projector, bound=bound)
+
+
+# Overlapping, far-apart, zero-crossing and empty ranges, read in this order.
+_RANGES = [(0, 6), (-3, 4), (2, 9), (-40, -33), (50, 58), (-2, 2), (5, 5), (-7, -7), (-45, 60)]
+
+
+def test_range_reads_match_per_point_evaluation(scenarios, block4):
+    for sc in list(scenarios.values()) + [block4]:
+        calls = {"projector": [], "bound": []}
+        cache = OrbitCache(sc.cocycle, sc.base_point, _counting_dichotomy(sc.dichotomy, calls))
+        eye = np.eye(sc.cocycle.dim)
+        for n_lo, n_hi in _RANGES:
+            reads = [
+                cache.projectors(n_lo, n_hi), cache.bounds(n_lo, n_hi),
+                cache.stable_maps(n_lo, n_hi), cache.unstable_maps(n_lo, n_hi),
+            ]
+            projs, ks, fwd, bwd = reads
+            assert projs.shape == fwd.shape == bwd.shape == (n_hi - n_lo,) + eye.shape
+            assert ks.shape == (n_hi - n_lo,)
+            for block in reads:
+                assert not block.flags.writeable
+            for i, n in enumerate(range(n_lo, n_hi)):
+                point = step(sc.base, sc.base_point, n)
+                p = np.asarray(sc.dichotomy.projector(point), dtype=float)
+                p_next = np.asarray(
+                    sc.dichotomy.projector(step(sc.base, sc.base_point, n + 1)), dtype=float
+                )
+                a = np.asarray(sc.cocycle.generator(point), dtype=float)
+                assert np.array_equal(projs[i], p)
+                assert ks[i] == float(sc.dichotomy.bound(point))
+                assert np.array_equal(fwd[i], p_next @ a)
+                assert np.array_equal(bwd[i], (eye - p) @ np.linalg.inv(a))
+                assert np.array_equal(cache.projector(n), p)
+                assert cache.bound(n) == ks[i]
+        assert not cache.projector(0).flags.writeable
+        for name, seen in calls.items():
+            assert len(seen) == len(set(seen)), f"{sc.name}: a {name} was evaluated twice"
+        # Maps reach one index past the last range, for P at j + 1.
+        assert len(calls["projector"]) == 106 and len(calls["bound"]) == 105
+
+
+def test_range_fills_reject_bad_projectors_and_bounds(block4):
+    sc = block4
+    wrong_shape = replace(sc.dichotomy, projector=lambda p: np.eye(3))
+    with pytest.raises(ValueError, match="^projector has wrong shape$"):
+        OrbitCache(sc.cocycle, sc.base_point, wrong_shape).projectors(-2, 5)
+    with pytest.raises(ValueError, match="^projector has wrong shape$"):
+        OrbitCache(sc.cocycle, sc.base_point, wrong_shape).stable_maps(-2, 5)
+    for k in (0.0, -1.0):
+        bad_bound = replace(sc.dichotomy, bound=lambda p, k=k: k)
+        with pytest.raises(ValueError, match="^dichotomy bound K must be positive$"):
+            OrbitCache(sc.cocycle, sc.base_point, bad_bound).bounds(-2, 5)
+        with pytest.raises(ValueError, match="^dichotomy bound K must be positive$"):
+            OrbitCache(sc.cocycle, sc.base_point, bad_bound).bound(3)
+
+
 def test_far_read_starts_a_new_block_instead_of_spanning_the_gap():
     cocycle = _offset_generator()
     cache = OrbitCache(cocycle, ShiftPoint(5))
@@ -314,7 +382,7 @@ def _reference_adapted_norm_at(cache, base_index, x):
     """The per-vector adapted norm: one matrix-vector product per step."""
     dich = cache.dichotomy
     if dich is None:
-        raise ValueError("adapted norm requires dichotomy data")
+        raise ValueError("cache was built without dichotomy data")
     horizon = dich.horizon
     mu = dich.margin
     if mu <= 0 and not dich.allow_uncertified:
@@ -329,7 +397,7 @@ def _reference_adapted_norm_at(cache, base_index, x):
     stable = float(np.linalg.norm(v))
     weight = 1.0
     for k in range(horizon):
-        v = cache.stable_map(base_index + k) @ v
+        v = cache.stable_maps(base_index + k, base_index + k + 1)[0] @ v
         weight *= growth
         stable = max(stable, float(np.linalg.norm(v)) * weight)
 
@@ -337,7 +405,7 @@ def _reference_adapted_norm_at(cache, base_index, x):
     unstable = float(np.linalg.norm(u))
     weight = 1.0
     for k in range(horizon):
-        u = cache.unstable_map(base_index - k - 1) @ u
+        u = cache.unstable_maps(base_index - k - 1, base_index - k)[0] @ u
         weight *= growth
         unstable = max(unstable, float(np.linalg.norm(u)) * weight)
 

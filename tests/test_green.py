@@ -275,6 +275,10 @@ def test_cache_without_dichotomy_serves_dichotomy_free_calls(scenarios):
         lambda: green_residual(bare, z, z),
         lambda: dense_green_solve(bare, z),
         lambda: green_norm_bound_check(bare, weights, sc.epsilon, 1, rng),
+        lambda: bare.projectors(-2, 3),
+        lambda: bare.bounds(-2, 3),
+        lambda: bare.stable_maps(-2, 3),
+        lambda: bare.unstable_maps(-2, 3),
     ]
     for call in needs_dichotomy:
         with pytest.raises(ValueError, match="dichotomy data"):

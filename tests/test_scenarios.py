@@ -39,7 +39,7 @@ def test_uniform_diag_dichotomy_is_exact(scenarios):
     cache = OrbitCache(sc.cocycle, sc.base_point, sc.dichotomy)
     fwd = cache.projector(0)
     for n in range(1, 20):
-        fwd = cache.stable_map(n - 1) @ fwd
+        fwd = cache.stable_maps(n - 1, n)[0] @ fwd
         assert operator_norm(fwd) == pytest.approx(math.exp(-math.log(2.0) * n),
                                                    rel=1e-12)
 
