@@ -7,6 +7,8 @@ checkout's ``src`` to time that version):
 
 For each builtin scenario it times, over STEPS orbit indices:
 
+- ``point_us``: ``OrbitCache.point(n)`` on a new orbit segment (base
+  stepping), per index;
 - ``fill_us``: one range read of the matrices on a new orbit segment (one
   generator call per index, one stacked condition check), per index;
 - ``inverse_us``: one range read of the inverses once the matrices are held
@@ -21,6 +23,11 @@ For each builtin scenario it times, over STEPS orbit indices:
 - ``walk_us``: the lock-step walk of the perturbed exponents on a filled
   segment, per step of the whole block, for blocks of K_VALUES rows and both
   directions.
+
+For scenarios with a layering it also times ``envelope_us``: one
+``TemperedEnvelope.bound`` call at a freshly sampled base point, as the
+registry makes when it sets the level threshold, per point (ENVELOPE_POINTS
+points per timed call).
 
 Each figure is the median of the timed calls, made until BUDGET_S seconds
 have passed or MAX_CALLS calls were made.  BLAS is pinned to one thread, as
@@ -48,6 +55,7 @@ STEPS = 2000
 K_VALUES = (1, 4, 8)
 MAX_CALLS = 5
 BUDGET_S = 1.0
+ENVELOPE_POINTS = 50
 
 
 def _median_us(call, per: int, setup=None) -> float:
@@ -64,6 +72,9 @@ def _median_us(call, per: int, setup=None) -> float:
 
 def _scenario_row(sc) -> dict:
     dim = sc.cocycle.dim
+    point_us = _median_us(
+        lambda orbit: [orbit.point(n) for n in range(-STEPS, 0)], STEPS, setup=sc.orbit
+    )
     fill_us = _median_us(lambda orbit: orbit.matrices(-STEPS, 0), STEPS, setup=sc.orbit)
 
     def filled():
@@ -94,9 +105,10 @@ def _scenario_row(sc) -> dict:
             walk_us[direction][str(k)] = _median_us(
                 lambda _: _orbit_log_norms(sc.perturbation, orbit, xs, forward, STEPS), STEPS
             )
-    return {
+    row = {
         "scenario": sc.name,
         "d": dim,
+        "point_us": point_us,
         "fill_us": fill_us,
         "inverse_us": inverse_us,
         "projector_us": projector_us,
@@ -105,6 +117,15 @@ def _scenario_row(sc) -> dict:
         "qr_us": qr_us,
         "walk_us": walk_us,
     }
+    if sc.layering is not None:
+        envelope = sc.layering.envelope
+        rng = np.random.default_rng(0)
+        row["envelope_us"] = _median_us(
+            lambda points: [envelope.bound(p) for p in points],
+            ENVELOPE_POINTS,
+            setup=lambda: [sc.sample_point(rng) for _ in range(ENVELOPE_POINTS)],
+        )
+    return row
 
 
 def main() -> None:

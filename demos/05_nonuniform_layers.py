@@ -18,7 +18,7 @@ for _ in range(3):
     p = sc.sample_point(rng)
     print(f"  K = {sc.dichotomy.bound(p):.4f}, envelope D = "
           f"{lay.envelope.bound(p):.4f} at a sampled point")
-print(f"envelope growth rate rho = {lay.rho}, level threshold T = "
+print(f"envelope growth rate rho = {lay.envelope.rho}, level threshold T = "
       f"{lay.level_threshold:.4f}")
 
 # --- layer structure -----------------------------------------------------------
@@ -43,7 +43,7 @@ nxt = step(sc.base, p, 1)
 budget = sc.perturbation.lipschitz_budget
 print(f"\nanchor point sits in layer {m}:")
 print(f"  layer Lipschitz scale (c/T) e^(-rho|m-1|) = "
-      f"{budget / lay.level_threshold * np.exp(-lay.rho * abs(m - 1)):.5f}")
+      f"{budget / lay.level_threshold * np.exp(-lay.envelope.rho * abs(m - 1)):.5f}")
 print(f"  generic requirement c / K(sigma w) = "
       f"{budget / sc.dichotomy.bound(nxt):.5f}")
 

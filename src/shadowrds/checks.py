@@ -14,15 +14,13 @@ import numpy as np
 
 from .cocycle import (
     OrbitCache,
-    _bounds_along_orbit,
-    _sliding_max,
     check_norm_equivalence,
     check_one_step_contraction,
     cocycle_eval,
     envelope_along_orbit,
     operator_norm,
 )
-from .driving import BasePoint, step
+from .driving import BasePoint
 from .green import (
     WeightSequence,
     Window,
@@ -403,21 +401,18 @@ def check_envelope_growth(scenario, rng) -> CheckResult:
     layering = scenario.layering
     if layering is None:
         raise ValueError("scenario has no layering data")
+    env = layering.envelope
     horizon = _ENVELOPE_HORIZON
-    rho = layering.rho
-    reach = horizon + layering.envelope.half_width
     ns = np.arange(-horizon, horizon + 1)
     worst = 0.0
     for point in _points(scenario, rng, 5):
-        ks_wide = _bounds_along_orbit(
-            scenario.base, scenario.dichotomy.bound, point, -reach, reach
-        )
-        values = _sliding_max(ks_wide, rho, layering.envelope.half_width)
-        ks = ks_wide[reach - horizon : reach + horizon + 1]
+        orbit = scenario.orbit(point)
+        values = envelope_along_orbit(orbit, env.rho, env.half_width, -horizon, horizon)
+        ks = orbit.bounds(-horizon, horizon + 1)
         worst = max(worst, float(np.max(ks / values)) - 1.0)
         origin = values[horizon]
         worst = max(
-            worst, float(np.max(values / (origin * np.exp(rho * np.abs(ns))))) - 1.0
+            worst, float(np.max(values / (origin * np.exp(env.rho * np.abs(ns))))) - 1.0
         )
     return CheckResult("envelope-growth", worst, 1e-9, worst <= 1e-9)
 
@@ -427,15 +422,11 @@ def check_layer_coverage(scenario, rng, samples: int = 400) -> CheckResult:
     layering = scenario.layering
     if layering is None:
         raise ValueError("scenario has no layering data")
-    base = scenario.base
     env = layering.envelope
     hits = 0
     for _ in range(samples):
-        point = scenario.sample_point(rng)
-        values = envelope_along_orbit(
-            base, scenario.dichotomy.bound, point, layering.rho, env.half_width,
-            0, _COVERAGE_DEPTH,
-        )
+        orbit = scenario.orbit(scenario.sample_point(rng))
+        values = envelope_along_orbit(orbit, env.rho, env.half_width, 0, _COVERAGE_DEPTH)
         if np.any(values <= layering.level_threshold):
             hits += 1
     coverage = hits / samples
@@ -468,7 +459,7 @@ def check_layered_shadowing(scenario, rng) -> CheckResult:
     allowed = np.array(
         [
             weights.value_at(n)
-            * math.exp(-layering.rho * abs(n - m))
+            * math.exp(-layering.envelope.rho * abs(n - m))
             / (2.0 * layering.level_threshold)
             for n in window.indices()
         ]
@@ -512,8 +503,7 @@ def _check_perturbation_lipschitz(scenario, rng) -> CheckResult:
     budget = scenario.perturbation.lipschitz_budget
     worst = 0.0
     for point in _points(scenario, rng, 4):
-        nxt = step(scenario.base, point, 1)
-        allowed = budget / scenario.dichotomy.bound(nxt)
+        allowed = budget / scenario.orbit(point).bound(1)
         for _ in range(40):
             x = rng.standard_normal(scenario.cocycle.dim) * 2.0
             y = rng.standard_normal(scenario.cocycle.dim) * 2.0

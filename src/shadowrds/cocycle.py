@@ -23,7 +23,8 @@ Every function that works along one orbit sigma^n w takes that orbit segment,
 an ``OrbitCache``, as its first argument: the segment carries the system, the
 base point w and the dichotomy data, and holds what is evaluated along it in
 blocks read by index range (matrices, inverses, projectors, bounds and the
-one-step maps).
+one-step maps).  Tempered envelopes read K from the segment too: the
+envelope along an orbit is one range read of its bounds.
 
 Vector iterations along the stable (resp. unstable) direction re-apply the
 projector at every step.  This is deliberate: round-off seeds a tiny
@@ -238,7 +239,8 @@ class OrbitCache:
     COND_LIMIT check; a SingularityError names the lowest bad index of the
     fill) and one stacked ``np.linalg.inv`` or ``np.matmul`` for inverses
     and maps.  A read more than _SPAN_LIMIT indices away from a block
-    replaces it.  Base points are the only dict, keyed by n.
+    replaces it.  Base points are not stored: ``point(n)`` computes
+    sigma^n w, an exact step.
     """
 
     def __init__(
@@ -250,7 +252,6 @@ class OrbitCache:
         self.system = system
         self.omega = omega
         self.dichotomy = dichotomy
-        self._points: dict[int, BasePoint] = {0: omega}
         square = (system.dim, system.dim)
         self._mats, self._invs, self._projs = _Block(square), _Block(square), _Block(square)
         self._stable_maps, self._unstable_maps = _Block(square), _Block(square)
@@ -261,11 +262,7 @@ class OrbitCache:
         return self.system.dim
 
     def point(self, n: int) -> BasePoint:
-        p = self._points.get(n)
-        if p is None:
-            p = step(self.system.base, self.omega, n)
-            self._points[n] = p
-        return p
+        return step(self.system.base, self.omega, n)
 
     def require_dichotomy(self) -> DichotomyData:
         """The orbit's dichotomy data; ValueError when it was built without."""
@@ -295,7 +292,10 @@ class OrbitCache:
 
     def _fill_bounds(self, ns: np.ndarray) -> np.ndarray:
         bound = self.require_dichotomy().bound
-        ks = np.fromiter((float(bound(self.point(n))) for n in ns.tolist()), float, ns.size)
+        # The registry's envelope samples read ~2e5 bounds; stepping inline
+        # keeps a point() call per bound out of that loop.
+        base, omega = self.system.base, self.omega
+        ks = np.array([float(bound(step(base, omega, n))) for n in ns.tolist()])
         if np.any(ks <= 0):
             raise ValueError("dichotomy bound K must be positive")
         return ks
@@ -529,42 +529,20 @@ def check_one_step_contraction(
     return OneStepContractionReport(steps, stable_margin, unstable_margin, certified, passed)
 
 
-def _bounds_along_orbit(
-    base: DrivingSystem,
-    bound: Callable[[BasePoint], float],
-    omega: BasePoint,
-    j_lo: int,
-    j_hi: int,
-) -> np.ndarray:
-    """K(sigma^j w) for j in [j_lo, j_hi]."""
-    return np.array([float(bound(step(base, omega, j))) for j in range(j_lo, j_hi + 1)])
-
-
-def _sliding_max(ks: np.ndarray, rho: float, half_width: int) -> np.ndarray:
-    """max_{|j| <= half_width} ks[i + half_width + j] e^{-rho |j|} for every full window i."""
-    decay = np.exp(-rho * np.abs(np.arange(-half_width, half_width + 1)))
-    windows = np.lib.stride_tricks.sliding_window_view(ks, 2 * half_width + 1)
-    return np.max(windows * decay, axis=1)
-
-
 def envelope_along_orbit(
-    base: DrivingSystem,
-    bound: Callable[[BasePoint], float],
-    omega: BasePoint,
-    rho: float,
-    half_width: int,
-    n_lo: int = 0,
-    n_hi: int = 0,
+    orbit: OrbitCache, rho: float, half_width: int, n_lo: int = 0, n_hi: int = 0
 ) -> np.ndarray:
     """Values D(sigma^n w) for n in [n_lo, n_hi] of the windowed envelope.
 
-    D(p) = max_{|j| <= half_width} K(sigma^j p) e^{-rho |j|}; the K values along
-    the orbit are evaluated once and reused across the sliding windows.
+    D(p) = max_{|j| <= half_width} K(sigma^j p) e^{-rho |j|}; the K values are
+    one range read of the orbit's bounds, shared by the sliding windows.
     """
     if n_hi < n_lo:
         raise ValueError("empty index range")
-    ks = _bounds_along_orbit(base, bound, omega, n_lo - half_width, n_hi + half_width)
-    return _sliding_max(ks, rho, half_width)
+    ks = orbit.bounds(n_lo - half_width, n_hi + half_width + 1)
+    decay = np.exp(-rho * np.abs(np.arange(-half_width, half_width + 1)))
+    windows = np.lib.stride_tricks.sliding_window_view(ks, 2 * half_width + 1)
+    return np.max(windows * decay, axis=1)
 
 
 @dataclass(frozen=True)
@@ -587,41 +565,35 @@ class TemperedEnvelope:
     build_report: EnvelopeReport
 
 
-def build_envelope(
-    base: DrivingSystem,
-    dichotomy: DichotomyData,
-    omega: BasePoint,
-    rho: float,
-    half_width: int,
-) -> TemperedEnvelope:
+def build_envelope(orbit: OrbitCache, rho: float, half_width: int) -> TemperedEnvelope:
     """Construct D(p) = max_{|j| <= half_width} K(sigma^j p) e^{-rho |j|}.
 
-    The returned envelope satisfies K <= D everywhere by construction.  The
-    build report checks D(sigma^n w) <= D(w) e^{rho |n|} on the sampled window
-    around the given point and flags the result uncertified when the
-    defining max is still attained at the window edge (K may keep growing
-    beyond the sampled window).
+    The returned envelope satisfies K <= D everywhere by construction; its
+    ``bound(p)`` reads K along a new segment through p.  The build report
+    checks D(sigma^n w) <= D(w) e^{rho |n|} on the sampled window around the
+    orbit's base point w and flags the result uncertified when the defining
+    max is still attained at the window edge (K may keep growing beyond the
+    sampled window).
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
     if half_width < 1:
         raise ValueError("half_width must be >= 1")
-    bnd = dichotomy.bound
+    system, dichotomy = orbit.system, orbit.require_dichotomy()
 
     def envelope(point: BasePoint) -> float:
-        return float(envelope_along_orbit(base, bnd, point, rho, half_width)[0])
+        segment = OrbitCache(system, point, dichotomy)
+        return float(envelope_along_orbit(segment, rho, half_width)[0])
 
-    # One sweep of K over twice the half-width on each side serves D on
-    # [-half_width, half_width] and the defining terms of D(w).
-    ks_wide = _bounds_along_orbit(base, bnd, omega, -2 * half_width, 2 * half_width)
-    values = _sliding_max(ks_wide, rho, half_width)
+    # D on [-half_width, half_width] reads K over twice the half-width on each
+    # side, which also holds the defining terms of D(w).
+    values = envelope_along_orbit(orbit, rho, half_width, -half_width, half_width)
     origin = values[half_width]
     offsets = np.abs(np.arange(-half_width, half_width + 1))
     violation = float(np.max(values / (origin * np.exp(rho * offsets))) - 1.0)
 
-    ks = ks_wide[half_width : 3 * half_width + 1]
-    decay = np.exp(-rho * offsets)
-    terms = ks * decay
+    ks = orbit.bounds(-half_width, half_width + 1)
+    terms = ks * np.exp(-rho * offsets)
     interior = float(np.max(terms[1:-1]))
     edge = float(max(terms[0], terms[-1]))
     boundary_certified = edge < interior * (1.0 - 1e-12)

@@ -389,6 +389,8 @@ def conservation_experiment(
     assert isinstance(scenario, Scenario)
     if sample_count < 0:
         raise ValueError("sample count must be nonnegative")
+    if not tolerance >= 0:
+        raise ValueError("tolerance must be nonnegative")
     rng = np.random.default_rng(seed)
     dim = scenario.cocycle.dim
     orbit = scenario.orbit()

@@ -38,6 +38,7 @@ from .cocycle import (
     OrbitCache,
     TemperedEnvelope,
     build_envelope,
+    envelope_along_orbit,
 )
 from .driving import (
     BasePoint,
@@ -66,16 +67,15 @@ class NonuniformLayering:
     """Level sets of the tempered envelope and the first-hitting layer index.
 
     A point lies in layer m when m is the first n >= 0 with
-    D(sigma^n w) <= level_threshold.  Perturbations on layer m carry a
-    Lipschitz constant at most (c / level_threshold) e^{-rho |m - 1|}, which
-    the envelope growth bound converts into the required c / K(sigma w).
+    D(sigma^n w) <= level_threshold (None when a bounded scan finds none).
+    Perturbations on layer m carry a Lipschitz constant at most
+    (c / level_threshold) e^{-rho |m - 1|}, rho = envelope.rho, which the
+    envelope growth bound converts into the required c / K(sigma w).
     """
 
-    rho: float
     level_threshold: float
     envelope: TemperedEnvelope
     layer_index: Callable[[BasePoint], int | None]
-    scan_limit: int
 
 
 @dataclass(frozen=True)
@@ -226,6 +226,19 @@ _LAYER_SEED = 916191
 _LAYER_MEMO = 2 * MAX_WINDOW  # memoized layer indices: a full-window solve keeps hitting
 
 
+def _first_layer(
+    orbit: OrbitCache, envelope: TemperedEnvelope, level: float, scan_limit: int
+) -> int | None:
+    """The first n in [0, scan_limit] with D(sigma^n w) <= level, else None.
+
+    A scan to n reads K at 2 half_width + 1 + n points of the one segment.
+    """
+    for n in range(scan_limit + 1):
+        if envelope_along_orbit(orbit, envelope.rho, envelope.half_width, n, n)[0] <= level:
+            return n
+    return None
+
+
 def _nonuniform_layered() -> Scenario:
     base = BernoulliShift(3, (0.5, 0.3, 0.2))
     strong = 1.5
@@ -262,7 +275,7 @@ def _nonuniform_layered() -> Scenario:
     )
 
     anchor = ShiftPoint(20240915, 0)
-    envelope = build_envelope(base, dich, anchor, rho, envelope_half_width)
+    envelope = build_envelope(OrbitCache(cocycle, anchor, dich), rho, envelope_half_width)
 
     # Deterministic level threshold: the 70th percentile of the envelope over
     # a fixed sample, so the good set has probability well above zero.
@@ -272,10 +285,7 @@ def _nonuniform_layered() -> Scenario:
 
     @lru_cache(maxsize=_LAYER_MEMO)
     def layer_index(point: BasePoint) -> int | None:
-        for n in range(scan_limit + 1):
-            if envelope.bound(step(base, point, n)) <= level:
-                return n
-        return None
+        return _first_layer(OrbitCache(cocycle, point, dich), envelope, level, scan_limit)
 
     budget = 0.03
 
@@ -294,7 +304,7 @@ def _nonuniform_layered() -> Scenario:
         return lip_scale(point) * _saturating(np.asarray(x) + phase(point))
 
     pert = Perturbation(f, budget, bound=(budget / level) * math.sqrt(2.0))
-    layering = NonuniformLayering(rho, level, envelope, layer_index, scan_limit)
+    layering = NonuniformLayering(level, envelope, layer_index)
     return Scenario(
         name="nonuniform-layered",
         cocycle=cocycle,

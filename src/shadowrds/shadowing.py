@@ -301,7 +301,7 @@ def solve(prob: ShadowingProblem, tol: float = 1e-10, max_iter: int = 200) -> Sh
     within tol of the exact fixed point in the weighted norm.  Raises
     NonConvergenceError when max_iter is exhausted.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")

@@ -24,7 +24,7 @@ from shadowrds import (
 )
 from shadowrds import cocycle as cocycle_module
 from shadowrds.checks import check_cocycle_property, check_dichotomy_bounds
-from shadowrds.cocycle import _adapted_norm_at, _adapted_norm_parts
+from shadowrds.cocycle import _adapted_norm_at, _adapted_norm_parts, envelope_along_orbit
 
 
 def _scalar_half():
@@ -333,19 +333,18 @@ def test_one_step_contraction_sweep_diag():
 
 def test_envelope_constant_bound():
     cocycle, dich, p = _scalar_half()
-    env = build_envelope(cocycle.base, dich, p, rho=0.1, half_width=50)
+    env = build_envelope(OrbitCache(cocycle, p, dich), rho=0.1, half_width=50)
     assert env.bound(p) == pytest.approx(1.0)
     assert env.build_report.dominates_bound
 
 
-def test_envelope_direct_max_oracle():
-    # K(sigma^n w) = 1 + |n - offset| style growth: envelope equals the
-    # directly computed max over the window.
+def _rotation_oracle_orbit():
+    # K grows with the distance of the angle from the anchor angle, a crude
+    # tempered shape.
     base = IrrationalRotation.default()
     anchor = RotationPoint.from_angle(0.25)
 
     def bound(point):
-        # distance of the angle from the anchor angle, a crude tempered shape
         gap = abs(point.angle - anchor.angle)
         return 1.0 + 10.0 * min(gap, 1.0 - gap)
 
@@ -356,13 +355,43 @@ def test_envelope_direct_max_oracle():
         bound=bound,
         horizon=8,
     )
+    return OrbitCache(CocycleSystem(1, lambda p: np.array([[0.5]]), base), anchor, dich)
+
+
+def test_envelope_direct_max_oracle():
+    # The envelope equals the directly computed max over the window.
+    orbit = _rotation_oracle_orbit()
     rho, half_width = 0.1, 100
-    env = build_envelope(base, dich, anchor, rho, half_width)
+    env = build_envelope(orbit, rho, half_width)
     terms = [
-        bound(step(base, anchor, n)) * math.exp(-rho * abs(n))
+        orbit.dichotomy.bound(step(orbit.system.base, orbit.omega, n)) * math.exp(-rho * abs(n))
         for n in range(-half_width, half_width + 1)
     ]
-    assert env.bound(anchor) == pytest.approx(max(terms), rel=1e-12)
+    assert env.bound(orbit.omega) == pytest.approx(max(terms), rel=1e-12)
+
+
+def test_envelope_along_segment_matches_per_point_envelope(scenarios):
+    # One range read of K along a segment gives the same bits as the
+    # envelope's per-point bound at each stepped point.
+    oracle = _rotation_oracle_orbit()
+    oracle_env = build_envelope(oracle, 0.1, 100)
+    layered = scenarios["nonuniform-layered"]
+    layered_env = layered.layering.envelope
+    # Each envelope's report reads the same envelope at its anchor.
+    assert oracle_env.build_report.origin_value == oracle_env.bound(oracle.omega)
+    assert layered_env.build_report.origin_value == layered_env.bound(layered.base_point)
+    rng = np.random.default_rng(31)
+    cases = [(oracle, oracle_env)]
+    for point in [layered.base_point] + [layered.sample_point(rng) for _ in range(3)]:
+        cases.append((layered.orbit(point), layered_env))
+    for orbit, env in cases:
+        for n_lo, n_hi in ((-7, 5), (-1, 0), (0, 0), (-250, 3), (-2, 140)):
+            got = envelope_along_orbit(orbit, env.rho, env.half_width, n_lo, n_hi)
+            want = [
+                env.bound(step(orbit.system.base, orbit.omega, n))
+                for n in range(n_lo, n_hi + 1)
+            ]
+            assert got.tolist() == want, (n_lo, n_hi)
 
 
 def test_envelope_invariants_on_sampled_points(scenarios):

@@ -294,6 +294,11 @@ def test_csv_float_format_full_precision(tmp_path):
         ("scenario = uniform-diag\nwindow = -3\n", 2),
         ("scenario = uniform-diag\nnoise = 2\n", 2),
         ("scenario = uniform-diag\ntol = 0\n", 2),
+        ("scenario = uniform-diag\ntol = nan\n", 2),
+        ("scenario = remark-scalar\nexperiment = conservation\nsteps = 200\nsamples = 2\n"
+         "tolerance = -0.5\n", 2),
+        ("scenario = remark-scalar\nexperiment = conservation\nsteps = 200\nsamples = 2\n"
+         "tolerance = nan\n", 2),
         ("scenario = uniform-diag\nexperiment = lyapunov\nsteps = 2\n", 2),
         # N // 2 = 0: no exponent is defined at the half-way point.
         ("scenario = uniform-diag\nexperiment = lyapunov\nsteps = 1\nsamples = 0\n", 2),
@@ -340,7 +345,9 @@ def test_the_orbit_segment_is_the_only_orbit_argument():
             params = set(inspect.signature(obj).parameters)
             assert "cache" not in params, f"{module.__name__}.{name}"
             if "orbit" in params:
-                assert not params & {"system", "cocycle", "omega"}, f"{module.__name__}.{name}"
+                assert not params & {"system", "cocycle"}, f"{module.__name__}.{name}"
+            # The base point is the orbit's, read as orbit.omega or orbit.point(n).
+            assert not params & {"omega", "base"}, f"{module.__name__}.{name}"
             # The adapted-norm truncation is read from the orbit's dichotomy.
             assert not params & {"horizon", "allow_uncertified"}, f"{module.__name__}.{name}"
     fields = [f.name for f in dataclasses.fields(shadowing.ShadowingProblem)]

@@ -11,6 +11,7 @@ from shadowrds.checks import (
     run_invariant_suite,
     scenario_self_test,
 )
+from shadowrds.scenarios import _first_layer
 
 
 def test_registry_contains_required_scenarios(scenarios):
@@ -87,11 +88,11 @@ def test_nonuniform_lipschitz_chain(scenarios):
             continue
         checked += 1
         nxt = step(sc.base, p, 1)
-        layer_lip = (budget / lay.level_threshold) * math.exp(-lay.rho * abs(m - 1))
+        layer_lip = (budget / lay.level_threshold) * math.exp(-lay.envelope.rho * abs(m - 1))
         k_next = sc.dichotomy.bound(nxt)
         d_next = lay.envelope.bound(nxt)
         assert k_next <= d_next * (1 + 1e-12)
-        assert d_next <= lay.level_threshold * math.exp(lay.rho * abs(m - 1)) * (1 + 1e-9)
+        assert d_next <= lay.level_threshold * math.exp(lay.envelope.rho * abs(m - 1)) * (1 + 1e-9)
         assert layer_lip <= budget / k_next * (1 + 1e-12)
         # observed Lipschitz constant of f at p stays under the layer value
         for _ in range(5):
@@ -115,6 +116,33 @@ def test_nonuniform_layer_first_hitting(scenarios):
         for k in range(m):
             assert lay.envelope.bound(step(sc.base, p, k)) > lay.level_threshold
         assert lay.envelope.bound(step(sc.base, p, m)) <= lay.level_threshold
+
+
+def _per_point_layer_index(sc, point, level, scan_limit=400):
+    """The layer scan as one envelope evaluation per stepped point."""
+    for n in range(scan_limit + 1):
+        if sc.layering.envelope.bound(step(sc.base, point, n)) <= level:
+            return n
+    return None
+
+
+def test_layer_index_matches_per_point_scan(scenarios):
+    # layer_index walks one segment through the point; it must find the
+    # same layer as the per-point scan.  The shipped level equals the largest
+    # K, so every point lies in layer 0 there; a lower level, between two
+    # attained envelope values, gives deeper layers.
+    sc = scenarios["nonuniform-layered"]
+    lay = sc.layering
+    rng = np.random.default_rng(59)
+    lower = math.exp(1.05)
+    deep = 0
+    for _ in range(60):
+        p = sc.sample_point(rng)
+        assert lay.layer_index(p) == _per_point_layer_index(sc, p, lay.level_threshold)
+        m = _first_layer(sc.orbit(p), lay.envelope, lower, 400)
+        assert m == _per_point_layer_index(sc, p, lower)
+        deep += m is not None and m > 0
+    assert deep >= 20
 
 
 def test_nonuniform_layer_coverage(scenarios):
