@@ -18,8 +18,12 @@ For each builtin scenario it times, over STEPS orbit indices:
 - ``stable_map_us`` / ``unstable_map_us``: one range read of the stable
   (resp. unstable) one-step maps once the matrices, inverses and projectors
   are held (one stacked product), per index;
-- ``qr_us``: the repeated-QR sweep of the linear exponents on a filled
-  segment, per step;
+- ``qr_us``: the linear exponents' repeated-QR sweep
+  (``linear_exponents_and_half``) on a filled segment, per step, on the path
+  the scenario's matrices take (``qr_path``: ``triangular`` for the
+  cumulative log-diagonal sum, ``lapack`` for the per-step loop);
+- ``qr_lapack_us``: the per-step ``_positive_qr`` loop over the same
+  matrices, per step, whichever path the sweep takes;
 - ``walk_us``: the lock-step walk of the perturbed exponents on a filled
   segment, per step of the whole block, for blocks of K_VALUES rows and both
   directions.
@@ -49,7 +53,12 @@ import time  # noqa: E402
 import numpy as np  # noqa: E402
 
 import shadowrds  # noqa: E402
-from shadowrds.lyapunov import _orbit_log_norms, _qr_sweep  # noqa: E402
+from shadowrds.lyapunov import (  # noqa: E402
+    _is_upper_triangular,
+    _orbit_log_norms,
+    _qr_loop,
+    linear_exponents_and_half,
+)
 
 STEPS = 2000
 K_VALUES = (1, 4, 8)
@@ -94,9 +103,11 @@ def _scenario_row(sc) -> dict:
     stable_map_us = _median_us(lambda orbit: orbit.stable_maps(-STEPS, 0), STEPS, setup=held)
     unstable_map_us = _median_us(lambda orbit: orbit.unstable_maps(-STEPS, 0), STEPS, setup=held)
     orbit = sc.orbit()
-    orbit.matrices(0, STEPS)
+    mats = orbit.matrices(0, STEPS)
     orbit.inverses(-STEPS, 0)
-    qr_us = _median_us(lambda _: _qr_sweep(orbit, range(STEPS)), STEPS)
+    qr_path = "triangular" if _is_upper_triangular(mats) else "lapack"
+    qr_us = _median_us(lambda _: linear_exponents_and_half(orbit, STEPS), STEPS)
+    qr_lapack_us = _median_us(lambda _: _qr_loop(mats), STEPS)
     walk_us = {}
     for direction, forward in (("forward", True), ("backward", False)):
         walk_us[direction] = {}
@@ -114,7 +125,9 @@ def _scenario_row(sc) -> dict:
         "projector_us": projector_us,
         "stable_map_us": stable_map_us,
         "unstable_map_us": unstable_map_us,
+        "qr_path": qr_path,
         "qr_us": qr_us,
+        "qr_lapack_us": qr_lapack_us,
         "walk_us": walk_us,
     }
     if sc.layering is not None:

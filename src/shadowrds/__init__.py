@@ -44,6 +44,7 @@ from .lyapunov import (
     DegenerateOrbitError,
     backward_qr_frame,
     find_special_point,
+    linear_exponents_and_half,
     linear_exponents_qr,
     nonlinear_exponent,
 )

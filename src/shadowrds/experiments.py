@@ -37,9 +37,8 @@ import numpy as np
 from .checks import noisy_pseudo_orbit, run_invariant_suite
 from .green import Window
 from .lyapunov import (
-    _qr_sweep,
-    _sorted_exponents,
     conservation_experiment,
+    linear_exponents_and_half,
     nonlinear_exponent,
 )
 from .scenarios import Scenario, get_scenario
@@ -241,9 +240,7 @@ def _run_lyapunov(cfg: ExperimentConfig, scenario: Scenario, out: Path) -> int:
     # Dropping the first orbit before filling the second keeps only one
     # orbit's worth of entries alive at a time.
     orbit = scenario.orbit()
-    _, sums = _qr_sweep(orbit, range(cfg.steps))
-    lin = _sorted_exponents(sums, cfg.steps)
-    half = _sorted_exponents(sums, cfg.steps // 2)
+    lin, half = linear_exponents_and_half(orbit, cfg.steps)
     pert = scenario.perturbation
     fwds = nonlinear_exponent(orbit, pert, xs, "forward", steps=cfg.steps)
     del orbit

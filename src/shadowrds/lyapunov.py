@@ -1,10 +1,20 @@
 """Lyapunov exponents of the linear cocycle and of its perturbed counterpart.
 
 Linear exponents come from repeated QR factorization along the orbit: the
-averaged logs of the R diagonals.  For the perturbed cocycle the forward and
-backward exponents at a point are limsups of (1/n) log |orbit|; the finite
-surrogate used here is the maximum of that quantity over the tail half of the
-run, with the minimum reported as well and a flag when the two disagree.
+averaged logs of the R diagonals.  When every matrix of the sweep is upper
+triangular (diagonal and scalar cocycles), LAPACK's factorization of
+``m @ q`` is trivial: each Householder vector is zero, so ``tau = 0``,
+``Q = I`` and ``R = m @ q``.  With ``q`` a +-1 diagonal, ``m @ q`` stays
+triangular with diagonal ``m_ii * q_ii``, so the running sums are one
+cumulative sum of ``log |m_ii|`` and the last ``q`` is one factorization of
+the last matrix times the accumulated signs.  Both match the per-step loop
+bit for bit, signed zeros of ``q`` included, which the tests check against
+the loop; every other block runs the loop.
+
+For the perturbed cocycle the forward and backward exponents at a point are
+limsups of (1/n) log |orbit|; the finite surrogate used here is the maximum
+of that quantity over the tail half of the run, with the minimum reported as
+well and a flag when the two disagree.
 
 Finite-time orbits of hyperbolic systems overflow doubles long before
 n = 10^4, so the tracker switches to a scaled representation (unit vector
@@ -49,6 +59,7 @@ __all__ = [
     "DegenerateOrbitError",
     "InversionError",
     "linear_exponents_qr",
+    "linear_exponents_and_half",
     "backward_qr_frame",
     "NonlinearExponent",
     "nonlinear_exponent",
@@ -90,19 +101,39 @@ def _check_steps(steps: int) -> None:
         raise ValueError(f"steps = {steps} exceeds the limit of {MAX_STEPS}")
 
 
-def _qr_sweep(orbit: OrbitCache, indices: range) -> tuple[np.ndarray, np.ndarray]:
-    """Repeated QR of the matrices at the unit-step ``indices``, starting from the identity.
-
-    Returns the last orthonormal factor and the running sums of the log R
-    diagonals: row k holds the sum over the first k + 1 factorizations.
-    """
-    _check_steps(len(indices))
-    q = np.eye(orbit.dim)
-    logs = np.empty((len(indices), orbit.dim))
-    for k, m in enumerate(orbit.matrices(indices.start, indices.stop)):
+def _qr_loop(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Repeated QR of the (N, d, d) block ``mats`` by LAPACK, one ``_positive_qr`` per matrix."""
+    q = np.eye(mats.shape[-1])
+    logs = np.empty(mats.shape[:2])
+    for k, m in enumerate(mats):
         q, r = _positive_qr(m @ q)
         logs[k] = np.log(np.diagonal(r))
     return q, np.cumsum(logs, axis=0)
+
+
+def _is_upper_triangular(mats: np.ndarray) -> bool:
+    """True when no matrix of the block has a non-zero strictly-lower entry
+    (one strided read per entry position, no copy of the block)."""
+    dim = mats.shape[-1]
+    return not any(mats[:, i, j].any() for i in range(1, dim) for j in range(i))
+
+
+def _qr_sweep(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Repeated QR of the finite (N, d, d) block ``mats``, starting from the identity.
+
+    Returns the last orthonormal factor and the running sums of the log R
+    diagonals: row k holds the sum over the first k + 1 factorizations.  An
+    upper-triangular block takes the closed form in the module docstring,
+    bit for bit the per-step loop; any other block runs the loop.
+    """
+    if not len(mats) or not _is_upper_triangular(mats):
+        return _qr_loop(mats)
+    diag = np.diagonal(mats, axis1=1, axis2=2)
+    if not diag.all():
+        raise NumericalBreakdownError("zero diagonal entry in QR factor")
+    signs = np.sign(diag[:-1]).prod(axis=0)
+    q, _ = _positive_qr(mats[-1] @ (np.eye(mats.shape[-1]) * signs))
+    return q, np.cumsum(np.log(np.abs(diag)), axis=0)
 
 
 def _sorted_exponents(sums: np.ndarray, steps: int) -> np.ndarray:
@@ -112,14 +143,29 @@ def _sorted_exponents(sums: np.ndarray, steps: int) -> np.ndarray:
     return np.sort(sums[steps - 1] / steps)[::-1]
 
 
+def _forward_sums(orbit: OrbitCache, steps: int) -> np.ndarray:
+    """Running log-R sums of the sweep over the matrices at 0 <= n < steps."""
+    _check_steps(steps)
+    return _qr_sweep(orbit.matrices(0, steps))[1]
+
+
 def linear_exponents_qr(orbit: OrbitCache, steps: int) -> np.ndarray:
     """Finite-time Lyapunov exponents of the linear cocycle, sorted descending.
 
     Repeated QR along the orbit: exponents are the averaged logs of the R
     diagonals over ``steps`` factorizations.
     """
-    _, sums = _qr_sweep(orbit, range(steps))
-    return _sorted_exponents(sums, steps)
+    return _sorted_exponents(_forward_sums(orbit, steps), steps)
+
+
+def linear_exponents_and_half(orbit: OrbitCache, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exponents of ``linear_exponents_qr`` after ``steps`` and after
+    ``steps // 2`` factorizations, both read off one sweep.
+
+    The gap between the two is the lyapunov experiment's convergence column.
+    """
+    sums = _forward_sums(orbit, steps)
+    return _sorted_exponents(sums, steps), _sorted_exponents(sums, steps // 2)
 
 
 def backward_qr_frame(orbit: OrbitCache, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -131,7 +177,8 @@ def backward_qr_frame(orbit: OrbitCache, steps: int) -> tuple[np.ndarray, np.nda
     """
     if steps < 1:
         raise ValueError("steps must be positive")
-    q, sums = _qr_sweep(orbit, range(-steps, 0))
+    _check_steps(steps)
+    q, sums = _qr_sweep(orbit.matrices(-steps, 0))
     rates = sums[-1] / steps
     order = np.argsort(-rates)
     return q[:, order], rates[order]

@@ -1,0 +1,25 @@
+"""Smoke test of the bench scripts: they import private names from ``src``,
+so a rename there must fail here rather than in a later bench run."""
+
+import importlib.util
+from pathlib import Path
+
+from shadowrds import get_scenario
+
+_BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, _BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_exponent_steps_row_runs(monkeypatch):
+    bench = _load("exponent_steps")
+    for name, value in (("STEPS", 8), ("MAX_CALLS", 1), ("BUDGET_S", 0.0)):
+        monkeypatch.setattr(bench, name, value)
+    row = bench._scenario_row(get_scenario("uniform-diag"))
+    assert row["qr_path"] == "triangular"
+    assert row["qr_us"] > 0 and row["qr_lapack_us"] > 0

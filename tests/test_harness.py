@@ -161,8 +161,14 @@ def test_lyapunov_experiment_outputs(tmp_path):
     assert summary["pass"] is True
 
 
-def test_lyapunov_run_makes_one_qr_sweep(tmp_path, monkeypatch):
-    sc = get_scenario("uniform-rot-coupled")
+@pytest.mark.parametrize("name, qr_calls", [
+    ("uniform-rot-coupled", 40),
+    # Triangular matrices: one factorization, of the last product, in place
+    # of the per-step loop.
+    ("nonuniform-layered", 1),
+])
+def test_lyapunov_run_makes_one_qr_sweep(tmp_path, monkeypatch, name, qr_calls):
+    sc = get_scenario(name)
     lin = linear_exponents_qr(sc.orbit(), 40)
     half = linear_exponents_qr(sc.orbit(), 20)
     qr = lyapunov._positive_qr
@@ -178,7 +184,7 @@ def test_lyapunov_run_makes_one_qr_sweep(tmp_path, monkeypatch):
         steps=40, samples=0,
     )
     run_experiment(cfg)
-    assert len(calls) == 40
+    assert len(calls) == qr_calls
     # The exponents at N and the gap to N // 2 equal those of separate sweeps.
     rows = [r.split(",") for r in (tmp_path / "lyapunov.csv").read_text().splitlines()[1:]]
     assert [float(r[3]) for r in rows] == list(lin)

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowrds import (
     BernoulliShift,
@@ -16,12 +19,16 @@ from shadowrds import (
     backward_qr_frame,
     find_special_point,
     invert_step,
+    linear_exponents_and_half,
     linear_exponents_qr,
     nonlinear_exponent,
 )
+from shadowrds import lyapunov
+from shadowrds.cocycle import MAX_STEPS
 from shadowrds.lyapunov import (
     _BIG_NORM,
     _INVERSION_TOL,
+    NumericalBreakdownError,
     _orbit_log_norms,
     _positive_qr,
     _qr_sweep,
@@ -195,20 +202,104 @@ def test_batched_invert_step_raises_like_per_row_iteration():
         invert_step(one, pert, point, targets)
 
 
+def _reference_qr_sweep(mats):
+    """The per-step loop: one ``_positive_qr`` per matrix and a running ``+=`` of the logs."""
+    q = np.eye(mats.shape[-1])
+    logs = np.zeros(mats.shape[-1])
+    sums = []
+    for m in mats:
+        q, r = _positive_qr(m @ q)
+        logs += np.log(np.diagonal(r))
+        sums.append(logs.copy())
+    return q, np.array(sums)
+
+
 @pytest.mark.parametrize(
-    "indices", [range(300), range(-300, 0)], ids=["forward", "backward"]
+    "indices",
+    [range(300), range(-300, 0), range(1), range(2), range(3), range(37, 900)],
+    ids=["forward", "backward", "len1", "len2", "len3", "offset"],
 )
 def test_qr_sweep_matches_running_sum_loop(scenarios, block4, indices):
+    # Bytes, not values: q feeds nonlinear_orbit, so its signed zeros count.
     for sc in list(scenarios.values()) + [block4]:
         cache = OrbitCache(sc.cocycle, sc.base_point)
-        q, sums = _qr_sweep(cache, indices)
-        ref_q = np.eye(sc.cocycle.dim)
-        logs = np.zeros(sc.cocycle.dim)
-        for k, n in enumerate(indices):
-            ref_q, r = _positive_qr(cache.matrix(n) @ ref_q)
-            logs += np.log(np.diagonal(r))
-            assert np.array_equal(sums[k], logs), (sc.name, k)
-        assert np.array_equal(q, ref_q), sc.name
+        q, sums = _qr_sweep(cache.matrices(indices.start, indices.stop))
+        ref_q, ref_sums = _reference_qr_sweep(
+            np.array([cache.matrix(n) for n in indices])
+        )
+        assert sums.tobytes() == ref_sums.tobytes(), sc.name
+        assert q.tobytes() == ref_q.tobytes(), sc.name
+
+
+@st.composite
+def _triangular_blocks(draw, min_dim=1):
+    """(N, d, d) upper-triangular blocks: diagonal entries of either sign,
+    non-zero entries above the diagonal and signed zeros below it."""
+    dim = draw(st.integers(min_dim, 4))
+    steps = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = np.exp(rng.uniform(-5.0, 5.0, (steps, dim, dim)))
+    mats = rng.choice([-1.0, 1.0], (steps, dim, dim)) * scale
+    lower = np.tril(np.ones((dim, dim), dtype=bool), -1)
+    mats[:, lower] = rng.choice([-0.0, 0.0], (steps, int(lower.sum())))
+    return mats
+
+
+def _sweep_counting_qr(mats):
+    """``_qr_sweep(mats)`` and the number of ``_positive_qr`` calls it made."""
+    with mock.patch.object(lyapunov, "_positive_qr", wraps=_positive_qr) as counted:
+        q, sums = _qr_sweep(mats)
+    return q, sums, counted.call_count
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(mats=_triangular_blocks())
+def test_triangular_sweep_matches_lapack_loop_bitwise(mats):
+    q, sums, calls = _sweep_counting_qr(mats)
+    assert calls <= 1  # the closed form, not the per-step loop
+    ref_q, ref_sums = _reference_qr_sweep(mats)
+    assert sums.tobytes() == ref_sums.tobytes()
+    assert q.tobytes() == ref_q.tobytes()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(mats=_triangular_blocks(min_dim=2), data=st.data())
+def test_tiny_lower_entry_takes_lapack_loop(mats, data):
+    steps, dim = mats.shape[:2]
+    k = data.draw(st.integers(0, steps - 1))
+    i = data.draw(st.integers(1, dim - 1))
+    j = data.draw(st.integers(0, i - 1))
+    mats[k, i, j] = 1e-300
+    q, sums, calls = _sweep_counting_qr(mats)
+    assert calls == steps
+    ref_q, ref_sums = _reference_qr_sweep(mats)
+    assert sums.tobytes() == ref_sums.tobytes()
+    assert q.tobytes() == ref_q.tobytes()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(mats=_triangular_blocks(), data=st.data())
+def test_zero_diagonal_breaks_down_on_both_paths(mats, data):
+    steps, dim = mats.shape[:2]
+    k = data.draw(st.integers(0, steps - 1))
+    i = data.draw(st.integers(0, dim - 1))
+    mats[k, i, i] = data.draw(st.sampled_from([0.0, -0.0]))
+    with pytest.raises(NumericalBreakdownError):
+        _qr_sweep(mats)
+    with pytest.raises(NumericalBreakdownError):
+        _reference_qr_sweep(mats)
+
+
+def test_qr_sweeps_reject_too_many_steps_before_reading():
+    def unreachable(point):
+        raise AssertionError("no matrix may be evaluated")
+
+    orbit = OrbitCache(
+        CocycleSystem(1, unreachable, BernoulliShift(2, (0.5, 0.5))), ShiftPoint(3)
+    )
+    for sweep in (linear_exponents_qr, linear_exponents_and_half, backward_qr_frame):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            sweep(orbit, MAX_STEPS + 1)
 
 
 def test_qr_exponents_diagonal_exact(scenarios):
