@@ -14,8 +14,8 @@ import numpy as np
 
 from .cocycle import (
     OrbitCache,
-    check_norm_equivalence,
-    check_one_step_contraction,
+    check_norm_equivalence_rows,
+    check_one_step_contraction_rows,
     cocycle_eval,
     envelope_along_orbit,
     operator_norm,
@@ -29,7 +29,7 @@ from .green import (
     green_apply,
     green_norm_bound_check,
     green_residual,
-    weighted_norm,
+    weighted_norms,
 )
 from .shadowing import (
     ContractionError,
@@ -182,15 +182,12 @@ def check_norm_equivalence_sweep(scenario, rng) -> CheckResult:
     worst = 0.0
     failures = 0
     for point in _points(scenario, rng, 4):
-        orbit = scenario.orbit(point)
-        for _ in range(250):
-            x = rng.standard_normal(scenario.cocycle.dim)
-            rep = check_norm_equivalence(orbit, x)
-            if not rep.passed:
-                failures += 1
-            lower = rep.plain - rep.adapted.value
-            upper = rep.adapted.value - rep.upper
-            worst = max(worst, lower, upper)
+        xs = rng.standard_normal((250, scenario.cocycle.dim))
+        rep = check_norm_equivalence_rows(scenario.orbit(point), xs)
+        failures += int(np.count_nonzero(~rep.passed))
+        lower = rep.plain - rep.adapted.value
+        upper = rep.adapted.value - rep.upper
+        worst = max(worst, float(np.max(lower)), float(np.max(upper)))
     return CheckResult(
         "norm-equivalence", worst, 1e-9, failures == 0,
         detail=f"{failures} failures",
@@ -204,12 +201,12 @@ def check_one_step_contraction_sweep(scenario, rng) -> CheckResult:
     """
     worst = 0.0
     for point in _points(scenario, rng, 4):
-        orbit = scenario.orbit(point)
-        for _ in range(50):
-            x = rng.standard_normal(scenario.cocycle.dim)
-            n = int(rng.integers(0, 11))
-            rep = check_one_step_contraction(orbit, x, steps=n)
-            worst = max(worst, -rep.stable_margin, -rep.unstable_margin)
+        # Each vector's draw is followed by its step count's.
+        xs, steps = zip(*[
+            (rng.standard_normal(scenario.cocycle.dim), rng.integers(0, 11)) for _ in range(50)
+        ])
+        rep = check_one_step_contraction_rows(scenario.orbit(point), np.array(xs), steps)
+        worst = max(worst, float(np.max(-rep.stable_margin)), float(np.max(-rep.unstable_margin)))
     return CheckResult("adapted-contraction", worst, 1e-9, worst <= 1e-9)
 
 
@@ -351,15 +348,14 @@ def check_source_lipschitz(scenario, rng) -> CheckResult:
         * scenario.perturbation.lipschitz_budget
         * math.exp(scenario.dichotomy.rate - scenario.epsilon)
     )
-    worst = 0.0
-    for _ in range(50):
-        z1 = WindowSequence(window, rng.standard_normal((window.length, scenario.cocycle.dim)))
-        z2 = WindowSequence(window, rng.standard_normal((window.length, scenario.cocycle.dim)))
-        num = weighted_norm(
-            prob.orbit, seq=source_term(prob, z1) - source_term(prob, z2), weights=weights
-        )
-        den = weighted_norm(prob.orbit, seq=z1 - z2, weights=weights)
-        worst = max(worst, num - factor * den)
+    # Pair j draws z1 then z2: rows [j, 0] and [j, 1] of one draw.
+    draws = rng.standard_normal((50, 2, window.length, scenario.cocycle.dim))
+    pairs = [(WindowSequence(window, a), WindowSequence(window, b)) for a, b in draws]
+    num = weighted_norms(
+        prob.orbit, [source_term(prob, z1) - source_term(prob, z2) for z1, z2 in pairs], weights
+    )
+    den = weighted_norms(prob.orbit, [z1 - z2 for z1, z2 in pairs], weights)
+    worst = max(0.0, float(np.max(num - factor * den)))
     return CheckResult("source-lipschitz", worst, 1e-9, worst <= 1e-9)
 
 

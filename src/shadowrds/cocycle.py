@@ -19,6 +19,19 @@ truncation is part of the dichotomy data: N is its ``horizon``, and with a
 zero margin, where no tail bound exists, its ``allow_uncertified`` flag is
 the consent to truncate anyway.
 
+Adapted norms have one kernel, ``_adapted_norm_parts(orbit, ns, xs)``: row i
+of an (m, d) block is measured at orbit index ns[i], indices in any order and
+repeated at will.  It reads the one-step maps once over the span of ns,
+selects each horizon step's maps with one index (a slice for consecutive
+indices) and applies them to a chunk of rows in one batched product; a
+chunk's buffer, (N + 1) * rows * d floats, holds at most _NORM_SCRATCH.
+Rows that overflow or underflow are measured again divided by their largest
+absolute entry, so finite vectors up to the float range get finite, non-zero
+norms.  Every single-vector function is a one-row call of a batched form:
+``adapted_norm``, ``check_norm_equivalence`` (``check_norm_equivalence_rows``)
+and ``check_one_step_contraction`` (``check_one_step_contraction_rows``: one
+masked batched product per step, one kernel call for all three norms).
+
 Every function that works along one orbit sigma^n w takes that orbit segment,
 an ``OrbitCache``, as its first argument: the segment carries the system, the
 base point w and the dichotomy data, and holds what is evaluated along it in
@@ -35,7 +48,7 @@ exponentially; the re-projection keeps that contamination at round-off level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -55,8 +68,10 @@ __all__ = [
     "adapted_norm",
     "NormEquivalenceReport",
     "check_norm_equivalence",
+    "check_norm_equivalence_rows",
     "OneStepContractionReport",
     "check_one_step_contraction",
+    "check_one_step_contraction_rows",
     "envelope_along_orbit",
     "build_envelope",
     "operator_norm",
@@ -213,9 +228,12 @@ class _Block:
 
 
 def _at(read: Callable[[int, int], np.ndarray], ns: np.ndarray) -> np.ndarray:
-    """Rows at the ascending orbit indices ns of a range read over their span."""
-    lo = int(ns[0])
-    return read(lo, int(ns[-1]) + 1)[ns - lo]
+    """Rows at the orbit indices ns (any order, repeats allowed) of a range
+    read over their span."""
+    if not ns.size:
+        return read(0, 0)
+    lo = int(ns.min())
+    return read(lo, int(ns.max()) + 1)[ns - lo]
 
 
 class OrbitCache:
@@ -364,7 +382,8 @@ class AdaptedNorm:
 
     The untruncated norm lies in [value, value + tail] when ``certified`` is
     true.  With a zero margin no tail bound exists; the dichotomy must opt in
-    via ``allow_uncertified`` and the tail is reported as inf.
+    via ``allow_uncertified`` and the tail is reported as inf.  In the report
+    of a batched check every field but ``certified`` holds one entry per row.
     """
 
     value: float
@@ -377,20 +396,65 @@ class AdaptedNorm:
 _EQUIVALENCE_SLACK = 1e-9  # relative, in check_norm_equivalence
 _CONTRACTION_SLACK = 1e-9  # relative to max(1, rhs), in check_one_step_contraction
 
-#: Rows per batch of the adapted-norm kernel; bounds its scratch buffer to
-#: (horizon + 1) * _NORM_ROWS * d floats on windows up to MAX_WINDOW.
-_NORM_ROWS = 1024
+#: Floats of scratch per chunk of the adapted-norm kernel.  A chunk of r rows
+#: holds (horizon + 1) * r * d of them, so r shrinks as horizon and d grow.
+_NORM_SCRATCH = 1 << 15
+
+
+def _rescaled(measure: Callable, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``measure(xs, rows)``, per-row arrays homogeneous of degree one in xs.
+
+    ``rows`` are the indices of xs's rows in the block first measured.  A
+    finite row whose results sum to a non-finite value, or to zero although
+    the row is not, overflowed or underflowed: it is measured again divided
+    by its largest absolute entry, and those results are multiplied back.
+    Every other row keeps the bytes of the first measurement.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = measure(xs, np.arange(len(xs)))
+        total = sum(parts)
+    if np.isfinite(total).all() and total.all():  # every row in range
+        return parts
+    redo = np.isfinite(xs).all(axis=1) & ~(
+        np.isfinite(total) & ((total != 0) | ~xs.any(axis=1))
+    )
+    if redo.any():
+        rows = np.flatnonzero(redo)
+        scale = np.max(np.abs(xs[rows]), axis=1)
+        for part, again in zip(parts, measure(xs[rows] / scale[:, None], rows)):
+            part[rows] = again * scale
+    return parts
+
+
+def _plain_norms(xs: np.ndarray) -> np.ndarray:
+    """2-norms of the rows of an (m, d) array, overflow-safe.
+
+    One batched (1, d) @ (d, 1) product per row rounds as np.linalg.norm of
+    that row alone does.
+    """
+    def measure(block, rows):
+        return (np.sqrt(np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0]),)
+
+    return _rescaled(measure, xs)[0]
 
 
 def _adapted_norm_parts(
-    orbit: OrbitCache, n_lo: int, xs: np.ndarray
+    orbit: OrbitCache, ns: np.ndarray, xs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stable and unstable parts of the truncated adapted norms of many vectors.
 
-    Row i of ``xs`` (shape (m, d)) is measured at orbit index n_lo + i.  Each
-    step of the horizon applies the stable (resp. unstable) maps of all rows
-    in one batched product; the norms are taken once at the end and weighted
-    by e^{lam k}, formed by repeated multiplication.
+    Row i of ``xs`` (shape (m, d)) is measured at orbit index ``ns[i]``;
+    indices may repeat and come in any order.  The stable and unstable maps
+    and the projectors are read once over the span of ``ns``.  Each step k of
+    the horizon selects the maps at ns + k (resp. ns - k - 1) with one index,
+    a slice where a chunk's indices are consecutive, and applies them to all
+    rows of the chunk in one batched product; the norms are taken once at the
+    end and weighted by e^{lam k}, formed by repeated multiplication.  A
+    chunk's buffer holds (horizon + 1) * rows * d floats, at most
+    _NORM_SCRATCH unless one row alone needs more.  Rows that overflow or
+    underflow are measured again scaled by their largest absolute entry
+    (``_rescaled``), so every finite row gets a finite result unless the norm
+    itself exceeds the float range.
     """
     dich = orbit.require_dichotomy()
     horizon = dich.horizon
@@ -400,58 +464,85 @@ def _adapted_norm_parts(
             "strictness margin is zero: adapted-norm truncation cannot be"
             " certified (set DichotomyData.allow_uncertified to override)"
         )
+    ns = np.asarray(ns, dtype=np.int64)
     xs = np.asarray(xs, dtype=float)
     m, d = xs.shape
+    if ns.shape != (m,):
+        raise ValueError("one orbit index per row is required")
+    if not m:
+        return np.empty(0), np.empty(0)
+    lo, hi = int(ns.min()), int(ns.max())
+    fwd = orbit.stable_maps(lo, hi + horizon)  # index j at j - lo
+    bwd = orbit.unstable_maps(lo - horizon, hi)  # index j at j - lo + horizon
+    projs = orbit.projectors(lo, hi + 1)
     weights = np.full(horizon + 1, math.exp(dich.rate))
     weights[0] = 1.0
     np.cumprod(weights, out=weights)
-    stable = np.empty(m)
-    unstable = np.empty(m)
+    chunk = max(1, _NORM_SCRATCH // ((horizon + 1) * d))
 
     def weighted_sup(buf: np.ndarray) -> np.ndarray:
         # The arithmetic of np.linalg.norm over an axis, with fewer calls.
         return np.max(np.sqrt(np.square(buf).sum(axis=(2, 3))) * weights[:, None], axis=0)
 
-    for lo in range(0, m, _NORM_ROWS):
-        rows = min(_NORM_ROWS, m - lo)
-        n0 = n_lo + lo
-        fwd = orbit.stable_maps(n0, n0 + rows + horizon - 1)
-        bwd = orbit.unstable_maps(n0 - horizon, n0 + rows - 1)
-        projs = orbit.projectors(n0, n0 + rows)
-        buf = np.empty((horizon + 1, rows, d, 1))
-        x = xs[lo : lo + rows, :, None]
-        np.matmul(projs, x, out=buf[0])
-        for k in range(horizon):
-            np.matmul(fwd[k : k + rows], buf[k], out=buf[k + 1])
-        stable[lo : lo + rows] = weighted_sup(buf)
-        np.subtract(x, buf[0], out=buf[0])
-        for k in range(horizon):
-            j = horizon - 1 - k
-            np.matmul(bwd[j : j + rows], buf[k], out=buf[k + 1])
-        unstable[lo : lo + rows] = weighted_sup(buf)
+    def measure(block: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        stable = np.empty(len(rows))
+        unstable = np.empty(len(rows))
+        for a in range(0, len(rows), chunk):
+            at = ns[rows[a : a + chunk]] - lo
+            # A chunk of consecutive indices selects each step's maps as a
+            # view; any other chunk gathers them.
+            sel = slice(int(at[0]), int(at[0]) + len(at)) if (np.diff(at) == 1).all() else at
+            buf = np.empty((horizon + 1, len(at), d, 1))
+            x = block[a : a + chunk, :, None]
+            np.matmul(projs[sel], x, out=buf[0])
+            for k in range(horizon):
+                np.matmul(fwd[k:][sel], buf[k], out=buf[k + 1])
+            stable[a : a + chunk] = weighted_sup(buf)
+            np.subtract(x, buf[0], out=buf[0])
+            for k in range(horizon):
+                np.matmul(bwd[horizon - 1 - k :][sel], buf[k], out=buf[k + 1])
+            unstable[a : a + chunk] = weighted_sup(buf)
+        return stable, unstable
+
+    stable, unstable = _rescaled(measure, xs)
     if mu > 0:
         # The tail bound of every row needs a valid K; raise as the tail would.
-        orbit.bounds(n_lo, n_lo + m)
+        orbit.bounds(lo, hi + 1)
     return stable, unstable
 
 
-def _adapted_norm_at(orbit: OrbitCache, base_index: int, x: np.ndarray) -> AdaptedNorm:
-    x = np.asarray(x, dtype=float)
-    parts = _adapted_norm_parts(orbit, base_index, x[None, :])
-    stable, unstable = float(parts[0][0]), float(parts[1][0])
+def _adapted_norms(orbit: OrbitCache, ns: np.ndarray, xs: np.ndarray) -> AdaptedNorm:
+    """Adapted norms of the rows of xs at orbit indices ns, one array entry per row."""
+    ns = np.asarray(ns, dtype=np.int64)
+    xs = np.asarray(xs, dtype=float)
+    stable, unstable = _adapted_norm_parts(orbit, ns, xs)
     dich = orbit.dichotomy
     mu = dich.margin
     value = stable + unstable
     if mu > 0:
-        t = orbit.bound(base_index) * math.exp(-mu * (dich.horizon + 1)) * float(
-            np.linalg.norm(x)
-        )
-        tail = max(stable, t) + max(unstable, t) - value
-        certified = True
+        k = _at(orbit.bounds, ns)
+        t = k * math.exp(-mu * (dich.horizon + 1)) * _plain_norms(xs)
+        tail = np.maximum(stable, t) + np.maximum(unstable, t) - value
     else:
-        tail = math.inf
-        certified = False
-    return AdaptedNorm(value, tail, certified, stable, unstable)
+        tail = np.full(len(value), math.inf)
+    return AdaptedNorm(value, tail, mu > 0, stable, unstable)
+
+
+def _row(report):
+    """The one-row form of a batched report: each array field gives its one entry."""
+    values = {}
+    for f in fields(report):
+        v = getattr(report, f.name)
+        if isinstance(v, np.ndarray):
+            v = v[0].item()
+        elif is_dataclass(v):
+            v = _row(v)
+        values[f.name] = v
+    return replace(report, **values)
+
+
+def _adapted_norm_at(orbit: OrbitCache, base_index: int, x: np.ndarray) -> AdaptedNorm:
+    return _row(_adapted_norms(orbit, [base_index], np.asarray(x, dtype=float)[None, :]))
 
 
 def adapted_norm(orbit: OrbitCache, x: np.ndarray) -> AdaptedNorm:
@@ -461,7 +552,11 @@ def adapted_norm(orbit: OrbitCache, x: np.ndarray) -> AdaptedNorm:
 
 @dataclass(frozen=True)
 class NormEquivalenceReport:
-    """The chain |x| <= |x|_w <= 2 K(w) |x| evaluated at one point."""
+    """The chain |x| <= |x|_w <= 2 K(w) |x| evaluated at one point.
+
+    From ``check_norm_equivalence_rows`` every field but ``adapted.certified``
+    holds one entry per row.
+    """
 
     plain: float
     adapted: AdaptedNorm
@@ -469,15 +564,20 @@ class NormEquivalenceReport:
     passed: bool
 
 
-def check_norm_equivalence(orbit: OrbitCache, x: np.ndarray) -> NormEquivalenceReport:
-    """Verify the two-sided equivalence of plain and adapted norms."""
-    x = np.asarray(x, dtype=float)
-    plain = float(np.linalg.norm(x))
-    nrm = _adapted_norm_at(orbit, 0, x)
+def check_norm_equivalence_rows(orbit: OrbitCache, xs: np.ndarray) -> NormEquivalenceReport:
+    """``check_norm_equivalence`` of each row of an (m, d) array, in one kernel call."""
+    xs = np.asarray(xs, dtype=float)
+    plain = _plain_norms(xs)
+    nrm = _adapted_norms(orbit, np.zeros(len(xs), dtype=np.int64), xs)
     upper = 2.0 * orbit.bound(0) * plain
     lower_ok = plain <= nrm.value * (1.0 + _EQUIVALENCE_SLACK)
     upper_ok = nrm.value <= upper * (1.0 + _EQUIVALENCE_SLACK)
-    return NormEquivalenceReport(plain, nrm, upper, lower_ok and upper_ok)
+    return NormEquivalenceReport(plain, nrm, upper, lower_ok & upper_ok)
+
+
+def check_norm_equivalence(orbit: OrbitCache, x: np.ndarray) -> NormEquivalenceReport:
+    """Verify the two-sided equivalence of plain and adapted norms."""
+    return _row(check_norm_equivalence_rows(orbit, np.asarray(x, dtype=float)[None, :]))
 
 
 @dataclass(frozen=True)
@@ -486,7 +586,9 @@ class OneStepContractionReport:
 
     ``stable_margin`` is e^{-lam n} |x|_w minus the adapted norm (plus tail,
     when certified) of A(w,n)P(w)x at sigma^n w; ``unstable_margin`` is the
-    backward analogue.  Nonnegative margins certify the inequalities.
+    backward analogue.  Nonnegative margins certify the inequalities.  From
+    ``check_one_step_contraction_rows`` every field but ``certified`` holds
+    one entry per row.
     """
 
     steps: int
@@ -496,37 +598,50 @@ class OneStepContractionReport:
     passed: bool
 
 
+def check_one_step_contraction_rows(
+    orbit: OrbitCache, xs: np.ndarray, steps: np.ndarray
+) -> OneStepContractionReport:
+    """``check_one_step_contraction`` of each row of an (m, d) array with its own
+    step count, in one kernel call: rows at index 0, their stable parts pushed
+    to ``steps`` and their unstable parts pulled back to ``-steps``."""
+    steps = np.asarray(steps, dtype=np.int64)
+    if np.any(steps < 0):
+        raise ValueError("steps must be nonnegative")
+    rate = orbit.require_dichotomy().rate
+    decay = np.array([math.exp(-rate * n) for n in steps.tolist()])
+    xs = np.asarray(xs, dtype=float)
+    m = len(xs)
+    reach = int(steps.max(initial=0))
+
+    v = np.matmul(orbit.projector(0), xs[:, :, None])[:, :, 0]
+    u = xs - v
+    fwd = orbit.stable_maps(0, reach)
+    bwd = orbit.unstable_maps(-reach, 0)
+    for k in range(reach):
+        live = steps > k
+        v[live] = np.matmul(fwd[k], v[live][:, :, None])[:, :, 0]
+        u[live] = np.matmul(bwd[reach - 1 - k], u[live][:, :, None])[:, :, 0]
+
+    nrm = _adapted_norms(
+        orbit, np.concatenate([np.zeros(m, dtype=np.int64), steps, -steps]),
+        np.concatenate([xs, v, u]),
+    )
+    base, there, back = nrm.value.reshape(3, m)
+    rhs = decay * base
+    _, there_tail, back_tail = nrm.tail.reshape(3, m) if nrm.certified else (0.0, 0.0, 0.0)
+    stable_margin = rhs - (there + there_tail)
+    unstable_margin = rhs - (back + back_tail)
+    slack = -_CONTRACTION_SLACK * np.maximum(1.0, rhs)
+    passed = (stable_margin >= slack) & (unstable_margin >= slack)
+    return OneStepContractionReport(steps, stable_margin, unstable_margin, nrm.certified, passed)
+
+
 def check_one_step_contraction(
     orbit: OrbitCache, x: np.ndarray, steps: int
 ) -> OneStepContractionReport:
     """Check the n-step contraction of adapted norms along both directions."""
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
     x = np.asarray(x, dtype=float)
-    decay = math.exp(-orbit.require_dichotomy().rate * steps)
-
-    base = _adapted_norm_at(orbit, 0, x)
-    rhs = decay * base.value
-
-    v = orbit.projector(0) @ x
-    for m in orbit.stable_maps(0, steps):
-        v = m @ v
-    fwd = _adapted_norm_at(orbit, steps, v)
-
-    u = x - orbit.projector(0) @ x
-    for m in orbit.unstable_maps(-steps, 0)[::-1]:
-        u = m @ u
-    bwd = _adapted_norm_at(orbit, -steps, u)
-
-    certified = base.certified and fwd.certified and bwd.certified
-    fwd_tail = fwd.tail if certified else 0.0
-    bwd_tail = bwd.tail if certified else 0.0
-    stable_margin = rhs - (fwd.value + fwd_tail)
-    unstable_margin = rhs - (bwd.value + bwd_tail)
-    scale = max(1.0, rhs)
-    slack = -_CONTRACTION_SLACK * scale
-    passed = stable_margin >= slack and unstable_margin >= slack
-    return OneStepContractionReport(steps, stable_margin, unstable_margin, certified, passed)
+    return _row(check_one_step_contraction_rows(orbit, x[None, :], [steps]))
 
 
 def envelope_along_orbit(

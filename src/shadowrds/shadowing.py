@@ -407,7 +407,7 @@ def check_uniqueness(
             )
     shadow_bound = prob.constants[0]
     stable, unstable = _adapted_norm_parts(
-        prob.orbit, win.n_min, orbit1.values - orbit2.values
+        prob.orbit, np.arange(win.n_min, win.n_max + 1), orbit1.values - orbit2.values
     )
     gaps = stable + unstable
     max_adapted = float(np.max(gaps))

@@ -23,3 +23,20 @@ def test_exponent_steps_row_runs(monkeypatch):
     row = bench._scenario_row(get_scenario("uniform-diag"))
     assert row["qr_path"] == "triangular"
     assert row["qr_us"] > 0 and row["qr_lapack_us"] > 0
+
+
+def test_invariant_checks_row_times_every_check_of_the_suite(monkeypatch):
+    bench = _load("invariant_checks")
+    from shadowrds import checks
+
+    for name, value in (("MAX_CALLS", 1), ("BUDGET_S", 0.0)):
+        monkeypatch.setattr(bench, name, value)
+    originals = {name: getattr(checks, name) for name in bench.CHECKS}
+    row = bench._scenario_row(get_scenario("remark-scalar"))
+    assert row["runs"] == 1 and row["suite_ms"] > 0
+    for name in ("check_norm_equivalence_sweep", "check_one_step_contraction_sweep",
+                 "check_green_norm_bounds", "check_source_lipschitz",
+                 "check_perturbation_lipschitz", "check_contraction_constant"):
+        assert row[f"{name}_ms"] > 0, name
+    assert "check_envelope_growth_ms" not in row  # remark-scalar has no layering
+    assert all(getattr(checks, name) is fn for name, fn in originals.items())

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,12 @@ from shadowrds import (
 )
 from shadowrds import cocycle as cocycle_module
 from shadowrds.checks import check_cocycle_property, check_dichotomy_bounds
-from shadowrds.cocycle import _adapted_norm_at, _adapted_norm_parts, envelope_along_orbit
+from shadowrds.cocycle import (
+    _adapted_norm_at,
+    _adapted_norm_parts,
+    _adapted_norms,
+    envelope_along_orbit,
+)
 
 
 def _scalar_half():
@@ -407,6 +413,13 @@ def test_envelope_invariants_on_sampled_points(scenarios):
             assert env.bound(q) <= d_here * math.exp(env.rho * abs(n)) * (1 + 1e-9)
 
 
+def _kernel_norm(v):
+    """|v| rounded as the adapted-norm kernel rounds it: the squares summed in
+    index order, then the square root (np.linalg.norm of a vector takes a dot
+    product, which can round differently)."""
+    return math.sqrt(float(np.square(v).sum()))
+
+
 def _reference_adapted_norm_at(cache, base_index, x):
     """The per-vector adapted norm: one matrix-vector product per step."""
     dich = cache.dichotomy
@@ -423,20 +436,20 @@ def _reference_adapted_norm_at(cache, base_index, x):
     growth = math.exp(dich.rate)
 
     v = cache.projector(base_index) @ x
-    stable = float(np.linalg.norm(v))
+    stable = _kernel_norm(v)
     weight = 1.0
     for k in range(horizon):
         v = cache.stable_maps(base_index + k, base_index + k + 1)[0] @ v
         weight *= growth
-        stable = max(stable, float(np.linalg.norm(v)) * weight)
+        stable = max(stable, _kernel_norm(v) * weight)
 
     u = x - cache.projector(base_index) @ x
-    unstable = float(np.linalg.norm(u))
+    unstable = _kernel_norm(u)
     weight = 1.0
     for k in range(horizon):
         u = cache.unstable_maps(base_index - k - 1, base_index - k)[0] @ u
         weight *= growth
-        unstable = max(unstable, float(np.linalg.norm(u)) * weight)
+        unstable = max(unstable, _kernel_norm(u) * weight)
 
     value = stable + unstable
     if mu > 0:
@@ -451,37 +464,53 @@ def _reference_adapted_norm_at(cache, base_index, x):
     return AdaptedNorm(value, tail, certified, stable, unstable)
 
 
-@pytest.mark.parametrize(
-    "rows, n_lo, norm_rows",
-    [
-        pytest.param(1, 3, None, id="1-3"),
-        pytest.param(17, -5, None, id="17--5"),
-        pytest.param(257, -200, None, id="257--200"),
-        # Chunks of 7 rows put chunk boundaries inside both windows.
-        pytest.param(17, -5, 7, id="17--5-chunks-of-7"),
-        pytest.param(257, -200, 7, id="257--200-chunks-of-7"),
-    ],
-)
+def _bytes(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+# Orbit indices of the kernel's rows, drawn from a generator.
+_INDEX_CASES = {
+    "consecutive-1-at-3": lambda rng: np.arange(3, 4),
+    "consecutive-17-at--5": lambda rng: np.arange(-5, 12),
+    "consecutive-257-at--200": lambda rng: np.arange(-200, 57),
+    "zeros-250": lambda rng: np.zeros(250, dtype=np.int64),
+    "mixed-plus-minus-10": lambda rng: rng.integers(0, 11, 120) * rng.choice([-1, 1], 120),
+    "unsorted-repeated": lambda rng: rng.permutation(np.repeat(rng.integers(-30, 31, 20), 4)),
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 7], ids=["one-chunk", "chunks-of-7"])
+@pytest.mark.parametrize("case", sorted(_INDEX_CASES))
 def test_adapted_norm_kernel_matches_per_vector_loop(
-    scenarios, block4, monkeypatch, rows, n_lo, norm_rows
+    scenarios, block4, monkeypatch, case, chunk_rows
 ):
-    if norm_rows is not None:
-        monkeypatch.setattr(cocycle_module, "_NORM_ROWS", norm_rows)
-    rng = np.random.default_rng(rows)
-    for sc in list(scenarios.values()) + [block4]:
-        dich = replace(sc.dichotomy, allow_uncertified=True)
+    rng = np.random.default_rng(len(case))
+    systems = list(scenarios.values()) + [block4]
+    # With the rate raised by 2 the weighted sups sit at the horizon's end, so
+    # every gathered map enters the result; at the declared rate most sit at
+    # k = 0, where no map does.
+    for sc, boost in [(sc, boost) for sc in systems for boost in (0.0, 2.0)]:
+        dich = replace(sc.dichotomy, rate=sc.dichotomy.rate + boost, allow_uncertified=True)
+        d = sc.cocycle.dim
+        if chunk_rows is not None:
+            # Chunk boundaries then fall inside runs of repeated indices.
+            monkeypatch.setattr(
+                cocycle_module, "_NORM_SCRATCH", chunk_rows * (dich.horizon + 1) * d
+            )
         cache = OrbitCache(sc.cocycle, sc.base_point, dich)
-        xs = rng.standard_normal((rows, sc.cocycle.dim))
-        stable, unstable = _adapted_norm_parts(cache, n_lo, xs)
-        for i, x in enumerate(xs):
-            ref = _reference_adapted_norm_at(cache, n_lo + i, x)
-            assert stable[i] == pytest.approx(ref.stable_part, rel=1e-14, abs=0.0)
-            assert unstable[i] == pytest.approx(ref.unstable_part, rel=1e-14, abs=0.0)
-            if rows == 1:
-                one = _adapted_norm_at(cache, n_lo + i, x)
-                assert one.certified == ref.certified
-                assert one.value == pytest.approx(ref.value, rel=1e-14, abs=0.0)
-                assert one.tail == pytest.approx(ref.tail, rel=1e-14, abs=1e-14 * ref.value)
+        ns = _INDEX_CASES[case](rng)
+        xs = rng.standard_normal((len(ns), d))
+        stable, unstable = _adapted_norm_parts(cache, ns, xs)
+        norms = _adapted_norms(cache, ns, xs)
+        refs = [_reference_adapted_norm_at(cache, int(n), x) for n, x in zip(ns, xs)]
+        assert _bytes(stable) == _bytes([r.stable_part for r in refs]), sc.name
+        assert _bytes(unstable) == _bytes([r.unstable_part for r in refs]), sc.name
+        assert _bytes(norms.stable_part) == _bytes(stable)
+        assert _bytes(norms.value) == _bytes([r.value for r in refs]), sc.name
+        assert _bytes(norms.tail) == _bytes([r.tail for r in refs]), sc.name
+        assert norms.certified == refs[0].certified
+        for i in range(min(3, len(ns))):
+            assert _adapted_norm_at(cache, int(ns[i]), xs[i]) == refs[i]
 
 
 def _raised(fn):
@@ -492,7 +521,10 @@ def _raised(fn):
     return None
 
 
-def test_adapted_norm_kernel_raises_like_per_vector_loop(block4):
+@pytest.mark.parametrize(
+    "ns", [[-1, 0, 1], [2, -1, 2], [0, 0, 0]], ids=["consecutive", "unsorted-repeated", "zeros"]
+)
+def test_adapted_norm_kernel_raises_like_per_vector_loop(block4, ns):
     sc = block4
     xs = np.ones((3, 4))
     cases = [
@@ -503,8 +535,46 @@ def test_adapted_norm_kernel_raises_like_per_vector_loop(block4):
     for dich in cases:
         cache = OrbitCache(sc.cocycle, sc.base_point, dich)
         ref = _raised(lambda: [
-            _reference_adapted_norm_at(cache, n, x) for n, x in enumerate(xs, -1)
+            _reference_adapted_norm_at(cache, n, x) for n, x in zip(ns, xs)
         ])
         assert ref is not None
-        assert _raised(lambda: _adapted_norm_parts(cache, -1, xs)) == ref
-        assert _raised(lambda: _adapted_norm_at(cache, -1, xs[0])) == ref
+        assert _raised(lambda: _adapted_norm_parts(cache, ns, xs)) == ref
+        assert _raised(lambda: _adapted_norms(cache, ns, xs)) == ref
+        assert _raised(lambda: _adapted_norm_at(cache, ns[0], xs[0])) == ref
+
+
+@pytest.mark.parametrize("magnitude", [1e-200, 1e-150, 1e150, 1e200, 1e300])
+def test_adapted_norms_near_the_float_range(scenarios, block4, magnitude):
+    rng = np.random.default_rng(44)
+    for sc in list(scenarios.values()) + [block4]:
+        orbit = sc.orbit()
+        d = sc.cocycle.dim
+        units = rng.standard_normal((6, d))
+        units /= np.max(np.abs(units), axis=1)[:, None]  # largest entry +-1
+        xs = magnitude * units
+        scale = np.max(np.abs(xs), axis=1)
+        ns = np.array([0, 0, 3, -3, 7, -10])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stable, unstable = _adapted_norm_parts(orbit, ns, xs)
+            unit_stable, unit_unstable = _adapted_norm_parts(orbit, ns, xs / scale[:, None])
+            one = adapted_norm(orbit, xs[0])
+            rep = check_norm_equivalence(orbit, xs[0])
+        value = stable + unstable
+        assert np.all(np.isfinite(value)) and np.all(value > 0), sc.name
+        want = scale * (unit_stable + unit_unstable)
+        assert np.allclose(value, want, rtol=1e-14, atol=0.0), sc.name
+        assert one.value == pytest.approx(value[0], rel=1e-14, abs=0.0)
+        assert math.isfinite(one.tail) or not one.certified
+        assert rep.plain == pytest.approx(scale[0] * np.linalg.norm(units[0]), rel=1e-14)
+        assert rep.passed, (sc.name, rep)
+        # Rows in range keep the bytes they get alone, and rescaled rows are
+        # measured at their own indices wherever they sit in the block.
+        alone = _adapted_norm_parts(orbit, ns, units)
+        both = _adapted_norm_parts(
+            orbit, np.concatenate([ns, ns[::-1]]), np.concatenate([units, xs[::-1]])
+        )
+        assert _bytes(both[0][: len(ns)]) == _bytes(alone[0])
+        assert _bytes(both[1][: len(ns)]) == _bytes(alone[1])
+        assert _bytes(both[0][len(ns) :]) == _bytes(stable[::-1])
+        assert _bytes(both[1][len(ns) :]) == _bytes(unstable[::-1])
