@@ -10,11 +10,14 @@ For each builtin scenario it times, over STEPS orbit indices:
 - ``point_us``: ``OrbitCache.point(n)`` on a new orbit segment (base
   stepping), per index;
 - ``fill_us``: one range read of the matrices on a new orbit segment (one
-  generator call per index, one stacked condition check), per index;
+  call of the generator's range form, or one generator call per index when
+  it has none, then one stacked condition check), per index;
 - ``inverse_us``: one range read of the inverses once the matrices are held
   (one stacked inverse), per index;
 - ``projector_us``: one range read of the projectors on a new orbit segment
-  (one projector call per index), per index;
+  (one range-form call, or one projector call per index), per index;
+- ``bound_us``: one range read of the bounds K on a new orbit segment (one
+  range-form call, or one bound call per index), per index;
 - ``stable_map_us`` / ``unstable_map_us``: one range read of the stable
   (resp. unstable) one-step maps once the matrices, inverses and projectors
   are held (one stacked product), per index;
@@ -93,6 +96,7 @@ def _scenario_row(sc) -> dict:
 
     inverse_us = _median_us(lambda orbit: orbit.inverses(-STEPS, 0), STEPS, setup=filled)
     projector_us = _median_us(lambda orbit: orbit.projectors(-STEPS, 0), STEPS, setup=sc.orbit)
+    bound_us = _median_us(lambda orbit: orbit.bounds(-STEPS, 0), STEPS, setup=sc.orbit)
 
     def held():
         orbit = filled()
@@ -123,6 +127,7 @@ def _scenario_row(sc) -> dict:
         "fill_us": fill_us,
         "inverse_us": inverse_us,
         "projector_us": projector_us,
+        "bound_us": bound_us,
         "stable_map_us": stable_map_us,
         "unstable_map_us": unstable_map_us,
         "qr_path": qr_path,

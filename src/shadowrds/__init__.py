@@ -11,6 +11,7 @@ from .cocycle import (
     CocycleSystem,
     DichotomyData,
     OrbitCache,
+    RangeMap,
     SingularityError,
     UncertifiedTruncationError,
     adapted_norm,
@@ -28,6 +29,7 @@ from .driving import (
     sample_point,
     step,
     symbol_at,
+    symbols_along,
 )
 from .green import (
     AdmissibilityError,

@@ -36,8 +36,11 @@ Every function that works along one orbit sigma^n w takes that orbit segment,
 an ``OrbitCache``, as its first argument: the segment carries the system, the
 base point w and the dichotomy data, and holds what is evaluated along it in
 blocks read by index range (matrices, inverses, projectors, bounds and the
-one-step maps).  Tempered envelopes read K from the segment too: the
-envelope along an orbit is one range read of its bounds.
+one-step maps).  A generator, projector or bound may be a ``RangeMap``,
+which carries its orbit-range form: the segment then fills a whole index
+range with one call instead of one call per point.  Tempered envelopes read
+K from the segment too: the envelope along an orbit is one range read of its
+bounds.
 
 Vector iterations along the stable (resp. unstable) direction re-apply the
 projector at every step.  This is deliberate: round-off seeds a tiny
@@ -59,6 +62,7 @@ __all__ = [
     "COND_LIMIT",
     "SingularityError",
     "UncertifiedTruncationError",
+    "RangeMap",
     "CocycleSystem",
     "DichotomyData",
     "TemperedEnvelope",
@@ -102,6 +106,44 @@ def operator_norm(m: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
+class RangeMap:
+    """A scenario callable that carries its orbit-range form.
+
+    ``RangeMap(at, along)(point)`` is ``at(point)``, the value at one point;
+    ``along(omega, ns)`` stacks the values at sigma^n omega for an ascending
+    int64 array ns along a leading axis.  An orbit segment fills a generator,
+    projector or bound that is a RangeMap with one ``along`` call per fill,
+    and calls any other callable once per point.
+    """
+
+    at: Callable[[BasePoint], object]
+    along: Callable[[BasePoint, np.ndarray], np.ndarray]
+
+    def __call__(self, point: BasePoint):
+        return self.at(point)
+
+
+#: Messages of a generator, projector or bound value of the wrong shape.
+_WRONG_SHAPE = {
+    "generator": "generator returned shape {}, expected {}",
+    "projector": "projector has wrong shape",
+    "bound": "dichotomy bound K has wrong shape",
+}
+
+
+def _stacked(values, ns: np.ndarray, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """A range form's values at the orbit indices ns as one float array of
+    shape (len(ns),) + shape.  Rows of the wrong shape raise the ValueError
+    of one wrong per-point value; a wrong row count names the whole shape."""
+    values = np.asarray(values, dtype=float)
+    if values.shape[1:] != shape:
+        raise ValueError(_WRONG_SHAPE[name].format(values.shape[1:], shape))
+    if values.shape[:1] != ns.shape:
+        raise ValueError(f"{name} range form returned shape {values.shape} for {ns.size} indices")
+    return values
+
+
+@dataclass(frozen=True)
 class CocycleSystem:
     """Generator map w -> A(w) of d x d matrices over a driving system."""
 
@@ -117,9 +159,7 @@ class CocycleSystem:
         """
         m = np.asarray(self.generator(point), dtype=float)
         if m.shape != (self.dim, self.dim):
-            raise ValueError(
-                f"generator returned shape {m.shape}, expected {(self.dim, self.dim)}"
-            )
+            raise ValueError(_WRONG_SHAPE["generator"].format(m.shape, (self.dim, self.dim)))
         return m
 
 
@@ -252,11 +292,13 @@ class OrbitCache:
     ``unstable_maps`` (I - P_n) A_n^{-1}, which step stable vectors from n to
     n+1 and unstable ones from n+1 to n.  ``matrix(n)``, ``inverse(n)``,
     ``projector(n)`` and ``bound(n)`` read one entry.  A read fills only its
-    missing entries: one generator, projector or bound call per point, then
-    one stacked ``np.linalg.cond`` over new matrices (the finiteness and
-    COND_LIMIT check; a SingularityError names the lowest bad index of the
-    fill) and one stacked ``np.linalg.inv`` or ``np.matmul`` for inverses
-    and maps.  A read more than _SPAN_LIMIT indices away from a block
+    missing entries: one ``along`` call for a generator, projector or bound
+    that is a ``RangeMap``, else one call per point; then one stacked
+    ``np.linalg.cond`` over new matrices (the finiteness and COND_LIMIT
+    check; a SingularityError names the lowest bad index of the fill), the
+    K > 0 check over new bounds, and one stacked ``np.linalg.inv`` or
+    ``np.matmul`` for inverses and maps.  Both fill paths check the stacked
+    values the same way.  A read more than _SPAN_LIMIT indices away from a block
     replaces it.  Base points are not stored: ``point(n)`` computes
     sigma^n w, an exact step.
     """
@@ -270,7 +312,7 @@ class OrbitCache:
         self.system = system
         self.omega = omega
         self.dichotomy = dichotomy
-        square = (system.dim, system.dim)
+        square = self._square = (system.dim, system.dim)
         self._mats, self._invs, self._projs = _Block(square), _Block(square), _Block(square)
         self._stable_maps, self._unstable_maps = _Block(square), _Block(square)
         self._bounds = _Block(())
@@ -289,9 +331,13 @@ class OrbitCache:
         return self.dichotomy
 
     def _fill_matrices(self, ns: np.ndarray) -> np.ndarray:
-        mats = np.empty((ns.size, self.dim, self.dim))
-        for i, n in enumerate(ns.tolist()):
-            mats[i] = self.system.matrix(self.point(n))
+        generator = self.system.generator
+        if isinstance(generator, RangeMap):
+            mats = _stacked(generator.along(self.omega, ns), ns, self._square, "generator")
+        else:
+            mats = np.empty((ns.size,) + self._square)
+            for i, n in enumerate(ns.tolist()):
+                mats[i] = self.system.matrix(self.point(n))
         _check_invertible(mats, ns)
         return mats
 
@@ -300,21 +346,23 @@ class OrbitCache:
 
     def _fill_projectors(self, ns: np.ndarray) -> np.ndarray:
         projector = self.require_dichotomy().projector
-        projs = np.empty((ns.size, self.dim, self.dim))
+        if isinstance(projector, RangeMap):
+            return _stacked(projector.along(self.omega, ns), ns, self._square, "projector")
+        projs = np.empty((ns.size,) + self._square)
         for i, n in enumerate(ns.tolist()):
             p = np.asarray(projector(self.point(n)), dtype=float)
-            if p.shape != (self.dim, self.dim):
-                raise ValueError("projector has wrong shape")
+            if p.shape != self._square:
+                raise ValueError(_WRONG_SHAPE["projector"])
             projs[i] = p
         return projs
 
     def _fill_bounds(self, ns: np.ndarray) -> np.ndarray:
         bound = self.require_dichotomy().bound
-        # The registry's envelope samples read ~2e5 bounds; stepping inline
-        # keeps a point() call per bound out of that loop.
-        base, omega = self.system.base, self.omega
-        ks = np.array([float(bound(step(base, omega, n))) for n in ns.tolist()])
-        if np.any(ks <= 0):
+        if isinstance(bound, RangeMap):
+            ks = _stacked(bound.along(self.omega, ns), ns, (), "bound")
+        else:
+            ks = np.array([float(bound(self.point(n))) for n in ns.tolist()])
+        if not np.all(ks > 0):  # NaN fails too
             raise ValueError("dichotomy bound K must be positive")
         return ks
 

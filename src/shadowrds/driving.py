@@ -9,7 +9,10 @@ step(step(w, m), n) holds exactly.
 Rotation angles are held in 128-bit fixed point (an angle is ticks / 2**128).
 Shift points are (seed, offset) pairs; the symbol at a point is produced by a
 stateless 64-bit hash of the pair, so the entire two-sided symbol sequence is
-determined with no storage and sigma^{-1} is exact.
+determined with no storage and sigma^{-1} is exact.  ``symbol_at`` reads one
+point's symbol; ``symbols_along`` reads the symbols of a whole index range of
+one orbit with a few numpy calls, the same hash on a ``uint64`` array, and
+equals ``symbol_at(system, step(system, point, n))`` for each n.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "DrivingSystem",
     "step",
     "symbol_at",
+    "symbols_along",
     "sample_point",
 ]
 
@@ -179,6 +183,45 @@ def symbol_at(system: DrivingSystem, point: BasePoint) -> int:
         return 0
     u = _point_hash(point.seed, point.offset) / 2.0**64
     return min(bisect_right(system._cumulative, u), system.alphabet_size - 1)
+
+
+def _splitmix64_array(z: np.ndarray) -> np.ndarray:
+    # Array operations only: uint64 arrays wrap silently, numpy scalars warn.
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def symbols_along(system: DrivingSystem, point: BasePoint, ns) -> np.ndarray:
+    """Symbols at sigma^n point for each step count n of ``ns``, as an int array.
+
+    Equal to ``symbol_at(system, step(system, point, n))`` for each n, in
+    order, and raises the errors of those calls.  The seed is hashed once;
+    the offsets, as int64 viewed as uint64 (the bits of offset mod 2**64),
+    run through splitmix64 as one array.
+    """
+    try:
+        ns = np.asarray(ns, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("step count outside supported range +-2**40") from None
+    bad = (ns < -MAX_OFFSET) | (ns > MAX_OFFSET)
+    if bad.any():
+        raise ValueError(f"step count {ns[bad][0]} outside supported range +-2**40")
+    if not isinstance(system, BernoulliShift):
+        raise TypeError("symbols are only defined for Bernoulli shift bases")
+    if not isinstance(point, ShiftPoint):
+        raise TypeError("shift base requires a ShiftPoint")
+    offsets = (point.offset + ns).reshape(-1)
+    bad = (offsets < -MAX_OFFSET) | (offsets > MAX_OFFSET)
+    if bad.any():
+        raise ValueError(f"shift offset {offsets[bad][0]} outside supported range +-2**40")
+    if system.alphabet_size == 1:
+        return np.zeros(ns.shape, dtype=np.int64)
+    seed = np.uint64(_splitmix64(point.seed & _MASK64))
+    u = _splitmix64_array(offsets.view(np.uint64) ^ seed).astype(np.float64) / 2.0**64
+    symbols = np.searchsorted(np.asarray(system._cumulative), u, side="right")
+    return np.minimum(symbols, system.alphabet_size - 1).reshape(ns.shape)
 
 
 def sample_point(system: DrivingSystem, rng: np.random.Generator) -> BasePoint:

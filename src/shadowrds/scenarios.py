@@ -7,6 +7,14 @@ truncation horizon, and the consent to truncate uncertified where the margin
 is zero, belong to each scenario's dichotomy data.  Scenarios are validated
 by a self-test when the registry is built.
 
+Constant generators, projectors and bounds, and those that depend only on
+the current and next symbol of a Bernoulli base, are ``RangeMap`` callables:
+per point they read their constant or a table by ``symbol_at``, and along an
+orbit range they broadcast the constant or read the same table by
+``symbols_along``, so an orbit segment fills a whole range with one call and
+both forms give the same bytes.  ``uniform-rot-coupled`` evaluates its frames
+per point.
+
 uniform-diag       diag(1/2, 2) over an irrational rotation; K = 1 and the
                    contraction rate log 2 is exactly attained, so the margin
                    is zero and adapted norms are truncation-exact (every sup
@@ -36,6 +44,7 @@ from .cocycle import (
     CocycleSystem,
     DichotomyData,
     OrbitCache,
+    RangeMap,
     TemperedEnvelope,
     build_envelope,
     envelope_along_orbit,
@@ -50,6 +59,7 @@ from .driving import (
     sample_point,
     step,
     symbol_at,
+    symbols_along,
 )
 from .green import MAX_WINDOW, WeightSequence, Window, WindowSequence
 from .shadowing import Perturbation, ShadowingProblem, make_weight
@@ -140,6 +150,29 @@ def _rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def _constant(value) -> RangeMap:
+    """A callable with the same value at every point; its range form broadcasts it."""
+    return RangeMap(
+        lambda point: value,
+        lambda omega, ns: np.broadcast_to(value, ns.shape + np.shape(value)),
+    )
+
+
+def _by_symbol(base: BernoulliShift, table: np.ndarray, lag: int = 0) -> RangeMap:
+    """The entry table[s_0, ..., s_lag] at a point whose own symbol and the next
+    ``lag`` ones are s_0, ..., s_lag, per point and along an orbit range."""
+    table.flags.writeable = False
+
+    def at(point: BasePoint):
+        points = [point] + [step(base, point, j) for j in range(1, lag + 1)]
+        return table[tuple(symbol_at(base, p) for p in points)]
+
+    def along(omega: BasePoint, ns: np.ndarray) -> np.ndarray:
+        return table[tuple(symbols_along(base, omega, ns + j) for j in range(lag + 1))]
+
+    return RangeMap(at, along)
+
+
 def _saturating(x: np.ndarray) -> np.ndarray:
     # Componentwise 1-Lipschitz bounded map used by all smooth perturbations.
     return np.tanh(x)
@@ -149,12 +182,12 @@ def _uniform_diag() -> Scenario:
     base = IrrationalRotation.default()
     a = np.array([[0.5, 0.0], [0.0, 2.0]])
     proj = np.array([[1.0, 0.0], [0.0, 0.0]])
-    cocycle = CocycleSystem(2, lambda point: a, base)
+    cocycle = CocycleSystem(2, _constant(a), base)
     dich = DichotomyData(
-        projector=lambda point: proj,
+        projector=_constant(proj),
         rate=math.log(2.0),
         margin=0.0,
-        bound=lambda point: 1.0,
+        bound=_constant(1.0),
         horizon=8,
         allow_uncertified=True,
     )
@@ -248,29 +281,28 @@ def _nonuniform_layered() -> Scenario:
     scan_limit = 400
     envelope_half_width = 100
 
-    def exponent(point: BasePoint) -> float:
-        return beta * symbol_at(base, point) / 2.0
-
-    def gen(point: BasePoint) -> np.ndarray:
-        nxt = step(base, point, 1)
-        return np.array(
+    # Generator and bound depend on the symbols only: one table each, read by
+    # symbol at a point (current and next symbol for the generator) and along
+    # an orbit range.
+    exponent = [beta * s / 2.0 for s in range(base.alphabet_size)]
+    gen = np.array(
+        [
             [
-                [math.exp(exponent(nxt) - exponent(point) - strong), 0.0],
-                [0.0, math.exp(strong)],
+                [[math.exp(nxt - cur - strong), 0.0], [0.0, math.exp(strong)]]
+                for nxt in exponent
             ]
-        )
-
+            for cur in exponent
+        ]
+    )
+    ks = np.array([math.exp(beta - cur) for cur in exponent])
     proj = np.array([[1.0, 0.0], [0.0, 0.0]])
 
-    def bound(point: BasePoint) -> float:
-        return math.exp(beta - exponent(point))
-
-    cocycle = CocycleSystem(2, gen, base)
+    cocycle = CocycleSystem(2, _by_symbol(base, gen, lag=1), base)
     dich = DichotomyData(
-        projector=lambda point: proj,
+        projector=_constant(proj),
         rate=rate,
         margin=margin,
-        bound=bound,
+        bound=_by_symbol(base, ks),
         horizon=48,
     )
 
@@ -327,12 +359,12 @@ def _remark_scalar() -> Scenario:
     anchor = ShiftPoint(_REMARK_SEED, 0)
     a = np.array([[0.5]])
     proj = np.array([[1.0]])
-    cocycle = CocycleSystem(1, lambda point: a, base)
+    cocycle = CocycleSystem(1, _constant(a), base)
     dich = DichotomyData(
-        projector=lambda point: proj,
+        projector=_constant(proj),
         rate=math.log(2.0),
         margin=0.0,
-        bound=lambda point: 1.0,
+        bound=_constant(1.0),
         horizon=8,
         allow_uncertified=True,
     )

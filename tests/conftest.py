@@ -14,6 +14,7 @@ from shadowrds import (  # noqa: E402
     DichotomyData,
     IrrationalRotation,
     Perturbation,
+    RangeMap,
     RotationPoint,
     Scenario,
     builtin_scenarios,
@@ -31,7 +32,8 @@ def coupled_block_scenario() -> Scenario:
 
     The frames are block diagonal, so the splitting projector is the constant
     diag(1, 1, 0, 0) and the true dichotomy rate is -log 0.6 ~ 0.51, declared
-    as rate 0.4 with margin 0.11.
+    as rate 0.4 with margin 0.11.  The constant projector and bound carry
+    their range forms; the generator is evaluated per point.
     """
     base = IrrationalRotation.default()
     d = np.diag([0.45, 0.6, 1.7, 2.2])
@@ -49,10 +51,12 @@ def coupled_block_scenario() -> Scenario:
 
     cocycle = CocycleSystem(4, gen, base)
     dich = DichotomyData(
-        projector=lambda point: p0,
+        projector=RangeMap(
+            lambda point: p0, lambda omega, ns: np.broadcast_to(p0, (len(ns), 4, 4))
+        ),
         rate=0.4,
         margin=0.11,
-        bound=lambda point: 1.0,
+        bound=RangeMap(lambda point: 1.0, lambda omega, ns: np.ones(len(ns))),
         horizon=48,
     )
     budget = 0.02

@@ -23,6 +23,7 @@ def test_exponent_steps_row_runs(monkeypatch):
     row = bench._scenario_row(get_scenario("uniform-diag"))
     assert row["qr_path"] == "triangular"
     assert row["qr_us"] > 0 and row["qr_lapack_us"] > 0
+    assert row["bound_us"] > 0
 
 
 def test_invariant_checks_row_times_every_check_of_the_suite(monkeypatch):

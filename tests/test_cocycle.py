@@ -12,6 +12,7 @@ from shadowrds import (
     DichotomyData,
     IrrationalRotation,
     OrbitCache,
+    RangeMap,
     RotationPoint,
     ShiftPoint,
     SingularityError,
@@ -107,8 +108,9 @@ def test_singular_generator_rejected():
     assert err.value.index == 0
 
 
-def _offset_generator(bad=(), calls=None):
-    """A 2 x 2 generator over a Bernoulli shift, singular at the offsets in ``bad``."""
+def _offset_generator(bad=(), calls=None, range_form=False):
+    """A 2 x 2 generator over a Bernoulli shift, singular at the offsets in ``bad``;
+    with ``range_form`` it is a RangeMap whose range form stacks the same values."""
 
     def gen(point):
         if calls is not None:
@@ -117,24 +119,31 @@ def _offset_generator(bad=(), calls=None):
             return np.array([[1.0, 0.0], [0.0, 0.0]])
         return np.array([[2.0, 0.1 * (point.offset % 7)], [0.0, 0.5]])
 
-    return CocycleSystem(2, gen, BernoulliShift(2, (0.5, 0.5)))
+    def along(omega, ns):
+        return np.array([gen(ShiftPoint(omega.seed, omega.offset + n)) for n in ns.tolist()])
+
+    return CocycleSystem(
+        2, RangeMap(gen, along) if range_form else gen, BernoulliShift(2, (0.5, 0.5))
+    )
 
 
 def test_range_fill_names_the_singular_index_like_a_single_fill():
-    cocycle = _offset_generator(bad=(7,))
-    with pytest.raises(SingularityError) as block:
-        OrbitCache(cocycle, ShiftPoint(5)).matrices(0, 20)
     with pytest.raises(SingularityError) as single:
-        OrbitCache(cocycle, ShiftPoint(5)).matrix(7)
-    assert block.value.index == single.value.index == 7
-    assert str(block.value) == str(single.value)
-    with pytest.raises(SingularityError) as inverse:
-        OrbitCache(cocycle, ShiftPoint(5)).inverses(-3, 20)
-    assert inverse.value.index == 7
-    # Two bad entries in one fill: the lowest index is named.
-    with pytest.raises(SingularityError) as two:
-        OrbitCache(_offset_generator(bad=(4, 11)), ShiftPoint(5)).matrices(0, 20)
-    assert two.value.index == 4
+        OrbitCache(_offset_generator(bad=(7,)), ShiftPoint(5)).matrix(7)
+    for range_form in (False, True):
+        cocycle = _offset_generator(bad=(7,), range_form=range_form)
+        with pytest.raises(SingularityError) as block:
+            OrbitCache(cocycle, ShiftPoint(5)).matrices(0, 20)
+        assert block.value.index == single.value.index == 7
+        assert str(block.value) == str(single.value)
+        with pytest.raises(SingularityError) as inverse:
+            OrbitCache(cocycle, ShiftPoint(5)).inverses(-3, 20)
+        assert inverse.value.index == 7
+        # Two bad entries in one fill: the lowest index is named.
+        two_bad = _offset_generator(bad=(4, 11), range_form=range_form)
+        with pytest.raises(SingularityError) as two:
+            OrbitCache(two_bad, ShiftPoint(5)).matrices(0, 20)
+        assert two.value.index == 4
 
 
 def test_range_fill_rejects_non_finite_generator_values():
@@ -219,19 +228,64 @@ def test_range_reads_match_per_point_evaluation(scenarios, block4):
         assert len(calls["projector"]) == 106 and len(calls["bound"]) == 105
 
 
+def _constant(value, range_form):
+    """A callable with one value everywhere; with ``range_form`` a RangeMap
+    whose range form stacks that value."""
+    if not range_form:
+        return lambda point: value
+    return RangeMap(lambda point: value, lambda omega, ns: np.array([value] * len(ns)))
+
+
 def test_range_fills_reject_bad_projectors_and_bounds(block4):
     sc = block4
-    wrong_shape = replace(sc.dichotomy, projector=lambda p: np.eye(3))
-    with pytest.raises(ValueError, match="^projector has wrong shape$"):
-        OrbitCache(sc.cocycle, sc.base_point, wrong_shape).projectors(-2, 5)
-    with pytest.raises(ValueError, match="^projector has wrong shape$"):
-        OrbitCache(sc.cocycle, sc.base_point, wrong_shape).stable_maps(-2, 5)
-    for k in (0.0, -1.0):
-        bad_bound = replace(sc.dichotomy, bound=lambda p, k=k: k)
-        with pytest.raises(ValueError, match="^dichotomy bound K must be positive$"):
-            OrbitCache(sc.cocycle, sc.base_point, bad_bound).bounds(-2, 5)
-        with pytest.raises(ValueError, match="^dichotomy bound K must be positive$"):
-            OrbitCache(sc.cocycle, sc.base_point, bad_bound).bound(3)
+    for range_form in (False, True):
+        wrong_shape = replace(sc.dichotomy, projector=_constant(np.eye(3), range_form))
+        with pytest.raises(ValueError, match="^projector has wrong shape$"):
+            OrbitCache(sc.cocycle, sc.base_point, wrong_shape).projectors(-2, 5)
+        with pytest.raises(ValueError, match="^projector has wrong shape$"):
+            OrbitCache(sc.cocycle, sc.base_point, wrong_shape).stable_maps(-2, 5)
+        wrong_gen = replace(sc.cocycle, generator=_constant(np.eye(3), range_form))
+        message = r"^generator returned shape \(3, 3\), expected \(4, 4\)$"
+        with pytest.raises(ValueError, match=message):
+            OrbitCache(wrong_gen, sc.base_point).matrices(-2, 5)
+        for k in (0.0, -1.0, math.nan):
+            bad_bound = replace(sc.dichotomy, bound=_constant(k, range_form))
+            with pytest.raises(ValueError, match="^dichotomy bound K must be positive$"):
+                OrbitCache(sc.cocycle, sc.base_point, bad_bound).bounds(-2, 5)
+            with pytest.raises(ValueError, match="^dichotomy bound K must be positive$"):
+                OrbitCache(sc.cocycle, sc.base_point, bad_bound).bound(3)
+    # Range forms only: too few rows, or rows of the wrong shape.
+    short = RangeMap(lambda point: 1.0, lambda omega, ns: np.ones(len(ns) - 1))
+    with pytest.raises(ValueError, match=r"^bound range form returned shape \(6,\) for 7 indices$"):
+        OrbitCache(sc.cocycle, sc.base_point, replace(sc.dichotomy, bound=short)).bounds(-2, 5)
+    rows = RangeMap(lambda point: 1.0, lambda omega, ns: np.ones((len(ns), 2)))
+    with pytest.raises(ValueError, match="^dichotomy bound K has wrong shape$"):
+        OrbitCache(sc.cocycle, sc.base_point, replace(sc.dichotomy, bound=rows)).bounds(-2, 5)
+
+
+def _per_point(sc):
+    """``sc`` with its generator, projector and bound wrapped as plain functions,
+    so that an orbit segment evaluates them one point at a time."""
+    cocycle, dich = sc.cocycle, sc.dichotomy
+    return replace(
+        sc,
+        cocycle=replace(cocycle, generator=lambda p: cocycle.generator(p)),
+        dichotomy=replace(
+            dich, projector=lambda p: dich.projector(p), bound=lambda p: dich.bound(p)
+        ),
+    )
+
+
+def test_range_form_fills_match_per_point_fills_bitwise(scenarios, block4):
+    for sc in list(scenarios.values()) + [block4]:
+        ranged, plain = sc.orbit(), _per_point(sc).orbit()
+        for n_lo, n_hi in _RANGES:
+            for read in ("matrices", "inverses", "projectors", "bounds",
+                         "stable_maps", "unstable_maps"):
+                got = getattr(ranged, read)(n_lo, n_hi)
+                want = getattr(plain, read)(n_lo, n_hi)
+                assert got.shape == want.shape, (sc.name, read)
+                assert got.tobytes() == want.tobytes(), (sc.name, read, n_lo, n_hi)
 
 
 def test_far_read_starts_a_new_block_instead_of_spanning_the_gap():

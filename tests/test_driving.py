@@ -11,6 +11,7 @@ from shadowrds import (
     sample_point,
     step,
     symbol_at,
+    symbols_along,
 )
 from shadowrds.driving import MAX_OFFSET
 
@@ -104,6 +105,46 @@ def test_shift_group_law_property(seed, offset, n, m, beyond, sign):
     # A step whose target offset lies past the range raises, never wraps.
     with pytest.raises(ValueError):
         step(sh, w, sign * beyond - offset)
+
+
+_SHIFTS = st.sampled_from([
+    BernoulliShift(1, (1.0,)),
+    BernoulliShift(2, (0.5, 0.5)),
+    BernoulliShift(3, (0.5, 0.3, 0.2)),
+    BernoulliShift(4, (0.97, 0.01, 0.01, 0.01)),
+    BernoulliShift(4, (1e-9, 1e-9, 1e-9, 1.0 - 3e-9)),
+])
+
+
+@settings(derandomize=True, max_examples=200)
+@given(sh=_SHIFTS, seed=st.integers(0, 2**64 - 1), offset=_STEPS,
+       ns=st.lists(_STEPS | st.integers(-8, 8), max_size=40), beyond=_BEYOND,
+       sign=st.sampled_from([-1, 1]))
+@example(sh=BernoulliShift(2, (0.5, 0.5)), seed=2**64 - 1, offset=-MAX_OFFSET,
+         ns=[0, MAX_OFFSET, 1, -1], beyond=MAX_OFFSET + 1, sign=1)
+def test_symbols_along_matches_symbol_at_of_each_step(sh, seed, offset, ns, beyond, sign):
+    w = ShiftPoint(seed, offset)
+    inside = [n for n in ns if abs(offset + n) <= MAX_OFFSET]
+    got = symbols_along(sh, w, np.array(inside, dtype=np.int64))
+    assert got.tolist() == [symbol_at(sh, step(sh, w, n)) for n in inside]
+    # A step count or target offset past the range raises as step does.
+    for n in (sign * beyond, sign * beyond - offset):
+        with pytest.raises(ValueError) as per_point:
+            symbol_at(sh, step(sh, w, n))
+        with pytest.raises(ValueError) as along:
+            symbols_along(sh, w, inside + [n])
+        assert str(along.value) == str(per_point.value)
+
+
+def test_symbols_along_raises_the_errors_of_symbol_at_and_step():
+    sh = BernoulliShift(2, (0.5, 0.5))
+    with pytest.raises(TypeError):
+        symbols_along(IrrationalRotation.default(), RotationPoint.from_angle(0.3), [0, 1])
+    with pytest.raises(TypeError):
+        symbols_along(sh, RotationPoint.from_angle(0.3), [0, 1])
+    # A step count past the int64 range raises ValueError, as step does.
+    with pytest.raises(ValueError):
+        symbols_along(sh, ShiftPoint(1), [0, 2**70])
 
 
 def test_symbol_determinism():
