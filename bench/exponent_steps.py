@@ -29,7 +29,9 @@ For each builtin scenario it times, over STEPS orbit indices:
   matrices, per step, whichever path the sweep takes;
 - ``walk_us``: the lock-step walk of the perturbed exponents on a filled
   segment, per step of the whole block, for blocks of K_VALUES rows and both
-  directions.
+  directions;
+- ``walk_linear_us``: the same walk under ``Perturbation.zero``, where every
+  row is scaled from step 0, so it times the chunked all-scaled run alone.
 
 For scenarios with a layering it also times ``envelope_us``: one
 ``TemperedEnvelope.bound`` call at a freshly sampled base point, as the
@@ -112,14 +114,18 @@ def _scenario_row(sc) -> dict:
     qr_path = "triangular" if _is_upper_triangular(mats) else "lapack"
     qr_us = _median_us(lambda _: linear_exponents_and_half(orbit, STEPS), STEPS)
     qr_lapack_us = _median_us(lambda _: _qr_loop(mats), STEPS)
-    walk_us = {}
-    for direction, forward in (("forward", True), ("backward", False)):
-        walk_us[direction] = {}
-        for k in K_VALUES:
-            xs = np.random.default_rng(k).standard_normal((k, dim))
-            walk_us[direction][str(k)] = _median_us(
-                lambda _: _orbit_log_norms(sc.perturbation, orbit, xs, forward, STEPS), STEPS
-            )
+
+    def walk_us(perturbation) -> dict:
+        out = {}
+        for direction, forward in (("forward", True), ("backward", False)):
+            out[direction] = {}
+            for k in K_VALUES:
+                xs = np.random.default_rng(k).standard_normal((k, dim))
+                out[direction][str(k)] = _median_us(
+                    lambda _: _orbit_log_norms(perturbation, orbit, xs, forward, STEPS), STEPS
+                )
+        return out
+
     row = {
         "scenario": sc.name,
         "d": dim,
@@ -133,7 +139,8 @@ def _scenario_row(sc) -> dict:
         "qr_path": qr_path,
         "qr_us": qr_us,
         "qr_lapack_us": qr_lapack_us,
-        "walk_us": walk_us,
+        "walk_us": walk_us(sc.perturbation),
+        "walk_linear_us": walk_us(shadowrds.Perturbation.zero(dim)),
     }
     if sc.layering is not None:
         envelope = sc.layering.envelope

@@ -28,8 +28,11 @@ The sampled orbits of one direction share the base orbit, so
 ``nonlinear_exponent`` walks a (k, d) block of starting points in lock-step:
 each step is one batched product over the rows (one batched ``invert_step``
 backward), and each row switches between the plain and the scaled
-representation on its own, through a per-row flag.  Every row is bit for bit
-the orbit it would trace when walked alone.
+representation on its own, through a per-row flag.  While every row is
+scaled the walk steps in chunks of one product, norm and divide per step,
+rolled back to the step where a row falls to the switch-back level.  Every
+row is bit for bit the orbit it would trace when walked alone, so
+``conservation_experiment`` walks one block per direction.
 """
 
 from __future__ import annotations
@@ -76,6 +79,11 @@ _CONVERGENCE_SPREAD = 0.05
 _INVERSION_TOL = 1e-13  # of each backward step of a perturbed orbit
 _SPECIAL_MAX_ITER = 400  # iteration cap of the solve in find_special_point
 _FRAME_STEPS = 256  # QR steps of the backward frame in conservation_experiment
+
+#: Floats of scratch per chunk of an all-scaled walk run.  A step of k rows in
+#: d dimensions holds k * (d + 1) of them (the rows' directions and growths),
+#: so the chunk shortens as the block widens.
+_WALK_SCRATCH = 1 << 11
 
 
 class NumericalBreakdownError(RuntimeError):
@@ -214,53 +222,81 @@ def _orbit_log_norms(
     """log |orbit| of each row of xs after 1..steps applications of F (or
     F^{-1}), all rows walked in lock-step; shape (steps, k).
 
-    Each row is plain (``vec``, stepped exactly) or scaled (``unit`` and
-    ``lognorm``, stepped linearly); a pure linear map starts every row
-    scaled.  Steps with every row scaled take a fast path without masks.
-    Per-row logs use math.log, whose last bit np.log does not always match.
+    Each row is plain (``vec``, stepped exactly) or scaled (a unit vector,
+    stepped linearly, whose log norm is the row's last logged value); a pure
+    linear map starts every row scaled.  While every row is scaled, the walk
+    runs chunks of at most _WALK_SCRATCH floats: per step one product, one
+    norm and one divide into the chunk's buffers, then one cumulative sum
+    from the current log norms over the chunk's log growths.  With a non-zero
+    bound a chunk is rolled back to its first step where a row fell below
+    _BIG_NORM / e^2, and the walk goes on step by step from there.  Per-row
+    logs use math.log, whose last bit np.log does not always match.
     """
     _check_steps(steps)
     xs = np.asarray(xs, dtype=float)
-    k = len(xs)
+    k, dim = xs.shape
     norms = _row_norms(xs)
     if not norms.all():
         raise DegenerateOrbitError("starting point has zero norm")
     pure_linear = perturbation.bound == 0.0
     mats = orbit.matrices(0, steps) if forward else orbit.inverses(-steps, 0)[::-1]
     log_low = math.log(_BIG_NORM) - 2.0
-    scaled = [pure_linear] * k
-    plain_count = 0 if pure_linear else k
+    chunk = max(1, min(steps, _WALK_SCRATCH // (k * (dim + 1))))
+    # units[j + 1] holds the rows' directions after step j of a chunk run,
+    # growth[j] the norms they were divided by; units[0] is the current one.
+    units = np.empty((chunk + 1, k, dim, 1))
+    units_t = units.transpose(0, 1, 3, 2)
+    growth = np.empty((chunk, k, 1, 1))
+    unit = units[0, :, :, 0]
+    unit[:] = xs / norms[:, None]
     vec = xs.copy()
-    unit = xs / norms[:, None]
-    lognorm = [math.log(v) for v in norms.tolist()]
-    logs = np.empty((steps, k))
+    # logs[n] holds the log norms after n steps; a scaled row's log norm is
+    # its last logged value.
+    logs = np.empty((steps + 1, k))
+    logs[0] = [math.log(v) for v in norms.tolist()]
+    scaled = [pure_linear] * k
 
-    def unscale(rows) -> int:
-        """Switch the scaled rows that fell below _BIG_NORM / e^2 back to plain."""
-        count = 0
-        for i in rows:
-            if lognorm[i] < log_low:
-                vec[i] = unit[i] * math.exp(lognorm[i])
-                scaled[i] = False
-                count += 1
-        return count
-
-    for n in range(steps):
-        m = mats[n]
-        if not plain_count:
-            w = np.matmul(m, unit[:, :, None])[:, :, 0]
-            growth = _row_norms(w)
-            gl = growth.tolist()
-            if 0.0 in gl:
-                raise DegenerateOrbitError("scaled orbit direction collapsed")
-            lognorm = [a + math.log(g) for a, g in zip(lognorm, gl)]
-            unit = w / growth[:, None]
-            logs[n] = lognorm
-            if not pure_linear and min(lognorm) < log_low:
-                plain_count = unscale(range(k))
-            continue
+    def split():
         plain = [i for i in range(k) if not scaled[i]]
-        x = vec[plain]
+        rows = [i for i in range(k) if scaled[i]]
+        return plain, rows, slice(None) if len(plain) == k else plain
+
+    def unscale(rows, n: int) -> bool:
+        """Switch the scaled rows whose log norm after n steps fell below
+        _BIG_NORM / e^2 back to plain; true when one did."""
+        low = [i for i in rows if logs[n, i] < log_low]
+        for i in low:
+            vec[i] = unit[i] * math.exp(logs[n, i])
+            scaled[i] = False
+        return bool(low)
+
+    plain, rows, sel = split()
+    n = 0
+    while n < steps:
+        if not plain:
+            c = min(chunk, steps - n)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for m, u, w, wt, g in zip(mats[n:n + c], units, units[1:], units_t[1:], growth):
+                    np.matmul(m, u, out=w)
+                    np.sqrt(np.matmul(wt, w, out=g), out=g)
+                    np.divide(w, g, out=w)
+            grown = growth[:c, :, 0, 0]
+            ok = c if grown.all() else int(np.argmin(grown.all(axis=1)))
+            block = logs[n:n + ok + 1]
+            block[1:] = np.reshape(list(map(math.log, grown[:ok].ravel().tolist())), (ok, k))
+            np.cumsum(block, axis=0, out=block)
+            low = () if pure_linear else np.flatnonzero((block[1:] < log_low).any(axis=1))
+            if len(low):
+                c = int(low[0]) + 1
+            elif ok < c:
+                raise DegenerateOrbitError("scaled orbit direction collapsed")
+            units[0] = units[c]
+            n += c
+            if len(low) and unscale(range(k), n):
+                plain, rows, sel = split()
+            continue
+        m = mats[n]
+        x = vec[sel]
         point = orbit.point(n if forward else -(n + 1))
         if forward:
             new = np.matmul(m, x[:, :, None])[:, :, 0] + perturbation(point, x)
@@ -269,27 +305,28 @@ def _orbit_log_norms(
         nl = _row_norms(new).tolist()
         if 0.0 in nl:
             raise DegenerateOrbitError(f"orbit norm vanished after {n + 1} steps")
-        plain_logs = [math.log(v) for v in nl]
-        vec[plain] = new
-        logs[n, plain] = plain_logs
-        rows = [i for i in range(k) if scaled[i]]
+        vec[sel] = new
+        logs[n + 1, sel] = [math.log(v) for v in nl]
+        switched = False
         if rows:
             w = np.matmul(m, unit[rows][:, :, None])[:, :, 0]
             gl = _row_norms(w).tolist()
             if 0.0 in gl:
                 raise DegenerateOrbitError("scaled orbit direction collapsed")
             for j, i in enumerate(rows):
-                lognorm[i] += math.log(gl[j])
+                logs[n + 1, i] = logs[n, i] + math.log(gl[j])
                 unit[i] = w[j] / gl[j]
-                logs[n, i] = lognorm[i]
-            plain_count += unscale(rows)
-        for j, i in enumerate(plain):
-            if nl[j] > _BIG_NORM:
-                unit[i] = new[j] / nl[j]
-                lognorm[i] = plain_logs[j]
-                scaled[i] = True
-                plain_count -= 1
-    return logs
+            switched = unscale(rows, n + 1)
+        if max(nl) > _BIG_NORM:
+            for j, i in enumerate(plain):
+                if nl[j] > _BIG_NORM:
+                    unit[i] = new[j] / nl[j]
+                    scaled[i] = True
+            switched = True
+        n += 1
+        if switched:
+            plain, rows, sel = split()
+    return logs[1:]
 
 
 def nonlinear_exponent(
@@ -415,7 +452,7 @@ class ConservationReport:
 
 
 def conservation_experiment(
-    scenario,
+    scenario: Scenario,
     steps: int,
     sample_count: int,
     *,
@@ -431,9 +468,11 @@ def conservation_experiment(
     sign of the exponent selects which of the forward/backward exponents of
     that orbit must reproduce it.  Converse direction: random points away
     from the special point must have at least one of their two exponents
-    matching some linear exponent.
+    matching some linear exponent.  Each direction is one lock-step walk over
+    the forward rows it measures and every sample.
     """
-    assert isinstance(scenario, Scenario)
+    if not isinstance(scenario, Scenario):
+        raise TypeError(f"scenario must be a Scenario, not {type(scenario).__name__}")
     if sample_count < 0:
         raise ValueError("sample count must be nonnegative")
     if not tolerance >= 0:
@@ -447,29 +486,17 @@ def conservation_experiment(
     lin = linear_exponents_qr(orbit, steps=steps)
     frame, _ = backward_qr_frame(orbit, steps=min(steps, _FRAME_STEPS))
 
-    forward_rows = []
     linear = Perturbation.zero(dim)
-    for i, target in enumerate(lin):
+    starts = np.empty((dim, dim))
+    for i in range(dim):
         pseudo = nonlinear_orbit(orbit, linear, frame[:, i], window)
-        res = solve(scenario.problem(pseudo, weights), tol=solver_tol)
-        start = res.orbit.value_at(0)
-        direction = "forward" if target > 0 else "backward"
-        measured = nonlinear_exponent(
-            orbit, scenario.perturbation, start[None], direction, steps=steps
-        )[0].estimate
-        gap = float(abs(measured - target))
-        forward_rows.append(
-            ForwardConservationRow(i, float(target), direction, measured, gap,
-                                   bool(gap <= tolerance))
-        )
+        starts[i] = solve(scenario.problem(pseudo, weights), tol=solver_tol).orbit.value_at(0)
 
     special = find_special_point(
         scenario.problem(WindowSequence.zeros(window, dim), weights),
         tol=solver_tol,
     )
 
-    # Every sample point is drawn before the walks; each direction walks all
-    # of them together.
     xs = np.empty((sample_count, dim))
     for s in range(sample_count):
         while True:
@@ -477,11 +504,27 @@ def conservation_experiment(
             if np.linalg.norm(x - special.point) > 0.1:
                 break
         xs[s] = x
-    fwds = nonlinear_exponent(orbit, scenario.perturbation, xs, "forward", steps=steps)
-    bwds = nonlinear_exponent(orbit, scenario.perturbation, xs, "backward", steps=steps)
+
+    # One walk per direction: the starts of the forward rows whose exponent's
+    # sign selects that direction, then every sample.
+    directions = ["forward" if t > 0 else "backward" for t in lin]
+    measured, sampled = {}, {}
+    for direction in ("forward", "backward"):
+        rows = [i for i in range(dim) if directions[i] == direction]
+        exps = [e.estimate for e in nonlinear_exponent(
+            orbit, scenario.perturbation, np.vstack([starts[rows], xs]), direction, steps=steps
+        )]
+        measured.update(zip(rows, exps))
+        sampled[direction] = exps[len(rows):]
+
+    forward_rows = []
+    for i, (target, direction) in enumerate(zip(lin, directions)):
+        gap = float(abs(measured[i] - target))
+        forward_rows.append(ForwardConservationRow(
+            i, float(target), direction, measured[i], gap, bool(gap <= tolerance)
+        ))
     converse_rows = []
-    for s, (fwd_exp, bwd_exp) in enumerate(zip(fwds, bwds)):
-        fwd, bwd = fwd_exp.estimate, bwd_exp.estimate
+    for s, (fwd, bwd) in enumerate(zip(sampled["forward"], sampled["backward"])):
         gaps = np.array([min(abs(fwd - t), abs(bwd - t)) for t in lin])
         best = int(np.argmin(gaps))
         matched = float(lin[best]) if gaps[best] <= tolerance else None

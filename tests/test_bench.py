@@ -24,6 +24,10 @@ def test_exponent_steps_row_runs(monkeypatch):
     assert row["qr_path"] == "triangular"
     assert row["qr_us"] > 0 and row["qr_lapack_us"] > 0
     assert row["bound_us"] > 0
+    for direction in ("forward", "backward"):
+        walks = row["walk_linear_us"][direction]
+        assert list(walks) == [str(k) for k in bench.K_VALUES]
+        assert all(us > 0 for us in walks.values())
 
 
 def test_invariant_checks_row_times_every_check_of_the_suite(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, is_dataclass
 from unittest import mock
 
 import numpy as np
@@ -98,6 +99,18 @@ def _spread_rows(rng, k, dim, lo=1e-3, hi=1e3):
     return rows / np.linalg.norm(rows, axis=1)[:, None] * np.geomspace(lo, hi, k)[:, None]
 
 
+#: Steps per chunk run of the all-scaled walk; None keeps the default size.
+_CHUNKS = (1, 3, 7, None)
+
+
+def _chunked_walk(pert, cache, xs, forward, steps, chunk):
+    """``_orbit_log_norms`` with chunk runs of ``chunk`` steps."""
+    k, dim = xs.shape
+    scratch = lyapunov._WALK_SCRATCH if chunk is None else chunk * k * (dim + 1)
+    with mock.patch.object(lyapunov, "_WALK_SCRATCH", scratch):
+        return _orbit_log_norms(pert, cache, xs, forward, steps)
+
+
 @pytest.mark.parametrize("k", [1, 3, 8])
 @pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
 def test_lock_step_walk_matches_per_vector_walk(scenarios, block4, forward, k):
@@ -109,34 +122,53 @@ def test_lock_step_walk_matches_per_vector_walk(scenarios, block4, forward, k):
         xs = _spread_rows(rng, k, dim)
         cache = sc.orbit()
         for pert in (sc.perturbation, Perturbation.zero(dim)):
-            got = _orbit_log_norms(pert, cache, xs, forward, 240)
-            assert got.shape == (240, k)
-            for i in range(k):
-                ref = _reference_orbit_log_norms(pert, cache, xs[i], forward, 240)
-                assert np.array_equal(got[:, i], ref), (sc.name, pert.bound, i)
+            refs = [_reference_orbit_log_norms(pert, cache, x, forward, 240) for x in xs]
+            for chunk in _CHUNKS:
+                got = _chunked_walk(pert, cache, xs, forward, 240, chunk)
+                assert got.shape == (240, k)
+                for i, ref in enumerate(refs):
+                    assert got[:, i].tobytes() == ref.tobytes(), (sc.name, pert.bound, chunk, i)
 
 
 @pytest.mark.parametrize("name", ["uniform-diag", "remark-scalar"])
 def test_lock_step_walk_switches_rows_back_like_per_vector_walk(scenarios, name):
     # A start of norm 1e31 on the stable axis turns scaled after one step and
     # decays back below _BIG_NORM / e^2 a few steps later; the other rows stay
-    # plain or grow, so the block mixes both switches.
+    # plain or grow, so the block mixes both switches.  In the second block
+    # every row starts on the stable axis above _BIG_NORM, so the walk runs
+    # scaled chunks until the first row falls back: the rollback lands on the
+    # last step of a chunk for chunks of 1 and 3 steps and inside one for 7
+    # and the default.
     sc = scenarios[name]
     dim = sc.cocycle.dim
-    xs = np.vstack([np.eye(dim)[:1] * 1e31, _spread_rows(np.random.default_rng(3), 3, dim)])
+    axis = np.eye(dim)[:1]
+    blocks = [
+        np.vstack([axis * 1e31, _spread_rows(np.random.default_rng(3), 3, dim)]),
+        axis * np.geomspace(1e31, 1e37, 5)[:, None],
+    ]
     cache = sc.orbit()
-    got = _orbit_log_norms(sc.perturbation, cache, xs, True, 200)
-    assert got[0, 0] > math.log(_BIG_NORM) and np.min(got[:, 0]) < math.log(_BIG_NORM) - 2.0
-    for i in range(len(xs)):
-        ref = _reference_orbit_log_norms(sc.perturbation, cache, xs[i], True, 200)
-        assert np.array_equal(got[:, i], ref), i
+    for xs in blocks:
+        refs = [_reference_orbit_log_norms(sc.perturbation, cache, x, True, 200) for x in xs]
+        for chunk in _CHUNKS:
+            got = _chunked_walk(sc.perturbation, cache, xs, True, 200, chunk)
+            assert got[0, 0] > math.log(_BIG_NORM)
+            assert np.min(got[:, 0]) < math.log(_BIG_NORM) - 2.0
+            for i, ref in enumerate(refs):
+                assert got[:, i].tobytes() == ref.tobytes(), (chunk, i)
 
 
-def test_lock_step_walk_errors_keep_types_and_messages():
+def _shift_orbit(scale):
+    """A scalar cocycle over the Bernoulli shift; ``scale(offset)`` is its value."""
     base = BernoulliShift(2, (0.5, 0.5))
+    return OrbitCache(
+        CocycleSystem(1, lambda p: np.array([[scale(p.offset)]]), base), ShiftPoint(3)
+    )
 
+
+@pytest.mark.filterwarnings("error")
+def test_lock_step_walk_errors_keep_types_and_messages():
     def orbit(scale):
-        return OrbitCache(CocycleSystem(1, lambda p: np.array([[scale]]), base), ShiftPoint(3))
+        return _shift_orbit(lambda offset: scale)
 
     # A nonzero bound keeps the rows plain; 1e-100 squared underflows at step 2.
     plain = Perturbation(lambda p, x: np.zeros(1), 0.0, bound=1e-300)
@@ -145,13 +177,32 @@ def test_lock_step_walk_errors_keep_types_and_messages():
         (orbit(1e-100), plain, [[1.0], [2.0]], 0, "orbit norm vanished after 2 steps"),
         (orbit(1e-200), Perturbation.zero(1), [[1.0], [2.0]], 0,
          "scaled orbit direction collapsed"),
+        # The growth vanishes at step 6, inside a chunk run of the linear walk.
+        (_shift_orbit(lambda offset: 1e-200 if offset == 5 else 0.5), Perturbation.zero(1),
+         [[1.0], [2.0]], 0, "scaled orbit direction collapsed"),
     ]
     for cache, pert, xs, row, message in cases:
         xs = np.array(xs)
-        with pytest.raises(DegenerateOrbitError, match=message):
-            _orbit_log_norms(pert, cache, xs, True, 10)
+        for chunk in _CHUNKS:
+            with pytest.raises(DegenerateOrbitError, match=message):
+                _chunked_walk(pert, cache, xs, True, 10, chunk)
         with pytest.raises(DegenerateOrbitError, match=message):
             _reference_orbit_log_norms(pert, cache, xs[row], True, 10)
+
+
+@pytest.mark.filterwarnings("error")
+def test_rollback_ahead_of_a_vanishing_growth_walks_on():
+    # A start of 1e31 halves each step and falls below _BIG_NORM / e^2 at
+    # step 7; the tiny matrix at step 10 would collapse a scaled row (its
+    # square underflows) but only shrinks the plain one.
+    cache = _shift_orbit(lambda offset: 1e-170 if offset == 9 else 0.5)
+    pert = Perturbation(lambda p, x: np.zeros(1), 0.0, bound=1e-300)
+    xs = np.array([[1e31], [3e31]])
+    refs = [_reference_orbit_log_norms(pert, cache, x, True, 14) for x in xs]
+    for chunk in _CHUNKS:
+        got = _chunked_walk(pert, cache, xs, True, 14, chunk)
+        for i, ref in enumerate(refs):
+            assert got[:, i].tobytes() == ref.tobytes(), (chunk, i)
 
 
 def test_nonlinear_exponent_returns_one_result_per_row(scenarios):
@@ -511,3 +562,42 @@ def test_conservation_remark_sharpness(scenarios):
         assert abs(row.backward + math.log(2.0)) <= 0.02
         assert row.matched == pytest.approx(-math.log(2.0), abs=1e-9)
         assert np.all(np.abs(lin - row.forward) > 0.02)  # 0 is not linear
+
+
+def _bits(value):
+    """A comparable form of a report that tells apart every bit of its floats."""
+    if is_dataclass(value):
+        return tuple(_bits(getattr(value, f.name)) for f in fields(value))
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, float):
+        return type(value), value.hex()
+    return type(value), value
+
+
+def _walking_rows_alone(orbit, perturbation, xs, direction, steps):
+    """``nonlinear_exponent`` with every row of the block walked on its own."""
+    return [nonlinear_exponent(orbit, perturbation, x[None], direction, steps)[0] for x in xs]
+
+
+@pytest.mark.parametrize("samples", [3, 0])
+@pytest.mark.parametrize("name", ["remark-scalar", "uniform-diag"])
+def test_conservation_walks_each_direction_once(scenarios, name, samples):
+    # remark-scalar has one (negative) exponent, uniform-diag one of each
+    # sign; a direction with no forward row and no sample walks nothing.
+    sc = scenarios[name]
+    with mock.patch.object(lyapunov, "_orbit_log_norms", wraps=_orbit_log_norms) as walks:
+        rep = conservation_experiment(sc, 600, samples, window_half=12, seed=5)
+    signs = {bool(t > 0) for t in rep.linear_exponents}
+    assert walks.call_count == (2 if samples else len(signs))
+    assert len(rep.converse_rows) == samples
+    with mock.patch.object(lyapunov, "nonlinear_exponent", _walking_rows_alone):
+        ref = conservation_experiment(sc, 600, samples, window_half=12, seed=5)
+    assert _bits(rep) == _bits(ref)
+
+
+def test_conservation_rejects_a_non_scenario():
+    with pytest.raises(TypeError, match="scenario must be a Scenario"):
+        conservation_experiment("remark-scalar", 600, 1)
