@@ -1,4 +1,5 @@
-"""Warm-call timings of ``green_apply`` and ``weighted_norm`` against window length.
+"""Warm-call timings of ``green_apply``, ``weighted_norm`` and ``source_term``
+against window length.
 
 Run from the repository root (or with ``PYTHONPATH`` pointing at any other
 checkout's ``src`` to time that version):
@@ -12,6 +13,13 @@ untimed call of each function fills the orbit's cache; the warm calls are then t
 passed or MAX_CALLS calls were made, and the median is reported.  BLAS is
 pinned to one thread, as in ``perfbench``.  The result is one JSON object on
 stdout.
+
+``source_term_s`` times one warm ``source_term`` per window length on each
+scenario of SOURCE_SCENARIOS: the shadowing problem of the same z (as the
+pseudo-orbit and as the correction) with constant weights.  One call maps
+the window's perturbation rows, through the perturbation's range form where
+it has one.  Memos that outlive a call, such as the per-point layer index of
+``nonuniform-layered``, are warm too.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from shadowrds import Window, WindowSequence, make_weight  # noqa: E402
 
 LENGTHS = (17, 65, 257, 1025, 4097)
 SCENARIO = "uniform-rot-coupled"
+SOURCE_SCENARIOS = ("uniform-diag", "uniform-rot-coupled", "nonuniform-layered")
 MAX_CALLS = 9
 BUDGET_S = 1.0
 
@@ -61,12 +70,17 @@ def main() -> None:
         norm_s, norm_calls = _warm_median(
             lambda: shadowrds.weighted_norm(orbit, z, weights)
         )
+        source_s = {}
+        for name in SOURCE_SCENARIOS:
+            prob = shadowrds.get_scenario(name).problem(z, weights)
+            source_s[name] = _warm_median(lambda: shadowrds.source_term(prob, z))[0]
         rows.append({
             "L": length,
             "green_apply_s": green_s,
             "green_apply_calls": green_calls,
             "weighted_norm_s": norm_s,
             "weighted_norm_calls": norm_calls,
+            "source_term_s": source_s,
         })
     print(json.dumps({
         "scenario": SCENARIO,

@@ -113,14 +113,16 @@ class RangeMap:
     ``along(omega, ns)`` stacks the values at sigma^n omega for an ascending
     int64 array ns along a leading axis.  An orbit segment fills a generator,
     projector or bound that is a RangeMap with one ``along`` call per fill,
-    and calls any other callable once per point.
+    and calls any other callable once per point.  A perturbation's map takes
+    a vector too: ``at(point, x)``, and ``along(omega, ns, xs)`` maps row i of
+    xs at sigma^{ns[i]} omega (see ``shadowing.Perturbation``).
     """
 
-    at: Callable[[BasePoint], object]
-    along: Callable[[BasePoint, np.ndarray], np.ndarray]
+    at: Callable[..., object]
+    along: Callable[..., np.ndarray]
 
-    def __call__(self, point: BasePoint):
-        return self.at(point)
+    def __call__(self, *args):
+        return self.at(*args)
 
 
 #: Messages of a generator, projector or bound value of the wrong shape.
@@ -128,6 +130,7 @@ _WRONG_SHAPE = {
     "generator": "generator returned shape {}, expected {}",
     "projector": "projector has wrong shape",
     "bound": "dichotomy bound K has wrong shape",
+    "perturbation": "perturbation returned shape {}, expected {}",
 }
 
 
@@ -692,20 +695,29 @@ def check_one_step_contraction(
     return _row(check_one_step_contraction_rows(orbit, x[None, :], [steps]))
 
 
+_ENVELOPE_SCRATCH = 1 << 13  # floats of one chunk of weighed envelope windows
+
+
 def envelope_along_orbit(
     orbit: OrbitCache, rho: float, half_width: int, n_lo: int = 0, n_hi: int = 0
 ) -> np.ndarray:
     """Values D(sigma^n w) for n in [n_lo, n_hi] of the windowed envelope.
 
     D(p) = max_{|j| <= half_width} K(sigma^j p) e^{-rho |j|}; the K values are
-    one range read of the orbit's bounds, shared by the sliding windows.
+    one range read of the orbit's bounds, shared by the sliding windows.  The
+    windows are weighed in chunks whose product holds at most
+    _ENVELOPE_SCRATCH floats, so a long range needs no (m, 2 half_width + 1)
+    temporary.
     """
     if n_hi < n_lo:
         raise ValueError("empty index range")
     ks = orbit.bounds(n_lo - half_width, n_hi + half_width + 1)
     decay = np.exp(-rho * np.abs(np.arange(-half_width, half_width + 1)))
     windows = np.lib.stride_tricks.sliding_window_view(ks, 2 * half_width + 1)
-    return np.max(windows * decay, axis=1)
+    chunk = max(1, _ENVELOPE_SCRATCH // (2 * half_width + 1))
+    return np.concatenate(
+        [np.max(windows[i : i + chunk] * decay, axis=1) for i in range(0, len(windows), chunk)]
+    )
 
 
 @dataclass(frozen=True)

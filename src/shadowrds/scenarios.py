@@ -13,7 +13,11 @@ per point they read their constant or a table by ``symbol_at``, and along an
 orbit range they broadcast the constant or read the same table by
 ``symbols_along``, so an orbit segment fills a whole range with one call and
 both forms give the same bytes.  ``uniform-rot-coupled`` evaluates its frames
-per point.
+per point.  Every builtin perturbation is a ``RangeMap`` too: its range form
+maps the rows of a whole window with one call, from the same point-dependent
+coefficients as its per-point form (the shift of each rotation angle, the
+symbol tables, the anchor test), and ``nonuniform-layered`` reads the layers
+of the whole range from one envelope read (``_layer_indices``).
 
 uniform-diag       diag(1/2, 2) over an irrational rotation; K = 1 and the
                    contraction rate log 2 is exactly attained, so the margin
@@ -46,6 +50,7 @@ from .cocycle import (
     OrbitCache,
     RangeMap,
     TemperedEnvelope,
+    _at,
     build_envelope,
     envelope_along_orbit,
 )
@@ -178,6 +183,26 @@ def _saturating(x: np.ndarray) -> np.ndarray:
     return np.tanh(x)
 
 
+def _rotation_kick(
+    base: IrrationalRotation, budget: float, shift: Callable[[float], tuple[float, ...]]
+) -> RangeMap:
+    """The perturbation budget * tanh(x + shift(angle)) on a rotation base.
+
+    Per point and along an orbit range the shift comes from the same
+    ``shift`` of each point's angle; along a range the rows then saturate as
+    one block.
+    """
+
+    def at(point: BasePoint, x: np.ndarray) -> np.ndarray:
+        return budget * _saturating(np.asarray(x) + shift(point.angle))
+
+    def along(omega: BasePoint, ns: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        shifts = [shift(step(base, omega, n).angle) for n in ns.tolist()]
+        return budget * _saturating(xs + np.reshape(shifts, xs.shape))
+
+    return RangeMap(at, along)
+
+
 def _uniform_diag() -> Scenario:
     base = IrrationalRotation.default()
     a = np.array([[0.5, 0.0], [0.0, 2.0]])
@@ -193,12 +218,11 @@ def _uniform_diag() -> Scenario:
     )
     budget = 0.05
 
-    def f(point: BasePoint, x: np.ndarray) -> np.ndarray:
-        phase = 2.0 * math.pi * point.angle
-        shift = 0.3 * np.array([math.sin(phase), math.cos(phase)])
-        return budget * _saturating(np.asarray(x) + shift)
+    def shift(angle: float) -> tuple[float, float]:
+        phase = 2.0 * math.pi * angle
+        return 0.3 * math.sin(phase), 0.3 * math.cos(phase)
 
-    pert = Perturbation(f, budget, bound=budget * math.sqrt(2.0))
+    pert = Perturbation(_rotation_kick(base, budget, shift), budget, bound=budget * math.sqrt(2.0))
     return Scenario(
         name="uniform-diag",
         cocycle=cocycle,
@@ -237,12 +261,11 @@ def _uniform_rot_coupled() -> Scenario:
     )
     budget = 0.04
 
-    def f(point: BasePoint, x: np.ndarray) -> np.ndarray:
-        phase = 2.0 * math.pi * point.angle
-        shift = 0.4 * np.array([math.cos(phase), math.sin(3.0 * phase)])
-        return budget * _saturating(np.asarray(x) + shift)
+    def shift(angle: float) -> tuple[float, float]:
+        phase = 2.0 * math.pi * angle
+        return 0.4 * math.cos(phase), 0.4 * math.sin(3.0 * phase)
 
-    pert = Perturbation(f, budget, bound=budget * math.sqrt(2.0))
+    pert = Perturbation(_rotation_kick(base, budget, shift), budget, bound=budget * math.sqrt(2.0))
     return Scenario(
         name="uniform-rot-coupled",
         cocycle=cocycle,
@@ -256,20 +279,35 @@ def _uniform_rot_coupled() -> Scenario:
 
 
 _LAYER_SEED = 916191
-_LAYER_MEMO = 2 * MAX_WINDOW  # memoized layer indices: a full-window solve keeps hitting
+_LAYER_MEMO = 2 * MAX_WINDOW  # memoized layer indices of single points
 
 
-def _first_layer(
-    orbit: OrbitCache, envelope: TemperedEnvelope, level: float, scan_limit: int
-) -> int | None:
-    """The first n in [0, scan_limit] with D(sigma^n w) <= level, else None.
+def _layer_indices(
+    orbit: OrbitCache,
+    envelope: TemperedEnvelope,
+    level: float,
+    scan_limit: int,
+    n_lo: int,
+    n_hi: int,
+) -> np.ndarray:
+    """First-hitting layers m(n) of sigma^n w for n_lo <= n < n_hi, -1 for None.
 
-    A scan to n reads K at 2 half_width + 1 + n points of the one segment.
+    m(n) = 0 where D(sigma^n w) <= level, otherwise m(n + 1) + 1, and None
+    where the first hit lies more than scan_limit steps on.  One envelope
+    read covers the range, and a second one, up to n_hi - 1 + scan_limit,
+    only when the range's last index has no hit.
     """
-    for n in range(scan_limit + 1):
-        if envelope_along_orbit(orbit, envelope.rho, envelope.half_width, n, n)[0] <= level:
-            return n
-    return None
+    ns = np.arange(n_lo, n_hi)
+    if not ns.size:
+        return ns
+    rho, half = envelope.rho, envelope.half_width
+    hits = n_lo + np.flatnonzero(envelope_along_orbit(orbit, rho, half, n_lo, n_hi - 1) <= level)
+    if not (hits.size and hits[-1] == n_hi - 1) and scan_limit:
+        past = envelope_along_orbit(orbit, rho, half, n_hi, n_hi - 1 + scan_limit) <= level
+        hits = np.append(hits, n_hi + np.flatnonzero(past)[:1])
+    # The first hit at or after each n; the sentinel lies out of every n's reach.
+    first = np.append(hits, n_hi + scan_limit)[np.searchsorted(hits, ns)]
+    return np.where(first - ns <= scan_limit, first - ns, -1)
 
 
 def _nonuniform_layered() -> Scenario:
@@ -315,27 +353,34 @@ def _nonuniform_layered() -> Scenario:
     samples = [envelope.bound(sample_point(base, rng)) for _ in range(1000)]
     level = float(np.percentile(samples, 70.0))
 
+    def layers(omega: BasePoint, n_lo: int, n_hi: int) -> np.ndarray:
+        segment = OrbitCache(cocycle, omega, dich)
+        return _layer_indices(segment, envelope, level, scan_limit, n_lo, n_hi)
+
     @lru_cache(maxsize=_LAYER_MEMO)
     def layer_index(point: BasePoint) -> int | None:
-        return _first_layer(OrbitCache(cocycle, point, dich), envelope, level, scan_limit)
+        m = int(layers(point, 0, 1)[0])
+        return None if m < 0 else m
 
     budget = 0.03
-
-    def lip_scale(point: BasePoint) -> float:
-        m = layer_index(point)
-        if m is None:
-            return 0.0
-        return (budget / level) * math.exp(-rho * abs(m - 1))
-
-    def phase(point: BasePoint) -> np.ndarray:
-        s0 = symbol_at(base, point)
-        s1 = symbol_at(base, step(base, point, 1))
-        return 0.3 * np.array([s0 - 1.0, s1 - 1.0])
+    # Lipschitz scale by layer m (c / level) e^{-rho |m - 1|}; the last entry,
+    # read by the None layer -1, is 0.
+    lip_scale = np.array(
+        [(budget / level) * math.exp(-rho * abs(m - 1)) for m in range(scan_limit + 1)] + [0.0]
+    )
+    # The shift 0.3 (s_0 - 1, s_1 - 1) of the current and next symbol.
+    centred = np.arange(base.alphabet_size) - 1.0
+    phase = _by_symbol(base, 0.3 * np.stack(np.meshgrid(centred, centred, indexing="ij"), -1), lag=1)
 
     def f(point: BasePoint, x: np.ndarray) -> np.ndarray:
-        return lip_scale(point) * _saturating(np.asarray(x) + phase(point))
+        m = layer_index(point)
+        return lip_scale[-1 if m is None else m] * _saturating(np.asarray(x) + phase(point))
 
-    pert = Perturbation(f, budget, bound=(budget / level) * math.sqrt(2.0))
+    def f_along(omega: BasePoint, ns: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        scales = lip_scale[_at(lambda n_lo, n_hi: layers(omega, n_lo, n_hi), ns)]
+        return scales[:, None] * _saturating(xs + phase.along(omega, ns))
+
+    pert = Perturbation(RangeMap(f, f_along), budget, bound=(budget / level) * math.sqrt(2.0))
     layering = NonuniformLayering(level, envelope, layer_index)
     return Scenario(
         name="nonuniform-layered",
@@ -369,15 +414,18 @@ def _remark_scalar() -> Scenario:
         allow_uncertified=True,
     )
 
+    def kicked(seed: int, offsets):
+        # On the forward orbit of the anchor: per point, or along offsets.
+        return (seed == anchor.seed) & (offsets >= anchor.offset)
+
     def f(point: BasePoint, x: np.ndarray) -> np.ndarray:
-        on_forward_orbit = (
-            isinstance(point, ShiftPoint)
-            and point.seed == anchor.seed
-            and point.offset >= anchor.offset
-        )
+        on_forward_orbit = isinstance(point, ShiftPoint) and kicked(point.seed, point.offset)
         return np.array([_REMARK_KICK]) if on_forward_orbit else np.zeros(1)
 
-    pert = Perturbation(f, 0.0, bound=_REMARK_KICK)
+    def f_along(omega: BasePoint, ns: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        return np.where(kicked(omega.seed, omega.offset + ns), _REMARK_KICK, 0.0)[:, None]
+
+    pert = Perturbation(RangeMap(f, f_along), 0.0, bound=_REMARK_KICK)
     return Scenario(
         name="remark-scalar",
         cocycle=cocycle,

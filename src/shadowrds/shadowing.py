@@ -25,6 +25,11 @@ and passed as the orbit argument of the Green operator and the weighted
 norm.  ``dataclasses.replace`` keeps it, which is sound because the segment
 is a pure memo of its (system, point, dichotomy).  ``nonlinear_orbit`` takes
 the orbit segment to step along directly.
+
+Every evaluation of the source term, the defect and the orbit residual maps
+a whole window: one batched product for A and one ``Perturbation.apply`` for
+f, which is one call of the perturbation's range form when it has one and
+one call per point otherwise.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cocycle import OrbitCache, _adapted_norm_parts
+from .cocycle import OrbitCache, RangeMap, _adapted_norm_parts, _stacked
 from .driving import BasePoint
 from .green import (
     WeightSequence,
@@ -101,6 +106,13 @@ class Perturbation:
     (k, d) and maps the block row by row: row i of the result is f_w(x_i).
     A value that does not depend on x may be returned as shape (d,) or (1,);
     calling the perturbation broadcasts it to the shape of x.
+
+    ``func`` may be a ``RangeMap`` whose ``at(point, x)`` is that per-point
+    map and whose ``along(omega, ns, xs)`` returns the (m, d) rows
+    f_{sigma^{ns[i]} omega}(xs[i]) for an ascending int64 array ns of length
+    m, equal bit for bit to the per-point rows.  ``apply`` maps the rows of a
+    run of orbit indices with one ``along`` call, and calls any other
+    ``func`` once per point.
     """
 
     func: Callable[[BasePoint, np.ndarray], np.ndarray]
@@ -111,6 +123,19 @@ class Perturbation:
         value = np.asarray(self.func(point, x), dtype=float)
         shape = np.shape(x)
         return value if value.shape == shape else np.full(shape, value)
+
+    def apply(self, orbit: OrbitCache, n_lo: int, xs: np.ndarray) -> np.ndarray:
+        """Rows f_{sigma^{n_lo + i} w}(xs_i) of an (m, d) array along the orbit.
+
+        A range form's rows of the wrong shape raise the ValueError of one
+        wrong per-point value; a wrong row count names the whole shape.
+        """
+        ns = np.arange(n_lo, n_lo + len(xs))
+        if isinstance(self.func, RangeMap):
+            values = self.func.along(orbit.omega, ns, xs)
+            return _stacked(values, ns, xs.shape[1:], "perturbation")
+        rows = [self(orbit.point(n), x) for n, x in zip(ns.tolist(), xs)]
+        return np.array(rows).reshape(xs.shape)
 
     @classmethod
     def zero(cls, dim: int) -> "Perturbation":
@@ -196,14 +221,9 @@ def _window_steps(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows A(sigma^{n-1} w) x_{n-1} and f_{sigma^{n-1} w}(at_{n-1}) for the
     interior n = n_min + 1 + i of the window; ``at`` defaults to ``x``."""
-    cache = prob.orbit
     n_min = prob.window.n_min
     at = x if at is None else at
-    linear = cache.apply(n_min, x[:-1])
-    kicks = np.array(
-        [prob.perturbation(cache.point(n_min + i), row) for i, row in enumerate(at[:-1])]
-    ).reshape(linear.shape)
-    return linear, kicks
+    return prob.orbit.apply(n_min, x[:-1]), prob.perturbation.apply(prob.orbit, n_min, at[:-1])
 
 
 def _norm(row: np.ndarray) -> float:

@@ -45,3 +45,17 @@ def test_invariant_checks_row_times_every_check_of_the_suite(monkeypatch):
         assert row[f"{name}_ms"] > 0, name
     assert "check_envelope_growth_ms" not in row  # remark-scalar has no layering
     assert all(getattr(checks, name) is fn for name, fn in originals.items())
+
+
+def test_green_scaling_times_source_term_per_scenario(monkeypatch, capsys):
+    import json
+
+    bench = _load("green_scaling")
+    for name, value in (("LENGTHS", (1, 9)), ("MAX_CALLS", 1), ("BUDGET_S", 0.0)):
+        monkeypatch.setattr(bench, name, value)
+    bench.main()
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["L"] for row in rows] == [1, 9]
+    for row in rows:
+        assert list(row["source_term_s"]) == list(bench.SOURCE_SCENARIOS)
+        assert all(s > 0 for s in row["source_term_s"].values())

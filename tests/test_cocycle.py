@@ -454,6 +454,23 @@ def test_envelope_along_segment_matches_per_point_envelope(scenarios):
             assert got.tolist() == want, (n_lo, n_hi)
 
 
+@pytest.mark.parametrize("scratch", [1, 201, 1000])
+def test_envelope_read_in_chunks_matches_one_product(scenarios, monkeypatch, scratch):
+    # Weighing the sliding windows in chunks of any size gives the bits of
+    # one product over all windows.
+    sc = scenarios["nonuniform-layered"]
+    env = sc.layering.envelope
+    orbit = sc.orbit()
+    n_lo, n_hi = -37, 60
+    ks = orbit.bounds(n_lo - env.half_width, n_hi + env.half_width + 1)
+    decay = np.exp(-env.rho * np.abs(np.arange(-env.half_width, env.half_width + 1)))
+    windows = np.lib.stride_tricks.sliding_window_view(ks, 2 * env.half_width + 1)
+    want = np.max(windows * decay, axis=1)
+    monkeypatch.setattr(cocycle_module, "_ENVELOPE_SCRATCH", scratch)
+    got = envelope_along_orbit(orbit, env.rho, env.half_width, n_lo, n_hi)
+    assert np.array_equal(got, want)
+
+
 def test_envelope_invariants_on_sampled_points(scenarios):
     sc = scenarios["nonuniform-layered"]
     rng = np.random.default_rng(12)

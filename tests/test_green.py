@@ -29,6 +29,7 @@ from shadowrds.checks import (
     check_green_inversion,
     check_green_linearity,
 )
+from shadowrds.green import _green_sweep
 
 
 def _impulse(window: Window, dim: int, at: int = 0) -> WindowSequence:
@@ -333,3 +334,26 @@ def test_green_long_window_residual_identity(scenarios, block4, name):
     right = w.value_at(window.n_max)
     right_gap = np.linalg.norm(right - orbit.projector(window.n_max) @ right)
     assert right_gap <= 1e-12 * scale
+
+
+def test_batched_green_sweep_matches_per_trial_green_apply(scenarios, block4):
+    # The norm-bound check's one sweep over a (k, L, d) stack equals
+    # green_apply on each trial bit for bit, and its report equals the ratio
+    # of per-trial weighted norms.
+    for sc in list(scenarios.values()) + [block4]:
+        dim = sc.cocycle.dim
+        for half in (0, 8, 16):
+            win = Window.symmetric(half)
+            orbit = sc.orbit()
+            zs = np.random.default_rng(half).standard_normal((30, win.length, dim))
+            want = [green_apply(orbit, WindowSequence(win, z)).values for z in zs]
+            assert np.array_equal(_green_sweep(orbit, win, zs), want), (sc.name, half)
+
+            weights = make_weight("constant", win)
+            rep = green_norm_bound_check(orbit, weights, sc.epsilon, 30, np.random.default_rng(half))
+            ratios = [
+                weighted_norm(orbit, WindowSequence(win, w), weights)
+                / weighted_norm(orbit, WindowSequence(win, z), weights)
+                for z, w in zip(zs, want)
+            ]
+            assert rep.max_ratio == max(ratios), (sc.name, half)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from shadowrds import Perturbation, builtin_scenarios, get_scenario, step
+from shadowrds import Perturbation, RangeMap, builtin_scenarios, get_scenario, step
 from shadowrds.checks import (
     check_layer_coverage,
     check_layered_shadowing,
@@ -11,7 +11,7 @@ from shadowrds.checks import (
     run_invariant_suite,
     scenario_self_test,
 )
-from shadowrds.scenarios import _first_layer
+from shadowrds.scenarios import _layer_indices
 
 
 def test_registry_contains_required_scenarios(scenarios):
@@ -139,7 +139,8 @@ def test_layer_index_matches_per_point_scan(scenarios):
     for _ in range(60):
         p = sc.sample_point(rng)
         assert lay.layer_index(p) == _per_point_layer_index(sc, p, lay.level_threshold)
-        m = _first_layer(sc.orbit(p), lay.envelope, lower, 400)
+        [m] = _layer_indices(sc.orbit(p), lay.envelope, lower, 400, 0, 1).tolist()
+        m = None if m < 0 else m
         assert m == _per_point_layer_index(sc, p, lower)
         deep += m is not None and m > 0
     assert deep >= 20
@@ -202,3 +203,67 @@ def test_perturbations_map_blocks_row_by_row(scenarios):
                     one = pert(point, block[i])
                     assert one.shape == (dim,)
                     assert np.array_equal(rows[i], one), (sc.name, n, i)
+
+
+_BUILTINS = ["uniform-diag", "uniform-rot-coupled", "nonuniform-layered", "remark-scalar"]
+
+
+@pytest.mark.parametrize("name", _BUILTINS)
+def test_perturbation_range_form_matches_per_point_form(scenarios, name):
+    # Each builtin perturbation carries a range form whose rows equal the
+    # per-point rows bit for bit: on runs through 0 into negative indices,
+    # across remark-scalar's anchor (offset 0 of its seed), on one index, and
+    # on the empty run of a length-1 window's interior.
+    sc = scenarios[name]
+    func = sc.perturbation.func
+    assert isinstance(func, RangeMap)
+    dim = sc.cocycle.dim
+    rng = np.random.default_rng(71)
+    omegas = [sc.base_point, step(sc.base, sc.base_point, 3), sc.sample_point(rng)]
+    for omega in omegas:
+        orbit = sc.orbit(omega)
+        for n_lo, n_hi in ((-40, 25), (-7, -6), (5, 5), (0, 1)):
+            ns = np.arange(n_lo, n_hi)
+            xs = rng.standard_normal((ns.size, dim)) * np.geomspace(1e-3, 1e3, ns.size)[:, None]
+            want = np.array(
+                [sc.perturbation(step(sc.base, omega, n), x) for n, x in zip(ns.tolist(), xs)]
+            ).reshape(xs.shape)
+            got = func.along(omega, ns, xs)
+            assert got.shape == xs.shape
+            assert np.array_equal(got, want), (omega, n_lo, n_hi)
+            assert np.array_equal(sc.perturbation.apply(orbit, n_lo, xs), want)
+    if name == "remark-scalar":
+        kicks = func.along(sc.base_point, np.arange(-3, 3), np.zeros((6, 1)))[:, 0]
+        assert kicks.tolist() == [0.0] * 3 + [0.01] * 3
+
+
+def test_layer_indices_match_per_point_scan_over_ranges(scenarios):
+    # The layers of an index range, from one envelope read plus the scan past
+    # it, equal the per-point scan at every index of the range: at the shipped
+    # level (every point in layer 0), and at a lower level with the shipped,
+    # a short and a zero scan limit, where deeper layers and None both occur.
+    sc = scenarios["nonuniform-layered"]
+    lay = sc.layering
+    rng = np.random.default_rng(73)
+    seen, open_tails = set(), 0
+    for level, scan_limit in (
+        (lay.level_threshold, 400), (math.exp(1.05), 400), (math.exp(1.05), 3),
+        (math.exp(1.05), 0),
+    ):
+        for _ in range(6):
+            p = sc.sample_point(rng)
+            n_lo = int(rng.integers(-30, 5))
+            n_hi = n_lo + int(rng.integers(1, 40))
+            layers = _layer_indices(sc.orbit(p), lay.envelope, level, scan_limit, n_lo, n_hi)
+            got = [None if m < 0 else m for m in layers.tolist()]
+            want = [
+                _per_point_layer_index(sc, step(sc.base, p, n), level, scan_limit)
+                for n in range(n_lo, n_hi)
+            ]
+            assert got == want, (p, level, scan_limit, n_lo, n_hi)
+            seen.update("none" if m is None else "deep" if m else "zero" for m in want)
+            open_tails += want[-1] != 0
+        empty = _layer_indices(sc.orbit(p), lay.envelope, level, scan_limit, 4, 4)
+        assert empty.shape == (0,)
+    assert seen == {"zero", "deep", "none"}
+    assert open_tails >= 3  # ranges whose last index needed the scan past the range

@@ -10,6 +10,7 @@ from shadowrds import (
     NonConvergenceError,
     OrbitCache,
     Perturbation,
+    RangeMap,
     ShadowingProblem,
     UncertifiedTruncationError,
     Window,
@@ -516,3 +517,58 @@ def test_row_norms_match_linalg_norm_bitwise(dim):
         got = _row_norms(rows)
         ref = np.array([np.linalg.norm(row) for row in rows])
     assert np.array_equal(got, ref)
+
+
+def test_perturbation_without_range_form_maps_rows_per_point(scenarios, block4):
+    # A plain callable (block4's map, a test lambda) goes through the
+    # per-point loop: one call per index, rows equal to the range form's, and
+    # a solve through it gives the same bytes.
+    rng = np.random.default_rng(83)
+    sc = scenarios["uniform-diag"]
+    ranged = sc.perturbation
+    seen = []
+
+    def plain(point, x):
+        seen.append(point)
+        return ranged(point, x)
+
+    pert = Perturbation(plain, ranged.lipschitz_budget, ranged.bound)
+    orbit = sc.orbit()
+    xs = rng.standard_normal((7, 2))
+    assert np.array_equal(pert.apply(orbit, -3, xs), ranged.apply(orbit, -3, xs))
+    assert seen == [orbit.point(n) for n in range(-3, 4)]
+    assert pert.apply(orbit, 2, np.zeros((0, 2))).shape == (0, 2)
+
+    prob = _problem_from(sc, half=12)
+    res = solve(prob)
+    res_plain = solve(replace(prob, perturbation=pert))
+    assert np.array_equal(res_plain.orbit.values, res.orbit.values)
+    assert np.array_equal(res_plain.orbit_residuals, res.orbit_residuals)
+
+    assert not isinstance(block4.perturbation.func, RangeMap)
+    orbit4 = block4.orbit()
+    xs4 = rng.standard_normal((5, 4))
+    want = [block4.perturbation(orbit4.point(n), x) for n, x in zip(range(-2, 3), xs4)]
+    assert np.array_equal(block4.perturbation.apply(orbit4, -2, xs4), want)
+
+
+@pytest.mark.parametrize(
+    "rows, match",
+    [
+        (lambda ns, xs: np.zeros((len(ns), 3)), r"perturbation returned shape \(3,\), expected \(2,\)"),
+        (lambda ns, xs: np.zeros((len(ns) + 1, 2)), "perturbation range form returned shape"),
+        (lambda ns, xs: np.zeros(len(ns)), "perturbation returned shape"),
+    ],
+    ids=["row-shape", "row-count", "flat"],
+)
+def test_perturbation_range_form_of_wrong_shape_raises(scenarios, rows, match):
+    sc = scenarios["uniform-diag"]
+    func = sc.perturbation.func
+    bad = Perturbation(
+        RangeMap(func.at, lambda omega, ns, xs: rows(ns, xs)), sc.perturbation.lipschitz_budget
+    )
+    with pytest.raises(ValueError, match=match):
+        bad.apply(sc.orbit(), -2, np.zeros((5, 2)))
+    prob = replace(_problem_from(sc), perturbation=bad)
+    with pytest.raises(ValueError, match=match):
+        defect(prob)
