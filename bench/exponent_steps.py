@@ -34,9 +34,9 @@ For each builtin scenario it times, over STEPS orbit indices:
   row is scaled from step 0, so it times the chunked all-scaled run alone.
 
 For scenarios with a layering it also times ``envelope_us``: one
-``TemperedEnvelope.bound`` call at a freshly sampled base point, as the
-registry makes when it sets the level threshold, per point (ENVELOPE_POINTS
-points per timed call).
+``TemperedEnvelope.bound`` call at a freshly sampled base point (a new orbit
+segment and one read of 2 * half_width + 1 bounds K), per point
+(ENVELOPE_POINTS points per timed call).
 
 Each figure is the median of the timed calls, made until BUDGET_S seconds
 have passed or MAX_CALLS calls were made.  BLAS is pinned to one thread, as

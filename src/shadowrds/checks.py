@@ -18,7 +18,6 @@ from .cocycle import (
     check_one_step_contraction_rows,
     cocycle_eval,
     envelope_along_orbit,
-    operator_norm,
 )
 from .driving import BasePoint
 from .green import (
@@ -40,6 +39,7 @@ from .shadowing import (
     solve,
     source_term,
 )
+from .scenarios import _layer_indices
 
 __all__ = [
     "CheckResult",
@@ -96,6 +96,11 @@ class SelfTestReport:
         return "\n".join(lines)
 
 
+def _operator_norms(ms) -> np.ndarray:
+    """``operator_norm`` of each matrix of a stack bit for bit, in one call."""
+    return np.linalg.norm(np.asarray(ms, dtype=float), 2, axis=(1, 2))
+
+
 def _points(scenario, rng, count: int) -> list[BasePoint]:
     pts = [scenario.base_point]
     for _ in range(count - 1):
@@ -111,7 +116,7 @@ def check_cocycle_property(scenario, rng, pairs: int = 25, span: int = 32) -> Ch
     cancel, and no multiplication order can deliver accuracy relative to the
     (exponentially smaller) result itself.
     """
-    worst = 0.0
+    products = []  # (whole, left, right, whole - left right) of each pair
     for point in _points(scenario, rng, 3):
         orbit = scenario.orbit(point)
         for _ in range(pairs):
@@ -120,26 +125,26 @@ def check_cocycle_property(scenario, rng, pairs: int = 25, span: int = 32) -> Ch
             whole = cocycle_eval(orbit, n + m)
             left = cocycle_eval(scenario.orbit(orbit.point(m)), n)
             right = cocycle_eval(orbit, m)
-            scale = max(operator_norm(whole), operator_norm(left) * operator_norm(right))
-            err = operator_norm(whole - left @ right) / max(scale, 1e-300)
-            worst = max(worst, err)
+            products.append((whole, left, right, whole - left @ right))
+    whole, left, right, gap = _operator_norms(np.concatenate(products)).reshape(-1, 4).T
+    scale = np.maximum(whole, left * right)
+    worst = float(np.max(gap / np.maximum(scale, 1e-300), initial=0.0))
     return CheckResult("cocycle-composition", worst, 1e-10, worst <= 1e-10)
 
 
 def check_projectors(scenario, rng, points: int = 4, span: int = 32) -> CheckResult:
     """P^2 = P within 1e-10 and equivariance within 1e-8 relative."""
-    worst_idem = 0.0
-    worst_equiv = 0.0
+    idem, equiv = [], []  # P^2 - P at each point; (P(n) A_n - A_n P, A_n) at each n
     for point in _points(scenario, rng, points):
         cache = scenario.orbit(point)
         p = cache.projector(0)
-        worst_idem = max(worst_idem, operator_norm(p @ p - p))
+        idem.append(p @ p - p)
         for n in (1, 2, 5, span // 2, span):
             a_n = cocycle_eval(cache, n)
-            lhs = cache.projector(n) @ a_n
-            rhs = a_n @ p
-            err = operator_norm(lhs - rhs) / max(operator_norm(a_n), 1e-300)
-            worst_equiv = max(worst_equiv, err)
+            equiv.append((cache.projector(n) @ a_n - a_n @ p, a_n))
+    worst_idem = float(np.max(_operator_norms(idem), initial=0.0))
+    gap, scale = _operator_norms(np.concatenate(equiv)).reshape(-1, 2).T
+    worst_equiv = float(np.max(gap / np.maximum(scale, 1e-300), initial=0.0))
     passed = worst_idem <= 1e-10 and worst_equiv <= 1e-8
     return CheckResult(
         "projector-family", max(worst_idem, worst_equiv), 1e-8, passed,
@@ -157,7 +162,7 @@ def check_dichotomy_bounds(scenario, rng, points: int = 3, max_n: int = 64) -> C
     """
     dich = scenario.dichotomy
     strict = dich.rate + dich.margin
-    worst = 0.0
+    maps, bounds = [], []  # (fwd, bwd) at each n, and K(w) e^{-strict n}
     for point in _points(scenario, rng, points):
         cache = scenario.orbit(point)
         k = cache.bound(0)
@@ -168,12 +173,10 @@ def check_dichotomy_bounds(scenario, rng, points: int = 3, max_n: int = 64) -> C
         for n in range(1, max_n + 1):
             fwd = stable[n - 1] @ fwd
             bwd = unstable[max_n - n] @ bwd
-            bound = k * math.exp(-strict * n)
-            worst = max(
-                worst,
-                operator_norm(fwd) / bound - 1.0,
-                operator_norm(bwd) / bound - 1.0,
-            )
+            maps += [fwd, bwd]
+            bounds.append(k * math.exp(-strict * n))
+    norms = _operator_norms(maps).reshape(-1, 2)
+    worst = float(np.max(norms / np.array(bounds)[:, None] - 1.0, initial=0.0))
     return CheckResult("dichotomy-bounds", worst, 1e-9, worst <= 1e-9)
 
 
@@ -299,10 +302,8 @@ def _jitter(
     adjacent ratio of the allowances, so the triangle inequality keeps every
     defect of an exact orbit plus this jitter within noise times its allowance.
     """
-    growth = max(
-        (operator_norm(m) for m in orbit.matrices(window.n_min, window.n_max)),
-        default=0.0,
-    ) + lipschitz
+    norms = _operator_norms(orbit.matrices(window.n_min, window.n_max))
+    growth = float(np.max(norms, initial=0.0)) + lipschitz
     adjacent = float(np.max(allowed[:-1] / allowed[1:])) if len(allowed) > 1 else 1.0
     amp = noise * allowed / (1.0 + growth * adjacent)
     jitter = rng.standard_normal((window.length, orbit.dim))
@@ -418,13 +419,12 @@ def check_layer_coverage(scenario, rng, samples: int = 400) -> CheckResult:
     layering = scenario.layering
     if layering is None:
         raise ValueError("scenario has no layering data")
-    env = layering.envelope
+    env, level = layering.envelope, layering.level_threshold
     hits = 0
     for _ in range(samples):
         orbit = scenario.orbit(scenario.sample_point(rng))
-        values = envelope_along_orbit(orbit, env.rho, env.half_width, 0, _COVERAGE_DEPTH)
-        if np.any(values <= layering.level_threshold):
-            hits += 1
+        [m] = _layer_indices(orbit, env, level, _COVERAGE_DEPTH, 0, 1)  # -1: no hit
+        hits += int(m >= 0)
     coverage = hits / samples
     return CheckResult(
         "layer-coverage", 1.0 - coverage, 0.01, coverage >= 0.99,

@@ -29,7 +29,7 @@ uniform-rot-coupled  2x2 generator conjugated by an angle-dependent rotation
 nonuniform-layered Bernoulli base, bound K varying with the current symbol
                    through a diagonal coordinate change; perturbation
                    strength decays with the first-hitting time of the good
-                   level set.
+                   level set {D <= e^{beta - rho}} (own symbol not 0).
 remark-scalar      scalar contraction 1/2 with a constant kick applied on
                    the forward orbit of one distinguished shift point; its
                    forward and backward growth exponents differ.
@@ -85,7 +85,8 @@ class NonuniformLayering:
     D(sigma^n w) <= level_threshold (None when a bounded scan finds none).
     Perturbations on layer m carry a Lipschitz constant at most
     (c / level_threshold) e^{-rho |m - 1|}, rho = envelope.rho, which the
-    envelope growth bound converts into the required c / K(sigma w).
+    envelope growth bound converts into the required c / K(sigma w).  A level
+    below the largest D, as ``nonuniform-layered``'s, gives layers m > 0.
     """
 
     level_threshold: float
@@ -278,7 +279,6 @@ def _uniform_rot_coupled() -> Scenario:
     )
 
 
-_LAYER_SEED = 916191
 _LAYER_MEMO = 2 * MAX_WINDOW  # memoized layer indices of single points
 
 
@@ -347,11 +347,12 @@ def _nonuniform_layered() -> Scenario:
     anchor = ShiftPoint(20240915, 0)
     envelope = build_envelope(OrbitCache(cocycle, anchor, dich), rho, envelope_half_width)
 
-    # Deterministic level threshold: the 70th percentile of the envelope over
-    # a fixed sample, so the good set has probability well above zero.
-    rng = np.random.default_rng(_LAYER_SEED)
-    samples = [envelope.bound(sample_point(base, rng)) for _ in range(1000)]
-    level = float(np.percentile(samples, 70.0))
+    # The level e^{beta - rho}.  D = e^{beta}, the largest K, at a point whose
+    # own symbol is 0.  At any other point the largest D is e^{beta - rho},
+    # reached when a neighbour one step away has symbol 0, so D <= level exactly
+    # where the point's own symbol is not 0.  The product is that neighbour's
+    # term bit for bit; math.exp(beta - rho) is another float.
+    level = math.exp(beta) * math.exp(-rho)
 
     def layers(omega: BasePoint, n_lo: int, n_hi: int) -> np.ndarray:
         segment = OrbitCache(cocycle, omega, dich)
@@ -438,6 +439,9 @@ def _remark_scalar() -> Scenario:
     )
 
 
+_BUILDERS = (_uniform_diag, _uniform_rot_coupled, _nonuniform_layered, _remark_scalar)
+
+
 @lru_cache(maxsize=1)
 def builtin_scenarios() -> tuple[Scenario, ...]:
     """The validated scenario registry.
@@ -447,12 +451,7 @@ def builtin_scenarios() -> tuple[Scenario, ...]:
     """
     from .checks import scenario_self_test
 
-    scenarios = (
-        _uniform_diag(),
-        _uniform_rot_coupled(),
-        _nonuniform_layered(),
-        _remark_scalar(),
-    )
+    scenarios = tuple(build() for build in _BUILDERS)
     for scenario in scenarios:
         report = scenario_self_test(scenario)
         if not report.passed:

@@ -148,6 +148,14 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))[:, 0, 0]
 
 
+def _scaled_row_norms(rows: np.ndarray) -> np.ndarray:
+    """``_row_norms`` of the rows scaled by the power of two of each one's
+    largest |entry|, and scaled back, so finite rows near the float limit do
+    not overflow."""
+    _, exps = np.frexp(np.max(np.abs(rows), axis=1))
+    return np.ldexp(_row_norms(np.ldexp(rows, -exps[:, None])), exps)
+
+
 def shadow_constant(rate: float, epsilon: float, budget: float) -> tuple[float, float]:
     """Closed-form shadowing constant L and contraction factor q.
 
@@ -224,13 +232,6 @@ def _window_steps(
     n_min = prob.window.n_min
     at = x if at is None else at
     return prob.orbit.apply(n_min, x[:-1]), prob.perturbation.apply(prob.orbit, n_min, at[:-1])
-
-
-def _norm(row: np.ndarray) -> float:
-    """np.linalg.norm of one row, scaled by the power of two of its largest
-    entry so that finite rows near the float limit do not overflow."""
-    _, exp = np.frexp(np.max(np.abs(row)))
-    return float(np.ldexp(np.linalg.norm(np.ldexp(row, -exp)), exp))
 
 
 @dataclass(frozen=True)
@@ -362,9 +363,8 @@ def solve(prob: ShadowingProblem, tol: float = 1e-10, max_iter: int = 200) -> Sh
     # Round-off floor of the residual evaluation: differences of values this
     # large cannot be certified below machine epsilon times their magnitude,
     # which matters on windows where hyperbolic orbits grow to ~1e8 and beyond.
-    floor = 0.0
-    for x_n, ax in zip(orbit.values[1:], linear):
-        floor = max(floor, _FLOOR_UNIT * (1.0 + (_norm(x_n) + _norm(ax))))
+    magnitudes = _scaled_row_norms(orbit.values[1:]) + _scaled_row_norms(linear)
+    floor = float(np.max(_FLOOR_UNIT * (1.0 + magnitudes), initial=0.0))
     max_residual = float(np.max(np.linalg.norm(residuals, axis=1))) if len(residuals) else 0.0
 
     margins = shadow_bound * prob.weights.values - _row_norms(z.values)

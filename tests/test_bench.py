@@ -59,3 +59,17 @@ def test_green_scaling_times_source_term_per_scenario(monkeypatch, capsys):
     for row in rows:
         assert list(row["source_term_s"]) == list(bench.SOURCE_SCENARIOS)
         assert all(s > 0 for s in row["source_term_s"].values())
+
+
+def test_registry_build_times_every_builtin(monkeypatch, capsys):
+    import json
+
+    bench = _load("registry_build")
+    for name, value in (("MAX_CALLS", 1), ("BUDGET_S", 0.0)):
+        monkeypatch.setattr(bench, name, value)
+    bench.main()
+    out = json.loads(capsys.readouterr().out)
+    assert [row["scenario"] for row in out["rows"]] == [
+        "uniform-diag", "uniform-rot-coupled", "nonuniform-layered", "remark-scalar",
+    ]
+    assert all(row["build_ms"] > 0 and row["self_test_ms"] > 0 for row in out["rows"])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from shadowrds.checks import (
     run_invariant_suite,
     scenario_self_test,
 )
+from shadowrds.checks import _operator_norms
+from shadowrds.cocycle import envelope_along_orbit, operator_norm
 from shadowrds.scenarios import _layer_indices
 
 
@@ -128,9 +131,10 @@ def _per_point_layer_index(sc, point, level, scan_limit=400):
 
 def test_layer_index_matches_per_point_scan(scenarios):
     # layer_index walks one segment through the point; it must find the
-    # same layer as the per-point scan.  The shipped level equals the largest
-    # K, so every point lies in layer 0 there; a lower level, between two
-    # attained envelope values, gives deeper layers.
+    # same layer as the per-point scan.  The shipped level e^{beta - rho} is
+    # the largest D at a point whose own symbol is not 0, so about half the
+    # points lie in layer 0 there; a lower level, between two attained
+    # envelope values, gives deeper layers still.
     sc = scenarios["nonuniform-layered"]
     lay = sc.layering
     rng = np.random.default_rng(59)
@@ -144,6 +148,58 @@ def test_layer_index_matches_per_point_scan(scenarios):
         assert m == _per_point_layer_index(sc, p, lower)
         deep += m is not None and m > 0
     assert deep >= 20
+
+
+def test_layered_level_is_the_closed_form(scenarios):
+    # e^{beta - rho} as the product the envelope's neighbour term reads, bit
+    # for bit; math.exp(1.1) is another float.
+    level = scenarios["nonuniform-layered"].layering.level_threshold
+    assert level == math.exp(1.2) * math.exp(-0.1)
+    assert level != math.exp(1.1)
+
+
+def test_layered_points_fill_deeper_layers(scenarios):
+    # The symbol-0 points (half the mass) lie outside the good set, so a
+    # fixed share of sampled points lies in layers m > 0.
+    sc = scenarios["nonuniform-layered"]
+    rng = np.random.default_rng(62)
+    layers = [sc.layering.layer_index(sc.sample_point(rng)) for _ in range(200)]
+    assert None not in layers
+    assert sum(m > 0 for m in layers) >= 0.4 * len(layers)
+
+
+def _full_read_coverage(sc, rng, samples, depth=200):
+    """Coverage as one envelope read over [0, depth] per sampled point."""
+    env, level = sc.layering.envelope, sc.layering.level_threshold
+    hits = 0
+    for _ in range(samples):
+        orbit = sc.orbit(sc.sample_point(rng))
+        values = envelope_along_orbit(orbit, env.rho, env.half_width, 0, depth)
+        hits += bool(np.any(values <= level))
+    return hits / samples
+
+
+def test_layer_coverage_scan_equals_the_full_read(scenarios):
+    # At the shipped level every point is hit; at e^{0.8} a hit needs seven
+    # symbols in a row without a 0, so some points find none within the depth.
+    sc = scenarios["nonuniform-layered"]
+    low = replace(sc, layering=replace(sc.layering, level_threshold=math.exp(0.8)))
+    coverages = []
+    for case in (sc, low):
+        res = check_layer_coverage(case, np.random.default_rng(63), samples=80)
+        coverage = _full_read_coverage(case, np.random.default_rng(63), samples=80)
+        assert res.worst == 1.0 - coverage
+        coverages.append(coverage)
+    assert coverages[0] == 1.0
+    assert 0.0 < coverages[1] < 1.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_operator_norms_match_per_matrix_calls_bitwise(dim):
+    rng = np.random.default_rng(dim + 20)
+    ms = rng.standard_normal((2000, dim, dim)) * np.exp(rng.uniform(-30, 30, (2000, 1, 1)))
+    assert np.array_equal(_operator_norms(ms), [operator_norm(m) for m in ms])
+    assert _operator_norms(ms[:0]).shape == (0,)
 
 
 def test_nonuniform_layer_coverage(scenarios):

@@ -31,7 +31,7 @@ from shadowrds import (
     weighted_norm,
 )
 from shadowrds.checks import noisy_pseudo_orbit
-from shadowrds.shadowing import _defect_allowance, _row_norms
+from shadowrds.shadowing import _defect_allowance, _row_norms, _scaled_row_norms, _window_steps
 
 
 def _problem_from(scenario, half=8, seed=31, noise=0.5):
@@ -517,6 +517,37 @@ def test_row_norms_match_linalg_norm_bitwise(dim):
         got = _row_norms(rows)
         ref = np.array([np.linalg.norm(row) for row in rows])
     assert np.array_equal(got, ref)
+
+
+def _scaled_norm(row):
+    """The per-row form: np.linalg.norm of the row scaled by the power of two
+    of its largest |entry|, then scaled back."""
+    _, exp = np.frexp(np.max(np.abs(row)))
+    return float(np.ldexp(np.linalg.norm(np.ldexp(row, -exp)), exp))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_scaled_row_norms_match_the_per_row_form_bitwise(dim):
+    rng = np.random.default_rng(dim + 10)
+    rows = rng.standard_normal((20000, dim)) * np.exp(rng.uniform(-700, 700, (20000, 1)))
+    # Rows near the float limit whose norms are finite: sqrt(dim) / 4 < 1.
+    rows[:64] = rng.uniform(-1.0, 1.0, (64, dim)) * (np.finfo(float).max / 4)
+    rows[64:96] = 0.0
+    got = _scaled_row_norms(rows)
+    assert np.array_equal(got, [_scaled_norm(row) for row in rows])
+    assert np.all(np.isfinite(got))
+    assert _scaled_row_norms(np.zeros((0, dim))).shape == (0,)
+
+
+def test_solve_residual_floor_matches_the_per_row_loop(scenarios, block4):
+    for sc in list(scenarios.values()) + [block4]:
+        prob = _problem_from(sc, half=12)
+        res = solve(prob)
+        linear, _ = _window_steps(prob, res.orbit.values)
+        floor, unit = 0.0, 64.0 * np.finfo(float).eps
+        for x_n, ax in zip(res.orbit.values[1:], linear):
+            floor = max(floor, unit * (1.0 + (_scaled_norm(x_n) + _scaled_norm(ax))))
+        assert res.residual_floor == floor, sc.name
 
 
 def test_perturbation_without_range_form_maps_rows_per_point(scenarios, block4):
