@@ -17,9 +17,10 @@ stdout.
 ``source_term_s`` times one warm ``source_term`` per window length on each
 scenario of SOURCE_SCENARIOS: the shadowing problem of the same z (as the
 pseudo-orbit and as the correction) with constant weights.  One call maps
-the window's perturbation rows, through the perturbation's range form where
-it has one.  Memos that outlive a call, such as the per-point layer index of
-``nonuniform-layered``, are warm too.
+the window's perturbation rows with one read of their coefficients (through
+the coefficients' range form where they have one) and one kick.  Memos that
+outlive a call, such as the per-point layer index of ``nonuniform-layered``,
+are warm too.
 """
 
 from __future__ import annotations

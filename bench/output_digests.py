@@ -1,0 +1,93 @@
+"""sha256 digests of every output that the configs and the demos produce.
+
+Run from the repository root (or with ``PYTHONPATH`` pointing at any other
+checkout's ``src`` to digest that version):
+
+    PYTHONPATH=src python3 bench/output_digests.py > digests.json
+
+For each ``configs/*.cfg`` it runs ``shadowrds.cli.main(["run", "--config",
+path])`` with ``$SHADOW_RDS_OUT`` set to a new temporary directory, and
+digests every file written there and the CLI's stdout; the exit code is
+recorded as is.  Each ``demos/*.py`` then runs as ``__main__`` and its stdout
+is digested.  The result is one JSON object on stdout, keyed by
+``configs/<name>.cfg/<file>``, ``configs/<name>.cfg/stdout``,
+``configs/<name>.cfg/exit`` and ``demos/<name>.py/stdout``, so two versions
+give byte-identical outputs exactly when their objects are equal:
+
+    diff <(PYTHONPATH=src python3 bench/output_digests.py) \\
+         <(PYTHONPATH=../other/src python3 bench/output_digests.py)
+
+BLAS is pinned to one thread, as in ``perfbench``.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import runpy  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from shadowrds import cli  # noqa: E402
+from shadowrds.experiments import OUTPUT_DIR_ENV  # noqa: E402
+
+_ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((_ROOT / "configs").glob("*.cfg"))
+DEMOS = sorted((_ROOT / "demos").glob("*.py"))
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def config_digests(path: Path) -> dict[str, object]:
+    """Digests of the files one config run writes, its stdout and its exit code."""
+    key = f"configs/{path.name}"
+    stdout = io.StringIO()
+    previous = os.environ.get(OUTPUT_DIR_ENV)
+    with tempfile.TemporaryDirectory() as tmp:
+        os.environ[OUTPUT_DIR_ENV] = tmp
+        try:
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main(["run", "--config", str(path)])
+        finally:
+            if previous is None:
+                del os.environ[OUTPUT_DIR_ENV]
+            else:
+                os.environ[OUTPUT_DIR_ENV] = previous
+        out = {
+            f"{key}/{f.relative_to(tmp).as_posix()}": _sha(f.read_bytes())
+            for f in sorted(Path(tmp).rglob("*"))
+            if f.is_file()
+        }
+    out[f"{key}/stdout"] = _sha(stdout.getvalue().encode())
+    out[f"{key}/exit"] = code
+    return out
+
+
+def demo_digests(path: Path) -> dict[str, str]:
+    """The digest of one demo's stdout."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        runpy.run_path(str(path), run_name="__main__")
+    return {f"demos/{path.name}/stdout": _sha(stdout.getvalue().encode())}
+
+
+def main() -> None:
+    out: dict[str, object] = {}
+    for path in CONFIGS:
+        out.update(config_digests(path))
+    for path in DEMOS:
+        out.update(demo_digests(path))
+    print(json.dumps(out, indent=2, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()

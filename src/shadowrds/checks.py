@@ -182,7 +182,7 @@ def check_dichotomy_bounds(scenario, rng, points: int = 3, max_n: int = 64) -> C
 
 def check_norm_equivalence_sweep(scenario, rng) -> CheckResult:
     """|x| <= |x|_w <= 2 K(w) |x| over 250 random vectors at each of 4 points."""
-    worst = 0.0
+    worst = -math.inf
     failures = 0
     for point in _points(scenario, rng, 4):
         xs = rng.standard_normal((250, scenario.cocycle.dim))
@@ -202,14 +202,16 @@ def check_one_step_contraction_sweep(scenario, rng) -> CheckResult:
 
     50 random vectors at each of 4 points, each with a random n in [0, 10].
     """
-    worst = 0.0
+    worst = -math.inf
     for point in _points(scenario, rng, 4):
         # Each vector's draw is followed by its step count's.
         xs, steps = zip(*[
             (rng.standard_normal(scenario.cocycle.dim), rng.integers(0, 11)) for _ in range(50)
         ])
         rep = check_one_step_contraction_rows(scenario.orbit(point), np.array(xs), steps)
-        worst = max(worst, float(np.max(-rep.stable_margin)), float(np.max(-rep.unstable_margin)))
+        margins = np.concatenate([rep.stable_margin, rep.unstable_margin])
+        # 0 - margin: a zero margin gives 0 here, where -margin gives -0.
+        worst = max(worst, float(np.max(0.0 - margins)))
     return CheckResult("adapted-contraction", worst, 1e-9, worst <= 1e-9)
 
 
@@ -356,7 +358,7 @@ def check_source_lipschitz(scenario, rng) -> CheckResult:
         prob.orbit, [source_term(prob, z1) - source_term(prob, z2) for z1, z2 in pairs], weights
     )
     den = weighted_norms(prob.orbit, [z1 - z2 for z1, z2 in pairs], weights)
-    worst = max(0.0, float(np.max(num - factor * den)))
+    worst = float(np.max(num - factor * den))
     return CheckResult("source-lipschitz", worst, 1e-9, worst <= 1e-9)
 
 
@@ -497,7 +499,7 @@ def scenario_self_test(scenario) -> SelfTestReport:
 
 def _check_perturbation_lipschitz(scenario, rng) -> CheckResult:
     budget = scenario.perturbation.lipschitz_budget
-    worst = 0.0
+    worst = -math.inf
     for point in _points(scenario, rng, 4):
         allowed = budget / scenario.orbit(point).bound(1)
         for _ in range(40):

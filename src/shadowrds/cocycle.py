@@ -38,9 +38,10 @@ base point w and the dichotomy data, and holds what is evaluated along it in
 blocks read by index range (matrices, inverses, projectors, bounds and the
 one-step maps).  A generator, projector or bound may be a ``RangeMap``,
 which carries its orbit-range form: the segment then fills a whole index
-range with one call instead of one call per point.  Tempered envelopes read
-K from the segment too: the envelope along an orbit is one range read of its
-bounds.
+range with one call instead of one call per point; ``OrbitCache.evaluate``
+reads every scenario callable, perturbation coefficients included, either
+way.  Tempered envelopes read K from the segment too: the envelope along an
+orbit is one range read of its bounds.
 
 Vector iterations along the stable (resp. unstable) direction re-apply the
 projector at every step.  This is deliberate: round-off seeds a tiny
@@ -111,21 +112,20 @@ class RangeMap:
 
     ``RangeMap(at, along)(point)`` is ``at(point)``, the value at one point;
     ``along(omega, ns)`` stacks the values at sigma^n omega for an ascending
-    int64 array ns along a leading axis.  An orbit segment fills a generator,
-    projector or bound that is a RangeMap with one ``along`` call per fill,
-    and calls any other callable once per point.  A perturbation's map takes
-    a vector too: ``at(point, x)``, and ``along(omega, ns, xs)`` maps row i of
-    xs at sigma^{ns[i]} omega (see ``shadowing.Perturbation``).
+    int64 array ns along a leading axis, equal bit for bit to the per-point
+    values.  ``OrbitCache.evaluate`` reads a generator, projector, bound or
+    perturbation coefficients that is a RangeMap with one ``along`` call, and
+    any other callable once per point.
     """
 
-    at: Callable[..., object]
-    along: Callable[..., np.ndarray]
+    at: Callable[[BasePoint], object]
+    along: Callable[[BasePoint, np.ndarray], np.ndarray]
 
-    def __call__(self, *args):
-        return self.at(*args)
+    def __call__(self, point: BasePoint):
+        return self.at(point)
 
 
-#: Messages of a generator, projector or bound value of the wrong shape.
+#: Messages of a scenario callable's value of the wrong shape.
 _WRONG_SHAPE = {
     "generator": "generator returned shape {}, expected {}",
     "projector": "projector has wrong shape",
@@ -134,12 +134,13 @@ _WRONG_SHAPE = {
 }
 
 
-def _stacked(values, ns: np.ndarray, shape: tuple[int, ...], name: str) -> np.ndarray:
+def _stacked(values, ns: np.ndarray, shape: tuple[int, ...] | None, name: str) -> np.ndarray:
     """A range form's values at the orbit indices ns as one float array of
-    shape (len(ns),) + shape.  Rows of the wrong shape raise the ValueError
-    of one wrong per-point value; a wrong row count names the whole shape."""
+    shape (len(ns),) + shape (None: any).  Rows of the wrong shape raise the
+    ValueError of one wrong per-point value; a wrong row count names the
+    whole shape."""
     values = np.asarray(values, dtype=float)
-    if values.shape[1:] != shape:
+    if shape is not None and values.shape[1:] != shape:
         raise ValueError(_WRONG_SHAPE[name].format(values.shape[1:], shape))
     if values.shape[:1] != ns.shape:
         raise ValueError(f"{name} range form returned shape {values.shape} for {ns.size} indices")
@@ -155,15 +156,9 @@ class CocycleSystem:
     base: DrivingSystem
 
     def matrix(self, point: BasePoint) -> np.ndarray:
-        """Evaluate the generator at a point and check its shape.
-
-        Finiteness and conditioning are checked by ``OrbitCache`` once per
-        fill, over the whole stack of matrices it evaluated.
-        """
-        m = np.asarray(self.generator(point), dtype=float)
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(_WRONG_SHAPE["generator"].format(m.shape, (self.dim, self.dim)))
-        return m
+        """The generator at one point.  ``OrbitCache`` checks the shape,
+        finiteness and conditioning of what it reads, once per fill."""
+        return self.generator(point)
 
 
 def _check_invertible(mats: np.ndarray, ns: np.ndarray) -> None:
@@ -295,15 +290,13 @@ class OrbitCache:
     ``unstable_maps`` (I - P_n) A_n^{-1}, which step stable vectors from n to
     n+1 and unstable ones from n+1 to n.  ``matrix(n)``, ``inverse(n)``,
     ``projector(n)`` and ``bound(n)`` read one entry.  A read fills only its
-    missing entries: one ``along`` call for a generator, projector or bound
-    that is a ``RangeMap``, else one call per point; then one stacked
-    ``np.linalg.cond`` over new matrices (the finiteness and COND_LIMIT
-    check; a SingularityError names the lowest bad index of the fill), the
-    K > 0 check over new bounds, and one stacked ``np.linalg.inv`` or
-    ``np.matmul`` for inverses and maps.  Both fill paths check the stacked
-    values the same way.  A read more than _SPAN_LIMIT indices away from a block
-    replaces it.  Base points are not stored: ``point(n)`` computes
-    sigma^n w, an exact step.
+    missing entries with one ``evaluate`` of the generator, projector or
+    bound, then one stacked ``np.linalg.cond`` over new matrices (the
+    finiteness and COND_LIMIT check; a SingularityError names the lowest bad
+    index of the fill), the K > 0 check over new bounds, and one stacked
+    ``np.linalg.inv`` or ``np.matmul`` for inverses and maps.  A read more than
+    _SPAN_LIMIT indices away from a block replaces it.  Base points are not
+    stored: ``point(n)`` computes sigma^n w, an exact step.
     """
 
     def __init__(
@@ -333,14 +326,31 @@ class OrbitCache:
             raise ValueError("cache was built without dichotomy data")
         return self.dichotomy
 
+    def evaluate(self, fn: Callable, ns: np.ndarray, name: str,
+                 shape: tuple[int, ...] | None = None, at: Callable | None = None) -> np.ndarray:
+        """The values of a scenario callable at the ascending orbit indices ns,
+        stacked: one ``along`` call for a ``RangeMap``, else one call per point
+        (through ``at`` when given).  A fill gives the values' ``shape``: per
+        point they fill a preallocated block, and a wrong shape raises the
+        ValueError that ``name`` selects in ``_WRONG_SHAPE``.  Coefficient rows
+        (no shape) are stacked as they come; ragged rows raise numpy's."""
+        if isinstance(fn, RangeMap):
+            return _stacked(fn.along(self.omega, ns), ns, shape, name)
+        at, base = fn if at is None else at, self.system.base
+        values = (at(step(base, self.omega, n)) for n in ns.tolist())
+        if shape is None:
+            return np.array(list(values), dtype=float)
+        out = np.empty(ns.shape + shape)
+        for i, value in enumerate(values):
+            value = np.asarray(value, dtype=float)
+            if value.shape != shape:
+                raise ValueError(_WRONG_SHAPE[name].format(value.shape, shape))
+            out[i] = value
+        return out
+
     def _fill_matrices(self, ns: np.ndarray) -> np.ndarray:
         generator = self.system.generator
-        if isinstance(generator, RangeMap):
-            mats = _stacked(generator.along(self.omega, ns), ns, self._square, "generator")
-        else:
-            mats = np.empty((ns.size,) + self._square)
-            for i, n in enumerate(ns.tolist()):
-                mats[i] = self.system.matrix(self.point(n))
+        mats = self.evaluate(generator, ns, "generator", self._square, at=self.system.matrix)
         _check_invertible(mats, ns)
         return mats
 
@@ -348,23 +358,10 @@ class OrbitCache:
         return np.linalg.inv(_at(self.matrices, ns))
 
     def _fill_projectors(self, ns: np.ndarray) -> np.ndarray:
-        projector = self.require_dichotomy().projector
-        if isinstance(projector, RangeMap):
-            return _stacked(projector.along(self.omega, ns), ns, self._square, "projector")
-        projs = np.empty((ns.size,) + self._square)
-        for i, n in enumerate(ns.tolist()):
-            p = np.asarray(projector(self.point(n)), dtype=float)
-            if p.shape != self._square:
-                raise ValueError(_WRONG_SHAPE["projector"])
-            projs[i] = p
-        return projs
+        return self.evaluate(self.require_dichotomy().projector, ns, "projector", self._square)
 
     def _fill_bounds(self, ns: np.ndarray) -> np.ndarray:
-        bound = self.require_dichotomy().bound
-        if isinstance(bound, RangeMap):
-            ks = _stacked(bound.along(self.omega, ns), ns, (), "bound")
-        else:
-            ks = np.array([float(bound(self.point(n))) for n in ns.tolist()])
+        ks = self.evaluate(self.require_dichotomy().bound, ns, "bound", ())
         if not np.all(ks > 0):  # NaN fails too
             raise ValueError("dichotomy bound K must be positive")
         return ks

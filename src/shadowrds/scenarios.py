@@ -13,11 +13,13 @@ per point they read their constant or a table by ``symbol_at``, and along an
 orbit range they broadcast the constant or read the same table by
 ``symbols_along``, so an orbit segment fills a whole range with one call and
 both forms give the same bytes.  ``uniform-rot-coupled`` evaluates its frames
-per point.  Every builtin perturbation is a ``RangeMap`` too: its range form
-maps the rows of a whole window with one call, from the same point-dependent
-coefficients as its per-point form (the shift of each rotation angle, the
-symbol tables, the anchor test), and ``nonuniform-layered`` reads the layers
-of the whole range from one envelope read (``_layer_indices``).
+per point.  Every builtin perturbation is its per-point coefficients plus one
+kick (``shadowing.Perturbation``).  The rotation scenarios' coefficients are
+the shift of each point's angle, a plain per-point function, and their kick
+is budget * tanh(x + shift).  ``nonuniform-layered``'s are (scale, phase pair)
+rows by layer and symbol pair, and ``remark-scalar``'s its kick size; both
+are ``RangeMap`` callables, and ``nonuniform-layered`` reads the layers of a
+whole range from one envelope read (``_layer_indices``).
 
 uniform-diag       diag(1/2, 2) over an irrational rotation; K = 1 and the
                    contraction rate log 2 is exactly attained, so the margin
@@ -179,29 +181,9 @@ def _by_symbol(base: BernoulliShift, table: np.ndarray, lag: int = 0) -> RangeMa
     return RangeMap(at, along)
 
 
-def _saturating(x: np.ndarray) -> np.ndarray:
-    # Componentwise 1-Lipschitz bounded map used by all smooth perturbations.
-    return np.tanh(x)
-
-
-def _rotation_kick(
-    base: IrrationalRotation, budget: float, shift: Callable[[float], tuple[float, ...]]
-) -> RangeMap:
-    """The perturbation budget * tanh(x + shift(angle)) on a rotation base.
-
-    Per point and along an orbit range the shift comes from the same
-    ``shift`` of each point's angle; along a range the rows then saturate as
-    one block.
-    """
-
-    def at(point: BasePoint, x: np.ndarray) -> np.ndarray:
-        return budget * _saturating(np.asarray(x) + shift(point.angle))
-
-    def along(omega: BasePoint, ns: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        shifts = [shift(step(base, omega, n).angle) for n in ns.tolist()]
-        return budget * _saturating(xs + np.reshape(shifts, xs.shape))
-
-    return RangeMap(at, along)
+def _tanh_kick(budget: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The kick budget * tanh(x + shift): bounded by budget and budget-Lipschitz."""
+    return lambda cs, xs: budget * np.tanh(xs + cs)
 
 
 def _uniform_diag() -> Scenario:
@@ -219,11 +201,11 @@ def _uniform_diag() -> Scenario:
     )
     budget = 0.05
 
-    def shift(angle: float) -> tuple[float, float]:
-        phase = 2.0 * math.pi * angle
+    def shift(point: BasePoint) -> tuple[float, float]:
+        phase = 2.0 * math.pi * point.angle
         return 0.3 * math.sin(phase), 0.3 * math.cos(phase)
 
-    pert = Perturbation(_rotation_kick(base, budget, shift), budget, bound=budget * math.sqrt(2.0))
+    pert = Perturbation(shift, _tanh_kick(budget), budget, bound=budget * math.sqrt(2.0))
     return Scenario(
         name="uniform-diag",
         cocycle=cocycle,
@@ -262,11 +244,11 @@ def _uniform_rot_coupled() -> Scenario:
     )
     budget = 0.04
 
-    def shift(angle: float) -> tuple[float, float]:
-        phase = 2.0 * math.pi * angle
+    def shift(point: BasePoint) -> tuple[float, float]:
+        phase = 2.0 * math.pi * point.angle
         return 0.4 * math.cos(phase), 0.4 * math.sin(3.0 * phase)
 
-    pert = Perturbation(_rotation_kick(base, budget, shift), budget, bound=budget * math.sqrt(2.0))
+    pert = Perturbation(shift, _tanh_kick(budget), budget, bound=budget * math.sqrt(2.0))
     return Scenario(
         name="uniform-rot-coupled",
         cocycle=cocycle,
@@ -364,24 +346,33 @@ def _nonuniform_layered() -> Scenario:
         return None if m < 0 else m
 
     budget = 0.03
-    # Lipschitz scale by layer m (c / level) e^{-rho |m - 1|}; the last entry,
-    # read by the None layer -1, is 0.
+    # Coefficient rows (scale, phase_0, phase_1).  The Lipschitz scale of layer m
+    # is (c / level) e^{-rho |m - 1|}; the last entry, read by the None layer -1,
+    # is 0.  The phase is 0.3 (s_0 - 1, s_1 - 1) of the current and next symbol.
     lip_scale = np.array(
         [(budget / level) * math.exp(-rho * abs(m - 1)) for m in range(scan_limit + 1)] + [0.0]
     )
-    # The shift 0.3 (s_0 - 1, s_1 - 1) of the current and next symbol.
     centred = np.arange(base.alphabet_size) - 1.0
-    phase = _by_symbol(base, 0.3 * np.stack(np.meshgrid(centred, centred, indexing="ij"), -1), lag=1)
+    rows = np.zeros((base.alphabet_size, base.alphabet_size, 3))
+    rows[..., 1:] = 0.3 * np.stack(np.meshgrid(centred, centred, indexing="ij"), -1)
+    phase = _by_symbol(base, rows, lag=1)  # rows with the scale still 0
 
-    def f(point: BasePoint, x: np.ndarray) -> np.ndarray:
+    def coefs_at(point: BasePoint) -> np.ndarray:
         m = layer_index(point)
-        return lip_scale[-1 if m is None else m] * _saturating(np.asarray(x) + phase(point))
+        row = phase(point).copy()
+        row[0] = lip_scale[-1 if m is None else m]
+        return row
 
-    def f_along(omega: BasePoint, ns: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        scales = lip_scale[_at(lambda n_lo, n_hi: layers(omega, n_lo, n_hi), ns)]
-        return scales[:, None] * _saturating(xs + phase.along(omega, ns))
+    def coefs_along(omega: BasePoint, ns: np.ndarray) -> np.ndarray:
+        out = phase.along(omega, ns)
+        out[:, 0] = lip_scale[_at(lambda n_lo, n_hi: layers(omega, n_lo, n_hi), ns)]
+        return out
 
-    pert = Perturbation(RangeMap(f, f_along), budget, bound=(budget / level) * math.sqrt(2.0))
+    def kick(cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        return cs[..., :1] * np.tanh(xs + cs[..., 1:])
+
+    bound = (budget / level) * math.sqrt(2.0)
+    pert = Perturbation(RangeMap(coefs_at, coefs_along), kick, budget, bound=bound)
     layering = NonuniformLayering(level, envelope, layer_index)
     return Scenario(
         name="nonuniform-layered",
@@ -419,14 +410,17 @@ def _remark_scalar() -> Scenario:
         # On the forward orbit of the anchor: per point, or along offsets.
         return (seed == anchor.seed) & (offsets >= anchor.offset)
 
-    def f(point: BasePoint, x: np.ndarray) -> np.ndarray:
+    # The coefficient row is the kick size: _REMARK_KICK on that orbit, else 0.
+    def size(point: BasePoint) -> tuple[float]:
         on_forward_orbit = isinstance(point, ShiftPoint) and kicked(point.seed, point.offset)
-        return np.array([_REMARK_KICK]) if on_forward_orbit else np.zeros(1)
+        return (_REMARK_KICK if on_forward_orbit else 0.0,)
 
-    def f_along(omega: BasePoint, ns: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    def sizes_along(omega: BasePoint, ns: np.ndarray) -> np.ndarray:
         return np.where(kicked(omega.seed, omega.offset + ns), _REMARK_KICK, 0.0)[:, None]
 
-    pert = Perturbation(RangeMap(f, f_along), 0.0, bound=_REMARK_KICK)
+    def kick(cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(xs), cs)  # each row of xs gets its size, whatever x is
+    pert = Perturbation(RangeMap(size, sizes_along), kick, 0.0, bound=_REMARK_KICK)
     return Scenario(
         name="remark-scalar",
         cocycle=cocycle,

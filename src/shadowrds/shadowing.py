@@ -28,8 +28,7 @@ the orbit segment to step along directly.
 
 Every evaluation of the source term, the defect and the orbit residual maps
 a whole window: one batched product for A and one ``Perturbation.apply`` for
-f, which is one call of the perturbation's range form when it has one and
-one call per point otherwise.
+f, which reads the window's coefficient rows once and kicks them all at once.
 """
 
 from __future__ import annotations
@@ -102,44 +101,43 @@ class Perturbation:
     scenarios construct them so this holds analytically.  ``bound`` is an
     optional uniform bound on |f_w(x)|, needed by the Lyapunov machinery.
 
-    ``func(point, x)`` takes one vector of shape (d,) or a block of shape
-    (k, d) and maps the block row by row: row i of the result is f_w(x_i).
-    A value that does not depend on x may be returned as shape (d,) or (1,);
-    calling the perturbation broadcasts it to the shape of x.
-
-    ``func`` may be a ``RangeMap`` whose ``at(point, x)`` is that per-point
-    map and whose ``along(omega, ns, xs)`` returns the (m, d) rows
-    f_{sigma^{ns[i]} omega}(xs[i]) for an ascending int64 array ns of length
-    m, equal bit for bit to the per-point rows.  ``apply`` maps the rows of a
-    run of orbit indices with one ``along`` call, and calls any other
-    ``func`` once per point.
+    ``coefficients(point)`` is the row of floats that f needs at a point (a
+    shift, a scale, a kick size): a per-point function, or a ``RangeMap``
+    whose ``along`` stacks the rows of an orbit range.  ``kick(cs, xs)``
+    returns an array of the shape of xs: per point, cs is one row and xs one
+    vector (d,) or a block (k, d) mapped row by row; along a run, cs is an
+    (m, c) stack and row i of xs is mapped with row i of cs.  The per-point
+    map ``perturbation(point, x)``, also ``func``, and ``apply`` derive from them.
     """
 
-    func: Callable[[BasePoint, np.ndarray], np.ndarray]
+    coefficients: Callable[[BasePoint], object]
+    kick: Callable[[np.ndarray, np.ndarray], np.ndarray]
     lipschitz_budget: float
     bound: float | None = None
 
     def __call__(self, point: BasePoint, x: np.ndarray) -> np.ndarray:
-        value = np.asarray(self.func(point, x), dtype=float)
-        shape = np.shape(x)
-        return value if value.shape == shape else np.full(shape, value)
+        return self.kick(self.coefficients(point), x)
+
+    func = __call__
 
     def apply(self, orbit: OrbitCache, n_lo: int, xs: np.ndarray) -> np.ndarray:
-        """Rows f_{sigma^{n_lo + i} w}(xs_i) of an (m, d) array along the orbit.
+        """Rows f_{sigma^{n_lo + i} w}(xs_i) of an (m, d) array along the orbit:
+        one ``OrbitCache.evaluate`` of the coefficients, then one kick.
 
-        A range form's rows of the wrong shape raise the ValueError of one
-        wrong per-point value; a wrong row count names the whole shape.
+        A kick of the wrong shape raises the ValueError of one wrong per-point
+        value; a wrong row count names the whole shape.
         """
+        if not len(xs):
+            return np.empty(xs.shape)
         ns = np.arange(n_lo, n_lo + len(xs))
-        if isinstance(self.func, RangeMap):
-            values = self.func.along(orbit.omega, ns, xs)
-            return _stacked(values, ns, xs.shape[1:], "perturbation")
-        rows = [self(orbit.point(n), x) for n, x in zip(ns.tolist(), xs)]
-        return np.array(rows).reshape(xs.shape)
+        cs = orbit.evaluate(self.coefficients, ns, "coefficients")
+        return _stacked(self.kick(cs, xs), ns, xs.shape[1:], "perturbation")
 
     @classmethod
     def zero(cls, dim: int) -> "Perturbation":
-        return cls(lambda point, x: np.zeros(dim), 0.0, 0.0)
+        """f = 0 on R^dim: empty coefficient rows and a kick of zeros."""
+        none = RangeMap(lambda point: (), lambda omega, ns: np.empty((ns.size, 0)))
+        return cls(none, lambda cs, xs: np.zeros(np.shape(xs)[:-1] + (dim,)), 0.0, 0.0)
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -473,7 +471,8 @@ def invert_step(
 
     ``target`` is one vector (d,) or a block (k, d) whose rows are solved
     together; each row stops at its own convergence, so every row equals
-    the iteration run on it alone.  Convergent whenever |A^{-1}| Lip(f) < 1,
+    the iteration run on it alone.  The point's coefficients are read once
+    and only the kick is iterated.  Convergent whenever |A^{-1}| Lip(f) < 1,
     which all scenarios guarantee.
     """
     target = np.asarray(target, dtype=float)
@@ -481,11 +480,12 @@ def invert_step(
     out = np.empty_like(rows)
     live = np.arange(len(rows))
     goal = rows
+    cs = perturbation.coefficients(point)
     u = np.matmul(inverse_matrix, rows[:, :, None])[:, :, 0]
     for _ in range(_INVERT_MAX_ITER):
         if not live.size:
             break
-        u_next = np.matmul(inverse_matrix, (goal - perturbation(point, u))[:, :, None])[:, :, 0]
+        u_next = np.matmul(inverse_matrix, (goal - perturbation.kick(cs, u))[:, :, None])[:, :, 0]
         done = _row_norms(u_next - u) <= tol * (1.0 + _row_norms(u_next))
         out[live[done]] = u_next[done]
         live, goal, u = live[~done], goal[~done], u_next[~done]

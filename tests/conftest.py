@@ -33,7 +33,8 @@ def coupled_block_scenario() -> Scenario:
     The frames are block diagonal, so the splitting projector is the constant
     diag(1, 1, 0, 0) and the true dichotomy rate is -log 0.6 ~ 0.51, declared
     as rate 0.4 with margin 0.11.  The constant projector and bound carry
-    their range forms; the generator is evaluated per point.
+    their range forms; the generator and the perturbation's shift
+    coefficients are evaluated per point.
     """
     base = IrrationalRotation.default()
     d = np.diag([0.45, 0.6, 1.7, 2.2])
@@ -61,14 +62,13 @@ def coupled_block_scenario() -> Scenario:
     )
     budget = 0.02
 
-    def f(point, x):
+    def shift(point):
         phase = 2.0 * math.pi * point.angle
-        shift = 0.2 * np.array(
+        return 0.2 * np.array(
             [math.sin(phase), math.cos(phase), math.sin(2 * phase), math.cos(3 * phase)]
         )
-        return budget * np.tanh(np.asarray(x) + shift)
 
-    pert = Perturbation(f, budget, bound=budget * 2.0)
+    pert = Perturbation(shift, lambda cs, xs: budget * np.tanh(xs + cs), budget, bound=budget * 2.0)
     return Scenario(
         name="block4",
         cocycle=cocycle,

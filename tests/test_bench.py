@@ -73,3 +73,24 @@ def test_registry_build_times_every_builtin(monkeypatch, capsys):
         "uniform-diag", "uniform-rot-coupled", "nonuniform-layered", "remark-scalar",
     ]
     assert all(row["build_ms"] > 0 and row["self_test_ms"] > 0 for row in out["rows"])
+
+
+def test_output_digests_cover_config_files_and_demo_stdout(monkeypatch, capsys):
+    import json
+    import os
+
+    bench = _load("output_digests")
+    config = next(p for p in bench.CONFIGS if p.name == "shadow-uniform-diag.cfg")
+    demo = next(p for p in bench.DEMOS if p.name.startswith("01_"))
+    monkeypatch.setattr(bench, "CONFIGS", [config])
+    monkeypatch.setattr(bench, "DEMOS", [demo])
+    monkeypatch.delenv("SHADOW_RDS_OUT", raising=False)
+    bench.main()
+    out = json.loads(capsys.readouterr().out)
+    key = "configs/shadow-uniform-diag.cfg"
+    assert out[f"{key}/exit"] == 0
+    for name in ("shadow.csv", "iterations.csv", "summary.json", "stdout"):
+        assert len(out[f"{key}/{name}"]) == 64, name
+    assert len(out[f"demos/{demo.name}/stdout"]) == 64
+    assert len(out) == 6
+    assert "SHADOW_RDS_OUT" not in os.environ  # restored after the config run

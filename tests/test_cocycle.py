@@ -254,13 +254,14 @@ def test_range_fills_reject_bad_projectors_and_bounds(block4):
                 OrbitCache(sc.cocycle, sc.base_point, bad_bound).bounds(-2, 5)
             with pytest.raises(ValueError, match="^dichotomy bound K must be positive$"):
                 OrbitCache(sc.cocycle, sc.base_point, bad_bound).bound(3)
-    # Range forms only: too few rows, or rows of the wrong shape.
+    # Range forms only: too few rows.  Rows of the wrong shape, in either form.
     short = RangeMap(lambda point: 1.0, lambda omega, ns: np.ones(len(ns) - 1))
     with pytest.raises(ValueError, match=r"^bound range form returned shape \(6,\) for 7 indices$"):
         OrbitCache(sc.cocycle, sc.base_point, replace(sc.dichotomy, bound=short)).bounds(-2, 5)
     rows = RangeMap(lambda point: 1.0, lambda omega, ns: np.ones((len(ns), 2)))
-    with pytest.raises(ValueError, match="^dichotomy bound K has wrong shape$"):
-        OrbitCache(sc.cocycle, sc.base_point, replace(sc.dichotomy, bound=rows)).bounds(-2, 5)
+    for bound in (rows, lambda point: np.ones(2)):
+        with pytest.raises(ValueError, match="^dichotomy bound K has wrong shape$"):
+            OrbitCache(sc.cocycle, sc.base_point, replace(sc.dichotomy, bound=bound)).bounds(-2, 5)
 
 
 def _per_point(sc):

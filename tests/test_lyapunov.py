@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from unittest import mock
 
 import numpy as np
@@ -171,7 +171,7 @@ def test_lock_step_walk_errors_keep_types_and_messages():
         return _shift_orbit(lambda offset: scale)
 
     # A nonzero bound keeps the rows plain; 1e-100 squared underflows at step 2.
-    plain = Perturbation(lambda p, x: np.zeros(1), 0.0, bound=1e-300)
+    plain = Perturbation(lambda p: (), lambda cs, x: np.zeros(np.shape(x)), 0.0, bound=1e-300)
     cases = [
         (orbit(1e-100), plain, [[1.0], [0.0]], 1, "starting point has zero norm"),
         (orbit(1e-100), plain, [[1.0], [2.0]], 0, "orbit norm vanished after 2 steps"),
@@ -196,7 +196,7 @@ def test_rollback_ahead_of_a_vanishing_growth_walks_on():
     # step 7; the tiny matrix at step 10 would collapse a scaled row (its
     # square underflows) but only shrinks the plain one.
     cache = _shift_orbit(lambda offset: 1e-170 if offset == 9 else 0.5)
-    pert = Perturbation(lambda p, x: np.zeros(1), 0.0, bound=1e-300)
+    pert = Perturbation(lambda p: (), lambda cs, x: np.zeros(np.shape(x)), 0.0, bound=1e-300)
     xs = np.array([[1e31], [3e31]])
     refs = [_reference_orbit_log_norms(pert, cache, x, True, 14) for x in xs]
     for chunk in _CHUNKS:
@@ -236,10 +236,36 @@ def test_batched_invert_step_matches_per_row_iteration(scenarios, block4):
             assert one.shape == (dim,) and np.array_equal(one, got[0])
 
 
+def test_invert_step_reads_the_coefficients_once(scenarios, block4):
+    # The point's coefficients are read once per call; only the kick is
+    # iterated, and the result is the same.
+    for sc in list(scenarios.values()) + [block4]:
+        rng = np.random.default_rng(41)
+        calls = []
+
+        def coefficients(point, read=sc.perturbation.coefficients):
+            calls.append(point)
+            return read(point)
+
+        counted = replace(sc.perturbation, coefficients=coefficients)
+        cache = sc.orbit()
+        for n in (-7, -1):
+            targets = _spread_rows(rng, 5, sc.cocycle.dim)
+            calls.clear()
+            got = invert_step(cache.inverse(n), counted, cache.point(n), targets,
+                              tol=_INVERSION_TOL)
+            assert calls == [cache.point(n)], sc.name
+            want = invert_step(cache.inverse(n), sc.perturbation, cache.point(n), targets,
+                               tol=_INVERSION_TOL)
+            assert np.array_equal(got, want), sc.name
+
+
 def test_batched_invert_step_raises_like_per_row_iteration():
     # u <- t - f(u) with f(u) = -1.5 u above |u| = 5 diverges; below it f = 0
     # and the first step is exact.
-    pert = Perturbation(lambda p, x: np.where(np.abs(x) > 5.0, -1.5 * x, 0.0), 1.5)
+    pert = Perturbation(
+        lambda p: (), lambda cs, x: np.where(np.abs(x) > 5.0, -1.5 * x, 0.0), 1.5
+    )
     point, one = RotationPoint.from_angle(0.1), np.eye(1)
     targets = np.array([[1.0], [10.0]])
     assert np.array_equal(
@@ -503,7 +529,7 @@ def test_special_point_requires_bound(scenarios):
     window = Window.symmetric(8)
     prob = sc.problem(WindowSequence.zeros(window, 2))
     unbounded = replace(prob, perturbation=Perturbation(
-        sc.perturbation.func, sc.perturbation.lipschitz_budget, None
+        sc.perturbation.coefficients, sc.perturbation.kick, sc.perturbation.lipschitz_budget, None
     ))
     with pytest.raises(ValueError):
         find_special_point(unbounded)

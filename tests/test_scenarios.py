@@ -244,7 +244,7 @@ def test_registry_is_cached():
 
 def test_perturbations_map_blocks_row_by_row(scenarios):
     # Every builtin perturbation and the zero one: rows of a (k, d) block
-    # equal one-vector calls bit for bit, and a (d,) or (1,) value broadcasts.
+    # equal one-vector calls bit for bit, and the kick returns the shape of x.
     rng = np.random.default_rng(23)
     for sc in scenarios.values():
         dim = sc.cocycle.dim
@@ -264,15 +264,19 @@ def test_perturbations_map_blocks_row_by_row(scenarios):
 _BUILTINS = ["uniform-diag", "uniform-rot-coupled", "nonuniform-layered", "remark-scalar"]
 
 
-@pytest.mark.parametrize("name", _BUILTINS)
-def test_perturbation_range_form_matches_per_point_form(scenarios, name):
-    # Each builtin perturbation carries a range form whose rows equal the
-    # per-point rows bit for bit: on runs through 0 into negative indices,
-    # across remark-scalar's anchor (offset 0 of its seed), on one index, and
-    # on the empty run of a length-1 window's interior.
-    sc = scenarios[name]
-    func = sc.perturbation.func
-    assert isinstance(func, RangeMap)
+@pytest.mark.parametrize("name", _BUILTINS + ["block4"])
+def test_perturbation_range_form_matches_per_point_form(scenarios, block4, name):
+    # The coefficient rows of a range read equal the per-point rows bit for
+    # bit, and ``apply`` equals the per-point calls: on runs through 0 into
+    # negative indices, across remark-scalar's anchor (offset 0 of its seed),
+    # on one index, and on the empty run of a length-1 window's interior.
+    # The rotation scenarios' and block4's coefficients are per-point
+    # functions, read one call per point; the others carry a range form.
+    sc = block4 if name == "block4" else scenarios[name]
+    pert = sc.perturbation
+    assert isinstance(pert.coefficients, RangeMap) == (
+        name in ("nonuniform-layered", "remark-scalar")
+    )
     dim = sc.cocycle.dim
     rng = np.random.default_rng(71)
     omegas = [sc.base_point, step(sc.base, sc.base_point, 3), sc.sample_point(rng)]
@@ -281,16 +285,45 @@ def test_perturbation_range_form_matches_per_point_form(scenarios, name):
         for n_lo, n_hi in ((-40, 25), (-7, -6), (5, 5), (0, 1)):
             ns = np.arange(n_lo, n_hi)
             xs = rng.standard_normal((ns.size, dim)) * np.geomspace(1e-3, 1e3, ns.size)[:, None]
-            want = np.array(
-                [sc.perturbation(step(sc.base, omega, n), x) for n, x in zip(ns.tolist(), xs)]
-            ).reshape(xs.shape)
-            got = func.along(omega, ns, xs)
+            points = [step(sc.base, omega, n) for n in ns.tolist()]
+            coefs = orbit.evaluate(pert.coefficients, ns, "coefficients")
+            assert len(coefs) == ns.size
+            for row, point in zip(coefs, points):
+                want_row = np.asarray(pert.coefficients(point), dtype=float)
+                assert row.tobytes() == want_row.tobytes(), (omega, n_lo, n_hi)
+            want = np.array([pert(p, x) for p, x in zip(points, xs)]).reshape(xs.shape)
+            got = pert.apply(orbit, n_lo, xs)
             assert got.shape == xs.shape
             assert np.array_equal(got, want), (omega, n_lo, n_hi)
-            assert np.array_equal(sc.perturbation.apply(orbit, n_lo, xs), want)
     if name == "remark-scalar":
-        kicks = func.along(sc.base_point, np.arange(-3, 3), np.zeros((6, 1)))[:, 0]
+        orbit = sc.orbit()
+        sizes = orbit.evaluate(pert.coefficients, np.arange(-3, 3), "coefficients")[:, 0]
+        assert sizes.tolist() == [0.0] * 3 + [0.01] * 3
+        kicks = pert.apply(orbit, -3, np.zeros((6, 1)))[:, 0]
         assert kicks.tolist() == [0.0] * 3 + [0.01] * 3
+
+
+@pytest.mark.parametrize("name", _BUILTINS + ["block4", "zero"])
+def test_kick_returns_the_shape_of_x(scenarios, block4, name):
+    # Per point the kick takes one coefficient row and a (d,) or (k, d)
+    # input; along a run an (m, c) stack and (m, d) rows.  An empty run
+    # gives (0, d).
+    sc = block4 if name == "block4" else scenarios.get(name, scenarios["uniform-diag"])
+    dim = sc.cocycle.dim
+    pert = Perturbation.zero(dim) if name == "zero" else sc.perturbation
+    orbit = sc.orbit()
+    rng = np.random.default_rng(13)
+    for n in range(-5, 5):
+        cs = pert.coefficients(orbit.point(n))
+        assert pert.kick(cs, rng.standard_normal(dim)).shape == (dim,)
+        for k in (1, 3):
+            assert pert.kick(cs, rng.standard_normal((k, dim))).shape == (k, dim)
+    ns = np.arange(-4, 6)
+    cs = orbit.evaluate(pert.coefficients, ns, "coefficients")
+    assert pert.kick(cs, rng.standard_normal((ns.size, dim))).shape == (ns.size, dim)
+    for n_lo in (-3, 0, 7):
+        empty = pert.apply(orbit, n_lo, np.zeros((0, dim)))
+        assert empty.shape == (0, dim) and empty.dtype == float
 
 
 def test_layer_indices_match_per_point_scan_over_ranges(scenarios):

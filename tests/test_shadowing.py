@@ -265,7 +265,7 @@ def test_solve_rejects_supercritical_budget(scenarios):
     sc = scenarios["uniform-diag"]
     window = Window.symmetric(4)
     pseudo = WindowSequence.zeros(window, 2)
-    bad = Perturbation(lambda p, x: 0.5 * np.tanh(x), 0.5, bound=0.5)
+    bad = Perturbation(lambda p: (), lambda cs, x: 0.5 * np.tanh(x), 0.5, bound=0.5)
     with pytest.raises(ContractionError):
         ShadowingProblem(
             orbit=sc.orbit(),
@@ -551,19 +551,20 @@ def test_solve_residual_floor_matches_the_per_row_loop(scenarios, block4):
 
 
 def test_perturbation_without_range_form_maps_rows_per_point(scenarios, block4):
-    # A plain callable (block4's map, a test lambda) goes through the
-    # per-point loop: one call per index, rows equal to the range form's, and
-    # a solve through it gives the same bytes.
+    # Plain per-point coefficients (block4's and the rotation scenarios'
+    # shifts, a test lambda) go through the per-point loop: one call per
+    # index, rows equal to the range form's, and a solve through them gives
+    # the same bytes.
     rng = np.random.default_rng(83)
-    sc = scenarios["uniform-diag"]
+    sc = scenarios["nonuniform-layered"]
     ranged = sc.perturbation
     seen = []
 
-    def plain(point, x):
+    def plain(point):
         seen.append(point)
-        return ranged(point, x)
+        return ranged.coefficients(point)
 
-    pert = Perturbation(plain, ranged.lipschitz_budget, ranged.bound)
+    pert = Perturbation(plain, ranged.kick, ranged.lipschitz_budget, ranged.bound)
     orbit = sc.orbit()
     xs = rng.standard_normal((7, 2))
     assert np.array_equal(pert.apply(orbit, -3, xs), ranged.apply(orbit, -3, xs))
@@ -576,7 +577,7 @@ def test_perturbation_without_range_form_maps_rows_per_point(scenarios, block4):
     assert np.array_equal(res_plain.orbit.values, res.orbit.values)
     assert np.array_equal(res_plain.orbit_residuals, res.orbit_residuals)
 
-    assert not isinstance(block4.perturbation.func, RangeMap)
+    assert not isinstance(block4.perturbation.coefficients, RangeMap)
     orbit4 = block4.orbit()
     xs4 = rng.standard_normal((5, 4))
     want = [block4.perturbation(orbit4.point(n), x) for n, x in zip(range(-2, 3), xs4)]
@@ -586,18 +587,16 @@ def test_perturbation_without_range_form_maps_rows_per_point(scenarios, block4):
 @pytest.mark.parametrize(
     "rows, match",
     [
-        (lambda ns, xs: np.zeros((len(ns), 3)), r"perturbation returned shape \(3,\), expected \(2,\)"),
-        (lambda ns, xs: np.zeros((len(ns) + 1, 2)), "perturbation range form returned shape"),
-        (lambda ns, xs: np.zeros(len(ns)), "perturbation returned shape"),
+        (lambda cs, xs: np.zeros((len(cs), 3)), r"perturbation returned shape \(3,\), expected \(2,\)"),
+        (lambda cs, xs: np.zeros((len(cs) + 1, 2)), "perturbation range form returned shape"),
+        (lambda cs, xs: np.zeros(len(cs)), "perturbation returned shape"),
     ],
     ids=["row-shape", "row-count", "flat"],
 )
 def test_perturbation_range_form_of_wrong_shape_raises(scenarios, rows, match):
+    # A kick whose rows along a run have the wrong shape.
     sc = scenarios["uniform-diag"]
-    func = sc.perturbation.func
-    bad = Perturbation(
-        RangeMap(func.at, lambda omega, ns, xs: rows(ns, xs)), sc.perturbation.lipschitz_budget
-    )
+    bad = Perturbation(sc.perturbation.coefficients, rows, sc.perturbation.lipschitz_budget)
     with pytest.raises(ValueError, match=match):
         bad.apply(sc.orbit(), -2, np.zeros((5, 2)))
     prob = replace(_problem_from(sc), perturbation=bad)
