@@ -21,16 +21,20 @@ the consent to truncate anyway.
 
 Adapted norms have one kernel, ``_adapted_norm_parts(orbit, ns, xs)``: row i
 of an (m, d) block is measured at orbit index ns[i], indices in any order and
-repeated at will.  It reads the one-step maps once over the span of ns,
-selects each horizon step's maps with one index (a slice for consecutive
-indices) and applies them to a chunk of rows in one batched product; a
-chunk's buffer, (N + 1) * rows * d floats, holds at most _NORM_SCRATCH.
+repeated at will.  It reads the one-step maps once over the span of ns.
+Where every index holds the same number k >= 2 of rows (stacked windows,
+many vectors at one point), it sorts the rows into index-major (indices, k,
+d) grids, and each horizon step applies the maps with one dgemv per index
+and output component for all k rows (``_apply_shared``); rows of unequal
+counts, and one row per index (k = 1), take one product per row.  Each step
+selects its maps with one index, a slice for consecutive indices, and a
+chunk walks the horizon in blocks of as many steps as _NORM_SCRATCH holds.
 Rows that overflow or underflow are measured again divided by their largest
 absolute entry, so finite vectors up to the float range get finite, non-zero
 norms.  Every single-vector function is a one-row call of a batched form:
 ``adapted_norm``, ``check_norm_equivalence`` (``check_norm_equivalence_rows``)
 and ``check_one_step_contraction`` (``check_one_step_contraction_rows``: one
-masked batched product per step, one kernel call for all three norms).
+masked ``_apply_shared`` per step, one kernel call for all three norms).
 
 Every function that works along one orbit sigma^n w takes that orbit segment,
 an ``OrbitCache``, as its first argument: the segment carries the system, the
@@ -444,8 +448,9 @@ class AdaptedNorm:
 _EQUIVALENCE_SLACK = 1e-9  # relative, in check_norm_equivalence
 _CONTRACTION_SLACK = 1e-9  # relative to max(1, rhs), in check_one_step_contraction
 
-#: Floats of scratch per chunk of the adapted-norm kernel.  A chunk of r rows
-#: holds (horizon + 1) * r * d of them, so r shrinks as horizon and d grow.
+#: Floats of scratch per chunk of the adapted-norm kernel.  A chunk of r rows,
+#: r <= _NORM_SCRATCH / (2 d), walks the horizon in blocks of p steps that
+#: hold (p + 1) * r * d of them, p as large as fits, at most the horizon.
 _NORM_SCRATCH = 1 << 15
 
 
@@ -486,6 +491,50 @@ def _plain_norms(xs: np.ndarray) -> np.ndarray:
     return _rescaled(measure, xs)[0]
 
 
+#: Vectors shorter than this are summed in index order by numpy's reductions
+#: and by OpenBLAS's dgemv, whatever the number of outputs; longer ones are
+#: split across vector lanes, by dgemv according to its output count.
+_SHORT = 8
+
+
+def _apply_shared(maps: np.ndarray, vs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[..., r, :] = maps @ vs[..., r, :] for an index-major block: maps of
+    shape (..., d, d), vs and out of shape (..., k, d), out apart from vs.
+
+    Equal bit for bit to one (d, d) @ (d, 1) product per row.  At d = 1 that
+    is a dot of one term, 0.0 + x * y (a -0.0 product gives 0.0), done for
+    all rows at once.  For k >= 2 and d < _SHORT, d calls ``np.matmul(vs,
+    maps[..., c, :, None])``, each one dgemv with k outputs per index.  Else
+    the per-row products themselves: at k = 1 a (1, d) @ (d,) product would
+    go to dot, which rounds differently.
+    """
+    k, d = vs.shape[-2:]
+    if d == 1:
+        np.add(np.multiply(vs, maps, out=out), 0.0, out=out)
+    elif 1 < k and d < _SHORT:
+        for c in range(d):
+            np.matmul(vs, maps[..., c, :, None], out=out[..., c : c + 1])
+    else:
+        np.matmul(maps[..., None, :, :], vs[..., None], out=out[..., None])
+    return out
+
+
+def _row_grid(at: np.ndarray, capacity: int, d: int) -> tuple[np.ndarray | None, int]:
+    """The kernel's row order (None: as given) and rows per index w.
+
+    Where every index in ``at`` holds the same w rows, 2 <= w <= capacity and
+    d < _SHORT, the rows are sorted by index (stably) for ``_apply_shared``
+    to share each index's maps among them.  Elsewhere w is 1: rows of
+    unequal counts would need padding, which costs more than it saves.
+    """
+    counts = np.bincount(at)
+    counts = counts[counts > 0]
+    w = int(counts[0])
+    if 1 < w <= capacity and d < _SHORT and (counts == w).all():
+        return np.argsort(at, kind="stable"), w
+    return None, 1
+
+
 def _adapted_norm_parts(
     orbit: OrbitCache, ns: np.ndarray, xs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -493,16 +542,17 @@ def _adapted_norm_parts(
 
     Row i of ``xs`` (shape (m, d)) is measured at orbit index ``ns[i]``;
     indices may repeat and come in any order.  The stable and unstable maps
-    and the projectors are read once over the span of ``ns``.  Each step k of
-    the horizon selects the maps at ns + k (resp. ns - k - 1) with one index,
-    a slice where a chunk's indices are consecutive, and applies them to all
-    rows of the chunk in one batched product; the norms are taken once at the
-    end and weighted by e^{lam k}, formed by repeated multiplication.  A
-    chunk's buffer holds (horizon + 1) * rows * d floats, at most
-    _NORM_SCRATCH unless one row alone needs more.  Rows that overflow or
-    underflow are measured again scaled by their largest absolute entry
-    (``_rescaled``), so every finite row gets a finite result unless the norm
-    itself exceeds the float range.
+    and the projectors are read once over the span of ``ns``.  The rows are
+    cut into chunks of whole indices, index-major (indices, w, d) grids with
+    w from ``_row_grid``, and a chunk walks the horizon in blocks whose
+    planes fit in _NORM_SCRATCH (see there).  Each step k selects the maps
+    at the chunk's indices + k (resp. - k - 1) with one index, a slice where
+    they are consecutive, and applies them with ``_apply_shared``.  The
+    norms are taken once per block, in place: squares added plane by plane,
+    square root, weights e^{lam k} formed by repeated multiplication, max
+    over k.  Rows that overflow or underflow are measured again scaled by
+    their largest absolute entry (``_rescaled``), so every finite row gets a
+    finite result unless the norm itself exceeds the float range.
     """
     dich = orbit.require_dichotomy()
     horizon = dich.horizon
@@ -526,30 +576,54 @@ def _adapted_norm_parts(
     weights = np.full(horizon + 1, math.exp(dich.rate))
     weights[0] = 1.0
     np.cumprod(weights, out=weights)
-    chunk = max(1, _NORM_SCRATCH // ((horizon + 1) * d))
+    capacity = max(1, _NORM_SCRATCH // (2 * d))  # rows of a chunk
 
-    def weighted_sup(buf: np.ndarray) -> np.ndarray:
-        # The arithmetic of np.linalg.norm over an axis, with fewer calls.
-        return np.max(np.sqrt(np.square(buf).sum(axis=(2, 3))) * weights[:, None], axis=0)
+    def weighted_sup(buf: np.ndarray, maps: Callable) -> np.ndarray:
+        # max over k of e^{lam k} |v_k|, v_0 = buf[0] and v_{k+1} = maps(k) v_k,
+        # in blocks of len(buf) - 1 steps; each block's last plane starts the
+        # next.  The norms are the arithmetic of np.linalg.norm over an axis.
+        best = None
+        for k0 in range(0, horizon, len(buf) - 1):
+            n = min(len(buf) - 1, horizon - k0)
+            for i in range(n):
+                _apply_shared(maps(k0 + i), buf[i], buf[i + 1])
+            carry = buf[n].copy()
+            planes = buf[: n + 1]
+            np.square(planes, out=planes)
+            if d < _SHORT:
+                sums = planes[..., 0]
+                for c in range(1, d):
+                    np.add(sums, planes[..., c], out=sums)
+            else:
+                sums = planes.sum(axis=-1)
+            np.sqrt(sums, out=sums)
+            np.multiply(sums, weights[k0 : k0 + n + 1, None, None], out=sums)
+            part = np.max(sums, axis=0)
+            best = part if best is None else np.maximum(best, part, out=best)
+            buf[0] = carry
+        return best.reshape(-1)
 
     def measure(block: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         stable = np.empty(len(rows))
         unstable = np.empty(len(rows))
-        for a in range(0, len(rows), chunk):
-            at = ns[rows[a : a + chunk]] - lo
-            # A chunk of consecutive indices selects each step's maps as a
-            # view; any other chunk gathers them.
-            sel = slice(int(at[0]), int(at[0]) + len(at)) if (np.diff(at) == 1).all() else at
-            buf = np.empty((horizon + 1, len(at), d, 1))
-            x = block[a : a + chunk, :, None]
-            np.matmul(projs[sel], x, out=buf[0])
-            for k in range(horizon):
-                np.matmul(fwd[k:][sel], buf[k], out=buf[k + 1])
-            stable[a : a + chunk] = weighted_sup(buf)
-            np.subtract(x, buf[0], out=buf[0])
-            for k in range(horizon):
-                np.matmul(bwd[horizon - 1 - k :][sel], buf[k], out=buf[k + 1])
-            unstable[a : a + chunk] = weighted_sup(buf)
+        at = ns[rows] - lo
+        order, w = _row_grid(at, capacity, d)
+        step = capacity // w * w
+        for a in range(0, len(at), step):
+            chunk = slice(a, a + step) if order is None else order[a : a + step]
+            sel = at[chunk][::w]
+            # Consecutive indices select each step's maps as a view; any
+            # others gather them.
+            if (np.diff(sel) == 1).all():
+                sel = slice(int(sel[0]), int(sel[0]) + len(sel))
+            x = block[chunk].reshape(-1, w, d)
+            planes = max(2, min(horizon + 1, _NORM_SCRATCH // x.size))
+            buf = np.empty((planes,) + x.shape)
+            _apply_shared(projs[sel], x, buf[0])
+            u = x - buf[0]
+            stable[chunk] = weighted_sup(buf, lambda k: fwd[k:][sel])
+            buf[0] = u
+            unstable[chunk] = weighted_sup(buf, lambda k: bwd[horizon - 1 - k :][sel])
         return stable, unstable
 
     stable, unstable = _rescaled(measure, xs)
@@ -661,14 +735,15 @@ def check_one_step_contraction_rows(
     m = len(xs)
     reach = int(steps.max(initial=0))
 
-    v = np.matmul(orbit.projector(0), xs[:, :, None])[:, :, 0]
+    v = _apply_shared(orbit.projector(0), xs, np.empty_like(xs))
     u = xs - v
     fwd = orbit.stable_maps(0, reach)
     bwd = orbit.unstable_maps(-reach, 0)
     for k in range(reach):
         live = steps > k
-        v[live] = np.matmul(fwd[k], v[live][:, :, None])[:, :, 0]
-        u[live] = np.matmul(bwd[reach - 1 - k], u[live][:, :, None])[:, :, 0]
+        for vs, step_map in ((v, fwd[k]), (u, bwd[reach - 1 - k])):
+            rows = vs[live]
+            vs[live] = _apply_shared(step_map, rows, np.empty_like(rows))
 
     nrm = _adapted_norms(
         orbit, np.concatenate([np.zeros(m, dtype=np.int64), steps, -steps]),

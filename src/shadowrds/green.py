@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import OrbitCache, _adapted_norm_parts
+from .cocycle import OrbitCache, _adapted_norm_parts, _apply_shared
 
 __all__ = [
     "MAX_WINDOW",
@@ -194,12 +194,13 @@ def _weighted_norms(
     orbit: OrbitCache, values: np.ndarray, weights: WeightSequence
 ) -> np.ndarray:
     """Weighted norms of a (k, L, d) stack of sequences on the weights' window,
-    from one adapted-norm kernel call over its k * L rows."""
+    from one adapted-norm kernel call over its L * k rows, index-major."""
     k, length, d = values.shape
     win = weights.window
-    ns = np.tile(np.arange(win.n_min, win.n_max + 1), k)
-    stable, unstable = _adapted_norm_parts(orbit, ns, values.reshape(k * length, d))
-    return np.max((stable + unstable).reshape(k, length) / weights.values, axis=1)
+    ns = np.repeat(np.arange(win.n_min, win.n_max + 1), k)
+    rows = values.transpose(1, 0, 2).reshape(length * k, d)
+    stable, unstable = _adapted_norm_parts(orbit, ns, rows)
+    return np.max((stable + unstable).reshape(length, k) / weights.values[:, None], axis=0)
 
 
 def weighted_norm(orbit: OrbitCache, seq: WindowSequence, weights: WeightSequence) -> float:
@@ -241,24 +242,32 @@ def green_apply(orbit: OrbitCache, z: WindowSequence) -> WindowSequence:
 
 def _green_sweep(orbit: OrbitCache, win: Window, zs: np.ndarray) -> np.ndarray:
     """The Green operator applied to each sequence of a (k, L, d) stack on
-    ``win``: the sweeps of ``green_apply``, one batched product per step for
-    all k sequences, each equal bit for bit to its own k = 1 sweep."""
+    ``win``: the sweeps of ``green_apply``, each equal bit for bit to its own
+    k = 1 sweep.
+
+    The sweeps step an index-major (L, k, d) array one window offset at a
+    time.  For k >= 2 each step applies that offset's map to the k vectors
+    with ``_apply_shared`` (one dgemv per output component); k = 1 steps (d,)
+    vectors with plain (d, d) @ (d,) products, which round the same and cost
+    less than any stacked product.
+    """
+    k, length, d = zs.shape
     fwd = orbit.stable_maps(win.n_min, win.n_max)
     bwd = orbit.unstable_maps(win.n_min, win.n_max)
     projs = orbit.projectors(win.n_min, win.n_max + 1)
-    # Column vectors (k, L, d, 1), stepped through (L, k, d, 1) views: step i
-    # is one batched product over the k vectors at window offset i.
-    zs = zs[..., None]
-    out = np.matmul(projs, zs)
-    steps = out.transpose(1, 0, 2, 3)
-    qz = (zs - out).transpose(1, 0, 2, 3)
-    for i in range(1, win.length):
-        steps[i] += np.matmul(fwd[i - 1], steps[i - 1])
-    u = np.zeros_like(qz[0])
-    for i in range(win.length - 2, -1, -1):
-        u = np.matmul(bwd[i], u + qz[i + 1])
+    zs = zs.transpose(1, 0, 2)
+    out = _apply_shared(projs, zs, np.empty((length, k, d)))
+    steps, qz, product = out, zs - out, _apply_shared
+    if k == 1:
+        steps, qz, product = steps[:, 0], qz[:, 0], np.matmul
+    t = np.empty(steps.shape[1:])
+    for i in range(1, length):
+        steps[i] += product(fwd[i - 1], steps[i - 1], t)
+    u = np.zeros(steps.shape[1:])
+    for i in range(length - 2, -1, -1):
+        product(bwd[i], np.add(u, qz[i + 1], out=t), u)
         steps[i] -= u
-    return out[..., 0]
+    return out.transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ the orbit segment to step along directly.
 Every evaluation of the source term, the defect and the orbit residual maps
 a whole window: one batched product for A and one ``Perturbation.apply`` for
 f, which reads the window's coefficient rows once and kicks them all at once.
+``_source_terms`` maps a stack of k corrections with the same two reads.
 """
 
 from __future__ import annotations
@@ -121,17 +122,24 @@ class Perturbation:
     func = __call__
 
     def apply(self, orbit: OrbitCache, n_lo: int, xs: np.ndarray) -> np.ndarray:
-        """Rows f_{sigma^{n_lo + i} w}(xs_i) of an (m, d) array along the orbit:
-        one ``OrbitCache.evaluate`` of the coefficients, then one kick.
+        """Rows f_{sigma^{n_lo + i} w}(xs_i) of an (m, d) array along the
+        orbit, or of each (m, d) block of a (k, m, d) stack: one
+        ``OrbitCache.evaluate`` of the m coefficient rows, which the blocks
+        share, then one kick of all k * m rows.
 
         A kick of the wrong shape raises the ValueError of one wrong per-point
         value; a wrong row count names the whole shape.
         """
-        if not len(xs):
+        *_, m, d = xs.shape
+        if not m:
             return np.empty(xs.shape)
-        ns = np.arange(n_lo, n_lo + len(xs))
+        ns = np.arange(n_lo, n_lo + m)
         cs = orbit.evaluate(self.coefficients, ns, "coefficients")
-        return _stacked(self.kick(cs, xs), ns, xs.shape[1:], "perturbation")
+        blocks = xs.size // (m * d)
+        if blocks != 1:
+            cs, ns = np.tile(cs, (blocks, 1)), np.tile(ns, blocks)
+        kicks = self.kick(cs, xs.reshape(-1, d))
+        return _stacked(kicks, ns, (d,), "perturbation").reshape(xs.shape)
 
     @classmethod
     def zero(cls, dim: int) -> "Perturbation":
@@ -226,10 +234,12 @@ def _window_steps(
     prob: ShadowingProblem, x: np.ndarray, at: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows A(sigma^{n-1} w) x_{n-1} and f_{sigma^{n-1} w}(at_{n-1}) for the
-    interior n = n_min + 1 + i of the window; ``at`` defaults to ``x``."""
+    interior n = n_min + 1 + i of the window; ``at`` defaults to ``x`` and
+    may be a (k, L, d) stack, whose blocks each get their kicks."""
     n_min = prob.window.n_min
     at = x if at is None else at
-    return prob.orbit.apply(n_min, x[:-1]), prob.perturbation.apply(prob.orbit, n_min, at[:-1])
+    return (prob.orbit.apply(n_min, x[:-1]),
+            prob.perturbation.apply(prob.orbit, n_min, at[..., :-1, :]))
 
 
 @dataclass(frozen=True)
@@ -278,11 +288,18 @@ def source_term(prob: ShadowingProblem, z: WindowSequence) -> WindowSequence:
     """
     if z.window != prob.window:
         raise ValueError("window mismatch")
+    return WindowSequence(z.window, _source_terms(prob, z.values[None])[0])
+
+
+def _source_terms(prob: ShadowingProblem, zs: np.ndarray) -> np.ndarray:
+    """``source_term`` of each sequence of a (k, L, d) stack on the problem's
+    window, equal bit for bit to its own: A y and the coefficient rows are
+    read once for all k, and one kick maps every row."""
     y = prob.pseudo_orbit.values
-    linear, kicks = _window_steps(prob, y, at=z.values + y)
-    out = np.zeros((z.window.length, z.dim))
-    out[1:] = kicks + linear - y[1:]
-    return WindowSequence(z.window, out)
+    linear, kicks = _window_steps(prob, y, at=zs + y)
+    out = np.zeros(zs.shape)
+    out[:, 1:] = kicks + linear - y[1:]
+    return out
 
 
 @dataclass(frozen=True)

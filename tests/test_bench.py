@@ -47,6 +47,22 @@ def test_invariant_checks_row_times_every_check_of_the_suite(monkeypatch):
     assert all(getattr(checks, name) is fn for name, fn in originals.items())
 
 
+def test_norm_kernel_times_every_caller_shape(monkeypatch, capsys):
+    import json
+
+    bench = _load("norm_kernel")
+    for name, value in (("MAX_CALLS", 1), ("BUDGET_S", 0.0),
+                        ("SOLVER_SCENARIOS", ("uniform-diag",))):
+        monkeypatch.setattr(bench, name, value)
+    bench.main()
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["case"] for row in rows] == ["solver-window"] + [
+        case for case in list(bench.CASES)[1:] for _ in range(4)
+    ]
+    assert all(row["ms"] > 0 and row["equal"] is True for row in rows)
+    assert {row["rows"] for row in rows} == {257, 850, 1700, 250, 150}
+
+
 def test_green_scaling_times_source_term_per_scenario(monkeypatch, capsys):
     import json
 

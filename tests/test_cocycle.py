@@ -540,6 +540,12 @@ def _bytes(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
+def _contraction_rows(rng):
+    # The rows of check_one_step_contraction_rows: at 0, at n and at -n.
+    steps = rng.integers(0, 11, 50)
+    return np.concatenate([np.zeros(50, dtype=np.int64), steps, -steps])
+
+
 # Orbit indices of the kernel's rows, drawn from a generator.
 _INDEX_CASES = {
     "consecutive-1-at-3": lambda rng: np.arange(3, 4),
@@ -548,10 +554,15 @@ _INDEX_CASES = {
     "zeros-250": lambda rng: np.zeros(250, dtype=np.int64),
     "mixed-plus-minus-10": lambda rng: rng.integers(0, 11, 120) * rng.choice([-1, 1], 120),
     "unsorted-repeated": lambda rng: rng.permutation(np.repeat(rng.integers(-30, 31, 20), 4)),
+    "stacked-windows-17x12": lambda rng: np.tile(np.arange(-8, 9), 12),
+    "contraction-rows": _contraction_rows,
+    "gapped-repeated-3": lambda rng: np.repeat(np.array([-40, -3, 0, 5, 90]), 3),
 }
 
 
-@pytest.mark.parametrize("chunk_rows", [None, 7], ids=["one-chunk", "chunks-of-7"])
+@pytest.mark.parametrize(
+    "chunk_rows", [None, 7, 64], ids=["one-chunk", "chunks-of-7", "chunks-of-64"]
+)
 @pytest.mark.parametrize("case", sorted(_INDEX_CASES))
 def test_adapted_norm_kernel_matches_per_vector_loop(
     scenarios, block4, monkeypatch, case, chunk_rows
@@ -565,10 +576,12 @@ def test_adapted_norm_kernel_matches_per_vector_loop(
         dich = replace(sc.dichotomy, rate=sc.dichotomy.rate + boost, allow_uncertified=True)
         d = sc.cocycle.dim
         if chunk_rows is not None:
-            # Chunk boundaries then fall inside runs of repeated indices.
-            monkeypatch.setattr(
-                cocycle_module, "_NORM_SCRATCH", chunk_rows * (dich.horizon + 1) * d
-            )
+            # Chunks of chunk_rows rows then walk the horizon one step per
+            # block, and smaller ones in blocks of a few steps.  Chunk
+            # boundaries fall inside runs of repeated indices, and at 7 rows
+            # the 250 rows at one index, the 12 stacked windows' rows at each
+            # index and the 50 contraction rows at 0 exceed the budget alone.
+            monkeypatch.setattr(cocycle_module, "_NORM_SCRATCH", chunk_rows * 2 * d)
         cache = OrbitCache(sc.cocycle, sc.base_point, dich)
         ns = _INDEX_CASES[case](rng)
         xs = rng.standard_normal((len(ns), d))
@@ -583,6 +596,54 @@ def test_adapted_norm_kernel_matches_per_vector_loop(
         assert norms.certified == refs[0].certified
         for i in range(min(3, len(ns))):
             assert _adapted_norm_at(cache, int(ns[i]), xs[i]) == refs[i]
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 7, 8, 9])
+@pytest.mark.parametrize("k", [1, 2, 3, 17, 100])
+def test_apply_shared_matches_one_product_per_row(d, k):
+    # Signed zeros, tiny and huge entries as well as normal ones; the output
+    # is a strided view, as the kernel's buffer planes and columns are.
+    rng = np.random.default_rng(100 * d + k)
+    special = np.array([0.0, -0.0, 1e-300, -1e-300, 1e300, 3.5, -2.25])
+    maps = rng.standard_normal((9, d, d))
+    vs = rng.standard_normal((9, k, d))
+    maps[0] = rng.choice(special, (d, d))
+    vs[1] = rng.choice(special, (k, d))
+    out = np.full((9, k, d + 3), np.nan)[..., 1 : d + 1]
+    want = np.empty((9, k, d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(9):
+            for r in range(k):
+                want[i, r] = (maps[i] @ vs[i, r][:, None])[:, 0]
+        got = cocycle_module._apply_shared(maps, vs, out)
+        # One map for all rows, as a Green sweep step applies it.
+        one = cocycle_module._apply_shared(maps[2], vs[2], np.empty((k, d)))
+    assert got is out
+    assert _bytes(out) == _bytes(want)
+    assert _bytes(one) == _bytes(want[2])
+
+
+@pytest.mark.parametrize("d", [8, 9])
+def test_adapted_norm_kernel_keeps_per_row_forms_for_long_vectors(d):
+    # From d = 8 the kernel takes the per-row products and numpy's own sum
+    # of squares; rows grouped by index must still equal the per-vector loop.
+    rng = np.random.default_rng(d)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    half = np.arange(d) < d // 2
+    a = q @ np.diag(np.where(half, 0.5, 2.0)) @ q.T
+    p = q @ np.diag(half.astype(float)) @ q.T
+    cocycle = CocycleSystem(d, lambda point: a, IrrationalRotation.default())
+    dich = DichotomyData(lambda point: p, math.log(2.0), 0.0, lambda point: 1.0, 8, True)
+    cache = OrbitCache(cocycle, RotationPoint.from_angle(0.3), dich)
+    ns = np.concatenate([np.zeros(40, dtype=np.int64), np.tile(np.arange(-3, 4), 5)])
+    xs = rng.standard_normal((len(ns), d))
+    stable, unstable = _adapted_norm_parts(cache, ns, xs)
+    refs = [_reference_adapted_norm_at(cache, int(n), x) for n, x in zip(ns, xs)]
+    assert _bytes(stable) == _bytes([r.stable_part for r in refs])
+    assert _bytes(unstable) == _bytes([r.unstable_part for r in refs])
+    for rows in (slice(0, 40), slice(40, None)):  # one index; stacked windows
+        alone = _adapted_norm_parts(cache, ns[rows], xs[rows])
+        assert _bytes(alone[0]) == _bytes(stable[rows])
 
 
 def _raised(fn):

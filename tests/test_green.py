@@ -336,6 +336,40 @@ def test_green_long_window_residual_identity(scenarios, block4, name):
     assert right_gap <= 1e-12 * scale
 
 
+def _stacked_product_sweep(orbit, win, zs):
+    """The Green sweeps with one stacked (d, d) @ (d, 1) product per vector
+    and step, all k vectors of a step in one batched call."""
+    fwd = orbit.stable_maps(win.n_min, win.n_max)
+    bwd = orbit.unstable_maps(win.n_min, win.n_max)
+    zs = zs[..., None]
+    out = np.matmul(orbit.projectors(win.n_min, win.n_max + 1), zs)
+    steps = out.transpose(1, 0, 2, 3)
+    qz = (zs - out).transpose(1, 0, 2, 3)
+    for i in range(1, win.length):
+        steps[i] += np.matmul(fwd[i - 1], steps[i - 1])
+    u = np.zeros_like(qz[0])
+    for i in range(win.length - 2, -1, -1):
+        u = np.matmul(bwd[i], u + qz[i + 1])
+        steps[i] -= u
+    return out[..., 0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 30])
+def test_green_sweep_matches_stacked_products_bit_for_bit(scenarios, block4, k):
+    # k = 1 steps with plain 2-D products, k >= 2 with one dgemv per output
+    # component; both round as the stacked per-vector products do.
+    for sc in list(scenarios.values()) + [block4]:
+        orbit = sc.orbit()
+        for half in (0, 1, 16, 128):
+            win = Window.symmetric(half)
+            zs = np.random.default_rng(half + k).standard_normal((k, win.length, sc.cocycle.dim))
+            want = _stacked_product_sweep(orbit, win, zs)
+            assert np.asarray(_green_sweep(orbit, win, zs)).tobytes() == want.tobytes()
+            if k == 1:
+                got = green_apply(orbit, WindowSequence(win, zs[0])).values
+                assert got.tobytes() == want[0].tobytes(), (sc.name, half)
+
+
 def test_batched_green_sweep_matches_per_trial_green_apply(scenarios, block4):
     # The norm-bound check's one sweep over a (k, L, d) stack equals
     # green_apply on each trial bit for bit, and its report equals the ratio

@@ -31,7 +31,13 @@ from shadowrds import (
     weighted_norm,
 )
 from shadowrds.checks import noisy_pseudo_orbit
-from shadowrds.shadowing import _defect_allowance, _row_norms, _scaled_row_norms, _window_steps
+from shadowrds.shadowing import (
+    _defect_allowance,
+    _row_norms,
+    _scaled_row_norms,
+    _source_terms,
+    _window_steps,
+)
 
 
 def _problem_from(scenario, half=8, seed=31, noise=0.5):
@@ -166,6 +172,33 @@ def test_source_term_at_zero_is_negated_defect(scenarios):
     rep = defect(prob)
     assert np.allclose(src.values[1:], -rep.values, atol=1e-14)
     assert np.all(src.values[0] == 0.0)  # left-edge convention
+
+
+def test_stacked_source_terms_match_one_sequence_each(scenarios, block4):
+    # One coefficient read serves the whole stack, and each sequence's source
+    # equals its own source_term bit for bit.
+    for sc in list(scenarios.values()) + [block4]:
+        prob = _problem_from(sc)
+        reads = []
+        coefficients = prob.perturbation.coefficients
+
+        def counted(point):
+            reads.append(point)
+            return coefficients(point)
+
+        counting = replace(prob.perturbation, coefficients=(
+            RangeMap(counted, coefficients.along) if isinstance(coefficients, RangeMap) else counted
+        ))
+        prob = replace(prob, perturbation=counting)
+        zs = np.random.default_rng(7).standard_normal((6, prob.window.length, sc.cocycle.dim))
+        zs[2] = 0.0
+        stacked = _source_terms(prob, zs)
+        stack_reads = len(reads)
+        for z, got in zip(zs, stacked):
+            want = source_term(prob, WindowSequence(prob.window, z)).values
+            assert got.tobytes() == want.tobytes(), sc.name
+        assert stack_reads == len(reads) / 7, sc.name
+        assert _source_terms(prob, zs[:0]).shape == (0,) + zs.shape[1:]
 
 
 def test_source_term_weighted_lipschitz(scenarios):
