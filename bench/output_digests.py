@@ -9,10 +9,15 @@ For each ``configs/*.cfg`` it runs ``shadowrds.cli.main(["run", "--config",
 path])`` with ``$SHADOW_RDS_OUT`` set to a new temporary directory, and
 digests every file written there and the CLI's stdout; the exit code is
 recorded as is.  Each ``demos/*.py`` then runs as ``__main__`` and its stdout
-is digested.  The result is one JSON object on stdout, keyed by
+is digested.  Last, for each builtin scenario it digests the rows of its
+``scenario_self_test`` report and of ``run_invariant_suite`` at each of
+SUITE_SEEDS, one line per check: name, ``worst`` to 17 digits, threshold,
+pass and detail.  The result is one JSON object on stdout, keyed by
 ``configs/<name>.cfg/<file>``, ``configs/<name>.cfg/stdout``,
-``configs/<name>.cfg/exit`` and ``demos/<name>.py/stdout``, so two versions
-give byte-identical outputs exactly when their objects are equal:
+``configs/<name>.cfg/exit``, ``demos/<name>.py/stdout``,
+``checks/<scenario>/self-test`` and ``checks/<scenario>/suite-<seed>``, so
+two versions give byte-identical outputs exactly when their objects are
+equal:
 
     diff <(PYTHONPATH=src python3 bench/output_digests.py) \\
          <(PYTHONPATH=../other/src python3 bench/output_digests.py)
@@ -35,12 +40,15 @@ import runpy  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-from shadowrds import cli  # noqa: E402
+from shadowrds import builtin_scenarios, cli  # noqa: E402
+from shadowrds.checks import run_invariant_suite, scenario_self_test  # noqa: E402
 from shadowrds.experiments import OUTPUT_DIR_ENV  # noqa: E402
 
 _ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((_ROOT / "configs").glob("*.cfg"))
 DEMOS = sorted((_ROOT / "demos").glob("*.py"))
+SCENARIOS = None  # names of the builtins whose checks are digested (None: all)
+SUITE_SEEDS = (421, 7)  # run_invariant_suite's default seed and one other
 
 
 def _sha(data: bytes) -> str:
@@ -80,12 +88,30 @@ def demo_digests(path: Path) -> dict[str, str]:
     return {f"demos/{path.name}/stdout": _sha(stdout.getvalue().encode())}
 
 
+def _rows_digest(results) -> str:
+    return _sha("".join(
+        f"{r.name} {r.worst:.17g} {r.threshold:.17g} {r.passed} {r.detail}\n" for r in results
+    ).encode())
+
+
+def check_digests(scenario) -> dict[str, str]:
+    """Digests of one scenario's self-test rows and invariant-suite rows."""
+    key = f"checks/{scenario.name}"
+    out = {f"{key}/self-test": _rows_digest(scenario_self_test(scenario).results)}
+    for seed in SUITE_SEEDS:
+        out[f"{key}/suite-{seed}"] = _rows_digest(run_invariant_suite(scenario, seed=seed))
+    return out
+
+
 def main() -> None:
     out: dict[str, object] = {}
     for path in CONFIGS:
         out.update(config_digests(path))
     for path in DEMOS:
         out.update(demo_digests(path))
+    for scenario in builtin_scenarios():
+        if SCENARIOS is None or scenario.name in SCENARIOS:
+            out.update(check_digests(scenario))
     print(json.dumps(out, indent=2, sort_keys=True))
 
 

@@ -3,6 +3,11 @@
 Every check returns a CheckResult with the worst observed violation and the
 threshold it was held to.  Checks draw their randomness from an explicit
 generator, so a fixed seed reproduces identical results.
+
+Each sampled point is read once, from its own orbit segment: the left factor
+A(sigma^m w, n) of the composition law comes off the point's segment, and
+the projector and dichotomy checks take their cocycle products from the one
+running-product loop of ``cocycle`` over that segment's blocks.
 """
 
 from __future__ import annotations
@@ -14,12 +19,13 @@ import numpy as np
 
 from .cocycle import (
     OrbitCache,
+    _cocycle_at,
+    _products,
     check_norm_equivalence_rows,
     check_one_step_contraction_rows,
     cocycle_eval,
     envelope_along_orbit,
 )
-from .driving import BasePoint
 from .green import (
     WeightSequence,
     Window,
@@ -33,6 +39,7 @@ from .green import (
 from .shadowing import (
     ContractionError,
     _defect_allowance,
+    _row_norms,
     _source_terms,
     iteration_bound,
     nonlinear_orbit,
@@ -101,11 +108,10 @@ def _operator_norms(ms) -> np.ndarray:
     return np.linalg.norm(np.asarray(ms, dtype=float), 2, axis=(1, 2))
 
 
-def _points(scenario, rng, count: int) -> list[BasePoint]:
-    pts = [scenario.base_point]
-    for _ in range(count - 1):
-        pts.append(scenario.sample_point(rng))
-    return pts
+def _orbits(scenario, rng, count: int) -> list[OrbitCache]:
+    """Segments through the base point and count - 1 sampled points."""
+    pts = [scenario.base_point] + [scenario.sample_point(rng) for _ in range(count - 1)]
+    return [scenario.orbit(point) for point in pts]
 
 
 def check_cocycle_property(scenario, rng, pairs: int = 25, span: int = 32) -> CheckResult:
@@ -117,13 +123,12 @@ def check_cocycle_property(scenario, rng, pairs: int = 25, span: int = 32) -> Ch
     (exponentially smaller) result itself.
     """
     products = []  # (whole, left, right, whole - left right) of each pair
-    for point in _points(scenario, rng, 3):
-        orbit = scenario.orbit(point)
+    for orbit in _orbits(scenario, rng, 3):
         for _ in range(pairs):
             n = int(rng.integers(-span, span + 1))
             m = int(rng.integers(-span, span + 1))
             whole = cocycle_eval(orbit, n + m)
-            left = cocycle_eval(scenario.orbit(orbit.point(m)), n)
+            left = _cocycle_at(orbit, m, n)
             right = cocycle_eval(orbit, m)
             products.append((whole, left, right, whole - left @ right))
     whole, left, right, gap = _operator_norms(np.concatenate(products)).reshape(-1, 4).T
@@ -135,13 +140,12 @@ def check_cocycle_property(scenario, rng, pairs: int = 25, span: int = 32) -> Ch
 def check_projectors(scenario, rng, points: int = 4, span: int = 32) -> CheckResult:
     """P^2 = P within 1e-10 and equivariance within 1e-8 relative."""
     idem, equiv = [], []  # P^2 - P at each point; (P(n) A_n - A_n P, A_n) at each n
-    for point in _points(scenario, rng, points):
-        cache = scenario.orbit(point)
+    steps = (1, 2, 5, span // 2, span)
+    for cache in _orbits(scenario, rng, points):
         p = cache.projector(0)
         idem.append(p @ p - p)
-        for n in (1, 2, 5, span // 2, span):
-            a_n = cocycle_eval(cache, n)
-            equiv.append((cache.projector(n) @ a_n - a_n @ p, a_n))
+        a = [np.eye(cache.dim), *_products(cache.matrices(0, max(steps)), np.eye(cache.dim))]
+        equiv += [(cache.projector(n) @ a[n] - a[n] @ p, a[n]) for n in steps]  # a[n] = A(w, n)
     worst_idem = float(np.max(_operator_norms(idem), initial=0.0))
     gap, scale = _operator_norms(np.concatenate(equiv)).reshape(-1, 2).T
     worst_equiv = float(np.max(gap / np.maximum(scale, 1e-300), initial=0.0))
@@ -162,21 +166,14 @@ def check_dichotomy_bounds(scenario, rng, points: int = 3, max_n: int = 64) -> C
     """
     dich = scenario.dichotomy
     strict = dich.rate + dich.margin
-    maps, bounds = [], []  # (fwd, bwd) at each n, and K(w) e^{-strict n}
-    for point in _points(scenario, rng, points):
-        cache = scenario.orbit(point)
-        k = cache.bound(0)
-        fwd = cache.projector(0).copy()
-        bwd = np.eye(scenario.cocycle.dim) - cache.projector(0)
-        stable = cache.stable_maps(0, max_n)
-        unstable = cache.unstable_maps(-max_n, 0)
-        for n in range(1, max_n + 1):
-            fwd = stable[n - 1] @ fwd
-            bwd = unstable[max_n - n] @ bwd
-            maps += [fwd, bwd]
-            bounds.append(k * math.exp(-strict * n))
-    norms = _operator_norms(maps).reshape(-1, 2)
-    worst = float(np.max(norms / np.array(bounds)[:, None] - 1.0, initial=0.0))
+    maps, bounds = [], []  # fwd then bwd for n = 1..max_n at each point; K(w) e^{-strict n}
+    for cache in _orbits(scenario, rng, points):
+        k, p = cache.bound(0), cache.projector(0)
+        maps += [*_products(cache.stable_maps(0, max_n), p),
+                 *_products(cache.unstable_maps(-max_n, 0)[::-1], np.eye(cache.dim) - p, -1)]
+        bounds += [k * math.exp(-strict * n) for n in range(1, max_n + 1)]
+    norms = _operator_norms(maps).reshape(-1, 2, max_n)
+    worst = float(np.max(norms / np.array(bounds).reshape(-1, 1, max_n) - 1.0, initial=0.0))
     return CheckResult("dichotomy-bounds", worst, 1e-9, worst <= 1e-9)
 
 
@@ -184,9 +181,9 @@ def check_norm_equivalence_sweep(scenario, rng) -> CheckResult:
     """|x| <= |x|_w <= 2 K(w) |x| over 250 random vectors at each of 4 points."""
     worst = -math.inf
     failures = 0
-    for point in _points(scenario, rng, 4):
+    for orbit in _orbits(scenario, rng, 4):
         xs = rng.standard_normal((250, scenario.cocycle.dim))
-        rep = check_norm_equivalence_rows(scenario.orbit(point), xs)
+        rep = check_norm_equivalence_rows(orbit, xs)
         failures += int(np.count_nonzero(~rep.passed))
         lower = rep.plain - rep.adapted.value
         upper = rep.adapted.value - rep.upper
@@ -203,12 +200,12 @@ def check_one_step_contraction_sweep(scenario, rng) -> CheckResult:
     50 random vectors at each of 4 points, each with a random n in [0, 10].
     """
     worst = -math.inf
-    for point in _points(scenario, rng, 4):
+    for orbit in _orbits(scenario, rng, 4):
         # Each vector's draw is followed by its step count's.
         xs, steps = zip(*[
             (rng.standard_normal(scenario.cocycle.dim), rng.integers(0, 11)) for _ in range(50)
         ])
-        rep = check_one_step_contraction_rows(scenario.orbit(point), np.array(xs), steps)
+        rep = check_one_step_contraction_rows(orbit, np.array(xs), steps)
         margins = np.concatenate([rep.stable_margin, rep.unstable_margin])
         # 0 - margin: a zero margin gives 0 here, where -margin gives -0.
         worst = max(worst, float(np.max(0.0 - margins)))
@@ -363,6 +360,12 @@ def check_source_lipschitz(scenario, rng) -> CheckResult:
     return CheckResult("source-lipschitz", worst, 1e-9, worst <= 1e-9)
 
 
+def _residual_issue(res) -> str:
+    """A failed orbit residual with the solve's round-off floor beside it: the
+    checks hold the residual to an absolute 1e-8, which may lie below the floor."""
+    return f"orbit residual {res.max_orbit_residual:.2e} (round-off floor {res.residual_floor:.2e})"
+
+
 def check_solver_certificates(scenario, rng) -> CheckResult:
     """Run the solver on a noisy orbit and verify every certificate.
 
@@ -384,7 +387,7 @@ def check_solver_certificates(scenario, rng) -> CheckResult:
     if not res.ball_ok:
         issues.append("an iterate left the invariant ball")
     if res.max_orbit_residual > 1e-8:
-        issues.append(f"orbit residual {res.max_orbit_residual:.2e}")
+        issues.append(_residual_issue(res))
     if res.fixed_point_gap > 2 * tol:
         issues.append(f"fixed-point gap {res.fixed_point_gap:.2e}")
     if res.iterations > iteration_bound(shadow_bound, q, tol):
@@ -405,8 +408,7 @@ def check_envelope_growth(scenario, rng) -> CheckResult:
     horizon = _ENVELOPE_HORIZON
     ns = np.arange(-horizon, horizon + 1)
     worst = 0.0
-    for point in _points(scenario, rng, 5):
-        orbit = scenario.orbit(point)
+    for orbit in _orbits(scenario, rng, 5):
         values = envelope_along_orbit(orbit, env.rho, env.half_width, -horizon, horizon)
         ks = orbit.bounds(-horizon, horizon + 1)
         worst = max(worst, float(np.max(ks / values)) - 1.0)
@@ -476,10 +478,12 @@ def check_layered_shadowing(scenario, rng) -> CheckResult:
     prob = scenario.problem(pseudo, weights)
     res = solve(prob, tol=1e-10)
     ok = res.defect.all_within and res.shadow_ok and res.ball_ok
+    detail = f"layer {m}"
+    if res.max_orbit_residual > 1e-8:
+        detail += f"; {_residual_issue(res)}"
     return CheckResult(
         "layered-shadowing", res.max_orbit_residual, 1e-8,
-        ok and res.max_orbit_residual <= 1e-8,
-        detail=f"layer {m}",
+        ok and res.max_orbit_residual <= 1e-8, detail=detail,
     )
 
 
@@ -499,19 +503,16 @@ def scenario_self_test(scenario) -> SelfTestReport:
 
 
 def _check_perturbation_lipschitz(scenario, rng) -> CheckResult:
-    budget = scenario.perturbation.lipschitz_budget
+    pert = scenario.perturbation
     worst = -math.inf
-    for point in _points(scenario, rng, 4):
-        allowed = budget / scenario.orbit(point).bound(1)
-        for _ in range(40):
-            x = rng.standard_normal(scenario.cocycle.dim) * 2.0
-            y = rng.standard_normal(scenario.cocycle.dim) * 2.0
-            num = float(np.linalg.norm(
-                scenario.perturbation(point, x) - scenario.perturbation(point, y)
-            ))
-            den = float(np.linalg.norm(x - y))
-            if den > 0:
-                worst = max(worst, num - allowed * den)
+    for orbit in _orbits(scenario, rng, 4):
+        allowed = pert.lipschitz_budget / orbit.bound(1)
+        # Pair j draws x then y: rows 2j and 2j + 1 of one draw, kicked in one call.
+        xs = rng.standard_normal((80, scenario.cocycle.dim)) * 2.0
+        kicks = pert.kick(pert.coefficients(orbit.omega), xs)
+        num = _row_norms(kicks[0::2] - kicks[1::2])
+        den = _row_norms(xs[0::2] - xs[1::2])
+        worst = max([worst, *(num - allowed * den)[den > 0].tolist()])
     return CheckResult("perturbation-lipschitz", worst, 1e-9, worst <= 1e-9)
 
 

@@ -47,6 +47,14 @@ reads every scenario callable, perturbation coefficients included, either
 way.  Tempered envelopes read K from the segment too: the envelope along an
 orbit is one range read of its bounds.
 
+Cocycle matrices have one product loop, ``_products``: the running
+products of a stack of factors onto a start matrix.  ``_cocycle_at(orbit, m,
+n)`` is A(sigma^m w, n) read off the orbit's own matrices or inverses, so
+the composition law needs no second segment; ``cocycle_eval(orbit, n)`` is
+its m = 0 case.  The checks' projector and dichotomy products use the same
+loop.  A product beyond the float range raises ValueError naming the first
+step whose product is not finite; finite products keep their bytes.
+
 Vector iterations along the stable (resp. unstable) direction re-apply the
 projector at every step.  This is deliberate: round-off seeds a tiny
 component in the complementary subspace, which hyperbolicity then amplifies
@@ -57,7 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -412,20 +420,43 @@ class OrbitCache:
         return np.matmul(mats, xs[:, :, None])[:, :, 0]
 
 
+def _products(factors: np.ndarray, p: np.ndarray, sign: int = 1) -> Iterator[np.ndarray]:
+    """Running products p_k = factors[k - 1] @ p_{k - 1}, k >= 1, of a factor stack onto p_0 = p.
+
+    Only the last product is checked: when it is not finite (a product past
+    the float range stays so under invertible factors), the steps are
+    replayed and ValueError names the first non-finite one, k, as sign * k.
+    """
+    start = p
+    for a in factors:
+        p = a @ p
+        yield p
+    if not np.isfinite(p).all():
+        k = next(k for k, q in enumerate(_products(factors, start), 1) if not np.isfinite(q).all())
+        raise ValueError(f"cocycle product leaves the float range at step n = {sign * k}")
+
+
+def _cocycle_at(orbit: OrbitCache, m: int, n: int) -> np.ndarray:
+    """A(sigma^m w, n) off the orbit's own matrices A_m, ..., or for n < 0 its inverses."""
+    factors = orbit.matrices(m, m + n) if n >= 0 else orbit.inverses(m + n, m)[::-1]
+    out = np.eye(orbit.dim)
+    for out in _products(factors, out, 1 if n >= 0 else -1):  # ends on the last product
+        pass
+    return out
+
+
 def cocycle_eval(orbit: OrbitCache, n: int) -> np.ndarray:
     """Evaluate the n-step cocycle matrix A(w, n) at the orbit's base point, |n| <= MAX_STEPS.
 
     Satisfies A(w, 0) = Id exactly and the composition law
-    A(w, n + m) = A(sigma^m w, n) A(w, m).
+    A(w, n + m) = A(sigma^m w, n) A(w, m).  One product per step, with O(1)
+    extra memory.  Where a product leaves the float range, ValueError names
+    the first such step n (numpy warns of the overflow first).
     """
     n = int(n)
     if abs(n) > MAX_STEPS:
         raise ValueError(f"cocycle step count limited to |n| <= {MAX_STEPS}")
-    out = np.eye(orbit.dim)
-    mats = orbit.matrices(0, n) if n >= 0 else orbit.inverses(n, 0)[::-1]
-    for m in mats:
-        out = m @ out
-    return out
+    return _cocycle_at(orbit, 0, n)
 
 
 @dataclass(frozen=True)

@@ -100,6 +100,7 @@ def test_output_digests_cover_config_files_and_demo_stdout(monkeypatch, capsys):
     demo = next(p for p in bench.DEMOS if p.name.startswith("01_"))
     monkeypatch.setattr(bench, "CONFIGS", [config])
     monkeypatch.setattr(bench, "DEMOS", [demo])
+    monkeypatch.setattr(bench, "SCENARIOS", ("remark-scalar",))
     monkeypatch.delenv("SHADOW_RDS_OUT", raising=False)
     bench.main()
     out = json.loads(capsys.readouterr().out)
@@ -108,5 +109,12 @@ def test_output_digests_cover_config_files_and_demo_stdout(monkeypatch, capsys):
     for name in ("shadow.csv", "iterations.csv", "summary.json", "stdout"):
         assert len(out[f"{key}/{name}"]) == 64, name
     assert len(out[f"demos/{demo.name}/stdout"]) == 64
-    assert len(out) == 6
+    checks = ["checks/remark-scalar/self-test"] + [
+        f"checks/remark-scalar/suite-{seed}" for seed in bench.SUITE_SEEDS
+    ]
+    assert len(bench.SUITE_SEEDS) == 2
+    for name in checks:
+        assert len(out[name]) == 64, name
+    assert out[checks[1]] != out[checks[2]]  # the seeds draw different rows
+    assert len(out) == 6 + len(checks)
     assert "SHADOW_RDS_OUT" not in os.environ  # restored after the config run

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowrds import (
     AdaptedNorm,
@@ -30,6 +32,7 @@ from shadowrds.cocycle import (
     _adapted_norm_at,
     _adapted_norm_parts,
     _adapted_norms,
+    _cocycle_at,
     envelope_along_orbit,
 )
 
@@ -86,6 +89,67 @@ def test_cocycle_composition_random_2x2(scenarios):
     part = cocycle_eval(sc.orbit(step(sc.base, p, 2)), 3) @ cocycle_eval(sc.orbit(), 2)
     rel = np.linalg.norm(whole - part, 2) / np.linalg.norm(whole, 2)
     assert rel <= 1e-12
+
+
+def _plain_cocycle(orbit, n):
+    """A(w, n) as one product per step onto the identity, the loop's order."""
+    out = np.eye(orbit.dim)
+    for m in orbit.matrices(0, n) if n >= 0 else orbit.inverses(n, 0)[::-1]:
+        out = m @ out
+    return out
+
+
+_SCENARIO_NAMES = [
+    "uniform-diag", "uniform-rot-coupled", "nonuniform-layered", "remark-scalar", "block4",
+]
+
+
+@pytest.mark.parametrize("name", _SCENARIO_NAMES)
+def test_left_factor_off_the_segment_equals_a_new_segment(request, name):
+    if name == "block4":  # built without the registry
+        sc = request.getfixturevalue("block4")
+    else:
+        sc = request.getfixturevalue("scenarios")[name]
+    orbit = sc.orbit(sc.sample_point(np.random.default_rng(3)))
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.integers(-64, 64), st.integers(-64, 64))
+    def left_factor(n, m):
+        shifted = cocycle_eval(sc.orbit(orbit.point(m)), n)
+        assert _cocycle_at(orbit, m, n).tobytes() == shifted.tobytes()
+
+    left_factor()
+    assert cocycle_eval(orbit, 5).tobytes() == _plain_cocycle(orbit, 5).tobytes()
+    assert cocycle_eval(orbit, -5).tobytes() == _plain_cocycle(orbit, -5).tobytes()
+
+
+# The first step n whose product leaves the float range, from each builtin's base point.
+_FIRST_NON_FINITE = [
+    ("uniform-diag", 1024), ("uniform-diag", -1024),
+    ("uniform-rot-coupled", 888), ("uniform-rot-coupled", -888),
+    ("nonuniform-layered", 474), ("nonuniform-layered", -473),
+    ("remark-scalar", -1024),
+]
+
+
+@pytest.mark.parametrize("name, first", _FIRST_NON_FINITE)
+def test_cocycle_eval_names_the_first_step_beyond_the_float_range(scenarios, name, first):
+    orbit = scenarios[name].orbit()
+    last = first - (1 if first > 0 else -1)
+    kept = cocycle_eval(orbit, last)
+    assert np.isfinite(kept).all()
+    assert kept.tobytes() == _plain_cocycle(orbit, last).tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(_plain_cocycle(orbit, first)).all()
+        for n in (first, first + (first - last)):
+            with pytest.raises(ValueError, match=rf"float range at step n = {first}$"):
+                cocycle_eval(orbit, n)
+
+
+def test_cocycle_eval_stays_finite_where_the_product_contracts(scenarios):
+    orbit = scenarios["remark-scalar"].orbit()
+    a = cocycle_eval(orbit, 1024)
+    assert np.isfinite(a).all() and a.tobytes() == _plain_cocycle(orbit, 1024).tobytes()
 
 
 def test_cocycle_property_sweep(scenarios, block4):

@@ -24,10 +24,17 @@ from shadowrds import (
 from shadowrds import checks
 from shadowrds.checks import (
     _GREEN_HALF,
-    _points,
+    _check_perturbation_lipschitz,
+    _operator_norms,
+    _orbits,
+    CheckResult,
     admissible_weight_kinds,
+    check_dichotomy_bounds,
+    check_layered_shadowing,
     check_norm_equivalence_sweep,
     check_one_step_contraction_sweep,
+    check_projectors,
+    check_solver_certificates,
     check_source_lipschitz,
     noisy_pseudo_orbit,
     run_invariant_suite,
@@ -98,7 +105,7 @@ def test_norm_equivalence_sweep_replays_one_vector_checks(scenarios, monkeypatch
     result = check_norm_equivalence_sweep(sc, swept)
     rng = np.random.default_rng(17)
     margins, failures = [], 0
-    points = _points(sc, rng, 4)
+    points = [orbit.omega for orbit in _orbits(sc, rng, 4)]
     assert len(calls) == len(points)
     for point, ((orbit, xs), rows) in zip(points, calls):
         assert orbit.omega == point
@@ -131,7 +138,7 @@ def test_contraction_sweep_replays_one_vector_checks(scenarios, monkeypatch, nam
     result = check_one_step_contraction_sweep(sc, swept)
     rng = np.random.default_rng(19)
     margins = []
-    points = _points(sc, rng, 4)
+    points = [orbit.omega for orbit in _orbits(sc, rng, 4)]
     assert len(calls) == len(points)
     for point, ((orbit, xs, steps), rows) in zip(points, calls):
         assert orbit.omega == point
@@ -229,3 +236,113 @@ def test_weighted_norms_rejects_a_foreign_window(scenarios):
     with pytest.raises(ValueError, match="window mismatch"):
         weighted_norms(sc.orbit(), [WindowSequence.zeros(window, sc.cocycle.dim), other], weights)
     assert weighted_norms(sc.orbit(), [], weights).shape == (0,)
+
+
+# Reference copies of the structural checks as one loop per product, pair and
+# vector: cocycle products one matrix at a time, one perturbation call and one
+# np.linalg.norm per vector.
+
+
+def _plain_cocycle(cache, n):
+    out = np.eye(cache.dim)
+    for m in cache.matrices(0, n):
+        out = m @ out
+    return out
+
+
+def _reference_projectors(scenario, rng, points=4, span=32):
+    idem, equiv = [], []
+    for cache in _orbits(scenario, rng, points):
+        p = cache.projector(0)
+        idem.append(p @ p - p)
+        for n in (1, 2, 5, span // 2, span):
+            a_n = _plain_cocycle(cache, n)
+            equiv.append((cache.projector(n) @ a_n - a_n @ p, a_n))
+    worst_idem = float(np.max(_operator_norms(idem), initial=0.0))
+    gap, scale = _operator_norms(np.concatenate(equiv)).reshape(-1, 2).T
+    worst_equiv = float(np.max(gap / np.maximum(scale, 1e-300), initial=0.0))
+    passed = worst_idem <= 1e-10 and worst_equiv <= 1e-8
+    return CheckResult(
+        "projector-family", max(worst_idem, worst_equiv), 1e-8, passed,
+        detail=f"idempotency {worst_idem:.2e}, equivariance {worst_equiv:.2e}",
+    )
+
+
+def _reference_dichotomy_bounds(scenario, rng, points=3, max_n=64):
+    dich = scenario.dichotomy
+    strict = dich.rate + dich.margin
+    maps, bounds = [], []
+    for cache in _orbits(scenario, rng, points):
+        k = cache.bound(0)
+        fwd = cache.projector(0).copy()
+        bwd = np.eye(scenario.cocycle.dim) - cache.projector(0)
+        stable = cache.stable_maps(0, max_n)
+        unstable = cache.unstable_maps(-max_n, 0)
+        for n in range(1, max_n + 1):
+            fwd = stable[n - 1] @ fwd
+            bwd = unstable[max_n - n] @ bwd
+            maps += [fwd, bwd]
+            bounds.append(k * math.exp(-strict * n))
+    norms = _operator_norms(maps).reshape(-1, 2)
+    worst = float(np.max(norms / np.array(bounds)[:, None] - 1.0, initial=0.0))
+    return CheckResult("dichotomy-bounds", worst, 1e-9, worst <= 1e-9)
+
+
+def _reference_perturbation_lipschitz(scenario, rng):
+    budget = scenario.perturbation.lipschitz_budget
+    worst = -math.inf
+    for orbit in _orbits(scenario, rng, 4):
+        point = orbit.omega
+        allowed = budget / orbit.bound(1)
+        for _ in range(40):
+            x = rng.standard_normal(scenario.cocycle.dim) * 2.0
+            y = rng.standard_normal(scenario.cocycle.dim) * 2.0
+            num = float(np.linalg.norm(
+                scenario.perturbation(point, x) - scenario.perturbation(point, y)
+            ))
+            den = float(np.linalg.norm(x - y))
+            if den > 0:
+                worst = max(worst, num - allowed * den)
+    return CheckResult("perturbation-lipschitz", worst, 1e-9, worst <= 1e-9)
+
+
+_STRUCTURAL = [
+    (check_projectors, _reference_projectors, {}),
+    (check_projectors, _reference_projectors, {"points": 3, "span": 16}),
+    (check_dichotomy_bounds, _reference_dichotomy_bounds, {}),
+    (check_dichotomy_bounds, _reference_dichotomy_bounds, {"points": 2, "max_n": 32}),
+    (_check_perturbation_lipschitz, _reference_perturbation_lipschitz, {}),
+]
+
+
+@pytest.mark.parametrize("check, reference, kwargs", _STRUCTURAL)
+@pytest.mark.parametrize("name", NAMES + ["block4"])
+def test_structural_checks_match_their_reference_loops(
+    scenarios, block4, name, check, reference, kwargs
+):
+    sc = block4 if name == "block4" else scenarios[name]
+    for seed in (0, 421, 90521):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        result, expected = check(sc, rng, **kwargs), reference(sc, ref_rng, **kwargs)
+        assert result == expected
+        assert _bits(result.worst) == _bits(expected.worst)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("check, name", [
+    (check_solver_certificates, "uniform-diag"),
+    (check_layered_shadowing, "nonuniform-layered"),
+])
+def test_failed_orbit_residual_names_the_round_off_floor(scenarios, monkeypatch, check, name):
+    solves = []
+
+    def loose_solve(prob, **kwargs):
+        solves.append(replace(checks_solve(prob, **kwargs), max_orbit_residual=2.3e-8))
+        return solves[-1]
+
+    checks_solve = checks.solve
+    monkeypatch.setattr(checks, "solve", loose_solve)
+    result = check(scenarios[name], np.random.default_rng(5))
+    [res] = solves
+    assert not result.passed and result.worst >= 2.3e-8
+    assert f"orbit residual 2.30e-08 (round-off floor {res.residual_floor:.2e})" in result.detail
