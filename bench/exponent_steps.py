@@ -31,7 +31,11 @@ For each builtin scenario it times, over STEPS orbit indices:
   segment, per step of the whole block, for blocks of K_VALUES rows and both
   directions;
 - ``walk_linear_us``: the same walk under ``Perturbation.zero``, where every
-  row is scaled from step 0, so it times the chunked all-scaled run alone.
+  row is scaled from step 0, so it times the chunked all-scaled run alone;
+- ``walk_path`` / ``walk_linear_path``: for the same walks, the steps their
+  all-scaled chunk runs computed in closed form (``closed``: a diagonal block
+  with every row on an axis) and by the per-step loop (``loop``), counted on
+  one untimed walk.  Steps that a rollback discards are counted too.
 
 For scenarios with a layering it also times ``envelope_us``: one
 ``TemperedEnvelope.bound`` call at a freshly sampled base point (a new orbit
@@ -54,10 +58,12 @@ import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import time  # noqa: E402
+from unittest import mock  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 import shadowrds  # noqa: E402
+from shadowrds import lyapunov  # noqa: E402
 from shadowrds.lyapunov import (  # noqa: E402
     _is_upper_triangular,
     _orbit_log_norms,
@@ -82,6 +88,20 @@ def _median_us(call, per: int, setup=None) -> float:
         call(arg)
         times.append(time.perf_counter() - t)
     return statistics.median(times) / per * 1e6
+
+
+def _walk_path(walk) -> dict:
+    """Steps of ``walk()``'s all-scaled chunk runs in closed form and by the loop."""
+    path = {"closed": 0, "loop": 0}
+
+    def counted(mats, *args, read=lyapunov._axis_growth):
+        signs = read(mats, *args)
+        path["loop" if signs is None else "closed"] += len(mats)
+        return signs
+
+    with mock.patch.object(lyapunov, "_axis_growth", counted):
+        walk(None)
+    return path
 
 
 def _scenario_row(sc) -> dict:
@@ -115,16 +135,22 @@ def _scenario_row(sc) -> dict:
     qr_us = _median_us(lambda _: linear_exponents_and_half(orbit, STEPS), STEPS)
     qr_lapack_us = _median_us(lambda _: _qr_loop(mats), STEPS)
 
-    def walk_us(perturbation) -> dict:
-        out = {}
+    def walks(perturbation) -> tuple[dict, dict]:
+        times, paths = {}, {}
         for direction, forward in (("forward", True), ("backward", False)):
-            out[direction] = {}
+            times[direction], paths[direction] = {}, {}
             for k in K_VALUES:
                 xs = np.random.default_rng(k).standard_normal((k, dim))
-                out[direction][str(k)] = _median_us(
-                    lambda _: _orbit_log_norms(perturbation, orbit, xs, forward, STEPS), STEPS
-                )
-        return out
+
+                def walk(_, xs=xs, forward=forward):
+                    _orbit_log_norms(perturbation, orbit, xs, forward, STEPS)
+
+                paths[direction][str(k)] = _walk_path(walk)
+                times[direction][str(k)] = _median_us(walk, STEPS)
+        return times, paths
+
+    walk_us, walk_path = walks(sc.perturbation)
+    walk_linear_us, walk_linear_path = walks(shadowrds.Perturbation.zero(dim))
 
     row = {
         "scenario": sc.name,
@@ -139,8 +165,10 @@ def _scenario_row(sc) -> dict:
         "qr_path": qr_path,
         "qr_us": qr_us,
         "qr_lapack_us": qr_lapack_us,
-        "walk_us": walk_us(sc.perturbation),
-        "walk_linear_us": walk_us(shadowrds.Perturbation.zero(dim)),
+        "walk_us": walk_us,
+        "walk_linear_us": walk_linear_us,
+        "walk_path": walk_path,
+        "walk_linear_path": walk_linear_path,
     }
     if sc.layering is not None:
         envelope = sc.layering.envelope

@@ -30,8 +30,15 @@ each step is one batched product over the rows (one batched ``invert_step``
 backward), and each row switches between the plain and the scaled
 representation on its own, through a per-row flag.  While every row is
 scaled the walk steps in chunks of one product, norm and divide per step,
-rolled back to the step where a row falls to the switch-back level.  Every
-row is bit for bit the orbit it would trace when walked alone, so
+rolled back to the step where a row falls to the switch-back level.  A chunk
+takes a closed form instead when three things hold: every matrix of the
+walk is diagonal, every row's unit vector is a signed axis vector +-e_i, and
+each row's entries m = A[i, i] over the chunk are non-zero with m^2 a normal
+float.  The product is then +-m e_i exactly, its norm sqrt(fl(m^2)) = |m|,
+and the divide leaves sign(m) times the unit, so a step's growth is one
+gathered |A[i, i]| and the unit's sign a running product; the loop's unit
+differs at most in the signs of its zeros, which no norm reads.  Every row
+is bit for bit the orbit it would trace when walked alone, so
 ``conservation_experiment`` walks one block per direction.
 """
 
@@ -126,6 +133,11 @@ def _is_upper_triangular(mats: np.ndarray) -> bool:
     return not any(mats[:, i, j].any() for i in range(1, dim) for j in range(i))
 
 
+def _is_diagonal(mats: np.ndarray) -> bool:
+    """True when no matrix of the block has a non-zero off-diagonal entry."""
+    return _is_upper_triangular(mats) and _is_upper_triangular(mats.transpose(0, 2, 1))
+
+
 def _qr_sweep(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Repeated QR of the finite (N, d, d) block ``mats``, starting from the identity.
 
@@ -212,6 +224,32 @@ class NonlinearExponent:
     values: np.ndarray
 
 
+def _axis_growth(
+    mats: np.ndarray, diagonal: bool, unit: np.ndarray, out: np.ndarray
+) -> np.ndarray | None:
+    """Closed form of an all-scaled chunk run over ``mats``, or None for the loop.
+
+    It holds when the walk's block is ``diagonal`` and each row of ``unit`` is
+    a signed axis vector +-e_i.  A step's product is then +-m e_i exactly, with
+    m = A[i, i], its norm is sqrt(fl(m^2)), and where m is non-zero and m^2 a
+    normal float that norm is |m|, so the divide leaves sign(m) times the
+    unit.  Writes the growths sqrt(m * m) into ``out`` (c, k) and returns the
+    (c, k) signs of m, whose running product is the unit's sign.
+    """
+    if not diagonal:
+        return None
+    mag = np.abs(unit)
+    if np.count_nonzero(unit) != len(unit) or not (mag.max(axis=1) == 1.0).all():
+        return None
+    axes = mag.argmax(axis=1)
+    m = mats[:, axes, axes]
+    with np.errstate(over="ignore", under="ignore"):
+        np.sqrt(np.multiply(m, m, out=out), out=out)
+    if not m.all() or not (out == np.abs(m)).all():
+        return None
+    return np.sign(m)
+
+
 def _orbit_log_norms(
     perturbation: Perturbation,
     orbit: OrbitCache,
@@ -226,7 +264,9 @@ def _orbit_log_norms(
     stepped linearly, whose log norm is the row's last logged value); a pure
     linear map starts every row scaled.  While every row is scaled, the walk
     runs chunks of at most _WALK_SCRATCH floats: per step one product, one
-    norm and one divide into the chunk's buffers, then one cumulative sum
+    norm and one divide into the chunk's buffers, or, when ``_axis_growth``
+    finds the block diagonal, every unit on an axis and each squared entry
+    normal, the closed form of the module docstring; then one cumulative sum
     from the current log norms over the chunk's log growths.  With a non-zero
     bound a chunk is rolled back to its first step where a row fell below
     _BIG_NORM / e^2, and the walk goes on step by step from there.  Per-row
@@ -240,6 +280,7 @@ def _orbit_log_norms(
         raise DegenerateOrbitError("starting point has zero norm")
     pure_linear = perturbation.bound == 0.0
     mats = orbit.matrices(0, steps) if forward else orbit.inverses(-steps, 0)[::-1]
+    diagonal = _is_diagonal(mats)
     log_low = math.log(_BIG_NORM) - 2.0
     chunk = max(1, min(steps, _WALK_SCRATCH // (k * (dim + 1))))
     # units[j + 1] holds the rows' directions after step j of a chunk run,
@@ -275,12 +316,14 @@ def _orbit_log_norms(
     while n < steps:
         if not plain:
             c = min(chunk, steps - n)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                for m, u, w, wt, g in zip(mats[n:n + c], units, units[1:], units_t[1:], growth):
-                    np.matmul(m, u, out=w)
-                    np.sqrt(np.matmul(wt, w, out=g), out=g)
-                    np.divide(w, g, out=w)
             grown = growth[:c, :, 0, 0]
+            signs = _axis_growth(mats[n:n + c], diagonal, unit, grown)
+            if signs is None:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    for m, u, w, wt, g in zip(mats[n:], units, units[1:], units_t[1:], growth[:c]):
+                        np.matmul(m, u, out=w)
+                        np.sqrt(np.matmul(wt, w, out=g), out=g)
+                        np.divide(w, g, out=w)
             ok = c if grown.all() else int(np.argmin(grown.all(axis=1)))
             block = logs[n:n + ok + 1]
             block[1:] = np.reshape(list(map(math.log, grown[:ok].ravel().tolist())), (ok, k))
@@ -290,7 +333,10 @@ def _orbit_log_norms(
                 c = int(low[0]) + 1
             elif ok < c:
                 raise DegenerateOrbitError("scaled orbit direction collapsed")
-            units[0] = units[c]
+            if signs is None:
+                units[0] = units[c]
+            else:
+                unit *= signs[:c].prod(axis=0)[:, None]
             n += c
             if len(low) and unscale(range(k), n):
                 plain, rows, sel = split()

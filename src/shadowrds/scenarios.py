@@ -262,6 +262,7 @@ def _uniform_rot_coupled() -> Scenario:
 
 
 _LAYER_MEMO = 2 * MAX_WINDOW  # memoized layer indices of single points
+_SCAN_FIRST = 8  # indices of the first chunk read past a range without a last hit
 
 
 def _layer_indices(
@@ -276,17 +277,24 @@ def _layer_indices(
 
     m(n) = 0 where D(sigma^n w) <= level, otherwise m(n + 1) + 1, and None
     where the first hit lies more than scan_limit steps on.  One envelope
-    read covers the range, and a second one, up to n_hi - 1 + scan_limit,
-    only when the range's last index has no hit.
+    read covers the range.  When the range's last index has no hit, the
+    indices n_hi <= n < n_hi + scan_limit are read in doubling chunks of
+    _SCAN_FIRST, 2 _SCAN_FIRST, ... indices up to the first chunk with a hit.
     """
     ns = np.arange(n_lo, n_hi)
     if not ns.size:
         return ns
     rho, half = envelope.rho, envelope.half_width
     hits = n_lo + np.flatnonzero(envelope_along_orbit(orbit, rho, half, n_lo, n_hi - 1) <= level)
-    if not (hits.size and hits[-1] == n_hi - 1) and scan_limit:
-        past = envelope_along_orbit(orbit, rho, half, n_hi, n_hi - 1 + scan_limit) <= level
-        hits = np.append(hits, n_hi + np.flatnonzero(past)[:1])
+    if not (hits.size and hits[-1] == n_hi - 1):
+        lo, size, end = n_hi, _SCAN_FIRST, n_hi + scan_limit
+        while lo < end:
+            hi = min(lo + size, end)
+            past = np.flatnonzero(envelope_along_orbit(orbit, rho, half, lo, hi - 1) <= level)
+            if past.size:
+                hits = np.append(hits, lo + past[0])
+                break
+            lo, size = hi, 2 * size
     # The first hit at or after each n; the sentinel lies out of every n's reach.
     first = np.append(hits, n_hi + scan_limit)[np.searchsorted(hits, ns)]
     return np.where(first - ns <= scan_limit, first - ns, -1)

@@ -24,10 +24,20 @@ def test_exponent_steps_row_runs(monkeypatch):
     assert row["qr_path"] == "triangular"
     assert row["qr_us"] > 0 and row["qr_lapack_us"] > 0
     assert row["bound_us"] > 0
+    # Generic rows on uniform-diag stay off the axes for all 8 steps, so
+    # their linear walks take the loop; remark-scalar's one-dimensional rows
+    # are always on its axis.
+    scalar = bench._scenario_row(get_scenario("remark-scalar"))
     for direction in ("forward", "backward"):
         walks = row["walk_linear_us"][direction]
         assert list(walks) == [str(k) for k in bench.K_VALUES]
         assert all(us > 0 for us in walks.values())
+        for key in ("walk_path", "walk_linear_path"):
+            assert list(row[key][direction]) == list(walks)
+        for path in row["walk_linear_path"][direction].values():
+            assert path == {"closed": 0, "loop": 8}
+        for path in scalar["walk_linear_path"][direction].values():
+            assert path == {"closed": 8, "loop": 0}
 
 
 def test_invariant_checks_row_times_every_check_of_the_suite(monkeypatch):

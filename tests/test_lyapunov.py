@@ -157,12 +157,16 @@ def test_lock_step_walk_switches_rows_back_like_per_vector_walk(scenarios, name)
                 assert got[:, i].tobytes() == ref.tobytes(), (chunk, i)
 
 
+def _offset_orbit(matrix):
+    """A cocycle over the Bernoulli shift whose matrix at offset n is ``matrix(n)``."""
+    base = BernoulliShift(2, (0.5, 0.5))
+    system = CocycleSystem(len(matrix(0)), lambda p: np.array(matrix(p.offset), float), base)
+    return OrbitCache(system, ShiftPoint(3))
+
+
 def _shift_orbit(scale):
     """A scalar cocycle over the Bernoulli shift; ``scale(offset)`` is its value."""
-    base = BernoulliShift(2, (0.5, 0.5))
-    return OrbitCache(
-        CocycleSystem(1, lambda p: np.array([[scale(p.offset)]]), base), ShiftPoint(3)
-    )
+    return _offset_orbit(lambda offset: [[scale(offset)]])
 
 
 @pytest.mark.filterwarnings("error")
@@ -203,6 +207,123 @@ def test_rollback_ahead_of_a_vanishing_growth_walks_on():
         got = _chunked_walk(pert, cache, xs, True, 14, chunk)
         for i, ref in enumerate(refs):
             assert got[:, i].tobytes() == ref.tobytes(), (chunk, i)
+
+
+def _walk_paths(pert, cache, xs, forward, steps, chunk):
+    """``_chunked_walk`` plus the steps its all-scaled chunk runs computed in
+    closed form and by the per-step loop."""
+    paths = {"closed": 0, "loop": 0}
+
+    def counted(mats, *args, read=lyapunov._axis_growth):
+        signs = read(mats, *args)
+        paths["loop" if signs is None else "closed"] += len(mats)
+        return signs
+
+    with mock.patch.object(lyapunov, "_axis_growth", counted):
+        return _chunked_walk(pert, cache, xs, forward, steps, chunk), paths
+
+
+def _assert_walks_like_per_vector(pert, cache, xs, forward, steps):
+    """Every chunk size's walk is bit for bit the per-vector walk; returns
+    the paths of each chunk size."""
+    refs = [_reference_orbit_log_norms(pert, cache, x, forward, steps) for x in xs]
+    out = {}
+    for chunk in _CHUNKS:
+        got, out[chunk] = _walk_paths(pert, cache, xs, forward, steps, chunk)
+        for i, ref in enumerate(refs):
+            assert got[:, i].tobytes() == ref.tobytes(), (pert.bound, chunk, i)
+    return out
+
+
+#: A perturbation with a non-zero bound whose kick is 0: rows start plain and
+#: fall back to plain below _BIG_NORM / e^2.
+_ZERO_KICK = Perturbation(lambda p: (), lambda cs, x: np.zeros(np.shape(x)), 0.0, bound=1e-300)
+
+
+
+@pytest.mark.parametrize("name", ["uniform-diag", "nonuniform-layered"])
+@pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
+def test_diagonal_walk_hands_over_to_the_closed_form(scenarios, name, forward):
+    # Generic rows step by the loop until their stable component underflows
+    # to 0 (about 540 steps on uniform-diag); from there each row is a signed
+    # axis vector and the chunk runs take the closed form.
+    sc = scenarios[name]
+    xs = _spread_rows(np.random.default_rng(11), 3, sc.cocycle.dim)
+    cache = sc.orbit()
+    for pert in (sc.perturbation, Perturbation.zero(sc.cocycle.dim)):
+        for paths in _assert_walks_like_per_vector(pert, cache, xs, forward, 1200).values():
+            assert paths["closed"] > 400 and paths["loop"] > 100, (pert.bound, paths)
+
+
+@pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
+def test_signed_diagonal_walk_from_the_axes_takes_the_closed_form(scenarios, forward):
+    # Rows on the axes take the closed form from their first scaled step.
+    # The signed block's entries are negative at odd offsets, so the rows'
+    # signs are running products.  A constant kick along the contracting
+    # axis reads the sign of an orbit: rows of norm 1e31 and more on that
+    # axis turn scaled at step 1, and the first falls back to plain after six
+    # closed-form steps, three of them negative, at the end of a chunk run of
+    # 1 or 3 steps and inside one of 7 steps or of the default size.
+    signed = _offset_orbit(lambda n: np.diag([0.5, 2.0]) * (-1.0 if n % 2 else 1.0))
+    axis = np.eye(2)[0 if forward else 1]
+    kick = Perturbation(lambda p: (), lambda cs, x: np.zeros(np.shape(x)) + 1e27 * axis, 0.0,
+                        bound=1e27)
+    axes = np.array([[1e31, 0.0], [0.0, 2.0], [0.0, -1e-3], [-4.0, 0.0]])
+    kicked = np.outer([1e31, -3e33, 5e35], axis)
+    cases = [(signed, kick, kicked), (signed, Perturbation.zero(2), axes),
+             (scenarios["uniform-diag"].orbit(), Perturbation.zero(2), axes)]
+    scalar = scenarios["remark-scalar"]
+    cases.append((scalar.orbit(), scalar.perturbation, np.array([[3e31], [-1e40], [1e35]])))
+    for cache, pert, xs in cases:
+        for paths in _assert_walks_like_per_vector(pert, cache, xs, forward, 300).values():
+            assert paths["closed"] > 0 and paths["loop"] == 0, (pert.bound, paths)
+
+
+def test_rollback_inside_a_closed_form_chunk(scenarios):
+    # A start of 1e31 on uniform-diag's contracting axis turns scaled at
+    # step 1, on the axis, and falls below _BIG_NORM / e^2 five steps later:
+    # the rollback lands inside the closed-form chunk run.
+    xs = np.array([[1e31, 0.0], [-7e31, 0.0]])
+    cache = scenarios["uniform-diag"].orbit()
+    for paths in _assert_walks_like_per_vector(_ZERO_KICK, cache, xs, True, 200).values():
+        assert paths["closed"] > 0 and paths["loop"] == 0
+
+
+@pytest.mark.parametrize("position", [(0, 1), (1, 0)])
+def test_one_off_diagonal_entry_keeps_the_loop(position):
+    # One entry off the diagonal, at one step, takes the whole walk off the
+    # closed form.
+    def matrix(n):
+        a = np.diag([0.5, 2.0])
+        if n in (40, -40):
+            a[position] = 0.25
+        return a
+
+    xs = np.array([[0.0, 3.0], [-1.0, 0.0], [0.0, -1e-3]])
+    for forward in (True, False):
+        cache = _offset_orbit(matrix)
+        for paths in _assert_walks_like_per_vector(Perturbation.zero(2), cache, xs, forward,
+                                                   100).values():
+            assert paths == {"closed": 0, "loop": 100}
+
+
+def test_diagonal_entry_with_a_square_out_of_the_normal_range_keeps_the_loop():
+    # 1e-160 squares to a subnormal and 1e-170 to 0, 1e200 overflows: the
+    # chunk holding that step runs the loop, with the loop's warnings and
+    # errors.
+    xs = np.array([[1.0], [-2.0]])
+    cache = _shift_orbit(lambda offset: 1e-160 if offset == 5 else 0.5)
+    paths = _assert_walks_like_per_vector(Perturbation.zero(1), cache, xs, True, 40)[1]
+    assert paths["closed"] > 0 and paths["loop"] > 0
+    for entry, warns in ((1e-170, None), (1e200, "overflow")):
+        cache = _shift_orbit(lambda offset: entry if offset == 5 else 0.5)
+        for chunk in _CHUNKS:
+            with pytest.raises(DegenerateOrbitError, match="scaled orbit direction collapsed"):
+                if warns is None:
+                    _chunked_walk(Perturbation.zero(1), cache, xs, True, 10, chunk)
+                else:
+                    with pytest.warns(RuntimeWarning, match=warns):
+                        _chunked_walk(Perturbation.zero(1), cache, xs, True, 10, chunk)
 
 
 def test_nonlinear_exponent_returns_one_result_per_row(scenarios):

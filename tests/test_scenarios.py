@@ -14,6 +14,9 @@ from shadowrds.checks import (
 )
 from shadowrds.checks import _operator_norms
 from shadowrds.cocycle import envelope_along_orbit, operator_norm
+from shadowrds import scenarios as scenarios_module
+from shadowrds.cocycle import CocycleSystem, DichotomyData, OrbitCache, build_envelope
+from shadowrds.driving import BernoulliShift, ShiftPoint
 from shadowrds.scenarios import _layer_indices
 
 
@@ -148,6 +151,58 @@ def test_layer_index_matches_per_point_scan(scenarios):
         assert m == _per_point_layer_index(sc, p, lower)
         deep += m is not None and m > 0
     assert deep >= 20
+
+
+def _one_read_layer_indices(orbit, envelope, level, scan_limit, n_lo, n_hi):
+    """The layer scan with every index past the range read at once."""
+    ns = np.arange(n_lo, n_hi)
+    if not ns.size:
+        return ns
+    rho, half = envelope.rho, envelope.half_width
+    hits = n_lo + np.flatnonzero(envelope_along_orbit(orbit, rho, half, n_lo, n_hi - 1) <= level)
+    if not (hits.size and hits[-1] == n_hi - 1) and scan_limit:
+        past = envelope_along_orbit(orbit, rho, half, n_hi, n_hi - 1 + scan_limit) <= level
+        hits = np.append(hits, n_hi + np.flatnonzero(past)[:1])
+    first = np.append(hits, n_hi + scan_limit)[np.searchsorted(hits, ns)]
+    return np.where(first - ns <= scan_limit, first - ns, -1)
+
+
+@pytest.mark.parametrize("past", [1, 8, 9, 399, 400, 401])
+def test_layer_scan_in_doubling_chunks_matches_one_read(monkeypatch, past):
+    # K = 4 on the offsets 2 <= n < t and 1 elsewhere; with half-width 1 the
+    # envelope D is at most 1 exactly at n <= 0 and n > t, so the range
+    # 0 <= n < 6 has a hit at 0 only, and the first hit past it lies `past`
+    # steps beyond its last index.
+    n_hi = 6
+    t = n_hi - 2 + past
+    dich = DichotomyData(
+        projector=lambda p: np.eye(1), rate=1.0, margin=0.0,
+        bound=lambda p: 1.0 if p.offset <= 1 or p.offset >= t else 4.0, horizon=1,
+    )
+    system = CocycleSystem(1, lambda p: np.eye(1), BernoulliShift(2, (0.5, 0.5)))
+    orbit = OrbitCache(system, ShiftPoint(3), dich)
+    envelope = build_envelope(orbit, 0.1, 1)
+    d = envelope_along_orbit(orbit, 0.1, 1, 0, n_hi + 500) <= 1.0
+    assert np.flatnonzero(d)[:2].tolist() == [0, n_hi - 1 + past]
+    reads = []
+
+    def counted(orbit, rho, half, n_lo, n_hi):
+        reads.append(n_hi - n_lo + 1)
+        return envelope_along_orbit(orbit, rho, half, n_lo, n_hi)
+
+    monkeypatch.setattr(scenarios_module, "envelope_along_orbit", counted)
+    for scan_limit in (400, 0):
+        for n_lo in (0, 3, n_hi):
+            reads.clear()
+            got = _layer_indices(orbit, envelope, 1.0, scan_limit, n_lo, n_hi)
+            want = _one_read_layer_indices(orbit, envelope, 1.0, scan_limit, n_lo, n_hi)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist(), (scan_limit, n_lo)
+            if n_lo < n_hi and scan_limit:
+                # The range, then chunks of 8, 16, ... indices up to the hit.
+                chunks = [8, 16, 32, 64, 128, 152]
+                count = next((i + 1 for i in range(6) if sum(chunks[:i + 1]) >= past), 6)
+                assert reads[1:] == chunks[:count]
+    assert got.size == 0
 
 
 def test_layered_level_is_the_closed_form(scenarios):
