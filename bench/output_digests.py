@@ -12,10 +12,13 @@ recorded as is.  Each ``demos/*.py`` then runs as ``__main__`` and its stdout
 is digested.  Last, for each builtin scenario it digests the rows of its
 ``scenario_self_test`` report and of ``run_invariant_suite`` at each of
 SUITE_SEEDS, one line per check: name, ``worst`` to 17 digits, threshold,
-pass and detail.  The result is one JSON object on stdout, keyed by
-``configs/<name>.cfg/<file>``, ``configs/<name>.cfg/stdout``,
-``configs/<name>.cfg/exit``, ``demos/<name>.py/stdout``,
-``checks/<scenario>/self-test`` and ``checks/<scenario>/suite-<seed>``, so
+pass and detail; and, per direction, the bytes of the ``values`` of
+``nonlinear_exponent`` over WALK_STEPS steps from a block of WALK_ROWS
+starting points drawn with WALK_SEED, with the scenario's perturbation.  The
+result is one JSON object on stdout, keyed by ``configs/<name>.cfg/<file>``,
+``configs/<name>.cfg/stdout``, ``configs/<name>.cfg/exit``,
+``demos/<name>.py/stdout``, ``checks/<scenario>/self-test``,
+``checks/<scenario>/suite-<seed>`` and ``walks/<scenario>/<direction>``, so
 two versions give byte-identical outputs exactly when their objects are
 equal:
 
@@ -40,7 +43,9 @@ import runpy  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-from shadowrds import builtin_scenarios, cli  # noqa: E402
+import numpy as np  # noqa: E402
+
+from shadowrds import builtin_scenarios, cli, nonlinear_exponent  # noqa: E402
 from shadowrds.checks import run_invariant_suite, scenario_self_test  # noqa: E402
 from shadowrds.experiments import OUTPUT_DIR_ENV  # noqa: E402
 
@@ -49,6 +54,7 @@ CONFIGS = sorted((_ROOT / "configs").glob("*.cfg"))
 DEMOS = sorted((_ROOT / "demos").glob("*.py"))
 SCENARIOS = None  # names of the builtins whose checks are digested (None: all)
 SUITE_SEEDS = (421, 7)  # run_invariant_suite's default seed and one other
+WALK_SEED, WALK_ROWS, WALK_STEPS = 5, 3, 2000  # the exponent walks' block and length
 
 
 def _sha(data: bytes) -> str:
@@ -103,6 +109,20 @@ def check_digests(scenario) -> dict[str, str]:
     return out
 
 
+def walk_digests(scenario) -> dict[str, str]:
+    """Digests of one scenario's exponent walks, one per direction."""
+    rng = np.random.default_rng(WALK_SEED)
+    xs = rng.standard_normal((WALK_ROWS, scenario.cocycle.dim))
+    out = {}
+    for direction in ("forward", "backward"):
+        walks = nonlinear_exponent(
+            scenario.orbit(), scenario.perturbation, xs, direction, WALK_STEPS
+        )
+        values = b"".join(w.values.tobytes() for w in walks)
+        out[f"walks/{scenario.name}/{direction}"] = _sha(values)
+    return out
+
+
 def main() -> None:
     out: dict[str, object] = {}
     for path in CONFIGS:
@@ -112,6 +132,7 @@ def main() -> None:
     for scenario in builtin_scenarios():
         if SCENARIOS is None or scenario.name in SCENARIOS:
             out.update(check_digests(scenario))
+            out.update(walk_digests(scenario))
     print(json.dumps(out, indent=2, sort_keys=True))
 
 

@@ -17,7 +17,6 @@ from .cocycle import (
     adapted_norm,
     build_envelope,
     check_norm_equivalence,
-    check_one_step_contraction,
     cocycle_eval,
     operator_norm,
 )
@@ -66,7 +65,6 @@ from .shadowing import (
     iteration_bound,
     make_weight,
     nonlinear_orbit,
-    nonlinear_step,
     shadow_constant,
     solve,
     source_term,

@@ -31,10 +31,10 @@ selects its maps with one index, a slice for consecutive indices, and a
 chunk walks the horizon in blocks of as many steps as _NORM_SCRATCH holds.
 Rows that overflow or underflow are measured again divided by their largest
 absolute entry, so finite vectors up to the float range get finite, non-zero
-norms.  Every single-vector function is a one-row call of a batched form:
-``adapted_norm``, ``check_norm_equivalence`` (``check_norm_equivalence_rows``)
-and ``check_one_step_contraction`` (``check_one_step_contraction_rows``: one
-masked ``_apply_shared`` per step, one kernel call for all three norms).
+norms.  ``adapted_norm`` and ``check_norm_equivalence`` are one-row calls
+of batched forms; the n-step contraction check is only batched
+(``check_one_step_contraction_rows``: one masked ``_apply_shared`` per
+step, one kernel call for all three norms).
 
 Every function that works along one orbit sigma^n w takes that orbit segment,
 an ``OrbitCache``, as its first argument: the segment carries the system, the
@@ -87,7 +87,6 @@ __all__ = [
     "check_norm_equivalence",
     "check_norm_equivalence_rows",
     "OneStepContractionReport",
-    "check_one_step_contraction",
     "check_one_step_contraction_rows",
     "envelope_along_orbit",
     "build_envelope",
@@ -345,7 +344,10 @@ class OrbitCache:
         (through ``at`` when given).  A fill gives the values' ``shape``: per
         point they fill a preallocated block, and a wrong shape raises the
         ValueError that ``name`` selects in ``_WRONG_SHAPE``.  Coefficient rows
-        (no shape) are stacked as they come; ragged rows raise numpy's."""
+        (no shape) are stacked as they come; ragged rows raise numpy's.  No
+        indices make no call."""
+        if not ns.size:
+            return np.empty(ns.shape + (shape or ()))
         if isinstance(fn, RangeMap):
             return _stacked(fn.along(self.omega, ns), ns, shape, name)
         at, base = fn if at is None else at, self.system.base
@@ -477,7 +479,7 @@ class AdaptedNorm:
 
 
 _EQUIVALENCE_SLACK = 1e-9  # relative, in check_norm_equivalence
-_CONTRACTION_SLACK = 1e-9  # relative to max(1, rhs), in check_one_step_contraction
+_CONTRACTION_SLACK = 1e-9  # relative to max(1, rhs), in check_one_step_contraction_rows
 
 #: Floats of scratch per chunk of the adapted-norm kernel.  A chunk of r rows,
 #: r <= _NORM_SCRATCH / (2 d), walks the horizon in blocks of p steps that
@@ -735,28 +737,27 @@ def check_norm_equivalence(orbit: OrbitCache, x: np.ndarray) -> NormEquivalenceR
 
 @dataclass(frozen=True)
 class OneStepContractionReport:
-    """Margins of the adapted-norm contraction estimates at one (x, n) pair.
+    """Margins of the adapted-norm contraction estimates of (x, n) rows.
 
     ``stable_margin`` is e^{-lam n} |x|_w minus the adapted norm (plus tail,
     when certified) of A(w,n)P(w)x at sigma^n w; ``unstable_margin`` is the
-    backward analogue.  Nonnegative margins certify the inequalities.  From
-    ``check_one_step_contraction_rows`` every field but ``certified`` holds
-    one entry per row.
+    backward analogue.  Nonnegative margins certify the inequalities.  Every
+    field but ``certified`` holds one entry per row.
     """
 
-    steps: int
-    stable_margin: float
-    unstable_margin: float
+    steps: np.ndarray
+    stable_margin: np.ndarray
+    unstable_margin: np.ndarray
     certified: bool
-    passed: bool
+    passed: np.ndarray
 
 
 def check_one_step_contraction_rows(
     orbit: OrbitCache, xs: np.ndarray, steps: np.ndarray
 ) -> OneStepContractionReport:
-    """``check_one_step_contraction`` of each row of an (m, d) array with its own
-    step count, in one kernel call: rows at index 0, their stable parts pushed
-    to ``steps`` and their unstable parts pulled back to ``-steps``."""
+    """The n-step contraction of adapted norms, both ways, of each row of an
+    (m, d) array with its own step count n, in one kernel call: rows at index
+    0, stable parts pushed to ``steps``, unstable parts pulled to ``-steps``."""
     steps = np.asarray(steps, dtype=np.int64)
     if np.any(steps < 0):
         raise ValueError("steps must be nonnegative")
@@ -788,14 +789,6 @@ def check_one_step_contraction_rows(
     slack = -_CONTRACTION_SLACK * np.maximum(1.0, rhs)
     passed = (stable_margin >= slack) & (unstable_margin >= slack)
     return OneStepContractionReport(steps, stable_margin, unstable_margin, nrm.certified, passed)
-
-
-def check_one_step_contraction(
-    orbit: OrbitCache, x: np.ndarray, steps: int
-) -> OneStepContractionReport:
-    """Check the n-step contraction of adapted norms along both directions."""
-    x = np.asarray(x, dtype=float)
-    return _row(check_one_step_contraction_rows(orbit, x[None, :], [steps]))
 
 
 _ENVELOPE_SCRATCH = 1 << 13  # floats of one chunk of weighed envelope windows

@@ -28,18 +28,20 @@ The sampled orbits of one direction share the base orbit, so
 ``nonlinear_exponent`` walks a (k, d) block of starting points in lock-step:
 each step is one batched product over the rows (one batched ``invert_step``
 backward), and each row switches between the plain and the scaled
-representation on its own, through a per-row flag.  While every row is
-scaled the walk steps in chunks of one product, norm and divide per step,
-rolled back to the step where a row falls to the switch-back level.  A chunk
-takes a closed form instead when three things hold: every matrix of the
-walk is diagonal, every row's unit vector is a signed axis vector +-e_i, and
-each row's entries m = A[i, i] over the chunk are non-zero with m^2 a normal
-float.  The product is then +-m e_i exactly, its norm sqrt(fl(m^2)) = |m|,
-and the divide leaves sign(m) times the unit, so a step's growth is one
-gathered |A[i, i]| and the unit's sign a running product; the loop's unit
-differs at most in the signs of its zeros, which no norm reads.  Every row
-is bit for bit the orbit it would trace when walked alone, so
-``conservation_experiment`` walks one block per direction.
+representation on its own, through a per-row flag.  Plain steps read the
+coefficient rows by orbit range, a chunk of steps at a time; scaled steps
+read none.  While every row is scaled the walk steps in chunks of one
+product, norm and divide per step, rolled back to the step where a row
+falls to the switch-back level.  A chunk takes a closed form instead when
+three things hold: every matrix of the walk is diagonal, every row's unit
+vector is a signed axis vector +-e_i, and each row's entries m = A[i, i]
+over the chunk are non-zero with m^2 a normal float.  The product is then
++-m e_i exactly, its norm sqrt(fl(m^2)) = |m|, and the divide leaves sign(m)
+times the unit, so a step's growth is one gathered |A[i, i]| and the unit's
+sign a running product; the loop's unit differs at most in the signs of its
+zeros, which no norm reads.  Every row is bit for bit the orbit it would
+trace when walked alone, so ``conservation_experiment`` walks one block per
+direction.
 """
 
 from __future__ import annotations
@@ -269,8 +271,9 @@ def _orbit_log_norms(
     normal, the closed form of the module docstring; then one cumulative sum
     from the current log norms over the chunk's log growths.  With a non-zero
     bound a chunk is rolled back to its first step where a row fell below
-    _BIG_NORM / e^2, and the walk goes on step by step from there.  Per-row
-    logs use math.log, whose last bit np.log does not always match.
+    _BIG_NORM / e^2, and the walk goes on step by step from there.  A plain
+    step outside the coefficient rows held reads those of ``chunk`` steps.
+    Per-row logs use math.log, whose last bit np.log does not always match.
     """
     _check_steps(steps)
     xs = np.asarray(xs, dtype=float)
@@ -311,6 +314,7 @@ def _orbit_log_norms(
             scaled[i] = False
         return bool(low)
 
+    cs, cs_lo = np.empty(0), 0  # cs[j] is the coefficient row of step cs_lo + j
     plain, rows, sel = split()
     n = 0
     while n < steps:
@@ -341,13 +345,17 @@ def _orbit_log_norms(
             if len(low) and unscale(range(k), n):
                 plain, rows, sel = split()
             continue
+        if not cs_lo <= n < cs_lo + len(cs):
+            cs_lo, hi = n, min(n + chunk, steps)
+            ns = np.arange(n, hi) if forward else np.arange(-hi, -n)
+            cs = orbit.evaluate(perturbation.coefficients, ns, "coefficients")
+            cs = cs if forward else cs[::-1]
         m = mats[n]
         x = vec[sel]
-        point = orbit.point(n if forward else -(n + 1))
         if forward:
-            new = np.matmul(m, x[:, :, None])[:, :, 0] + perturbation(point, x)
+            new = np.matmul(m, x[:, :, None])[:, :, 0] + perturbation.kick(cs[n - cs_lo], x)
         else:
-            new = invert_step(m, perturbation, point, x, tol=_INVERSION_TOL)
+            new = invert_step(m, perturbation, cs[n - cs_lo], x, tol=_INVERSION_TOL)
         nl = _row_norms(new).tolist()
         if 0.0 in nl:
             raise DegenerateOrbitError(f"orbit norm vanished after {n + 1} steps")

@@ -19,7 +19,8 @@ the shift of each point's angle, a plain per-point function, and their kick
 is budget * tanh(x + shift).  ``nonuniform-layered``'s are (scale, phase pair)
 rows by layer and symbol pair, and ``remark-scalar``'s its kick size; both
 are ``RangeMap`` callables, and ``nonuniform-layered`` reads the layers of a
-whole range from one envelope read (``_layer_indices``).
+whole range from one envelope read (``_layer_indices``); ``layer_index``
+reads one point's layer the same way, unmemoized.
 
 uniform-diag       diag(1/2, 2) over an irrational rotation; K = 1 and the
                    contraction rate log 2 is exactly attained, so the margin
@@ -68,7 +69,7 @@ from .driving import (
     symbol_at,
     symbols_along,
 )
-from .green import MAX_WINDOW, WeightSequence, Window, WindowSequence
+from .green import WeightSequence, Window, WindowSequence
 from .shadowing import Perturbation, ShadowingProblem, make_weight
 
 __all__ = [
@@ -261,7 +262,6 @@ def _uniform_rot_coupled() -> Scenario:
     )
 
 
-_LAYER_MEMO = 2 * MAX_WINDOW  # memoized layer indices of single points
 _SCAN_FIRST = 8  # indices of the first chunk read past a range without a last hit
 
 
@@ -348,7 +348,6 @@ def _nonuniform_layered() -> Scenario:
         segment = OrbitCache(cocycle, omega, dich)
         return _layer_indices(segment, envelope, level, scan_limit, n_lo, n_hi)
 
-    @lru_cache(maxsize=_LAYER_MEMO)
     def layer_index(point: BasePoint) -> int | None:
         m = int(layers(point, 0, 1)[0])
         return None if m < 0 else m

@@ -30,6 +30,8 @@ Every evaluation of the source term, the defect and the orbit residual maps
 a whole window: one batched product for A and one ``Perturbation.apply`` for
 f, which reads the window's coefficient rows once and kicks them all at once.
 ``_source_terms`` maps a stack of k corrections with the same two reads.
+``nonlinear_orbit`` reads each direction's coefficient rows once too, and
+``invert_step`` takes the row of its step.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ __all__ = [
     "ShadowingProblem",
     "ShadowingResult",
     "IterationRecord",
-    "nonlinear_step",
     "DefectReport",
     "defect",
     "shadow_constant",
@@ -222,12 +223,6 @@ class ShadowingProblem:
         return shadow_constant(
             self.orbit.dichotomy.rate, self.epsilon, self.perturbation.lipschitz_budget
         )
-
-
-def nonlinear_step(prob: ShadowingProblem, n: int, x: np.ndarray) -> np.ndarray:
-    """One step of the perturbed map at time n: A(sigma^n w) x + f_{sigma^n w}(x)."""
-    x = np.asarray(x, dtype=float)
-    return prob.orbit.matrix(n) @ x + prob.perturbation(prob.orbit.point(n), x)
 
 
 def _window_steps(
@@ -479,30 +474,31 @@ def make_weight(kind: str, window: Window, *, scale: float = 1.0,
 def invert_step(
     inverse_matrix: np.ndarray,
     perturbation: Perturbation,
-    point: BasePoint,
+    coefficients: np.ndarray,
     target: np.ndarray,
     *,
     tol: float = 1e-14,
 ) -> np.ndarray:
-    """Solve F_point(u) = target by the contraction u <- A^{-1}(target - f(u)).
+    """Solve A u + kick(coefficients, u) = target by the contraction
+    u <- A^{-1}(target - kick(coefficients, u)), with A^{-1} the
+    ``inverse_matrix`` and ``coefficients`` the perturbation's row at the step.
 
     ``target`` is one vector (d,) or a block (k, d) whose rows are solved
     together; each row stops at its own convergence, so every row equals
-    the iteration run on it alone.  The point's coefficients are read once
-    and only the kick is iterated.  Convergent whenever |A^{-1}| Lip(f) < 1,
-    which all scenarios guarantee.
+    the iteration run on it alone.  Only the kick is iterated.  Convergent
+    whenever |A^{-1}| Lip(f) < 1, which all scenarios guarantee.
     """
     target = np.asarray(target, dtype=float)
     rows = np.atleast_2d(target)
     out = np.empty_like(rows)
     live = np.arange(len(rows))
     goal = rows
-    cs = perturbation.coefficients(point)
     u = np.matmul(inverse_matrix, rows[:, :, None])[:, :, 0]
     for _ in range(_INVERT_MAX_ITER):
         if not live.size:
             break
-        u_next = np.matmul(inverse_matrix, (goal - perturbation.kick(cs, u))[:, :, None])[:, :, 0]
+        kicked = goal - perturbation.kick(coefficients, u)
+        u_next = np.matmul(inverse_matrix, kicked[:, :, None])[:, :, 0]
         done = _row_norms(u_next - u) <= tol * (1.0 + _row_norms(u_next))
         out[live[done]] = u_next[done]
         live, goal, u = live[~done], goal[~done], u_next[~done]
@@ -529,18 +525,20 @@ def nonlinear_orbit(
     values[window.offset(0)] = x0
     with np.errstate(over="ignore", invalid="ignore"):
         mats = orbit.matrices(0, window.n_max)
+        cs = orbit.evaluate(perturbation.coefficients, np.arange(window.n_max), "coefficients")
         x = x0
         for n in range(0, window.n_max):
-            x = mats[n] @ x + perturbation(orbit.point(n), x)
+            x = mats[n] @ x + perturbation.kick(cs[n], x)
             if not np.all(np.isfinite(x)):
                 raise ValueError(f"orbit is not finite at index {n + 1}")
             values[window.offset(n + 1)] = x
         invs = orbit.inverses(window.n_min, 0)
+        cs = orbit.evaluate(perturbation.coefficients, np.arange(window.n_min, 0), "coefficients")
         x = x0
         for n in range(0, window.n_min, -1):
             inv = invs[n - 1 - window.n_min]
             try:
-                x = invert_step(inv, perturbation, orbit.point(n - 1), x)
+                x = invert_step(inv, perturbation, cs[n - 1 - window.n_min], x)
             except InversionError:
                 # The iteration cannot settle once its first guess overflows.
                 if np.all(np.isfinite(inv @ x)):

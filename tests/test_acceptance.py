@@ -283,7 +283,7 @@ def test_criterion_10_special_point(scenarios):
         x = np.array([u])
         for n in range(0, -60, -1):
             x = invert_step(cache.inverse(n - 1), sc.perturbation,
-                            cache.point(n - 1), x)
+                            sc.perturbation.coefficients(cache.point(n - 1)), x)
             if abs(x[0]) > 100.0:
                 break
         return float(x[0])

@@ -22,7 +22,6 @@ from shadowrds import (
     adapted_norm,
     build_envelope,
     check_norm_equivalence,
-    check_one_step_contraction,
     cocycle_eval,
     step,
 )
@@ -33,6 +32,7 @@ from shadowrds.cocycle import (
     _adapted_norm_parts,
     _adapted_norms,
     _cocycle_at,
+    check_one_step_contraction_rows,
     envelope_along_orbit,
 )
 
@@ -440,10 +440,10 @@ def test_norm_equivalence_sweep_diag():
 def test_one_step_contraction_trivial_and_scalar():
     cocycle, dich, p = _scalar_half()
     orbit = OrbitCache(cocycle, p, dich)
-    rep = check_one_step_contraction(orbit, np.array([1.0]), 0)
-    assert rep.passed and rep.stable_margin >= 0.0
-    rep = check_one_step_contraction(orbit, np.array([1.0]), 3)
-    assert rep.passed
+    rep = check_one_step_contraction_rows(orbit, np.array([[1.0]]), [0])
+    assert rep.passed[0] and rep.stable_margin[0] >= 0.0
+    rep = check_one_step_contraction_rows(orbit, np.array([[1.0]]), [3])
+    assert rep.passed[0]
 
 
 def test_one_step_contraction_sweep_diag():
@@ -452,8 +452,8 @@ def test_one_step_contraction_sweep_diag():
     for _ in range(50):
         x = rng.standard_normal(2)
         n = int(rng.integers(0, 11))
-        rep = check_one_step_contraction(OrbitCache(cocycle, p, dich), x, n)
-        assert rep.stable_margin >= -1e-9 and rep.unstable_margin >= -1e-9
+        rep = check_one_step_contraction_rows(OrbitCache(cocycle, p, dich), x[None], [n])
+        assert rep.stable_margin[0] >= -1e-9 and rep.unstable_margin[0] >= -1e-9
 
 
 def test_envelope_constant_bound():

@@ -12,7 +12,6 @@ from shadowrds import (
     WindowSequence,
     adapted_norm,
     check_norm_equivalence,
-    check_one_step_contraction,
     cocycle_eval,
     dense_green_solve,
     green_apply,
@@ -29,6 +28,7 @@ from shadowrds.checks import (
     check_green_inversion,
     check_green_linearity,
 )
+from shadowrds.cocycle import check_one_step_contraction_rows
 from shadowrds.green import _green_sweep
 
 
@@ -270,7 +270,7 @@ def test_cache_without_dichotomy_serves_dichotomy_free_calls(scenarios):
     needs_dichotomy = [
         lambda: green_apply(bare, z),
         lambda: adapted_norm(bare, x),
-        lambda: check_one_step_contraction(bare, x, 2),
+        lambda: check_one_step_contraction_rows(bare, x[None], [2]),
         lambda: check_norm_equivalence(bare, x),
         lambda: weighted_norm(bare, z, weights),
         lambda: green_residual(bare, z, z),

@@ -1,6 +1,7 @@
 """The invariant suite's vector checks measure whole blocks of rows in one
 adapted-norm kernel call.  These tests replay the same seeded draws through
-the one-vector public functions, and through per-vector reference loops, and
+the one-vector public functions (one-row calls of the contraction check's
+batched form), and through per-vector reference loops, and
 require every per-row value to carry the same bits, and each check's
 reported worst value to be the one the one-vector replay gives.  The suite's
 CSV cannot show this: several of its ``worst`` values start at 0.0 and stay
@@ -15,7 +16,6 @@ import pytest
 from shadowrds import (
     WindowSequence,
     check_norm_equivalence,
-    check_one_step_contraction,
     green_apply,
     green_norm_bound_check,
     source_term,
@@ -39,7 +39,7 @@ from shadowrds.checks import (
     noisy_pseudo_orbit,
     run_invariant_suite,
 )
-from shadowrds.cocycle import _adapted_norm_at
+from shadowrds.cocycle import _adapted_norm_at, _row, check_one_step_contraction_rows
 from shadowrds.green import Window, weighted_norms
 
 NAMES = ["uniform-diag", "uniform-rot-coupled", "nonuniform-layered", "remark-scalar"]
@@ -148,7 +148,8 @@ def test_contraction_sweep_replays_one_vector_checks(scenarios, monkeypatch, nam
             counts.append(int(rng.integers(0, 11)))
         assert _bits(xs) == _bits(replayed)
         assert rows.steps.tolist() == list(steps) == counts
-        reps = [check_one_step_contraction(sc.orbit(point), x, n) for x, n in zip(replayed, counts)]
+        reps = [_row(check_one_step_contraction_rows(sc.orbit(point), x[None], [n]))
+                for x, n in zip(replayed, counts)]
         assert _bits(rows.stable_margin) == _bits([r.stable_margin for r in reps])
         assert _bits(rows.unstable_margin) == _bits([r.unstable_margin for r in reps])
         refs = [_reference_contraction(orbit, x, n) for x, n in zip(replayed, counts)]

@@ -13,6 +13,7 @@ from shadowrds import (
     DegenerateOrbitError,
     OrbitCache,
     Perturbation,
+    RangeMap,
     RotationPoint,
     ShiftPoint,
     Window,
@@ -23,6 +24,8 @@ from shadowrds import (
     linear_exponents_and_half,
     linear_exponents_qr,
     nonlinear_exponent,
+    nonlinear_orbit,
+    step,
 )
 from shadowrds import lyapunov
 from shadowrds.cocycle import MAX_STEPS
@@ -51,8 +54,9 @@ def _reference_invert_step(inverse_matrix, perturbation, point, target, tol):
     )
 
 
-def _reference_orbit_log_norms(perturbation, cache, x, forward, steps):
-    """The per-vector walk: one Python iteration per step of one vector."""
+def _reference_orbit_log_norms(perturbation, cache, x, forward, steps, plain=None):
+    """The per-vector walk: one Python iteration per step of one vector.
+    The steps taken plain are added to the set ``plain`` when given."""
     norm = float(np.linalg.norm(x))
     if norm == 0.0:
         raise DegenerateOrbitError("starting point has zero norm")
@@ -66,6 +70,8 @@ def _reference_orbit_log_norms(perturbation, cache, x, forward, steps):
     for n in range(steps):
         t = n if forward else -(n + 1)
         if not scaled:
+            if plain is not None:
+                plain.add(n)
             if forward:
                 vec = cache.matrix(t) @ vec + perturbation(cache.point(t), vec)
             else:
@@ -339,6 +345,11 @@ def test_nonlinear_exponent_returns_one_result_per_row(scenarios):
         nonlinear_exponent(sc.orbit(), sc.perturbation, xs[0], "forward", 400)
 
 
+def _coefficient_row(cache, perturbation, n):
+    """The perturbation's coefficient row at orbit index n, read by range."""
+    return cache.evaluate(perturbation.coefficients, np.array([n]), "coefficients")[0]
+
+
 def test_batched_invert_step_matches_per_row_iteration(scenarios, block4):
     for sc in list(scenarios.values()) + [block4]:
         dim = sc.cocycle.dim
@@ -346,20 +357,22 @@ def test_batched_invert_step_matches_per_row_iteration(scenarios, block4):
         cache = sc.orbit()
         for n in range(-12, 0):
             targets = _spread_rows(rng, 8, dim)
-            got = invert_step(cache.inverse(n), sc.perturbation, cache.point(n), targets,
+            row = _coefficient_row(cache, sc.perturbation, n)
+            got = invert_step(cache.inverse(n), sc.perturbation, row, targets,
                               tol=_INVERSION_TOL)
             for i in range(8):
                 ref = _reference_invert_step(cache.inverse(n), sc.perturbation,
                                              cache.point(n), targets[i], _INVERSION_TOL)
                 assert np.array_equal(got[i], ref), (sc.name, n, i)
-            one = invert_step(cache.inverse(n), sc.perturbation, cache.point(n), targets[0],
+            one = invert_step(cache.inverse(n), sc.perturbation, row, targets[0],
                               tol=_INVERSION_TOL)
             assert one.shape == (dim,) and np.array_equal(one, got[0])
 
 
 def test_invert_step_reads_the_coefficients_once(scenarios, block4):
-    # The point's coefficients are read once per call; only the kick is
-    # iterated, and the result is the same.
+    # The step's coefficients are read once, by the caller: invert_step
+    # takes that row, reads none itself and iterates only the kick, and the
+    # result is the same.
     for sc in list(scenarios.values()) + [block4]:
         rng = np.random.default_rng(41)
         calls = []
@@ -373,10 +386,11 @@ def test_invert_step_reads_the_coefficients_once(scenarios, block4):
         for n in (-7, -1):
             targets = _spread_rows(rng, 5, sc.cocycle.dim)
             calls.clear()
-            got = invert_step(cache.inverse(n), counted, cache.point(n), targets,
-                              tol=_INVERSION_TOL)
+            got = invert_step(cache.inverse(n), counted, counted.coefficients(cache.point(n)),
+                              targets, tol=_INVERSION_TOL)
             assert calls == [cache.point(n)], sc.name
-            want = invert_step(cache.inverse(n), sc.perturbation, cache.point(n), targets,
+            want = invert_step(cache.inverse(n), sc.perturbation,
+                               _coefficient_row(cache, sc.perturbation, n), targets,
                                tol=_INVERSION_TOL)
             assert np.array_equal(got, want), sc.name
 
@@ -388,16 +402,143 @@ def test_batched_invert_step_raises_like_per_row_iteration():
         lambda p: (), lambda cs, x: np.where(np.abs(x) > 5.0, -1.5 * x, 0.0), 1.5
     )
     point, one = RotationPoint.from_angle(0.1), np.eye(1)
+    row = pert.coefficients(point)
     targets = np.array([[1.0], [10.0]])
     assert np.array_equal(
-        invert_step(one, pert, point, targets[:1]),
+        invert_step(one, pert, row, targets[:1]),
         _reference_invert_step(one, pert, point, targets[0], 1e-14)[None],
     )
     message = f"did not converge within {_INVERT_MAX_ITER} iterations"
     with pytest.raises(InversionError, match=message):
         _reference_invert_step(one, pert, point, targets[1], 1e-14)
     with pytest.raises(InversionError, match=message):
-        invert_step(one, pert, point, targets)
+        invert_step(one, pert, row, targets)
+
+
+def _counted(perturbation, base, ranged):
+    """``perturbation`` with coefficients that log each read in the returned
+    list: ("at", point) per point, ("along", orbit indices) per range read.
+    ``ranged`` gives a ``RangeMap``, whose range form stacks the per-point
+    rows when the perturbation has none; otherwise a per-point function."""
+    read, log = perturbation.coefficients, []
+
+    def at(point):
+        log.append(("at", point))
+        return read(point)
+
+    def along(omega, ns):
+        log.append(("along", tuple(ns.tolist())))
+        if isinstance(read, RangeMap):
+            return read.along(omega, ns)
+        return np.array([read(step(base, omega, n)) for n in ns.tolist()], dtype=float)
+
+    return replace(perturbation, coefficients=RangeMap(at, along) if ranged else at), log
+
+
+def _expected_reads(cache, plain, steps, chunk, forward, ranged):
+    """The ``_counted`` log of a walk whose plain steps are ``plain``: at each
+    plain step outside the rows last read, the rows of the next ``chunk``
+    steps, by one range read or one per-point read per index."""
+    log, lo, hi = [], 0, 0
+    for n in sorted(plain):
+        if not lo <= n < hi:
+            lo, hi = n, min(n + chunk, steps)
+            ns = range(lo, hi) if forward else range(-hi, -lo)
+            log += [("along", tuple(ns))] if ranged else [("at", cache.point(t)) for t in ns]
+    return log
+
+
+@pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
+def test_walks_read_coefficient_rows_by_range(scenarios, block4, forward):
+    # A walk reads the rows of a chunk of steps at each plain step outside
+    # the rows it holds, never per point through a range form, and walks the
+    # per-point walk's bytes.  A linear walk stays scaled and reads none.
+    steps, k = 240, 3
+    direction = "forward" if forward else "backward"
+    signed = np.arange(1, steps + 1) * (1 if forward else -1)
+    for sc in list(scenarios.values()) + [block4]:
+        dim = sc.cocycle.dim
+        xs = _spread_rows(np.random.default_rng(29), k, dim)
+        cache = sc.orbit()
+        plain = set()
+        refs = [_reference_orbit_log_norms(sc.perturbation, cache, x, forward, steps, plain)
+                for x in xs]
+        assert plain, sc.name
+        for ranged in (True, False):
+            pert, log = _counted(sc.perturbation, sc.base, ranged)
+            for chunk in _CHUNKS:
+                log.clear()
+                if chunk is None:
+                    block = nonlinear_exponent(cache, pert, xs, direction, steps)
+                    for res, ref in zip(block, refs, strict=True):
+                        assert res.values[:, 1].tobytes() == (ref / signed).tobytes(), sc.name
+                    length = min(steps, lyapunov._WALK_SCRATCH // (k * (dim + 1)))
+                else:
+                    got = _chunked_walk(pert, cache, xs, forward, steps, chunk)
+                    for i, ref in enumerate(refs):
+                        assert got[:, i].tobytes() == ref.tobytes(), (sc.name, chunk, i)
+                    length = chunk
+                want = _expected_reads(cache, plain, steps, length, forward, ranged)
+                assert log == want, (sc.name, ranged, chunk)
+        linear, log = _counted(Perturbation.zero(dim), sc.base, True)
+        nonlinear_exponent(cache, linear, xs, direction, steps)
+        assert log == [], sc.name
+
+
+@pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
+def test_walk_reads_again_where_plain_steps_resume_past_the_held_chunk(forward):
+    # A start of 1e29 turns scaled after 4 steps, grows by 2 per step up to
+    # |offset| 1100 and then shrinks by 2^10 per step, back to plain about
+    # 1210 steps in: past the rows read at step 0 for every chunk length,
+    # the default 1024 included, so the walk reads there again.
+    def scale(offset):
+        grow = 2.0 if offset >= 0 else 0.5
+        return grow if -1100 <= offset < 1100 else grow**-10
+
+    cache, steps = _shift_orbit(scale), 1250
+    kicked = Perturbation(lambda p: (p.offset % 5,),
+                          lambda cs, x: x * 0.0 + np.multiply(1e-300, cs), 0.0, bound=1e-290)
+    xs = np.array([[1e29]])
+    plain = set()
+    ref = _reference_orbit_log_norms(kicked, cache, xs[0], forward, steps, plain)
+    default = lyapunov._WALK_SCRATCH // 2  # the chunk length of one row in one dimension
+    resume = min(n for n in plain if n > 3)
+    assert plain == {0, 1, 2, 3} | set(range(resume, steps)) and resume > default
+    for ranged in (True, False):
+        pert, log = _counted(kicked, cache.system.base, ranged)
+        for chunk in _CHUNKS:
+            log.clear()
+            got = _chunked_walk(pert, cache, xs, forward, steps, chunk)
+            assert got[:, 0].tobytes() == ref.tobytes(), (ranged, chunk)
+            length = default if chunk is None else chunk
+            assert log == _expected_reads(cache, plain, steps, length, forward, ranged)
+
+
+@pytest.mark.parametrize("window", [Window(0, 0), Window(0, 5), Window(-5, 0), Window(-9, 12)],
+                         ids=lambda w: f"{w.n_min}..{w.n_max}")
+def test_nonlinear_orbit_reads_coefficient_rows_by_range(scenarios, block4, window):
+    # Each non-empty direction reads its rows once, by one range read or one
+    # per-point read per index, and the orbit is the per-point steps' bytes.
+    for sc in list(scenarios.values()) + [block4]:
+        x0 = np.random.default_rng(37).standard_normal(sc.cocycle.dim)
+        cache = sc.orbit()
+        want = {0: x0}
+        for n in range(window.n_max):
+            want[n + 1] = cache.matrix(n) @ want[n] + sc.perturbation(cache.point(n), want[n])
+        for n in range(0, window.n_min, -1):
+            want[n - 1] = _reference_invert_step(
+                cache.inverse(n - 1), sc.perturbation, cache.point(n - 1), want[n], 1e-14
+            )
+        reads = [ns for ns in (range(window.n_max), range(window.n_min, 0)) if ns]
+        for ranged in (True, False):
+            pert, log = _counted(sc.perturbation, sc.base, ranged)
+            got = nonlinear_orbit(cache, pert, x0, window)
+            for n in window.indices():
+                assert got.value_at(n).tobytes() == want[n].tobytes(), (sc.name, ranged, n)
+            if ranged:
+                assert log == [("along", tuple(ns)) for ns in reads], sc.name
+            else:
+                assert log == [("at", cache.point(n)) for ns in reads for n in ns], sc.name
 
 
 def _reference_qr_sweep(mats):
@@ -616,7 +757,7 @@ def test_special_point_remark_bisection_oracle(scenarios):
         x = np.array([u])
         for n in range(0, -60, -1):
             x = invert_step(cache.inverse(n - 1), sc.perturbation,
-                            cache.point(n - 1), x)
+                            sc.perturbation.coefficients(cache.point(n - 1)), x)
             if abs(x[0]) > 100.0:
                 break
         return x[0]

@@ -24,7 +24,6 @@ from shadowrds import (
     iteration_bound,
     make_weight,
     nonlinear_orbit,
-    nonlinear_step,
     shadow_constant,
     solve,
     source_term,
@@ -38,6 +37,13 @@ from shadowrds.shadowing import (
     _source_terms,
     _window_steps,
 )
+
+
+def _nonlinear_step(prob, n, x):
+    """One step of the perturbed map at time n, read per point:
+    A(sigma^n w) x + f_{sigma^n w}(x)."""
+    x = np.asarray(x, dtype=float)
+    return prob.orbit.matrix(n) @ x + prob.perturbation(prob.orbit.point(n), x)
 
 
 def _problem_from(scenario, half=8, seed=31, noise=0.5):
@@ -76,7 +82,7 @@ def test_nonlinear_step_linear_case(scenarios):
     prob = _problem_from(sc)
     zero = replace(prob, perturbation=Perturbation.zero(2))
     x = np.array([0.3, -0.2])
-    out = nonlinear_step(zero, 2, x)
+    out = _nonlinear_step(zero, 2, x)
     assert np.allclose(out, np.diag([0.5, 2.0]) @ x)
 
 
@@ -84,7 +90,7 @@ def test_nonlinear_step_constant_kick(scenarios):
     # Scalar A = 1/2 with constant kick tau at x = 1 gives 0.5 + tau.
     sc = scenarios["remark-scalar"]
     prob = sc.problem(WindowSequence.zeros(Window(-4, 4), 1))
-    out = nonlinear_step(prob, 0, np.array([1.0]))
+    out = _nonlinear_step(prob, 0, np.array([1.0]))
     assert out[0] == pytest.approx(0.51, abs=1e-15)
 
 
@@ -94,7 +100,7 @@ def test_nonlinear_step_composition(scenarios):
     x = np.array([0.4, 0.05])
     via_steps = x
     for n in range(3):
-        via_steps = nonlinear_step(prob, n, via_steps)
+        via_steps = _nonlinear_step(prob, n, via_steps)
     orbit = nonlinear_orbit(sc.orbit(), sc.perturbation, x, Window(-1, 3))
     assert np.allclose(via_steps, orbit.value_at(3))
 
@@ -443,12 +449,12 @@ def test_uniqueness_rejects_non_orbits(scenarios):
 
 
 # Per-index reference loops for the batched window stepper: each entry is
-# built from nonlinear_step (or its two terms) one index at a time.
+# built from _nonlinear_step (or its two terms) one index at a time.
 def _reference_defect(prob):
     y = prob.pseudo_orbit
     return np.array(
         [
-            y.value_at(n) - nonlinear_step(prob, n - 1, y.value_at(n - 1))
+            y.value_at(n) - _nonlinear_step(prob, n - 1, y.value_at(n - 1))
             for n in range(prob.window.n_min + 1, prob.window.n_max + 1)
         ]
     ).reshape(-1, y.dim)
@@ -481,7 +487,7 @@ def _reference_orbit_residuals(prob, orbit):
     residuals, floor = [], 0.0
     for n in range(prob.window.n_min + 1, prob.window.n_max + 1):
         prev = orbit.value_at(n - 1)
-        residuals.append(orbit.value_at(n) - nonlinear_step(prob, n - 1, prev))
+        residuals.append(orbit.value_at(n) - _nonlinear_step(prob, n - 1, prev))
         scale = float(np.linalg.norm(orbit.value_at(n))) + float(
             np.linalg.norm(prob.orbit.matrix(n - 1) @ prev)
         )
