@@ -21,6 +21,7 @@ from .cocycle import (
     OrbitCache,
     _cocycle_at,
     _products,
+    _row_norms,
     check_norm_equivalence_rows,
     check_one_step_contraction_rows,
     cocycle_eval,
@@ -39,7 +40,6 @@ from .green import (
 from .shadowing import (
     ContractionError,
     _defect_allowance,
-    _row_norms,
     _source_terms,
     iteration_bound,
     nonlinear_orbit,

@@ -29,12 +29,14 @@ and output component for all k rows (``_apply_shared``); rows of unequal
 counts, and one row per index (k = 1), take one product per row.  Each step
 selects its maps with one index, a slice for consecutive indices, and a
 chunk walks the horizon in blocks of as many steps as _NORM_SCRATCH holds.
-Rows that overflow or underflow are measured again divided by their largest
-absolute entry, so finite vectors up to the float range get finite, non-zero
-norms.  ``adapted_norm`` and ``check_norm_equivalence`` are one-row calls
-of batched forms; the n-step contraction check is only batched
-(``check_one_step_contraction_rows``: one masked ``_apply_shared`` per
-step, one kernel call for all three norms).
+Each row is measured scaled by the power of two of its largest absolute
+entry and the results scaled back (``_scaled``, the one rule of every
+overflow-safe measure here, ``_scaled_row_norms`` included), so finite
+vectors across the float range get finite, non-zero norms, and rows in range
+keep their unscaled bytes.  ``adapted_norm`` and ``check_norm_equivalence``
+are one-row calls of batched forms; the n-step contraction check is only
+batched (``check_one_step_contraction_rows``: one masked ``_apply_shared``
+per step, one kernel call for all three norms).
 
 Every function that works along one orbit sigma^n w takes that orbit segment,
 an ``OrbitCache``, as its first argument: the segment carries the system, the
@@ -487,41 +489,30 @@ _CONTRACTION_SLACK = 1e-9  # relative to max(1, rhs), in check_one_step_contract
 _NORM_SCRATCH = 1 << 15
 
 
-def _rescaled(measure: Callable, xs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``measure(xs, rows)``, per-row arrays homogeneous of degree one in xs.
+def _scaled(measure: Callable, xs: np.ndarray) -> np.ndarray:
+    """``measure`` of the rows of xs, each scaled by the power of two of its
+    largest |entry|, with every result scaled back.
 
-    ``rows`` are the indices of xs's rows in the block first measured.  A
-    finite row whose results sum to a non-finite value, or to zero although
-    the row is not, overflowed or underflowed: it is measured again divided
-    by its largest absolute entry, and those results are multiplied back.
-    Every other row keeps the bytes of the first measurement.
+    ``measure(block)`` returns an array whose last axis runs over the rows of
+    ``block`` and is homogeneous of degree one in each row.  A scaled row's
+    largest |entry| lies in [0.5, 1), so its squares neither overflow nor
+    underflow to zero; scaling by a power of two is exact, so a row in range
+    keeps the bytes of its unscaled measure.  Zero and non-finite rows are
+    measured as they are.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        parts = measure(xs, np.arange(len(xs)))
-        total = sum(parts)
-    if np.isfinite(total).all() and total.all():  # every row in range
-        return parts
-    redo = np.isfinite(xs).all(axis=1) & ~(
-        np.isfinite(total) & ((total != 0) | ~xs.any(axis=1))
-    )
-    if redo.any():
-        rows = np.flatnonzero(redo)
-        scale = np.max(np.abs(xs[rows]), axis=1)
-        for part, again in zip(parts, measure(xs[rows] / scale[:, None], rows)):
-            part[rows] = again * scale
-    return parts
+    _, exps = np.frexp(np.max(np.abs(xs), axis=1))
+    return np.ldexp(measure(np.ldexp(xs, -exps[:, None])), exps)
 
 
-def _plain_norms(xs: np.ndarray) -> np.ndarray:
-    """2-norms of the rows of an (m, d) array, overflow-safe.
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (m, d) array, bit for bit equal to
+    ``np.linalg.norm`` of that row (``np.linalg.norm(rows, axis=1)`` is not)."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))[:, 0, 0]
 
-    One batched (1, d) @ (d, 1) product per row rounds as np.linalg.norm of
-    that row alone does.
-    """
-    def measure(block, rows):
-        return (np.sqrt(np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0]),)
 
-    return _rescaled(measure, xs)[0]
+def _scaled_row_norms(rows: np.ndarray) -> np.ndarray:
+    """``_row_norms``, overflow- and underflow-safe (``_scaled``)."""
+    return _scaled(_row_norms, rows)
 
 
 #: Vectors shorter than this are summed in index order by numpy's reductions
@@ -583,9 +574,9 @@ def _adapted_norm_parts(
     they are consecutive, and applies them with ``_apply_shared``.  The
     norms are taken once per block, in place: squares added plane by plane,
     square root, weights e^{lam k} formed by repeated multiplication, max
-    over k.  Rows that overflow or underflow are measured again scaled by
-    their largest absolute entry (``_rescaled``), so every finite row gets a
-    finite result unless the norm itself exceeds the float range.
+    over k.  Every row is measured scaled by the power of two of its largest
+    absolute entry (``_scaled``), so every finite row gets a finite, non-zero
+    result unless the norm itself exceeds the float range.
     """
     dich = orbit.require_dichotomy()
     horizon = dich.horizon
@@ -636,10 +627,9 @@ def _adapted_norm_parts(
             buf[0] = carry
         return best.reshape(-1)
 
-    def measure(block: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        stable = np.empty(len(rows))
-        unstable = np.empty(len(rows))
-        at = ns[rows] - lo
+    def measure(block: np.ndarray) -> np.ndarray:
+        stable, unstable = parts = np.empty((2, m))
+        at = ns - lo
         order, w = _row_grid(at, capacity, d)
         step = capacity // w * w
         for a in range(0, len(at), step):
@@ -657,9 +647,9 @@ def _adapted_norm_parts(
             stable[chunk] = weighted_sup(buf, lambda k: fwd[k:][sel])
             buf[0] = u
             unstable[chunk] = weighted_sup(buf, lambda k: bwd[horizon - 1 - k :][sel])
-        return stable, unstable
+        return parts
 
-    stable, unstable = _rescaled(measure, xs)
+    stable, unstable = _scaled(measure, xs)
     if mu > 0:
         # The tail bound of every row needs a valid K; raise as the tail would.
         orbit.bounds(lo, hi + 1)
@@ -676,7 +666,7 @@ def _adapted_norms(orbit: OrbitCache, ns: np.ndarray, xs: np.ndarray) -> Adapted
     value = stable + unstable
     if mu > 0:
         k = _at(orbit.bounds, ns)
-        t = k * math.exp(-mu * (dich.horizon + 1)) * _plain_norms(xs)
+        t = k * math.exp(-mu * (dich.horizon + 1)) * _scaled_row_norms(xs)
         tail = np.maximum(stable, t) + np.maximum(unstable, t) - value
     else:
         tail = np.full(len(value), math.inf)
@@ -722,7 +712,7 @@ class NormEquivalenceReport:
 def check_norm_equivalence_rows(orbit: OrbitCache, xs: np.ndarray) -> NormEquivalenceReport:
     """``check_norm_equivalence`` of each row of an (m, d) array, in one kernel call."""
     xs = np.asarray(xs, dtype=float)
-    plain = _plain_norms(xs)
+    plain = _scaled_row_norms(xs)
     nrm = _adapted_norms(orbit, np.zeros(len(xs), dtype=np.int64), xs)
     upper = 2.0 * orbit.bound(0) * plain
     lower_ok = plain <= nrm.value * (1.0 + _EQUIVALENCE_SLACK)

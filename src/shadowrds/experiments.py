@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import noisy_pseudo_orbit, run_invariant_suite
+from .cocycle import _row_norms
 from .green import Window
 from .lyapunov import (
     conservation_experiment,
@@ -42,7 +43,7 @@ from .lyapunov import (
     nonlinear_exponent,
 )
 from .scenarios import Scenario, get_scenario
-from .shadowing import Perturbation, _row_norms, iteration_bound, solve
+from .shadowing import Perturbation, iteration_bound, solve
 
 __all__ = [
     "ConfigError",

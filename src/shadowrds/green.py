@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import OrbitCache, _adapted_norm_parts, _apply_shared
+from .cocycle import OrbitCache, _adapted_norm_parts, _apply_shared, _scaled
 
 __all__ = [
     "MAX_WINDOW",
@@ -121,12 +121,10 @@ class WindowSequence:
         return self.values[self.window.offset(n)]
 
     def sup_norm(self) -> float:
-        # Each row is scaled by the power of two of its largest entry, so
-        # finite rows near the float limit do not overflow in the sum of
-        # squares, and other rows give the unscaled result bit for bit.
-        _, exp = np.frexp(np.max(np.abs(self.values), axis=1))
-        norms = np.linalg.norm(np.ldexp(self.values, -exp[:, None]), axis=1)
-        return float(np.max(np.ldexp(norms, exp)))
+        # Power-of-two scaled (``_scaled``): finite rows near the float limit
+        # do not overflow in the sum of squares, and other rows give the
+        # unscaled result bit for bit.
+        return float(np.max(_scaled(lambda rows: np.linalg.norm(rows, axis=1), self.values)))
 
     @classmethod
     def zeros(cls, window: Window, dim: int) -> "WindowSequence":

@@ -22,7 +22,10 @@ plus log of the norm) once the orbit norm passes 1e30.  In that regime the
 bounded perturbation changes the log of the norm by less than
 |f|_inf * |A^{-1}| / 1e30 < 1e-28 per step, far below the resolution of the
 estimate, so the linearized step is exact at working precision.  Orbits of
-moderate size are always stepped exactly, perturbation included.
+moderate size are always stepped exactly, perturbation included.  A plain
+row's sum of squares underflows below about 1.5e-154, so a row measured
+below 2^-511 is measured again scaled by the power of two of its largest
+entry (``_scaled_row_norms``); only a row that is exactly zero ends a walk.
 
 The sampled orbits of one direction share the base orbit, so
 ``nonlinear_exponent`` walks a (k, d) block of starting points in lock-step:
@@ -51,7 +54,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cocycle import MAX_STEPS, OrbitCache
+from .cocycle import MAX_STEPS, OrbitCache, _row_norms, _scaled_row_norms
 from .green import Window, WindowSequence
 from .scenarios import Scenario
 from .shadowing import (
@@ -60,7 +63,6 @@ from .shadowing import (
     ShadowingProblem,
     ShadowingResult,
     _defect_allowance,
-    _row_norms,
     invert_step,
     nonlinear_orbit,
     solve,
@@ -84,6 +86,9 @@ __all__ = [
 ]
 
 _BIG_NORM = 1e30
+#: Plain rows measured below this by ``_row_norms`` are measured again by
+#: ``_scaled_row_norms``: their squares may have underflowed.
+_TINY_NORM = 2.0**-511
 _CONVERGENCE_SPREAD = 0.05
 _INVERSION_TOL = 1e-13  # of each backward step of a perturbed orbit
 _SPECIAL_MAX_ITER = 400  # iteration cap of the solve in find_special_point
@@ -278,7 +283,7 @@ def _orbit_log_norms(
     _check_steps(steps)
     xs = np.asarray(xs, dtype=float)
     k, dim = xs.shape
-    norms = _row_norms(xs)
+    norms = _scaled_row_norms(xs)
     if not norms.all():
         raise DegenerateOrbitError("starting point has zero norm")
     pure_linear = perturbation.bound == 0.0
@@ -357,6 +362,8 @@ def _orbit_log_norms(
         else:
             new = invert_step(m, perturbation, cs[n - cs_lo], x, tol=_INVERSION_TOL)
         nl = _row_norms(new).tolist()
+        if min(nl) < _TINY_NORM:
+            nl = _scaled_row_norms(new).tolist()
         if 0.0 in nl:
             raise DegenerateOrbitError(f"orbit norm vanished after {n + 1} steps")
         vec[sel] = new

@@ -42,7 +42,14 @@ from typing import Callable
 
 import numpy as np
 
-from .cocycle import OrbitCache, RangeMap, _adapted_norm_parts, _stacked
+from .cocycle import (
+    OrbitCache,
+    RangeMap,
+    _adapted_norm_parts,
+    _row_norms,
+    _scaled_row_norms,
+    _stacked,
+)
 from .driving import BasePoint
 from .green import (
     WeightSequence,
@@ -147,20 +154,6 @@ class Perturbation:
         """f = 0 on R^dim: empty coefficient rows and a kick of zeros."""
         none = RangeMap(lambda point: (), lambda omega, ns: np.empty((ns.size, 0)))
         return cls(none, lambda cs, xs: np.zeros(np.shape(xs)[:-1] + (dim,)), 0.0, 0.0)
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of an (m, d) array, bit for bit equal to
-    ``np.linalg.norm`` of that row (``np.linalg.norm(rows, axis=1)`` is not)."""
-    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))[:, 0, 0]
-
-
-def _scaled_row_norms(rows: np.ndarray) -> np.ndarray:
-    """``_row_norms`` of the rows scaled by the power of two of each one's
-    largest |entry|, and scaled back, so finite rows near the float limit do
-    not overflow."""
-    _, exps = np.frexp(np.max(np.abs(rows), axis=1))
-    return np.ldexp(_row_norms(np.ldexp(rows, -exps[:, None])), exps)
 
 
 def shadow_constant(rate: float, epsilon: float, budget: float) -> tuple[float, float]:

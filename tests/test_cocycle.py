@@ -751,7 +751,7 @@ def test_adapted_norm_kernel_raises_like_per_vector_loop(block4, ns):
         assert _raised(lambda: _adapted_norm_at(cache, ns[0], xs[0])) == ref
 
 
-@pytest.mark.parametrize("magnitude", [1e-200, 1e-150, 1e150, 1e200, 1e300])
+@pytest.mark.parametrize("magnitude", [1e-200, 1e-160, 1e-158, 1e-150, 1e150, 1e200, 1e300])
 def test_adapted_norms_near_the_float_range(scenarios, block4, magnitude):
     rng = np.random.default_rng(44)
     for sc in list(scenarios.values()) + [block4]:

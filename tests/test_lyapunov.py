@@ -54,10 +54,18 @@ def _reference_invert_step(inverse_matrix, perturbation, point, target, tol):
     )
 
 
+def _scaled_norm(v):
+    """np.linalg.norm of v scaled by the power of two of its largest |entry|,
+    then scaled back: the bytes of np.linalg.norm in range, and no underflow
+    of the squares of tiny vectors."""
+    _, exp = np.frexp(np.max(np.abs(v)))
+    return float(np.ldexp(np.linalg.norm(np.ldexp(v, -exp)), exp))
+
+
 def _reference_orbit_log_norms(perturbation, cache, x, forward, steps, plain=None):
     """The per-vector walk: one Python iteration per step of one vector.
     The steps taken plain are added to the set ``plain`` when given."""
-    norm = float(np.linalg.norm(x))
+    norm = _scaled_norm(x)
     if norm == 0.0:
         raise DegenerateOrbitError("starting point has zero norm")
     pure_linear = perturbation.bound == 0.0
@@ -78,7 +86,7 @@ def _reference_orbit_log_norms(perturbation, cache, x, forward, steps, plain=Non
                 vec = _reference_invert_step(
                     cache.inverse(t), perturbation, cache.point(t), vec, _INVERSION_TOL
                 )
-            norm = float(np.linalg.norm(vec))
+            norm = _scaled_norm(vec)
             if norm == 0.0:
                 raise DegenerateOrbitError(f"orbit norm vanished after {n + 1} steps")
             logs[n] = math.log(norm)
@@ -180,11 +188,11 @@ def test_lock_step_walk_errors_keep_types_and_messages():
     def orbit(scale):
         return _shift_orbit(lambda offset: scale)
 
-    # A nonzero bound keeps the rows plain; 1e-100 squared underflows at step 2.
+    # A nonzero bound keeps the rows plain; 1e-100 to the 4th power is 0.0.
     plain = Perturbation(lambda p: (), lambda cs, x: np.zeros(np.shape(x)), 0.0, bound=1e-300)
     cases = [
         (orbit(1e-100), plain, [[1.0], [0.0]], 1, "starting point has zero norm"),
-        (orbit(1e-100), plain, [[1.0], [2.0]], 0, "orbit norm vanished after 2 steps"),
+        (orbit(1e-100), plain, [[1.0], [2.0]], 0, "orbit norm vanished after 4 steps"),
         (orbit(1e-200), Perturbation.zero(1), [[1.0], [2.0]], 0,
          "scaled orbit direction collapsed"),
         # The growth vanishes at step 6, inside a chunk run of the linear walk.
@@ -198,6 +206,24 @@ def test_lock_step_walk_errors_keep_types_and_messages():
                 _chunked_walk(pert, cache, xs, True, 10, chunk)
         with pytest.raises(DegenerateOrbitError, match=message):
             _reference_orbit_log_norms(pert, cache, xs[row], True, 10)
+
+
+@pytest.mark.filterwarnings("error")
+def test_tiny_plain_rows_keep_their_norms_until_they_are_zero():
+    # Plain rows of 2^-10n and 2^-1-10n: their squares underflow past step
+    # 53 (about 1e-160), the rows themselves only at step 108 (2^-1080).
+    cache = _shift_orbit(lambda offset: 2.0**-10)
+    plain = Perturbation(lambda p: (), lambda cs, x: np.zeros(np.shape(x)), 0.0, bound=1e-300)
+    xs = np.array([[1.0], [0.5]])
+    want = np.array([[math.log(2.0 ** (-10 * n - e)) for e in (0, 1)] for n in range(1, 108)])
+    for chunk in _CHUNKS:
+        got = _chunked_walk(plain, cache, xs, True, 107, chunk)
+        assert got.tobytes() == want.tobytes(), chunk
+        with pytest.raises(DegenerateOrbitError, match="vanished after 108 steps"):
+            _chunked_walk(plain, cache, xs, True, 120, chunk)
+    for i, x in enumerate(xs):
+        ref = _reference_orbit_log_norms(plain, cache, x, True, 107)
+        assert ref.tobytes() == want[:, i].tobytes()
 
 
 @pytest.mark.filterwarnings("error")

@@ -30,13 +30,8 @@ from shadowrds import (
     weighted_norm,
 )
 from shadowrds.checks import noisy_pseudo_orbit
-from shadowrds.shadowing import (
-    _defect_allowance,
-    _row_norms,
-    _scaled_row_norms,
-    _source_terms,
-    _window_steps,
-)
+from shadowrds.cocycle import _adapted_norm_parts, _row_norms, _scaled_row_norms
+from shadowrds.shadowing import _defect_allowance, _source_terms, _window_steps
 
 
 def _nonlinear_step(prob, n, x):
@@ -576,6 +571,36 @@ def test_scaled_row_norms_match_the_per_row_form_bitwise(dim):
     assert np.array_equal(got, [_scaled_norm(row) for row in rows])
     assert np.all(np.isfinite(got))
     assert _scaled_row_norms(np.zeros((0, dim))).shape == (0,)
+
+
+def test_scaled_measures_of_zero_and_non_finite_rows(scenarios, block4):
+    """A zero row measures 0; inf and nan rows are measured unscaled, so the
+    adapted-norm kernel and the safe row norm are non-finite on the same rows
+    and leave the rows in range beside them as they are alone."""
+    for sc in list(scenarios.values()) + [block4]:
+        orbit = sc.orbit()
+        d = sc.cocycle.dim
+        ones = np.ones(d - 1)
+        odd = np.array([
+            np.zeros(d), np.full(d, np.inf), np.full(d, np.nan),
+            np.r_[-np.inf, ones], np.r_[np.nan, ones],
+        ])
+        fine = np.random.default_rng(3).standard_normal((len(odd), d))
+        ns = np.zeros(2 * len(odd), dtype=np.int64)
+        with np.errstate(invalid="ignore"):
+            plain = _scaled_row_norms(odd)
+            stable, unstable = _adapted_norm_parts(orbit, ns, np.concatenate([odd, fine]))
+            unscaled = _row_norms(odd)
+        alone = _adapted_norm_parts(orbit, ns[: len(fine)], fine)
+        value = (stable + unstable)[: len(odd)]
+        assert plain[0] == 0.0 and value[0] == 0.0, sc.name
+        assert np.array_equal(plain, unscaled, equal_nan=True), sc.name
+        assert np.array_equal(np.isfinite(value), np.isfinite(plain)), sc.name
+        assert np.isnan(plain[[2, 4]]).all() and np.isnan(value[[2, 4]]).all(), sc.name
+        assert stable[len(odd) :].tobytes() == alone[0].tobytes(), sc.name
+        assert unstable[len(odd) :].tobytes() == alone[1].tobytes(), sc.name
+        empty = _adapted_norm_parts(orbit, ns[:0], np.zeros((0, d)))
+        assert [part.shape for part in empty] == [(0,), (0,)]
 
 
 def test_solve_residual_floor_matches_the_per_row_loop(scenarios, block4):
