@@ -33,9 +33,11 @@ For each builtin scenario it times, over STEPS orbit indices:
 - ``walk_linear_us``: the same walk under ``Perturbation.zero``, where every
   row is scaled from step 0, so it times the chunked all-scaled run alone;
 - ``walk_path`` / ``walk_linear_path``: for the same walks, the steps their
-  all-scaled chunk runs computed in closed form (``closed``: a diagonal block
-  with every row on an axis) and by the per-step loop (``loop``), counted on
-  one untimed walk.  Steps that a rollback discards are counted too.
+  chunk runs computed in closed form (``closed``: a diagonal block with every
+  row on an axis) and by the per-step loop (``loop``), counted on one
+  untimed walk.  The one-step runs beside the plain steps of a block with
+  plain and scaled rows are counted too, and so are the steps that a
+  rollback or a growth out of the float's normal range discards.
 
 For scenarios with a layering it also times ``envelope_us``: one
 ``TemperedEnvelope.bound`` call at a freshly sampled base point (a new orbit
@@ -91,7 +93,7 @@ def _median_us(call, per: int, setup=None) -> float:
 
 
 def _walk_path(walk) -> dict:
-    """Steps of ``walk()``'s all-scaled chunk runs in closed form and by the loop."""
+    """Steps of ``walk()``'s chunk runs in closed form and by the loop."""
     path = {"closed": 0, "loop": 0}
 
     def counted(mats, *args, read=lyapunov._axis_growth):

@@ -14,13 +14,17 @@ is digested.  Last, for each builtin scenario it digests the rows of its
 SUITE_SEEDS, one line per check: name, ``worst`` to 17 digits, threshold,
 pass and detail; and, per direction, the bytes of the ``values`` of
 ``nonlinear_exponent`` over WALK_STEPS steps from a block of WALK_ROWS
-starting points drawn with WALK_SEED, with the scenario's perturbation.  The
-result is one JSON object on stdout, keyed by ``configs/<name>.cfg/<file>``,
-``configs/<name>.cfg/stdout``, ``configs/<name>.cfg/exit``,
-``demos/<name>.py/stdout``, ``checks/<scenario>/self-test``,
-``checks/<scenario>/suite-<seed>`` and ``walks/<scenario>/<direction>``, so
-two versions give byte-identical outputs exactly when their objects are
-equal:
+starting points drawn with WALK_SEED, with the scenario's perturbation, and
+from a mixed block whose starting norms lie on both sides of the walks'
+switch to scaled rows, with the scenario's perturbation (rows turn scaled
+and back to plain, so plain and scaled rows step together) and with
+``Perturbation.zero`` (every row scaled).  The result is one JSON object on
+stdout, keyed by ``configs/<name>.cfg/<file>``, ``configs/<name>.cfg/stdout``,
+``configs/<name>.cfg/exit``, ``demos/<name>.py/stdout``,
+``checks/<scenario>/self-test``, ``checks/<scenario>/suite-<seed>``,
+``walks/<scenario>/<direction>`` and ``walks/<scenario>/<direction>/mixed``
+(``/mixed-zero``), so two versions give byte-identical outputs exactly when
+their objects are equal:
 
     diff <(PYTHONPATH=src python3 bench/output_digests.py) \\
          <(PYTHONPATH=../other/src python3 bench/output_digests.py)
@@ -45,7 +49,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from shadowrds import builtin_scenarios, cli, nonlinear_exponent  # noqa: E402
+from shadowrds import Perturbation, builtin_scenarios, cli, nonlinear_exponent  # noqa: E402
 from shadowrds.checks import run_invariant_suite, scenario_self_test  # noqa: E402
 from shadowrds.experiments import OUTPUT_DIR_ENV  # noqa: E402
 
@@ -55,6 +59,7 @@ DEMOS = sorted((_ROOT / "demos").glob("*.py"))
 SCENARIOS = None  # names of the builtins whose checks are digested (None: all)
 SUITE_SEEDS = (421, 7)  # run_invariant_suite's default seed and one other
 WALK_SEED, WALK_ROWS, WALK_STEPS = 5, 3, 2000  # the exponent walks' block and length
+MIXED_NORMS = (1e-3, 1.0, 1e29, 1e33)  # the mixed walks' random rows
 
 
 def _sha(data: bytes) -> str:
@@ -109,17 +114,42 @@ def check_digests(scenario) -> dict[str, str]:
     return out
 
 
+def _mixed_block(scenario) -> np.ndarray:
+    """Starting points on both sides of the walks' switch to scaled rows at
+    1e30: one random direction drawn with WALK_SEED per norm of MIXED_NORMS,
+    then rows of norm 1e31 along the base point's stable direction and,
+    where there is one, its unstable direction."""
+    dim = scenario.cocycle.dim
+    rows = np.random.default_rng(WALK_SEED).standard_normal((len(MIXED_NORMS), dim))
+    rows *= (np.array(MIXED_NORMS) / np.linalg.norm(rows, axis=1))[:, None]
+    stable = scenario.orbit().projector(0)
+    for p in (stable, np.eye(dim) - stable):
+        axis = p[:, np.argmax(np.linalg.norm(p, axis=0))]
+        if axis.any():
+            rows = np.vstack([rows, 1e31 * axis / np.linalg.norm(axis)])
+    return rows
+
+
 def walk_digests(scenario) -> dict[str, str]:
-    """Digests of one scenario's exponent walks, one per direction."""
+    """Digests of one scenario's exponent walks, per direction: the random
+    block with the scenario's perturbation, and the mixed block with it and
+    with ``Perturbation.zero``."""
     rng = np.random.default_rng(WALK_SEED)
     xs = rng.standard_normal((WALK_ROWS, scenario.cocycle.dim))
+    mixed = _mixed_block(scenario)
+    walks = {
+        "": (scenario.perturbation, xs),
+        "/mixed": (scenario.perturbation, mixed),
+        "/mixed-zero": (Perturbation.zero(scenario.cocycle.dim), mixed),
+    }
     out = {}
     for direction in ("forward", "backward"):
-        walks = nonlinear_exponent(
-            scenario.orbit(), scenario.perturbation, xs, direction, WALK_STEPS
-        )
-        values = b"".join(w.values.tobytes() for w in walks)
-        out[f"walks/{scenario.name}/{direction}"] = _sha(values)
+        for suffix, (perturbation, block) in walks.items():
+            results = nonlinear_exponent(
+                scenario.orbit(), perturbation, block, direction, WALK_STEPS
+            )
+            values = b"".join(w.values.tobytes() for w in results)
+            out[f"walks/{scenario.name}/{direction}{suffix}"] = _sha(values)
     return out
 
 

@@ -22,24 +22,27 @@ plus log of the norm) once the orbit norm passes 1e30.  In that regime the
 bounded perturbation changes the log of the norm by less than
 |f|_inf * |A^{-1}| / 1e30 < 1e-28 per step, far below the resolution of the
 estimate, so the linearized step is exact at working precision.  Orbits of
-moderate size are always stepped exactly, perturbation included.  A plain
-row's sum of squares underflows below about 1.5e-154, so a row measured
-below 2^-511 is measured again scaled by the power of two of its largest
-entry (``_scaled_row_norms``); only a row that is exactly zero ends a walk.
+moderate size are always stepped exactly, perturbation included.  A row's
+sum of squares leaves the float range below about 1.5e-154 and above about
+1.3e154, so plain norms and scaled growths outside [2^-511, 2^511] are
+measured again scaled by the power of two of the row's largest entry
+(``_scaled_row_norms``); only an exactly zero row or growth ends a walk.
 
 The sampled orbits of one direction share the base orbit, so
 ``nonlinear_exponent`` walks a (k, d) block of starting points in lock-step:
-each step is one batched product over the rows (one batched ``invert_step``
-backward), and each row switches between the plain and the scaled
-representation on its own, through a per-row flag.  Plain steps read the
-coefficient rows by orbit range, a chunk of steps at a time; scaled steps
-read none.  While every row is scaled the walk steps in chunks of one
-product, norm and divide per step, rolled back to the step where a row
-falls to the switch-back level.  A chunk takes a closed form instead when
-three things hold: every matrix of the walk is diagonal, every row's unit
-vector is a signed axis vector +-e_i, and each row's entries m = A[i, i]
-over the chunk are non-zero with m^2 a normal float.  The product is then
-+-m e_i exactly, its norm sqrt(fl(m^2)) = |m|, and the divide leaves sign(m)
+each step is one batched product over the plain rows (one batched
+``invert_step`` backward), and each row switches between the plain and the
+scaled representation on its own, through a per-row flag.  Plain steps read
+the coefficient rows by orbit range, a chunk of steps at a time; scaled
+steps read none.  Scaled rows advance only through chunk runs, of one step
+beside each plain step while any row is plain: one product, norm and divide
+per step, rolled back to the step where a row falls to the switch-back
+level.  A run ends before a growth out of [2^-511, 2^511], and a run that
+starts on one takes that step alone.  A chunk takes a closed form instead
+when three things hold: every matrix of the walk is diagonal, every row's
+unit vector is a signed axis vector +-e_i, and each row's entries
+m = A[i, i] over the chunk are non-zero with m^2 a normal float.  The
+product is then +-m e_i exactly, its norm sqrt(fl(m^2)) = |m|, and the divide leaves sign(m)
 times the unit, so a step's growth is one gathered |A[i, i]| and the unit's
 sign a running product; the loop's unit differs at most in the signs of its
 zeros, which no norm reads.  Every row is bit for bit the orbit it would
@@ -86,15 +89,16 @@ __all__ = [
 ]
 
 _BIG_NORM = 1e30
-#: Plain rows measured below this by ``_row_norms`` are measured again by
-#: ``_scaled_row_norms``: their squares may have underflowed.
+#: Plain norms and scaled growths outside [_TINY_NORM, _HUGE_NORM] are measured
+#: again by ``_scaled_row_norms``: their squares may have left the float range.
 _TINY_NORM = 2.0**-511
+_HUGE_NORM = 2.0**511
 _CONVERGENCE_SPREAD = 0.05
 _INVERSION_TOL = 1e-13  # of each backward step of a perturbed orbit
 _SPECIAL_MAX_ITER = 400  # iteration cap of the solve in find_special_point
 _FRAME_STEPS = 256  # QR steps of the backward frame in conservation_experiment
 
-#: Floats of scratch per chunk of an all-scaled walk run.  A step of k rows in
+#: Floats of scratch per chunk run of the walk.  A step of k rows in
 #: d dimensions holds k * (d + 1) of them (the rows' directions and growths),
 #: so the chunk shortens as the block widens.
 _WALK_SCRATCH = 1 << 11
@@ -234,7 +238,7 @@ class NonlinearExponent:
 def _axis_growth(
     mats: np.ndarray, diagonal: bool, unit: np.ndarray, out: np.ndarray
 ) -> np.ndarray | None:
-    """Closed form of an all-scaled chunk run over ``mats``, or None for the loop.
+    """Closed form of a chunk run over ``mats``, or None for the loop.
 
     It holds when the walk's block is ``diagonal`` and each row of ``unit`` is
     a signed axis vector +-e_i.  A step's product is then +-m e_i exactly, with
@@ -269,16 +273,15 @@ def _orbit_log_norms(
 
     Each row is plain (``vec``, stepped exactly) or scaled (a unit vector,
     stepped linearly, whose log norm is the row's last logged value); a pure
-    linear map starts every row scaled.  While every row is scaled, the walk
-    runs chunks of at most _WALK_SCRATCH floats: per step one product, one
-    norm and one divide into the chunk's buffers, or, when ``_axis_growth``
-    finds the block diagonal, every unit on an axis and each squared entry
-    normal, the closed form of the module docstring; then one cumulative sum
-    from the current log norms over the chunk's log growths.  With a non-zero
-    bound a chunk is rolled back to its first step where a row fell below
-    _BIG_NORM / e^2, and the walk goes on step by step from there.  A plain
-    step outside the coefficient rows held reads those of ``chunk`` steps.
-    Per-row logs use math.log, whose last bit np.log does not always match.
+    linear map starts every row scaled.  Scaled rows advance in the chunk
+    runs of the module docstring: one step while any row is plain, else at
+    most _WALK_SCRATCH floats.  A run steps every row's unit by the loop or
+    ``_axis_growth``'s closed form, then sets the plain rows' growths to 1,
+    so their stale units reach no test and no log, before one cumulative sum
+    over the chunk's log growths; the plain step then writes the plain rows'
+    logs.  A plain step outside the coefficient rows held reads those of
+    ``chunk`` steps.  Per-row logs use math.log, whose last bit np.log does
+    not always match.
     """
     _check_steps(steps)
     xs = np.asarray(xs, dtype=float)
@@ -303,90 +306,81 @@ def _orbit_log_norms(
     # its last logged value.
     logs = np.empty((steps + 1, k))
     logs[0] = [math.log(v) for v in norms.tolist()]
-    scaled = [pure_linear] * k
-
-    def split():
-        plain = [i for i in range(k) if not scaled[i]]
-        rows = [i for i in range(k) if scaled[i]]
-        return plain, rows, slice(None) if len(plain) == k else plain
-
-    def unscale(rows, n: int) -> bool:
-        """Switch the scaled rows whose log norm after n steps fell below
-        _BIG_NORM / e^2 back to plain; true when one did."""
-        low = [i for i in rows if logs[n, i] < log_low]
-        for i in low:
-            vec[i] = unit[i] * math.exp(logs[n, i])
-            scaled[i] = False
-        return bool(low)
+    scaled = np.full(k, pure_linear)
+    # The plain rows' indices, and their selection: every row when all are plain.
+    plain = np.flatnonzero(~scaled)
+    sel = slice(None) if len(plain) == k else plain
 
     cs, cs_lo = np.empty(0), 0  # cs[j] is the coefficient row of step cs_lo + j
-    plain, rows, sel = split()
     n = 0
     while n < steps:
-        if not plain:
-            c = min(chunk, steps - n)
+        c = 1 if len(plain) else min(chunk, steps - n)
+        switched = False
+        if len(plain) < k:
             grown = growth[:c, :, 0, 0]
-            signs = _axis_growth(mats[n:n + c], diagonal, unit, grown)
-            if signs is None:
-                with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                signs = _axis_growth(mats[n:n + c], diagonal, unit, grown)
+                if signs is None:
                     for m, u, w, wt, g in zip(mats[n:], units, units[1:], units_t[1:], growth[:c]):
                         np.matmul(m, u, out=w)
                         np.sqrt(np.matmul(wt, w, out=g), out=g)
                         np.divide(w, g, out=w)
-            ok = c if grown.all() else int(np.argmin(grown.all(axis=1)))
-            block = logs[n:n + ok + 1]
-            block[1:] = np.reshape(list(map(math.log, grown[:ok].ravel().tolist())), (ok, k))
+                grown[:, plain] = 1.0
+                if not _TINY_NORM <= grown.min() <= grown.max() <= _HUGE_NORM:
+                    c = int(np.argmin(((grown >= _TINY_NORM) & (grown <= _HUGE_NORM)).all(axis=1)))
+                if not c:  # a step out of the band, taken alone
+                    signs, c = None, 1
+                    w = np.matmul(mats[n], units[0], out=units[1])
+                    grown[0] = np.where(scaled, _scaled_row_norms(w[:, :, 0]), 1.0)
+                    if not grown[0].all():
+                        raise DegenerateOrbitError("scaled orbit direction collapsed")
+                    np.divide(w, growth[0], out=w)
+            block = logs[n:n + c + 1]
+            block[1:] = np.reshape(list(map(math.log, grown[:c].ravel().tolist())), (c, k))
             np.cumsum(block, axis=0, out=block)
-            low = () if pure_linear else np.flatnonzero((block[1:] < log_low).any(axis=1))
+            low = () if pure_linear else np.flatnonzero(
+                ((block[1:] < log_low) & scaled).any(axis=1))
             if len(low):
                 c = int(low[0]) + 1
-            elif ok < c:
-                raise DegenerateOrbitError("scaled orbit direction collapsed")
             if signs is None:
                 units[0] = units[c]
             else:
                 unit *= signs[:c].prod(axis=0)[:, None]
-            n += c
-            if len(low) and unscale(range(k), n):
-                plain, rows, sel = split()
-            continue
-        if not cs_lo <= n < cs_lo + len(cs):
-            cs_lo, hi = n, min(n + chunk, steps)
-            ns = np.arange(n, hi) if forward else np.arange(-hi, -n)
-            cs = orbit.evaluate(perturbation.coefficients, ns, "coefficients")
-            cs = cs if forward else cs[::-1]
-        m = mats[n]
-        x = vec[sel]
-        if forward:
-            new = np.matmul(m, x[:, :, None])[:, :, 0] + perturbation.kick(cs[n - cs_lo], x)
-        else:
-            new = invert_step(m, perturbation, cs[n - cs_lo], x, tol=_INVERSION_TOL)
-        nl = _row_norms(new).tolist()
-        if min(nl) < _TINY_NORM:
-            nl = _scaled_row_norms(new).tolist()
-        if 0.0 in nl:
-            raise DegenerateOrbitError(f"orbit norm vanished after {n + 1} steps")
-        vec[sel] = new
-        logs[n + 1, sel] = [math.log(v) for v in nl]
-        switched = False
-        if rows:
-            w = np.matmul(m, unit[rows][:, :, None])[:, :, 0]
-            gl = _row_norms(w).tolist()
-            if 0.0 in gl:
-                raise DegenerateOrbitError("scaled orbit direction collapsed")
-            for j, i in enumerate(rows):
-                logs[n + 1, i] = logs[n, i] + math.log(gl[j])
-                unit[i] = w[j] / gl[j]
-            switched = unscale(rows, n + 1)
-        if max(nl) > _BIG_NORM:
-            for j, i in enumerate(plain):
-                if nl[j] > _BIG_NORM:
-                    unit[i] = new[j] / nl[j]
-                    scaled[i] = True
-            switched = True
-        n += 1
+            if len(low):
+                for i in np.flatnonzero(scaled & (logs[n + c] < log_low)).tolist():
+                    vec[i] = unit[i] * math.exp(logs[n + c, i])
+                    scaled[i] = False
+                switched = True
+        if len(plain):
+            if not cs_lo <= n < cs_lo + len(cs):
+                cs_lo, hi = n, min(n + chunk, steps)
+                ns = np.arange(n, hi) if forward else np.arange(-hi, -n)
+                cs = orbit.evaluate(perturbation.coefficients, ns, "coefficients")
+                cs = cs if forward else cs[::-1]
+            m = mats[n]
+            x = vec[sel]
+            if forward:
+                new = np.matmul(m, x[:, :, None])[:, :, 0] + perturbation.kick(cs[n - cs_lo], x)
+            else:
+                new = invert_step(m, perturbation, cs[n - cs_lo], x, tol=_INVERSION_TOL)
+            nl = _row_norms(new).tolist()
+            top = max(nl)
+            if min(nl) < _TINY_NORM or top > _HUGE_NORM:
+                nl = _scaled_row_norms(new).tolist()
+                top = max(nl)
+            if 0.0 in nl:
+                raise DegenerateOrbitError(f"orbit norm vanished after {n + 1} steps")
+            vec[sel] = new
+            logs[n + 1, sel] = [math.log(v) for v in nl]
+            if top > _BIG_NORM:
+                big = np.greater(nl, _BIG_NORM)
+                unit[plain[big]] = new[big] / np.array(nl)[big, None]
+                scaled[plain[big]] = True
+                switched = True
+        n += c
         if switched:
-            plain, rows, sel = split()
+            plain = np.flatnonzero(~scaled)
+            sel = slice(None) if len(plain) == k else plain
     return logs[1:]
 
 
@@ -440,7 +434,6 @@ class SpecialPointResult:
     point: np.ndarray
     orbit: WindowSequence
     result: ShadowingResult
-    adapted_margins: np.ndarray
     bound_ok: bool
 
 
@@ -453,8 +446,8 @@ def find_special_point(
 
     Requires the perturbation to carry a uniform bound not exceeding
     delta(n) / (4 K(sigma^n w)) on the window; the zero sequence is then an
-    admissible pseudo-orbit for the halved weights and the returned orbit
-    satisfies |x_n| (adapted) <= L delta(n) / 2.
+    admissible pseudo-orbit for the halved weights, and ``bound_ok`` is the
+    solve's check that the returned orbit satisfies |x_n| <= L delta(n) / 2.
     """
     pert = prob.perturbation
     if pert.bound is None:
@@ -471,13 +464,11 @@ def find_special_point(
         weights=prob.weights.scaled(0.5),
     )
     res = solve(zero_prob, tol=tol, max_iter=_SPECIAL_MAX_ITER)
-    margins = res.shadow_bound * zero_prob.weights.values - _row_norms(res.orbit.values)
     return SpecialPointResult(
         point=res.orbit.value_at(0).copy(),
         orbit=res.orbit,
         result=res,
-        adapted_margins=margins,
-        bound_ok=bool(np.all(margins >= -1e-9)),
+        bound_ok=res.shadow_ok,
     )
 
 

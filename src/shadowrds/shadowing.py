@@ -458,6 +458,10 @@ def make_weight(kind: str, window: Window, *, scale: float = 1.0,
     if kind == "exponential":
         if rate is None or rate < 0:
             raise ValueError("exponential weights need a nonnegative rate")
+        top = math.log(np.finfo(float).max) / rate if rate else math.inf
+        if max(-window.n_min, window.n_max) > top:
+            raise ValueError(f"exponential weights at rate {rate:g} are finite only up to "
+                             f"half-width {math.floor(top)}")
         return WeightSequence(window, np.exp(rate * np.abs(ns)), math.exp(rate))
     if kind == "polynomial":
         return WeightSequence(window, (np.abs(ns) + 1).astype(float), 2.0)

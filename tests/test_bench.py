@@ -126,9 +126,10 @@ def test_output_digests_cover_config_files_and_demo_stdout(monkeypatch, capsys):
     for name in checks:
         assert len(out[name]) == 64, name
     assert out[checks[1]] != out[checks[2]]  # the seeds draw different rows
-    walks = [f"walks/remark-scalar/{direction}" for direction in ("forward", "backward")]
+    walks = [f"walks/remark-scalar/{direction}{suffix}" for direction in ("forward", "backward")
+             for suffix in ("", "/mixed", "/mixed-zero")]
     for name in walks:
         assert len(out[name]) == 64, name
-    assert out[walks[0]] != out[walks[1]]
+    assert len(set(out[name] for name in walks)) == len(walks)
     assert len(out) == 6 + len(checks) + len(walks)
     assert "SHADOW_RDS_OUT" not in os.environ  # restored after the config run

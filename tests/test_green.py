@@ -89,6 +89,16 @@ def test_make_weight_families():
     assert poly.ratio_bound == 2.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_exponential_weights_name_their_float_limit():
+    # e^{0.15 n} is finite up to n = 4731 (e^709.65) and overflows at 4732.
+    top = make_weight("exponential", Window.symmetric(4731), rate=0.15)
+    assert np.isfinite(top.values).all() and top.value_at(4731) > 1e308
+    for window in (Window.symmetric(4732), Window(-4732, 0), Window(-1, 6000)):
+        with pytest.raises(ValueError, match="rate 0.15 are finite only up to half-width 4731$"):
+            make_weight("exponential", window, rate=0.15)
+
+
 def test_green_zero_maps_to_zero(scenarios):
     sc = scenarios["uniform-diag"]
     z = WindowSequence.zeros(Window(-6, 6), 2)

@@ -309,6 +309,7 @@ def test_csv_float_format_full_precision(tmp_path):
         # N // 2 = 0: no exponent is defined at the half-way point.
         ("scenario = uniform-diag\nexperiment = lyapunov\nsteps = 1\nsamples = 0\n", 2),
         ("scenario = uniform-diag\nwindow = 1100\n", 2),  # the orbit overflows
+        ("scenario = uniform-rot-coupled\nwindow = 4732\n", 2),  # the weights overflow
         ("scenario = uniform-diag\nmax_iter = 1\n", 1),  # no convergence
         ("scenario = uniform-diag\nmax_iter = 0\n", 2),
         ("scenario = remark-scalar\nexperiment = lyapunov\nsamples = -3\n", 2),

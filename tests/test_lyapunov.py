@@ -1,4 +1,5 @@
 import math
+from contextlib import nullcontext
 from dataclasses import fields, is_dataclass, replace
 from unittest import mock
 
@@ -95,7 +96,7 @@ def _reference_orbit_log_norms(perturbation, cache, x, forward, steps, plain=Non
                 scaled = True
         else:
             w = (cache.matrix(t) if forward else cache.inverse(t)) @ unit
-            growth = float(np.linalg.norm(w))
+            growth = _scaled_norm(w)
             if growth == 0.0:
                 raise DegenerateOrbitError("scaled orbit direction collapsed")
             lognorm += math.log(growth)
@@ -189,15 +190,13 @@ def test_lock_step_walk_errors_keep_types_and_messages():
         return _shift_orbit(lambda offset: scale)
 
     # A nonzero bound keeps the rows plain; 1e-100 to the 4th power is 0.0.
+    # 5e-324 times a unit vector of 5 entries 5^-1/2 < 1/2 is exactly 0.0.
     plain = Perturbation(lambda p: (), lambda cs, x: np.zeros(np.shape(x)), 0.0, bound=1e-300)
     cases = [
         (orbit(1e-100), plain, [[1.0], [0.0]], 1, "starting point has zero norm"),
         (orbit(1e-100), plain, [[1.0], [2.0]], 0, "orbit norm vanished after 4 steps"),
-        (orbit(1e-200), Perturbation.zero(1), [[1.0], [2.0]], 0,
-         "scaled orbit direction collapsed"),
-        # The growth vanishes at step 6, inside a chunk run of the linear walk.
-        (_shift_orbit(lambda offset: 1e-200 if offset == 5 else 0.5), Perturbation.zero(1),
-         [[1.0], [2.0]], 0, "scaled orbit direction collapsed"),
+        (_offset_orbit(lambda offset: np.eye(5) * (5e-324 if offset == 5 else 0.5)),
+         Perturbation.zero(5), [[1.0] * 5, [-2.0] * 5], 0, "scaled orbit direction collapsed"),
     ]
     for cache, pert, xs, row, message in cases:
         xs = np.array(xs)
@@ -206,6 +205,11 @@ def test_lock_step_walk_errors_keep_types_and_messages():
                 _chunked_walk(pert, cache, xs, True, 10, chunk)
         with pytest.raises(DegenerateOrbitError, match=message):
             _reference_orbit_log_norms(pert, cache, xs[row], True, 10)
+    # A growth of 1e-200 is not zero: the walk goes on, at every step and at
+    # one step inside a chunk run of the linear walk.
+    for cache in (orbit(1e-200), _shift_orbit(lambda offset: 1e-200 if offset == 5 else 0.5)):
+        _assert_walks_like_per_vector(Perturbation.zero(1), cache, np.array([[1.0], [2.0]]),
+                                      True, 10)
 
 
 @pytest.mark.filterwarnings("error")
@@ -242,8 +246,8 @@ def test_rollback_ahead_of_a_vanishing_growth_walks_on():
 
 
 def _walk_paths(pert, cache, xs, forward, steps, chunk):
-    """``_chunked_walk`` plus the steps its all-scaled chunk runs computed in
-    closed form and by the per-step loop."""
+    """``_chunked_walk`` plus the steps its chunk runs computed in closed form
+    and by the per-step loop."""
     paths = {"closed": 0, "loop": 0}
 
     def counted(mats, *args, read=lyapunov._axis_growth):
@@ -339,23 +343,31 @@ def test_one_off_diagonal_entry_keeps_the_loop(position):
             assert paths == {"closed": 0, "loop": 100}
 
 
-def test_diagonal_entry_with_a_square_out_of_the_normal_range_keeps_the_loop():
-    # 1e-160 squares to a subnormal and 1e-170 to 0, 1e200 overflows: the
-    # chunk holding that step runs the loop, with the loop's warnings and
-    # errors.
-    xs = np.array([[1.0], [-2.0]])
-    cache = _shift_orbit(lambda offset: 1e-160 if offset == 5 else 0.5)
-    paths = _assert_walks_like_per_vector(Perturbation.zero(1), cache, xs, True, 40)[1]
-    assert paths["closed"] > 0 and paths["loop"] > 0
-    for entry, warns in ((1e-170, None), (1e200, "overflow")):
-        cache = _shift_orbit(lambda offset: entry if offset == 5 else 0.5)
-        for chunk in _CHUNKS:
-            with pytest.raises(DegenerateOrbitError, match="scaled orbit direction collapsed"):
-                if warns is None:
-                    _chunked_walk(Perturbation.zero(1), cache, xs, True, 10, chunk)
-                else:
-                    with pytest.warns(RuntimeWarning, match=warns):
-                        _chunked_walk(Perturbation.zero(1), cache, xs, True, 10, chunk)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [1e-160, 1e-170, 1e-200, 1e-300, 1e200])
+@pytest.mark.parametrize("pert", [Perturbation.zero(1), _ZERO_KICK], ids=["scaled", "plain"])
+def test_diagonal_entry_with_a_square_out_of_the_normal_range_keeps_the_loop(entry, pert):
+    # 1e-160 squares to a subnormal, 1e-170 and below to 0, 1e200 overflows.
+    # A scaled row's chunk holding that step runs the loop and ends before
+    # it; the step is then taken alone and measured scaled.  A plain row is
+    # measured again scaled, and at 1e200 it turns scaled.  Under the bound
+    # the row of 1e40 turns scaled at step 1, so its step out of the band is
+    # a one-step run beside the plain rows, and below 1e200 it turns plain
+    # after it.  Every walk keeps the exact log sums: it is bit for bit the
+    # per-vector walk, which is compared with them.
+    xs = np.array([[1.0], [-2.0], [1e40]])
+    cache = _shift_orbit(lambda offset: entry if offset == 5 else 0.5)
+    # Only the plain step's first measure of a row past 2^511 warns.
+    overflow = pert.bound and entry > 1.0
+    with pytest.warns(RuntimeWarning, match="overflow") if overflow else nullcontext():
+        paths = _assert_walks_like_per_vector(pert, cache, xs, True, 40)
+    if not pert.bound:
+        assert paths[1]["closed"] > 0 and paths[1]["loop"] > 0
+    # Twelve steps keep every plain row a normal float.
+    ns = np.arange(1, 13)[:, None]
+    want = np.log([1.0, 2.0, 1e40]) + np.log(0.5) * (ns - (ns > 5)) + np.log(entry) * (ns > 5)
+    got = np.column_stack([_reference_orbit_log_norms(pert, cache, x, True, 12) for x in xs])
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 def test_nonlinear_exponent_returns_one_result_per_row(scenarios):
