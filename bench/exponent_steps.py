@@ -11,7 +11,11 @@ For each builtin scenario it times, over STEPS orbit indices:
   stepping), per index;
 - ``fill_us``: one range read of the matrices on a new orbit segment (one
   call of the generator's range form, or one generator call per index when
-  it has none, then one stacked condition check), per index;
+  it has none, then one stacked conditioning check), per index;
+- ``check_us``: that conditioning check alone (``_check_invertible``: the
+  determinant certificate, and ``np.linalg.cond`` for the matrices it does
+  not admit) on the filled block, per matrix, so ``fill_us - check_us`` is
+  the generator's share;
 - ``inverse_us``: one range read of the inverses once the matrices are held
   (one stacked inverse), per index;
 - ``projector_us``: one range read of the projectors on a new orbit segment
@@ -25,8 +29,8 @@ For each builtin scenario it times, over STEPS orbit indices:
   (``linear_exponents_and_half``) on a filled segment, per step, on the path
   the scenario's matrices take (``qr_path``: ``triangular`` for the
   cumulative log-diagonal sum, ``lapack`` for the per-step loop);
-- ``qr_lapack_us``: the per-step ``_positive_qr`` loop over the same
-  matrices, per step, whichever path the sweep takes;
+- ``qr_lapack_us``: the LAPACK loop (``_qr_loop``: one factorization per
+  step) over the same matrices, per step, whichever path the sweep takes;
 - ``walk_us``: the lock-step walk of the perturbed exponents on a filled
   segment, per step of the whole block, for blocks of K_VALUES rows and both
   directions;
@@ -35,9 +39,9 @@ For each builtin scenario it times, over STEPS orbit indices:
 - ``walk_path`` / ``walk_linear_path``: for the same walks, the steps their
   chunk runs computed in closed form (``closed``: a diagonal block with every
   row on an axis) and by the per-step loop (``loop``), counted on one
-  untimed walk.  The one-step runs beside the plain steps of a block with
-  plain and scaled rows are counted too, and so are the steps that a
-  rollback or a growth out of the float's normal range discards.
+  untimed walk.  The runs beside the plain runs of a block with plain and
+  scaled rows are counted too, and so are the steps that a rollback, a plain
+  row's switch or a growth out of the float's normal range discards.
 
 For scenarios with a layering it also times ``envelope_us``: one
 ``TemperedEnvelope.bound`` call at a freshly sampled base point (a new orbit
@@ -66,6 +70,7 @@ import numpy as np  # noqa: E402
 
 import shadowrds  # noqa: E402
 from shadowrds import lyapunov  # noqa: E402
+from shadowrds.cocycle import _check_invertible  # noqa: E402
 from shadowrds.lyapunov import (  # noqa: E402
     _is_upper_triangular,
     _orbit_log_norms,
@@ -118,6 +123,8 @@ def _scenario_row(sc) -> dict:
         orbit.matrices(-STEPS, 0)
         return orbit
 
+    block, ns = np.array(filled().matrices(-STEPS, 0)), np.arange(-STEPS, 0)
+    check_us = _median_us(lambda _: _check_invertible(block, ns), STEPS)
     inverse_us = _median_us(lambda orbit: orbit.inverses(-STEPS, 0), STEPS, setup=filled)
     projector_us = _median_us(lambda orbit: orbit.projectors(-STEPS, 0), STEPS, setup=sc.orbit)
     bound_us = _median_us(lambda orbit: orbit.bounds(-STEPS, 0), STEPS, setup=sc.orbit)
@@ -159,6 +166,7 @@ def _scenario_row(sc) -> dict:
         "d": dim,
         "point_us": point_us,
         "fill_us": fill_us,
+        "check_us": check_us,
         "inverse_us": inverse_us,
         "projector_us": projector_us,
         "bound_us": bound_us,

@@ -176,17 +176,37 @@ class CocycleSystem:
 
 def _check_invertible(mats: np.ndarray, ns: np.ndarray) -> None:
     """Reject the first matrix of a stack (at orbit indices ``ns``) that is
-    non-finite or whose condition number exceeds COND_LIMIT."""
+    non-finite or whose condition number exceeds COND_LIMIT.
+
+    A finite matrix B is admitted without an SVD when the bound
+    d/2 log |B|_F^2 - log |det B| <= log(COND_LIMIT / 4) holds: with
+    sigma_min >= |det B| / sigma_max^(d-1) and sigma_max <= |B|_F it is at
+    least log cond_2(B), and the factor 4 covers the round-off of both
+    sides.  B is scaled first by the power of two of its largest |entry|
+    (the rule of ``_scaled``), so neither side leaves the float range.
+    Every other matrix takes the ``np.linalg.cond`` test.
+    """
+    dim = mats.shape[1]
     finite = np.isfinite(mats).all(axis=(1, 2))
-    conds = np.linalg.cond(np.where(finite[:, None, None], mats, np.eye(mats.shape[1])))
-    bad = np.flatnonzero(~(finite & (conds <= COND_LIMIT)))
+    safe = mats if finite.all() else np.where(finite[:, None, None], mats, np.eye(dim))
+    _, exps = np.frexp(np.max(np.abs(safe), axis=(1, 2)))
+    unit = np.ldexp(safe, -exps[:, None, None])
+    sign, logdet = np.linalg.slogdet(unit)
+    squares = np.einsum("nij,nij->n", unit, unit)
+    with np.errstate(divide="ignore", invalid="ignore"):  # only a zero matrix
+        bound = 0.5 * dim * np.log(squares) - logdet
+    rest = np.flatnonzero(~(finite & (sign != 0) & (bound <= math.log(COND_LIMIT / 4))))
+    if not rest.size:
+        return
+    conds = np.linalg.cond(safe[rest])
+    bad = np.flatnonzero(~(finite[rest] & (conds <= COND_LIMIT)))
     if bad.size:
-        i = int(bad[0])
+        i = int(rest[bad[0]])
         if not finite[i]:
             raise ValueError("generator returned non-finite entries")
         n = int(ns[i])
         raise SingularityError(
-            f"generator matrix at orbit index {n} has condition number {conds[i]:.3e}"
+            f"generator matrix at orbit index {n} has condition number {conds[bad[0]]:.3e}"
             f" (limit {COND_LIMIT:.0e})",
             index=n,
         )
@@ -304,9 +324,10 @@ class OrbitCache:
     n+1 and unstable ones from n+1 to n.  ``matrix(n)``, ``inverse(n)``,
     ``projector(n)`` and ``bound(n)`` read one entry.  A read fills only its
     missing entries with one ``evaluate`` of the generator, projector or
-    bound, then one stacked ``np.linalg.cond`` over new matrices (the
-    finiteness and COND_LIMIT check; a SingularityError names the lowest bad
-    index of the fill), the K > 0 check over new bounds, and one stacked
+    bound, then the finiteness and COND_LIMIT check over new matrices (one
+    stacked determinant certificate, ``np.linalg.cond`` only for the matrices
+    it does not admit; a SingularityError names the lowest bad index of the
+    fill), the K > 0 check over new bounds, and one stacked
     ``np.linalg.inv`` or ``np.matmul`` for inverses and maps.  A read more than
     _SPAN_LIMIT indices away from a block replaces it.  Base points are not
     stored: ``point(n)`` computes sigma^n w, an exact step.

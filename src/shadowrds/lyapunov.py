@@ -9,7 +9,9 @@ triangular with diagonal ``m_ii * q_ii``, so the running sums are one
 cumulative sum of ``log |m_ii|`` and the last ``q`` is one factorization of
 the last matrix times the accumulated signs.  Both match the per-step loop
 bit for bit, signed zeros of ``q`` included, which the tests check against
-the loop; every other block runs the loop.
+the loop; every other block runs the loop.  The loop keeps one factorization
+per step, whose ``q`` takes the signs of R's diagonal, and takes the logs
+and running sums of all |r_ii| once after it.
 
 For the perturbed cocycle the forward and backward exponents at a point are
 limsups of (1/n) log |orbit|; the finite surrogate used here is the maximum
@@ -29,25 +31,28 @@ measured again scaled by the power of two of the row's largest entry
 (``_scaled_row_norms``); only an exactly zero row or growth ends a walk.
 
 The sampled orbits of one direction share the base orbit, so
-``nonlinear_exponent`` walks a (k, d) block of starting points in lock-step:
-each step is one batched product over the plain rows (one batched
-``invert_step`` backward), and each row switches between the plain and the
-scaled representation on its own, through a per-row flag.  Plain steps read
-the coefficient rows by orbit range, a chunk of steps at a time; scaled
-steps read none.  Scaled rows advance only through chunk runs, of one step
-beside each plain step while any row is plain: one product, norm and divide
-per step, rolled back to the step where a row falls to the switch-back
-level.  A run ends before a growth out of [2^-511, 2^511], and a run that
-starts on one takes that step alone.  A chunk takes a closed form instead
-when three things hold: every matrix of the walk is diagonal, every row's
-unit vector is a signed axis vector +-e_i, and each row's entries
-m = A[i, i] over the chunk are non-zero with m^2 a normal float.  The
-product is then +-m e_i exactly, its norm sqrt(fl(m^2)) = |m|, and the divide leaves sign(m)
-times the unit, so a step's growth is one gathered |A[i, i]| and the unit's
-sign a running product; the loop's unit differs at most in the signs of its
-zeros, which no norm reads.  Every row is bit for bit the orbit it would
-trace when walked alone, so ``conservation_experiment`` walks one block per
-direction.
+``nonlinear_exponent`` walks a (k, d) block of starting points in lock-step,
+and each row switches between the plain and the scaled representation on its
+own, through a per-row flag.  Both kinds advance in chunk runs.  A plain run
+steps the plain rows exactly, one batched product plus kick per step (one
+batched ``invert_step`` backward) with the coefficient rows read by orbit
+range, and measures all its steps with one norm call; plain runs double in
+length from one step up to the chunk.  A block ends at the first step where
+a plain row passes _BIG_NORM, and the run's later steps of the other rows
+are kept for the next blocks.  Scaled steps read no coefficients.  A scaled
+run takes one product, norm and divide per step, rolled back to the step
+where a row falls to the switch-back level; it ends before a growth out of
+[2^-511, 2^511], and a run that starts on one takes that step alone.  The
+block commits both kinds at the earlier end.  A scaled run takes a closed
+form instead when three things hold: every matrix of the walk is diagonal,
+every row's unit vector is a signed axis vector +-e_i, and each row's
+entries m = A[i, i] over the run are non-zero with m^2 a normal float.  The
+product is then +-m e_i exactly, its norm sqrt(fl(m^2)) = |m|, and the
+divide leaves sign(m) times the unit, so a step's growth is one gathered
+|A[i, i]| and the unit's sign a running product; the loop's unit differs at
+most in the signs of its zeros, which no norm reads.  Every row is bit for
+bit the orbit it would trace when walked alone, so
+``conservation_experiment`` walks one block per direction.
 """
 
 from __future__ import annotations
@@ -99,8 +104,9 @@ _SPECIAL_MAX_ITER = 400  # iteration cap of the solve in find_special_point
 _FRAME_STEPS = 256  # QR steps of the backward frame in conservation_experiment
 
 #: Floats of scratch per chunk run of the walk.  A step of k rows in
-#: d dimensions holds k * (d + 1) of them (the rows' directions and growths),
-#: so the chunk shortens as the block widens.
+#: d dimensions holds k * (d + 1) of them (the rows' directions and growths;
+#: a plain run's rows take k * d more), so the chunk shortens as the block
+#: widens.
 _WALK_SCRATCH = 1 << 11
 
 
@@ -128,13 +134,20 @@ def _check_steps(steps: int) -> None:
 
 
 def _qr_loop(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Repeated QR of the (N, d, d) block ``mats`` by LAPACK, one ``_positive_qr`` per matrix."""
+    """Repeated QR of the (N, d, d) block ``mats`` by LAPACK: per matrix one
+    factorization of ``m @ q``, whose R diagonal is kept and whose q takes its
+    signs, then one zero test, log and running sum over all diagonals.  The
+    positive diagonal of ``_positive_qr`` is r_ii sign(r_ii) = |r_ii| exactly,
+    so the sums and the last q are those of one ``_positive_qr`` per matrix."""
     q = np.eye(mats.shape[-1])
-    logs = np.empty(mats.shape[:2])
+    diags = np.empty(mats.shape[:2])
     for k, m in enumerate(mats):
-        q, r = _positive_qr(m @ q)
-        logs[k] = np.log(np.diagonal(r))
-    return q, np.cumsum(logs, axis=0)
+        q, r = np.linalg.qr(m @ q)
+        diag = diags[k] = np.diagonal(r)
+        q *= np.sign(diag)
+    if not diags.all():
+        raise NumericalBreakdownError("zero diagonal entry in QR factor")
+    return q, np.cumsum(np.log(np.abs(diags)), axis=0)
 
 
 def _is_upper_triangular(mats: np.ndarray) -> bool:
@@ -261,6 +274,42 @@ def _axis_growth(
     return np.sign(m)
 
 
+def _plain_run(
+    perturbation: Perturbation,
+    mats: np.ndarray,
+    cs: np.ndarray,
+    forward: bool,
+    run: np.ndarray,
+) -> tuple[np.ndarray, Exception | None]:
+    """Step the plain rows run[0] (k_plain, d) by F (or F^{-1}) with the
+    matrices ``mats`` and coefficient rows ``cs`` of the run's steps into
+    run[1:], and measure them: the (steps, k_plain) norms of run[1:] and
+    None, or those before the first step that raised, and its error.
+
+    Numpy's overflow and invalid warnings are off, and an error is returned,
+    not raised: a step past a row's switch to scaled may leave the float
+    range or fail, and the walk raises the error only when it gets there.
+    """
+    done, error = len(mats), None
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for j, (m, row) in enumerate(zip(mats, cs)):
+                x = run[j]
+                if forward:
+                    np.add(np.matmul(m, x[:, :, None])[:, :, 0], perturbation.kick(row, x),
+                           out=run[j + 1])
+                else:
+                    run[j + 1] = invert_step(m, perturbation, row, x, tol=_INVERSION_TOL)
+        except Exception as exc:  # handed to the walk, see the docstring
+            done, error = j, exc
+        rows = run[1:done + 1].reshape(-1, run.shape[-1])
+        norms = _row_norms(rows)
+    far = np.flatnonzero((norms < _TINY_NORM) | (norms > _HUGE_NORM))
+    if far.size:
+        norms[far] = _scaled_row_norms(rows[far])
+    return norms.reshape(done, run.shape[1]), error
+
+
 def _orbit_log_norms(
     perturbation: Perturbation,
     orbit: OrbitCache,
@@ -273,15 +322,27 @@ def _orbit_log_norms(
 
     Each row is plain (``vec``, stepped exactly) or scaled (a unit vector,
     stepped linearly, whose log norm is the row's last logged value); a pure
-    linear map starts every row scaled.  Scaled rows advance in the chunk
-    runs of the module docstring: one step while any row is plain, else at
-    most _WALK_SCRATCH floats.  A run steps every row's unit by the loop or
-    ``_axis_growth``'s closed form, then sets the plain rows' growths to 1,
-    so their stale units reach no test and no log, before one cumulative sum
-    over the chunk's log growths; the plain step then writes the plain rows'
-    logs.  A plain step outside the coefficient rows held reads those of
-    ``chunk`` steps.  Per-row logs use math.log, whose last bit np.log does
-    not always match.
+    linear map starts every row scaled.  The walk goes in blocks of at most
+    ``chunk`` steps (_WALK_SCRATCH floats), within the coefficient rows
+    held; a plain step outside them reads those of ``chunk`` steps.  Unless
+    steps of an earlier run are held, the plain rows take the block's steps
+    into a (c + 1, k_plain, d) buffer, each one product plus kick (one
+    ``invert_step`` backward), and one ``_row_norms`` measures them all,
+    norms out of [_TINY_NORM, _HUGE_NORM] again scaled.  Such a run takes at
+    most one step more than the plain rows walked since a row last turned
+    plain, so the runs double up to ``chunk`` and the steps a walk computes
+    past its last plain one are no more than its plain steps.  The block
+    ends at the first step where a plain row vanishes or passes _BIG_NORM.
+    The scaled run then steps every row's unit by the loop or
+    ``_axis_growth``'s closed form and sets the plain rows' growths to 1, so
+    their stale units reach no test and no log, before one cumulative sum
+    over the log growths; it ends the block earlier where the module
+    docstring says.  Both kinds commit at the block's end, and the plain
+    run's later steps are held for the rows still plain until a row turns
+    plain.  A plain step past a block's end may leave the float range
+    (numpy's overflow and invalid warnings are off in the run) or raise, and
+    its error is raised only when a block reaches it.  Per-row logs use
+    math.log, whose last bit np.log does not always match.
     """
     _check_steps(steps)
     xs = np.asarray(xs, dtype=float)
@@ -302,6 +363,7 @@ def _orbit_log_norms(
     unit = units[0, :, :, 0]
     unit[:] = xs / norms[:, None]
     vec = xs.copy()
+    scratch = np.empty((chunk + 1) * k * dim)  # the plain runs' buffer
     # logs[n] holds the log norms after n steps; a scaled row's log norm is
     # its last logged value.
     logs = np.empty((steps + 1, k))
@@ -312,10 +374,40 @@ def _orbit_log_norms(
     sel = slice(None) if len(plain) == k else plain
 
     cs, cs_lo = np.empty(0), 0  # cs[j] is the coefficient row of step cs_lo + j
+    # The plain run: run[j] holds the plain rows j steps past its start, and
+    # run_norms[j] the norms of run[j + 1]; the ``held`` steps past n start
+    # at run[at].  They outlive a row's switch to scaled, not one to plain.
+    # ``since`` is the step where a row last turned plain.
+    held = at = since = 0
     n = 0
     while n < steps:
-        c = 1 if len(plain) else min(chunk, steps - n)
-        switched = False
+        c = min(chunk, steps - n)
+        fail = None  # the error of the block's step c, if it gets there
+        if len(plain):
+            if not cs_lo <= n < cs_lo + len(cs):
+                cs_lo, hi = n, min(n + chunk, steps)
+                ns = np.arange(n, hi) if forward else np.arange(-hi, -n)
+                cs = orbit.evaluate(perturbation.coefficients, ns, "coefficients")
+                cs = cs if forward else cs[::-1]
+            if not held:
+                at, j = 0, n - cs_lo
+                held = min(c, len(cs) - j, n - since + 1)
+                run = scratch[:(held + 1) * len(plain) * dim].reshape(held + 1, len(plain), dim)
+                run[0] = vec[sel]
+                run_norms, fail = _plain_run(perturbation, mats[n:n + held], cs[j:j + held],
+                                             forward, run)
+                held = len(run_norms)
+            c = min(c, held)
+            hit = np.flatnonzero(((run_norms[at:at + c] == 0.0)
+                                  | (run_norms[at:at + c] > _BIG_NORM)).any(axis=1))
+            if hit.size:
+                c = int(hit[0]) + 1
+                fail = None if run_norms[at + c - 1].all() else DegenerateOrbitError(
+                    f"orbit norm vanished after {n + c} steps")
+            elif fail is not None:
+                c += 1
+        plain_end = c
+        signs, low = None, ()
         if len(plain) < k:
             grown = growth[:c, :, 0, 0]
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -338,45 +430,34 @@ def _orbit_log_norms(
             block = logs[n:n + c + 1]
             block[1:] = np.reshape(list(map(math.log, grown[:c].ravel().tolist())), (c, k))
             np.cumsum(block, axis=0, out=block)
-            low = () if pure_linear else np.flatnonzero(
-                ((block[1:] < log_low) & scaled).any(axis=1))
+            if not pure_linear:
+                low = np.flatnonzero(((block[1:] < log_low) & scaled).any(axis=1))
             if len(low):
                 c = int(low[0]) + 1
-            if signs is None:
-                units[0] = units[c]
-            else:
-                unit *= signs[:c].prod(axis=0)[:, None]
-            if len(low):
-                for i in np.flatnonzero(scaled & (logs[n + c] < log_low)).tolist():
-                    vec[i] = unit[i] * math.exp(logs[n + c, i])
-                    scaled[i] = False
-                switched = True
+        if fail is not None and c == plain_end:
+            raise fail
+        if signs is None:
+            units[0] = units[c]
+        else:
+            unit *= signs[:c].prod(axis=0)[:, None]
+        switched = False
         if len(plain):
-            if not cs_lo <= n < cs_lo + len(cs):
-                cs_lo, hi = n, min(n + chunk, steps)
-                ns = np.arange(n, hi) if forward else np.arange(-hi, -n)
-                cs = orbit.evaluate(perturbation.coefficients, ns, "coefficients")
-                cs = cs if forward else cs[::-1]
-            m = mats[n]
-            x = vec[sel]
-            if forward:
-                new = np.matmul(m, x[:, :, None])[:, :, 0] + perturbation.kick(cs[n - cs_lo], x)
-            else:
-                new = invert_step(m, perturbation, cs[n - cs_lo], x, tol=_INVERSION_TOL)
-            nl = _row_norms(new).tolist()
-            top = max(nl)
-            if min(nl) < _TINY_NORM or top > _HUGE_NORM:
-                nl = _scaled_row_norms(new).tolist()
-                top = max(nl)
-            if 0.0 in nl:
-                raise DegenerateOrbitError(f"orbit norm vanished after {n + 1} steps")
+            nl, new = run_norms[at:at + c], run[at + c]
             vec[sel] = new
-            logs[n + 1, sel] = [math.log(v) for v in nl]
-            if top > _BIG_NORM:
-                big = np.greater(nl, _BIG_NORM)
-                unit[plain[big]] = new[big] / np.array(nl)[big, None]
+            logs[n + 1:n + c + 1, sel] = np.reshape(
+                list(map(math.log, nl.ravel().tolist())), (c, len(plain)))
+            held, at = held - c, at + c
+            big = nl[-1] > _BIG_NORM
+            if big.any():
+                unit[plain[big]] = new[big] / nl[-1, big, None]
                 scaled[plain[big]] = True
+                run, run_norms = run[:, ~big], run_norms[:, ~big]
                 switched = True
+        if len(low) and c > low[0]:  # rows fall back to plain; the plain run starts anew
+            for i in np.flatnonzero(scaled & (logs[n + c] < log_low)).tolist():
+                vec[i] = unit[i] * math.exp(logs[n + c, i])
+                scaled[i] = False
+            held, switched, since = 0, True, n + c
         n += c
         if switched:
             plain = np.flatnonzero(~scaled)

@@ -23,7 +23,7 @@ def test_exponent_steps_row_runs(monkeypatch):
     row = bench._scenario_row(get_scenario("uniform-diag"))
     assert row["qr_path"] == "triangular"
     assert row["qr_us"] > 0 and row["qr_lapack_us"] > 0
-    assert row["bound_us"] > 0
+    assert row["bound_us"] > 0 and 0 < row["check_us"]
     # Generic rows on uniform-diag stay off the axes for all 8 steps, so
     # their linear walks take the loop; remark-scalar's one-dimensional rows
     # are always on its axis.

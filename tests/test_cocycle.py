@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,9 +29,11 @@ from shadowrds import (
 from shadowrds import cocycle as cocycle_module
 from shadowrds.checks import check_cocycle_property, check_dichotomy_bounds
 from shadowrds.cocycle import (
+    COND_LIMIT,
     _adapted_norm_at,
     _adapted_norm_parts,
     _adapted_norms,
+    _check_invertible,
     _cocycle_at,
     check_one_step_contraction_rows,
     envelope_along_orbit,
@@ -215,6 +218,85 @@ def test_range_fill_rejects_non_finite_generator_values():
                             BernoulliShift(2, (0.5, 0.5)))
     with pytest.raises(ValueError, match="non-finite"):
         OrbitCache(cocycle, ShiftPoint(5)).matrices(0, 8)
+
+
+def _conditioned_stack(dim, count, seed):
+    """``count`` (dim, dim) matrices U diag(s) V^T 10^u: 2-norm condition
+    numbers log-uniform in [1, 1e15], u uniform in [-300, 300], and about one
+    in 50 zero and one in 50 with a NaN, inf or -inf entry."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((count, dim, dim)))
+    v, _ = np.linalg.qr(rng.standard_normal((count, dim, dim)))
+    cond = 10.0 ** rng.uniform(0.0, 15.0, count)
+    s = cond[:, None] ** -rng.uniform(0.0, 1.0, (count, dim))
+    s[:, 0] = 1.0
+    s[:, -1] = 1.0 / cond if dim > 1 else 1.0
+    mats = (u * s[:, None, :]) @ v.transpose(0, 2, 1) * 10.0 ** rng.uniform(-300, 300, count)[
+        :, None, None]
+    mats[rng.integers(0, count, count // 50)] = 0.0
+    bad = rng.integers(0, count, count // 50)
+    mats[bad, 0, -1] = rng.choice([np.nan, np.inf, -np.inf], len(bad))
+    return mats
+
+
+def _svd_check(mats, ns):
+    """The SVD path: one stacked ``np.linalg.cond`` over every matrix."""
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    conds = np.linalg.cond(np.where(finite[:, None, None], mats, np.eye(mats.shape[1])))
+    bad = np.flatnonzero(~(finite & (conds <= COND_LIMIT)))
+    if bad.size:
+        i = int(bad[0])
+        if not finite[i]:
+            raise ValueError("generator returned non-finite entries")
+        n = int(ns[i])
+        raise SingularityError(
+            f"generator matrix at orbit index {n} has condition number {conds[i]:.3e}"
+            f" (limit {COND_LIMIT:.0e})",
+            index=n,
+        )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_conditioning_certificate_decides_like_the_svd(dim):
+    # Each matrix alone is admitted exactly when it is finite with cond_2 <=
+    # COND_LIMIT.  The admitted stack passes with fewer SVDs than matrices,
+    # and with none at d = 1, where the bound is about 0.
+    mats = _conditioned_stack(dim, 2000, seed=dim)
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    want = finite & (np.linalg.cond(np.where(finite[:, None, None], mats, np.eye(dim)))
+                     <= COND_LIMIT)
+    got = []
+    for i, m in enumerate(mats):
+        try:
+            _check_invertible(m[None], np.array([i]))
+            got.append(True)
+        except ValueError:  # SingularityError included
+            got.append(False)
+    assert np.array_equal(got, want)
+    assert 0 < want.sum() < len(mats)
+    good = mats[want]
+    with mock.patch.object(np.linalg, "cond", wraps=np.linalg.cond) as cond:
+        _check_invertible(good, np.arange(len(good)))
+    svds = sum(len(call.args[0]) for call in cond.call_args_list)
+    assert svds < len(good) and (dim > 1 or svds == 0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_conditioning_certificate_raises_like_the_svd_path(dim):
+    # From each start, the first bad matrix raises the SVD path's error: the
+    # same type, message (condition number included) and orbit index.
+    mats = _conditioned_stack(dim, 2000, seed=10 + dim)
+    ns = np.arange(len(mats)) - 700
+    for lo in range(0, len(mats) // 2, 37):
+        with pytest.raises(ValueError) as want:
+            _svd_check(mats[lo:], ns[lo:])
+        with pytest.raises(ValueError) as got:
+            _check_invertible(mats[lo:], ns[lo:])
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert getattr(got.value, "index", None) == getattr(want.value, "index", None)
 
 
 def test_range_reads_fill_each_index_once_and_match_per_matrix_values():

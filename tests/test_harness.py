@@ -171,14 +171,14 @@ def test_lyapunov_run_makes_one_qr_sweep(tmp_path, monkeypatch, name, qr_calls):
     sc = get_scenario(name)
     lin = linear_exponents_qr(sc.orbit(), 40)
     half = linear_exponents_qr(sc.orbit(), 20)
-    qr = lyapunov._positive_qr
+    qr = np.linalg.qr
     calls = []
 
     def counted(b):
         calls.append(1)
         return qr(b)
 
-    monkeypatch.setattr(lyapunov, "_positive_qr", counted)
+    monkeypatch.setattr(np.linalg, "qr", counted)
     cfg = ExperimentConfig(
         scenario=sc.name, experiment="lyapunov", out_dir=str(tmp_path),
         steps=40, samples=0,

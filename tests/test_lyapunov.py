@@ -1,5 +1,4 @@
 import math
-from contextlib import nullcontext
 from dataclasses import fields, is_dataclass, replace
 from unittest import mock
 
@@ -36,6 +35,7 @@ from shadowrds.lyapunov import (
     NumericalBreakdownError,
     _orbit_log_norms,
     _positive_qr,
+    _qr_loop,
     _qr_sweep,
     conservation_experiment,
 )
@@ -354,13 +354,11 @@ def test_diagonal_entry_with_a_square_out_of_the_normal_range_keeps_the_loop(ent
     # the row of 1e40 turns scaled at step 1, so its step out of the band is
     # a one-step run beside the plain rows, and below 1e200 it turns plain
     # after it.  Every walk keeps the exact log sums: it is bit for bit the
-    # per-vector walk, which is compared with them.
+    # per-vector walk, which is compared with them.  No measure warns, the
+    # plain run's first one of a row past 2^511 included.
     xs = np.array([[1.0], [-2.0], [1e40]])
     cache = _shift_orbit(lambda offset: entry if offset == 5 else 0.5)
-    # Only the plain step's first measure of a row past 2^511 warns.
-    overflow = pert.bound and entry > 1.0
-    with pytest.warns(RuntimeWarning, match="overflow") if overflow else nullcontext():
-        paths = _assert_walks_like_per_vector(pert, cache, xs, True, 40)
+    paths = _assert_walks_like_per_vector(pert, cache, xs, True, 40)
     if not pert.bound:
         assert paths[1]["closed"] > 0 and paths[1]["loop"] > 0
     # Twelve steps keep every plain row a normal float.
@@ -368,6 +366,110 @@ def test_diagonal_entry_with_a_square_out_of_the_normal_range_keeps_the_loop(ent
     want = np.log([1.0, 2.0, 1e40]) + np.log(0.5) * (ns - (ns > 5)) + np.log(entry) * (ns > 5)
     got = np.column_stack([_reference_orbit_log_norms(pert, cache, x, True, 12) for x in xs])
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+def _kicked(kick=lambda cs, x: x * 0.0 + np.multiply(1e-3, cs)):
+    """A perturbation of bound 1e-2, so rows start plain, whose kick reads the
+    orbit offset mod 5 (by default a constant kick of 1e-3 times it)."""
+    return Perturbation(lambda p: (p.offset % 5,), kick, 0.0, bound=1e-2)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
+def test_plain_rows_turn_scaled_mid_run(forward):
+    # The first axis grows by 1e10 per step from step 36 on, each way, and
+    # kicks go along the second: the rows with a first entry pass _BIG_NORM
+    # at steps 38 and 39, inside the default chunk size's plain run of steps
+    # 32-63, and the row on the second axis stays plain.  That run steps the
+    # switched rows on until the kick fails on one past 1e200 (backward,
+    # inside invert_step); the walk keeps none of those steps and raises
+    # nothing, and every row is the per-vector walk.
+    fails = []
+
+    def kick(cs, x):
+        if np.abs(x).max() > 1e200:
+            fails.append(1)
+            raise FloatingPointError("a row past 1e200")
+        return x * 0.0 + np.multiply([0.0, 1e-3], cs)
+
+    def matrix(n):
+        grow = 1e10 if n >= 35 or n <= -36 else 1.0
+        return np.diag([grow, 0.5]) if n >= 0 else np.diag([1.0 / grow, 2.0])
+
+    cache = _offset_orbit(matrix)
+    xs = np.array([[3.0, 0.0], [0.0, 1.0], [1e-5, 3.0]])
+    pert = _kicked(kick)
+    refs = [_reference_orbit_log_norms(pert, cache, x, forward, 70) for x in xs]
+    assert not fails
+    for chunk in _CHUNKS:
+        got = _chunked_walk(pert, cache, xs, forward, 70, chunk)
+        for i, ref in enumerate(refs):
+            assert got[:, i].tobytes() == ref.tobytes(), (chunk, i)
+    assert fails  # at the default chunk size
+    big = math.log(_BIG_NORM)
+    assert refs[0][36] < big < refs[0][37] and refs[2][37] < big < refs[2][38]
+    assert np.max(refs[1]) < 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_plain_row_vanishing_mid_run_raises_like_the_per_vector_walk():
+    # Steps of 2^-100: the row of 2^-80 is 2^-1080 = 0.0 after 10 steps, the
+    # row of 1 after 11.  The walk raises at the first, inside a plain run of
+    # 3, 7 or the default length, with the per-vector walk's message.
+    cache = _shift_orbit(lambda offset: 2.0**-100)
+    xs = np.array([[1.0], [2.0**-80]])
+    message = "orbit norm vanished after 10 steps"
+    with pytest.raises(DegenerateOrbitError, match=message):
+        _reference_orbit_log_norms(_ZERO_KICK, cache, xs[1], True, 12)
+    refs = [_reference_orbit_log_norms(_ZERO_KICK, cache, x, True, 9) for x in xs]
+    for chunk in _CHUNKS:
+        with pytest.raises(DegenerateOrbitError, match=message):
+            _chunked_walk(_ZERO_KICK, cache, xs, True, 12, chunk)
+        got = _chunked_walk(_ZERO_KICK, cache, xs, True, 9, chunk)
+        for i, ref in enumerate(refs):
+            assert got[:, i].tobytes() == ref.tobytes(), (chunk, i)
+
+
+@pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
+def test_plain_step_error_raises_where_the_walk_reaches_it(forward):
+    # A kick that fails at orbit offset +-40 fails the walk there, at every
+    # chunk size, as it fails the per-vector walk; a shorter walk ends first.
+    def kick(cs, x):
+        if np.any(np.abs(cs) == 40):
+            raise ValueError("kick fails at offset 40")
+        return x * 0.0 + np.multiply(1e-3, cs)
+
+    pert = Perturbation(lambda p: (p.offset,), kick, 0.0, bound=1e-2)
+    cache = _shift_orbit(lambda offset: 0.5 if offset >= 0 else 2.0)
+    xs = np.array([[1.0], [-2.0]])
+    reach = 41 if forward else 40  # the walk's first step at offset +-40
+    with pytest.raises(ValueError, match="kick fails"):
+        _reference_orbit_log_norms(pert, cache, xs[0], forward, reach)
+    refs = [_reference_orbit_log_norms(pert, cache, x, forward, reach - 1) for x in xs]
+    for chunk in _CHUNKS:
+        with pytest.raises(ValueError, match="kick fails"):
+            _chunked_walk(pert, cache, xs, forward, reach, chunk)
+        got = _chunked_walk(pert, cache, xs, forward, reach - 1, chunk)
+        for i, ref in enumerate(refs):
+            assert got[:, i].tobytes() == ref.tobytes(), (chunk, i)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
+def test_scaled_row_falls_back_beside_plain_rows(forward):
+    # Halving steps with a kick: the row of 1e31 turns scaled at step 1 and
+    # falls below _BIG_NORM / e^2 at step 7, inside the run held for the two
+    # plain rows; their run starts anew with it, and every row is the
+    # per-vector walk.
+    cache = _shift_orbit(lambda offset: 0.5 if offset >= 0 else 2.0)
+    xs = np.array([[1e31], [1.0], [-3.0]])
+    pert = _kicked()
+    refs = [_reference_orbit_log_norms(pert, cache, x, forward, 50) for x in xs]
+    for chunk in _CHUNKS:
+        got = _chunked_walk(pert, cache, xs, forward, 50, chunk)
+        for i, ref in enumerate(refs):
+            assert got[:, i].tobytes() == ref.tobytes(), (chunk, i)
+    assert refs[0][0] > math.log(_BIG_NORM) > math.log(_BIG_NORM) - 2.0 > refs[0][6]
 
 
 def test_nonlinear_exponent_returns_one_result_per_row(scenarios):
@@ -608,6 +710,36 @@ def test_qr_sweep_matches_running_sum_loop(scenarios, block4, indices):
         assert q.tobytes() == ref_q.tobytes(), sc.name
 
 
+@pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
+def test_qr_loop_matches_positive_qr_loop(scenarios, block4, forward):
+    # The LAPACK loop itself, on the triangular blocks too, which the sweep
+    # sends to the closed form: q and the sums are the per-step
+    # ``_positive_qr`` loop's bytes, on the forward and backward sweeps'
+    # matrices and on a random non-triangular block.
+    blocks = []
+    for sc in list(scenarios.values()) + [block4]:
+        cache = OrbitCache(sc.cocycle, sc.base_point)
+        blocks.append(np.array(cache.matrices(0, 300) if forward else cache.matrices(-300, 0)))
+    blocks.append(np.random.default_rng(3 if forward else 4).standard_normal((200, 3, 3)))
+    for mats in blocks:
+        q, sums = _qr_loop(mats)
+        ref_q, ref_sums = _reference_qr_sweep(mats)
+        assert sums.tobytes() == ref_sums.tobytes()
+        assert q.tobytes() == ref_q.tobytes()
+
+
+@pytest.mark.parametrize("singular", [np.zeros((3, 3)), np.diag([2.0, 1.0, 0.0])],
+                         ids=["zero", "zero-row"])
+def test_qr_loop_breaks_down_on_a_singular_matrix(singular):
+    # A zero row of m @ q gives LAPACK an exactly zero R entry; the loop
+    # raises after its last step, like the per-step loop at that step.
+    mats = np.random.default_rng(8).standard_normal((40, 3, 3))
+    mats[17] = singular
+    for sweep in (_qr_loop, _qr_sweep, _reference_qr_sweep):
+        with pytest.raises(NumericalBreakdownError, match="zero diagonal entry"):
+            sweep(mats)
+
+
 @st.composite
 def _triangular_blocks(draw, min_dim=1):
     """(N, d, d) upper-triangular blocks: diagonal entries of either sign,
@@ -623,8 +755,8 @@ def _triangular_blocks(draw, min_dim=1):
 
 
 def _sweep_counting_qr(mats):
-    """``_qr_sweep(mats)`` and the number of ``_positive_qr`` calls it made."""
-    with mock.patch.object(lyapunov, "_positive_qr", wraps=_positive_qr) as counted:
+    """``_qr_sweep(mats)`` and the number of LAPACK factorizations it made."""
+    with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as counted:
         q, sums = _qr_sweep(mats)
     return q, sums, counted.call_count
 
