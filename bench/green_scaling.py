@@ -1,5 +1,5 @@
 """Warm-call timings of ``green_apply``, ``weighted_norm`` and ``source_term``
-against window length.
+against window length, and of one full solve.
 
 Run from the repository root (or with ``PYTHONPATH`` pointing at any other
 checkout's ``src`` to time that version):
@@ -16,11 +16,16 @@ stdout.
 
 ``source_term_s`` times one warm ``source_term`` per window length on each
 scenario of SOURCE_SCENARIOS: the shadowing problem of the same z (as the
-pseudo-orbit and as the correction) with constant weights.  One call maps
-the window's perturbation rows with one read of their coefficients (through
-the coefficients' range form where they have one) and one kick.  Memos that
-outlive a call, such as the per-point layer index of ``nonuniform-layered``,
-are warm too.
+pseudo-orbit and as the correction) with constant weights.  A problem reads
+its window's perturbation coefficient rows once, at its first use, so the
+warm calls time the batched product A y and one kick of the kept rows, not
+the coefficient read.
+
+``solve_s`` times one warm ``find_special_point`` at window length SOLVE_L
+on each scenario of SOURCE_SCENARIOS: a full ``solve`` of the zero
+pseudo-orbit with the scenario's default weights, from its defect to its
+orbit residual.  Each call builds its own zero problem, so it includes the
+one coefficient read of that problem.  The orbit segment is warm.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from shadowrds import Window, WindowSequence, make_weight  # noqa: E402
 LENGTHS = (17, 65, 257, 1025, 4097)
 SCENARIO = "uniform-rot-coupled"
 SOURCE_SCENARIOS = ("uniform-diag", "uniform-rot-coupled", "nonuniform-layered")
+SOLVE_L = 257
 MAX_CALLS = 9
 BUDGET_S = 1.0
 
@@ -83,12 +89,20 @@ def main() -> None:
             "weighted_norm_calls": norm_calls,
             "source_term_s": source_s,
         })
+    solve_window = Window.symmetric((SOLVE_L - 1) // 2)
+    solve_s = {}
+    for name in SOURCE_SCENARIOS:
+        scenario = shadowrds.get_scenario(name)
+        prob = scenario.problem(WindowSequence.zeros(solve_window, scenario.cocycle.dim))
+        solve_s[name] = _warm_median(lambda: shadowrds.find_special_point(prob))[0]
     print(json.dumps({
         "scenario": SCENARIO,
         "horizon": sc.dichotomy.horizon,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "rows": rows,
+        "solve_L": SOLVE_L,
+        "solve_s": solve_s,
     }, indent=2))
 
 

@@ -26,18 +26,21 @@ norm.  ``dataclasses.replace`` keeps it, which is sound because the segment
 is a pure memo of its (system, point, dichotomy).  ``nonlinear_orbit`` takes
 the orbit segment to step along directly.
 
-Every evaluation of the source term, the defect and the orbit residual maps
-a whole window: one batched product for A and one ``Perturbation.apply`` for
-f, which reads the window's coefficient rows once and kicks them all at once.
-``_source_terms`` maps a stack of k corrections with the same two reads.
-``nonlinear_orbit`` reads each direction's coefficient rows once too, and
-``invert_step`` takes the row of its step.
+A problem reads its perturbation's coefficient rows on [n_min, n_max) once,
+at its first use, and keeps them.  Every evaluation of the source term, the
+defect and the orbit residual maps a whole window: one batched product for A
+and one kick of those rows for f.  ``_source_terms`` maps a stack of k
+corrections with the same product and one kick.  A problem built by
+``dataclasses.replace`` reads its own rows.  ``nonlinear_orbit`` reads each
+direction's coefficient rows once too, and ``invert_step`` takes the row of
+its step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -57,6 +60,7 @@ from .green import (
     WindowSequence,
     green_apply,
     weighted_norm,
+    weighted_norms,
 )
 
 __all__ = [
@@ -133,17 +137,22 @@ class Perturbation:
         """Rows f_{sigma^{n_lo + i} w}(xs_i) of an (m, d) array along the
         orbit, or of each (m, d) block of a (k, m, d) stack: one
         ``OrbitCache.evaluate`` of the m coefficient rows, which the blocks
-        share, then one kick of all k * m rows.
+        share, then one kick of all k * m rows.  A ``ShadowingProblem`` reads
+        its window's rows once and kicks them through the same code, so its
+        solve makes no ``apply`` call.
 
         A kick of the wrong shape raises the ValueError of one wrong per-point
         value; a wrong row count names the whole shape.
         """
-        *_, m, d = xs.shape
-        if not m:
+        ns = np.arange(n_lo, n_lo + xs.shape[-2])
+        return self._kick_rows(orbit.evaluate(self.coefficients, ns, "coefficients"), ns, xs)
+
+    def _kick_rows(self, cs: np.ndarray, ns: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """``apply`` of the coefficient rows cs read at the orbit indices ns."""
+        if not ns.size:
             return np.empty(xs.shape)
-        ns = np.arange(n_lo, n_lo + m)
-        cs = orbit.evaluate(self.coefficients, ns, "coefficients")
-        blocks = xs.size // (m * d)
+        d = xs.shape[-1]
+        blocks = xs.size // (ns.size * d)
         if blocks != 1:
             cs, ns = np.tile(cs, (blocks, 1)), np.tile(ns, blocks)
         kicks = self.kick(cs, xs.reshape(-1, d))
@@ -217,6 +226,17 @@ class ShadowingProblem:
             self.orbit.dichotomy.rate, self.epsilon, self.perturbation.lipschitz_budget
         )
 
+    @cached_property
+    def _coefficient_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The orbit indices n_min, ..., n_max - 1 of the window's interior
+        steps and the perturbation's coefficient rows there, read at their
+        first use and kept, read-only, for the problem's lifetime."""
+        win = self.window
+        ns = np.arange(win.n_min, win.n_max)
+        cs = self.orbit.evaluate(self.perturbation.coefficients, ns, "coefficients").view()
+        cs.flags.writeable = False
+        return ns, cs
+
 
 def _window_steps(
     prob: ShadowingProblem, x: np.ndarray, at: np.ndarray | None = None
@@ -224,10 +244,10 @@ def _window_steps(
     """Rows A(sigma^{n-1} w) x_{n-1} and f_{sigma^{n-1} w}(at_{n-1}) for the
     interior n = n_min + 1 + i of the window; ``at`` defaults to ``x`` and
     may be a (k, L, d) stack, whose blocks each get their kicks."""
-    n_min = prob.window.n_min
+    ns, cs = prob._coefficient_rows
     at = x if at is None else at
-    return (prob.orbit.apply(n_min, x[:-1]),
-            prob.perturbation.apply(prob.orbit, n_min, at[..., :-1, :]))
+    return (prob.orbit.apply(prob.window.n_min, x[:-1]),
+            prob.perturbation._kick_rows(cs, ns, at[..., :-1, :]))
 
 
 @dataclass(frozen=True)
@@ -272,7 +292,9 @@ def source_term(prob: ShadowingProblem, z: WindowSequence) -> WindowSequence:
 
     Entry n (interior) is f_{s^{n-1}w}(z_{n-1} + y_{n-1}) + A(s^{n-1}w) y_{n-1} - y_n;
     the left edge has no predecessor and is set to zero, matching the
-    zero-extension convention of the Green operator.
+    zero-extension convention of the Green operator.  The perturbation's
+    coefficient rows are the problem's, read at its first use, so repeated
+    calls on one problem read them once.
     """
     if z.window != prob.window:
         raise ValueError("window mismatch")
@@ -281,8 +303,8 @@ def source_term(prob: ShadowingProblem, z: WindowSequence) -> WindowSequence:
 
 def _source_terms(prob: ShadowingProblem, zs: np.ndarray) -> np.ndarray:
     """``source_term`` of each sequence of a (k, L, d) stack on the problem's
-    window, equal bit for bit to its own: A y and the coefficient rows are
-    read once for all k, and one kick maps every row."""
+    window, equal bit for bit to its own: A y is formed once for all k, and
+    one kick of the problem's coefficient rows maps every row."""
     y = prob.pseudo_orbit.values
     linear, kicks = _window_steps(prob, y, at=zs + y)
     out = np.zeros(zs.shape)
@@ -324,16 +346,18 @@ def solve(prob: ShadowingProblem, tol: float = 1e-10, max_iter: int = 200) -> Sh
     Stops when q/(1-q) * |z^k - z^{k-1}| <= tol, so the returned correction is
     within tol of the exact fixed point in the weighted norm.  Raises
     NonConvergenceError when max_iter is exhausted.
+
+    The defect, every source term, the fixed-point gap and the orbit
+    residual kick the problem's coefficient rows, read once per problem.
+    Each iteration measures its step |z^k - z^{k-1}| and |z^k| with one
+    ``weighted_norms`` call, equal bit for bit to two ``weighted_norm``
+    calls.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     shadow_bound, q = prob.constants
-
-    def wnorm(seq: WindowSequence) -> float:
-        return weighted_norm(prob.orbit, seq=seq, weights=prob.weights)
-
     defect_report = defect(prob)
     z = WindowSequence.zeros(prob.window, prob.pseudo_orbit.dim)
     trace: list[IterationRecord] = []
@@ -342,8 +366,7 @@ def solve(prob: ShadowingProblem, tol: float = 1e-10, max_iter: int = 200) -> Sh
     step_norm = math.inf
     for k in range(1, max_iter + 1):
         z_next = green_apply(prob.orbit, z=source_term(prob, z))
-        step_norm = wnorm(z_next - z)
-        z_norm = wnorm(z_next)
+        step_norm, z_norm = weighted_norms(prob.orbit, [z_next - z, z_next], prob.weights).tolist()
         trace.append(IterationRecord(k, step_norm, z_norm))
         if z_norm > shadow_bound + 1e-9:
             ball_ok = False
@@ -358,7 +381,9 @@ def solve(prob: ShadowingProblem, tol: float = 1e-10, max_iter: int = 200) -> Sh
             last_step=step_norm,
         )
 
-    gap = wnorm(green_apply(prob.orbit, z=source_term(prob, z)) - z)
+    gap = weighted_norm(
+        prob.orbit, seq=green_apply(prob.orbit, z=source_term(prob, z)) - z, weights=prob.weights
+    )
 
     orbit = prob.pseudo_orbit + z
     linear, kicks = _window_steps(prob, orbit.values)

@@ -77,14 +77,19 @@ def test_green_scaling_times_source_term_per_scenario(monkeypatch, capsys):
     import json
 
     bench = _load("green_scaling")
-    for name, value in (("LENGTHS", (1, 9)), ("MAX_CALLS", 1), ("BUDGET_S", 0.0)):
+    for name, value in (("LENGTHS", (1, 9)), ("MAX_CALLS", 1), ("BUDGET_S", 0.0),
+                        ("SOLVE_L", 17)):
         monkeypatch.setattr(bench, name, value)
     bench.main()
-    rows = json.loads(capsys.readouterr().out)["rows"]
+    out = json.loads(capsys.readouterr().out)
+    rows = out["rows"]
     assert [row["L"] for row in rows] == [1, 9]
     for row in rows:
         assert list(row["source_term_s"]) == list(bench.SOURCE_SCENARIOS)
         assert all(s > 0 for s in row["source_term_s"].values())
+    assert out["solve_L"] == 17
+    assert list(out["solve_s"]) == list(bench.SOURCE_SCENARIOS)
+    assert all(s > 0 for s in out["solve_s"].values())
 
 
 def test_registry_build_times_every_builtin(monkeypatch, capsys):

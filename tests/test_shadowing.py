@@ -175,31 +175,118 @@ def test_source_term_at_zero_is_negated_defect(scenarios):
     assert np.all(src.values[0] == 0.0)  # left-edge convention
 
 
+def _counting_reads(prob):
+    """``prob`` with its perturbation's coefficient reads logged: each
+    per-point call appends its point, each range call ("along", indices)."""
+    reads = []
+    coefficients = prob.perturbation.coefficients
+
+    def at(point):
+        reads.append(point)
+        return coefficients(point)
+
+    def along(omega, ns):
+        reads.append(("along", ns.tolist()))
+        return coefficients.along(omega, ns)
+
+    counted = RangeMap(at, along) if isinstance(coefficients, RangeMap) else at
+    return replace(prob, perturbation=replace(prob.perturbation, coefficients=counted)), reads
+
+
+def _one_window_read(prob):
+    """The reads of the coefficient rows on [n_min, n_max) made once: one
+    range call, or one per-point call per index."""
+    ns = list(range(prob.window.n_min, prob.window.n_max))
+    if isinstance(prob.perturbation.coefficients, RangeMap):
+        return [("along", ns)]
+    return [prob.orbit.point(n) for n in ns]
+
+
 def test_stacked_source_terms_match_one_sequence_each(scenarios, block4):
-    # One coefficient read serves the whole stack, and each sequence's source
-    # equals its own source_term bit for bit.
+    # Each sequence's source equals its own source_term bit for bit, and the
+    # stack and the single calls together read the window's rows once.
     for sc in list(scenarios.values()) + [block4]:
-        prob = _problem_from(sc)
-        reads = []
-        coefficients = prob.perturbation.coefficients
-
-        def counted(point):
-            reads.append(point)
-            return coefficients(point)
-
-        counting = replace(prob.perturbation, coefficients=(
-            RangeMap(counted, coefficients.along) if isinstance(coefficients, RangeMap) else counted
-        ))
-        prob = replace(prob, perturbation=counting)
+        prob, reads = _counting_reads(_problem_from(sc))
         zs = np.random.default_rng(7).standard_normal((6, prob.window.length, sc.cocycle.dim))
         zs[2] = 0.0
         stacked = _source_terms(prob, zs)
-        stack_reads = len(reads)
         for z, got in zip(zs, stacked):
             want = source_term(prob, WindowSequence(prob.window, z)).values
             assert got.tobytes() == want.tobytes(), sc.name
-        assert stack_reads == len(reads) / 7, sc.name
+        assert reads == _one_window_read(prob), sc.name
         assert _source_terms(prob, zs[:0]).shape == (0,) + zs.shape[1:]
+
+
+def test_solve_reads_its_coefficient_rows_once(scenarios, block4):
+    # The defect, every iteration's source term, the fixed-point gap and the
+    # orbit residual share one read of the window's rows; so do later calls
+    # on the same problem.
+    iterations = []
+    for sc in list(scenarios.values()) + [block4]:
+        prob, reads = _counting_reads(_problem_from(sc, half=10, seed=37))
+        res = solve(prob)
+        iterations.append(res.iterations)
+        assert reads == _one_window_read(prob), sc.name
+        assert solve(prob).orbit.values.tobytes() == res.orbit.values.tobytes(), sc.name
+        defect(prob)
+        check_uniqueness(prob, res.orbit, res.orbit)
+        assert reads == _one_window_read(prob), sc.name
+        with pytest.raises(ValueError, match="read-only"):
+            prob._coefficient_rows[1][...] = 0.0
+    assert max(iterations) >= 5
+
+
+def test_replaced_problems_read_their_own_rows(scenarios):
+    sc = scenarios["nonuniform-layered"]
+    prob = _problem_from(sc, half=8)
+    solve(prob)
+
+    # A swapped perturbation: a plain per-point form of the same coefficients
+    # with half the kick.
+    half_kick = Perturbation(
+        lambda point: sc.perturbation.coefficients(point),
+        lambda cs, xs: 0.5 * sc.perturbation.kick(cs, xs),
+        0.5 * sc.perturbation.lipschitz_budget,
+    )
+    swapped, reads = _counting_reads(replace(prob, perturbation=half_kick))
+    fresh = replace(sc.problem(prob.pseudo_orbit, prob.weights), perturbation=half_kick)
+    got, want = solve(swapped), solve(fresh)
+    assert reads == _one_window_read(swapped)
+    assert got.orbit.values.tobytes() == want.orbit.values.tobytes()
+    assert got.orbit_residuals.tobytes() == want.orbit_residuals.tobytes()
+
+    # A pseudo-orbit and weights on another window.
+    pseudo, weights = noisy_pseudo_orbit(sc, Window(-5, 14), np.random.default_rng(32))
+    moved, reads = _counting_reads(replace(prob, pseudo_orbit=pseudo, weights=weights))
+    got, want = solve(moved), solve(sc.problem(pseudo, weights))
+    assert reads == _one_window_read(moved) == [("along", list(range(-5, 14)))]
+    assert got.orbit.values.tobytes() == want.orbit.values.tobytes()
+    assert got.orbit_residuals.tobytes() == want.orbit_residuals.tobytes()
+
+
+@pytest.mark.parametrize(
+    "half, names",
+    [
+        (10, ["uniform-diag", "uniform-rot-coupled", "nonuniform-layered", "remark-scalar", "block4"]),
+        (128, ["uniform-diag", "uniform-rot-coupled", "nonuniform-layered"]),
+    ],
+    ids=["10", "128"],
+)
+def test_solve_trace_norms_equal_separate_weighted_norms(scenarios, block4, half, names):
+    # Each iteration measures its step and its iterate with one stacked
+    # kernel call; replaying the iterates gives the same floats bit for bit.
+    for name in names:
+        sc = block4 if name == "block4" else scenarios[name]
+        prob = _problem_from(sc, half=half, seed=37)
+        res = solve(prob)
+        z = WindowSequence.zeros(prob.window, sc.cocycle.dim)
+        for rec in res.trace:
+            z_next = green_apply(prob.orbit, source_term(prob, z))
+            assert type(rec.step_norm) is float and type(rec.correction_norm) is float
+            assert rec.step_norm == weighted_norm(prob.orbit, z_next - z, prob.weights), sc.name
+            assert rec.correction_norm == weighted_norm(prob.orbit, z_next, prob.weights), sc.name
+            z = z_next
+        assert z.values.tobytes() == res.correction.values.tobytes(), sc.name
 
 
 def test_source_term_weighted_lipschitz(scenarios):
