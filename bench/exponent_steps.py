@@ -41,7 +41,10 @@ For each builtin scenario it times, over STEPS orbit indices:
   row on an axis) and by the per-step loop (``loop``), counted on one
   untimed walk.  The runs beside the plain runs of a block with plain and
   scaled rows are counted too, and so are the steps that a rollback, a plain
-  row's switch or a growth out of the float's normal range discards.
+  row's switch or a growth out of the float's normal range discards;
+- ``peak_kb``: the ``tracemalloc`` peak, in kB, of one forward and one
+  backward ``nonlinear_exponent`` of max(K_VALUES) rows over STEPS steps,
+  each on a new orbit segment and with its tail statistics read.
 
 For scenarios with a layering it also times ``envelope_us``: one
 ``TemperedEnvelope.bound`` call at a freshly sampled base point (a new orbit
@@ -64,6 +67,7 @@ import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from unittest import mock  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -142,7 +146,7 @@ def _scenario_row(sc) -> dict:
     orbit.inverses(-STEPS, 0)
     qr_path = "triangular" if _is_upper_triangular(mats) else "lapack"
     qr_us = _median_us(lambda _: linear_exponents_and_half(orbit, STEPS), STEPS)
-    qr_lapack_us = _median_us(lambda _: _qr_loop(mats), STEPS)
+    qr_lapack_us = _median_us(lambda _: _qr_loop(mats, np.eye(dim)), STEPS)
 
     def walks(perturbation) -> tuple[dict, dict]:
         times, paths = {}, {}
@@ -160,6 +164,15 @@ def _scenario_row(sc) -> dict:
 
     walk_us, walk_path = walks(sc.perturbation)
     walk_linear_us, walk_linear_path = walks(shadowrds.Perturbation.zero(dim))
+
+    xs = np.random.default_rng(0).standard_normal((max(K_VALUES), dim))
+    tracemalloc.start()
+    for direction in ("forward", "backward"):
+        for result in shadowrds.nonlinear_exponent(sc.orbit(), sc.perturbation, xs, direction,
+                                                   STEPS):
+            result.estimate  # the tail statistics
+    peak_kb = tracemalloc.get_traced_memory()[1] / 1e3
+    tracemalloc.stop()
 
     row = {
         "scenario": sc.name,
@@ -179,6 +192,7 @@ def _scenario_row(sc) -> dict:
         "walk_linear_us": walk_linear_us,
         "walk_path": walk_path,
         "walk_linear_path": walk_linear_path,
+        "peak_kb": peak_kb,
     }
     if sc.layering is not None:
         envelope = sc.layering.envelope

@@ -18,13 +18,18 @@ starting points drawn with WALK_SEED, with the scenario's perturbation, and
 from a mixed block whose starting norms lie on both sides of the walks'
 switch to scaled rows, with the scenario's perturbation (rows turn scaled
 and back to plain, so plain and scaled rows step together) and with
-``Perturbation.zero`` (every row scaled).  The result is one JSON object on
-stdout, keyed by ``configs/<name>.cfg/<file>``, ``configs/<name>.cfg/stdout``,
-``configs/<name>.cfg/exit``, ``demos/<name>.py/stdout``,
-``checks/<scenario>/self-test``, ``checks/<scenario>/suite-<seed>``,
-``walks/<scenario>/<direction>`` and ``walks/<scenario>/<direction>/mixed``
-(``/mixed-zero``), so two versions give byte-identical outputs exactly when
-their objects are equal:
+``Perturbation.zero`` (every row scaled); and the random block's walks over
+LONG_STEPS steps, long enough to cross the seams of the chunked reads,
+fills and sweeps several times.  Over LONG_STEPS steps it also digests the
+bytes of ``linear_exponents_and_half`` and ``backward_qr_frame`` (frame and
+rates), the forward and the backward QR sweep.  The result is one JSON
+object on stdout, keyed by ``configs/<name>.cfg/<file>``,
+``configs/<name>.cfg/stdout``, ``configs/<name>.cfg/exit``,
+``demos/<name>.py/stdout``, ``checks/<scenario>/self-test``,
+``checks/<scenario>/suite-<seed>``, ``walks/<scenario>/<direction>``,
+``walks/<scenario>/<direction>/mixed`` (``/mixed-zero``, ``/long``) and
+``sweeps/<scenario>``, so two versions give byte-identical outputs exactly
+when their objects are equal:
 
     diff <(PYTHONPATH=src python3 bench/output_digests.py) \\
          <(PYTHONPATH=../other/src python3 bench/output_digests.py)
@@ -49,7 +54,14 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from shadowrds import Perturbation, builtin_scenarios, cli, nonlinear_exponent  # noqa: E402
+from shadowrds import (  # noqa: E402
+    Perturbation,
+    backward_qr_frame,
+    builtin_scenarios,
+    cli,
+    linear_exponents_and_half,
+    nonlinear_exponent,
+)
 from shadowrds.checks import run_invariant_suite, scenario_self_test  # noqa: E402
 from shadowrds.experiments import OUTPUT_DIR_ENV  # noqa: E402
 
@@ -59,6 +71,7 @@ DEMOS = sorted((_ROOT / "demos").glob("*.py"))
 SCENARIOS = None  # names of the builtins whose checks are digested (None: all)
 SUITE_SEEDS = (421, 7)  # run_invariant_suite's default seed and one other
 WALK_SEED, WALK_ROWS, WALK_STEPS = 5, 3, 2000  # the exponent walks' block and length
+LONG_STEPS = 10_000  # the long walks and the sweeps
 MIXED_NORMS = (1e-3, 1.0, 1e29, 1e33)  # the mixed walks' random rows
 
 
@@ -132,25 +145,34 @@ def _mixed_block(scenario) -> np.ndarray:
 
 def walk_digests(scenario) -> dict[str, str]:
     """Digests of one scenario's exponent walks, per direction: the random
-    block with the scenario's perturbation, and the mixed block with it and
-    with ``Perturbation.zero``."""
+    block with the scenario's perturbation, over WALK_STEPS and LONG_STEPS
+    steps, and the mixed block with it and with ``Perturbation.zero``."""
     rng = np.random.default_rng(WALK_SEED)
     xs = rng.standard_normal((WALK_ROWS, scenario.cocycle.dim))
     mixed = _mixed_block(scenario)
     walks = {
-        "": (scenario.perturbation, xs),
-        "/mixed": (scenario.perturbation, mixed),
-        "/mixed-zero": (Perturbation.zero(scenario.cocycle.dim), mixed),
+        "": (scenario.perturbation, xs, WALK_STEPS),
+        "/mixed": (scenario.perturbation, mixed, WALK_STEPS),
+        "/mixed-zero": (Perturbation.zero(scenario.cocycle.dim), mixed, WALK_STEPS),
+        "/long": (scenario.perturbation, xs, LONG_STEPS),
     }
     out = {}
     for direction in ("forward", "backward"):
-        for suffix, (perturbation, block) in walks.items():
-            results = nonlinear_exponent(
-                scenario.orbit(), perturbation, block, direction, WALK_STEPS
-            )
+        for suffix, (perturbation, block, steps) in walks.items():
+            results = nonlinear_exponent(scenario.orbit(), perturbation, block, direction, steps)
             values = b"".join(w.values.tobytes() for w in results)
             out[f"walks/{scenario.name}/{direction}{suffix}"] = _sha(values)
     return out
+
+
+def sweep_digest(scenario) -> dict[str, str]:
+    """The digest of one scenario's forward and backward QR sweeps over
+    LONG_STEPS steps: the exponents at LONG_STEPS and half of it, then the
+    backward frame and its rates."""
+    lin, half = linear_exponents_and_half(scenario.orbit(), LONG_STEPS)
+    frame, rates = backward_qr_frame(scenario.orbit(), LONG_STEPS)
+    data = b"".join(a.tobytes() for a in (lin, half, frame, rates))
+    return {f"sweeps/{scenario.name}": _sha(data)}
 
 
 def main() -> None:
@@ -163,6 +185,7 @@ def main() -> None:
         if SCENARIOS is None or scenario.name in SCENARIOS:
             out.update(check_digests(scenario))
             out.update(walk_digests(scenario))
+            out.update(sweep_digest(scenario))
     print(json.dumps(out, indent=2, sort_keys=True))
 
 

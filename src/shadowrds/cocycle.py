@@ -237,6 +237,10 @@ class DichotomyData:
 #: consecutive indices starts a new block instead.
 _SPAN_LIMIT = 4 * MAX_STEPS
 
+#: Indices per fill of a block read: whatever its length, a read holds fill
+#: temporaries of at most this many entries.
+_FILL_CHUNK = 1 << 11
+
 _Fill = Callable[[np.ndarray], np.ndarray]  # a block's values at ascending orbit indices
 
 
@@ -255,19 +259,41 @@ class _Block:
 
     def read(self, n_lo: int, n_hi: int, fill: _Fill) -> np.ndarray:
         """The values for n_lo <= n < n_hi as a read-only view; ``fill(ns)``
-        evaluates the ascending indices ns there that have no value yet."""
+        evaluates the ascending indices ns there that have no value yet, one
+        _FILL_CHUNK range of them after the other, ascending, each stored
+        before the next is evaluated."""
         if n_hi <= n_lo:
             return self.data[:0]
         self._cover(n_lo, n_hi)
-        i = n_lo - self.lo
-        missing = n_lo + np.flatnonzero(~self.filled[i : i + n_hi - n_lo])
-        if missing.size:
-            values = fill(missing)
-            self.data.flags.writeable = True
-            self.data[missing - self.lo] = values
-            self.data.flags.writeable = False
-            self.filled[missing - self.lo] = True
-        return self.data[i : i + n_hi - n_lo]
+        i, j = n_lo - self.lo, n_hi - self.lo
+        if self.filled[i:j].all():  # most reads find every entry held
+            return self.data[i:j]
+        for a in range(i, j, _FILL_CHUNK):
+            missing = a + np.flatnonzero(~self.filled[a : min(a + _FILL_CHUNK, j)])
+            if missing.size:
+                values = fill(self.lo + missing)
+                self.data.flags.writeable = True
+                self.data[missing] = values
+                self.data.flags.writeable = False
+                self.filled[missing] = True
+        return self.data[i:j]
+
+    def peek(self, n_lo: int, n_hi: int, fill: _Fill) -> np.ndarray:
+        """The values for n_lo <= n < n_hi, none stored: a read-only view
+        where every one is held, else a new array of the held values and
+        ``fill(ns)`` at the indices ns of the others."""
+        i, j = n_lo - self.lo, n_hi - self.lo
+        if 0 <= i and j <= len(self.filled) and self.filled[i:j].all():
+            return self.data[i:j]
+        out = np.empty((n_hi - n_lo,) + self.data.shape[1:])
+        held = np.zeros(n_hi - n_lo, dtype=bool)
+        a, b = max(i, 0), min(j, len(self.filled))
+        if a < b:
+            held[a - i : b - i] = self.filled[a:b]
+            out[held] = self.data[a:b][self.filled[a:b]]
+        missing = np.flatnonzero(~held)
+        out[missing] = fill(n_lo + missing)
+        return out
 
     def row(self, n: int, fill: _Fill) -> np.ndarray:
         i = n - self.lo
@@ -323,14 +349,21 @@ class OrbitCache:
     ``unstable_maps`` (I - P_n) A_n^{-1}, which step stable vectors from n to
     n+1 and unstable ones from n+1 to n.  ``matrix(n)``, ``inverse(n)``,
     ``projector(n)`` and ``bound(n)`` read one entry.  A read fills only its
-    missing entries with one ``evaluate`` of the generator, projector or
-    bound, then the finiteness and COND_LIMIT check over new matrices (one
-    stacked determinant certificate, ``np.linalg.cond`` only for the matrices
-    it does not admit; a SingularityError names the lowest bad index of the
-    fill), the K > 0 check over new bounds, and one stacked
+    missing entries, in chunks of _FILL_CHUNK indices, ascending: per chunk
+    one ``evaluate`` of the generator, projector or bound, then the
+    finiteness and COND_LIMIT check over new matrices (one stacked
+    determinant certificate, ``np.linalg.cond`` only for the matrices it does
+    not admit; a SingularityError names the lowest bad index of the chunk,
+    and so of the read), the K > 0 check over new bounds, and one stacked
     ``np.linalg.inv`` or ``np.matmul`` for inverses and maps.  A read more than
     _SPAN_LIMIT indices away from a block replaces it.  Base points are not
     stored: ``point(n)`` computes sigma^n w, an exact step.
+
+    A segment keeps every entry it fills, in one array per block, until it
+    is dropped.  ``streamed_matrices`` and ``streamed_inverses`` read without
+    storing: the held entries as a view, or copied beside the missing ones,
+    which they evaluate and check like a fill, so a long walk holds one read
+    of them at a time.
     """
 
     def __init__(
@@ -426,6 +459,19 @@ class OrbitCache:
 
     def unstable_maps(self, j_lo: int, j_hi: int) -> np.ndarray:
         return self._unstable_maps.read(j_lo, j_hi, self._fill_unstable_maps)
+
+    def streamed_matrices(self, n_lo: int, n_hi: int) -> np.ndarray:
+        """``matrices(n_lo, n_hi)`` with nothing stored: a view where the
+        segment holds every entry, else the held ones and the others
+        evaluated and checked as a fill would."""
+        return self._mats.peek(n_lo, n_hi, self._fill_matrices)
+
+    def streamed_inverses(self, n_lo: int, n_hi: int) -> np.ndarray:
+        """``inverses(n_lo, n_hi)`` with nothing stored; a missing inverse is
+        taken of its ``streamed_matrices`` entry."""
+        return self._invs.peek(
+            n_lo, n_hi, lambda ns: np.linalg.inv(_at(self.streamed_matrices, ns))
+        )
 
     def matrix(self, n: int) -> np.ndarray:
         return self._mats.row(n, self._fill_matrices)

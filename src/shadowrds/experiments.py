@@ -236,25 +236,25 @@ def _run_lyapunov(cfg: ExperimentConfig, scenario: Scenario, out: Path) -> int:
     xs = np.array([rng.standard_normal(dim) for _ in range(cfg.samples)]).reshape(-1, dim)
 
     # One QR sweep gives the exponents at N and, for the convergence column,
-    # at N // 2.  One orbit per direction, walked by all samples together: the
-    # forward walk reads the orbit's matrices, the backward walk its inverses.
-    # Dropping the first orbit before filling the second keeps only one
-    # orbit's worth of entries alive at a time.
+    # at N // 2; it stores the orbit's matrices, and the forward walk of all
+    # samples together reads them there.  The orbit is dropped before the
+    # forward tail statistics are taken, and the forward logs before the
+    # backward walk, which reads its inverses on a new orbit, storing none.
     orbit = scenario.orbit()
     lin, half = linear_exponents_and_half(orbit, cfg.steps)
     pert = scenario.perturbation
     fwds = nonlinear_exponent(orbit, pert, xs, "forward", steps=cfg.steps)
     del orbit
+    fwds = [(e.estimate, e.regression_residual, e.converged) for e in fwds]
     bwds = nonlinear_exponent(scenario.orbit(), pert, xs, "backward", steps=cfg.steps)
     rows = [
         ["linear-" + str(i), "qr", cfg.steps, float(ex), float(abs(ex - half[i]))]
         for i, ex in enumerate(lin)
     ]
     converged = True
-    for i, (fwd, bwd) in enumerate(zip(fwds, bwds)):
-        converged = converged and fwd.converged and bwd.converged
-        rows.append([f"orbit-{i}", "forward", cfg.steps, fwd.estimate,
-                     fwd.regression_residual])
+    for i, ((estimate, residual, ok), bwd) in enumerate(zip(fwds, bwds)):
+        converged = converged and ok and bwd.converged
+        rows.append([f"orbit-{i}", "forward", cfg.steps, estimate, residual])
         rows.append([f"orbit-{i}", "backward", cfg.steps, bwd.estimate,
                      bwd.regression_residual])
     _write_csv(out / "lyapunov.csv",

@@ -11,7 +11,9 @@ the last matrix times the accumulated signs.  Both match the per-step loop
 bit for bit, signed zeros of ``q`` included, which the tests check against
 the loop; every other block runs the loop.  The loop keeps one factorization
 per step, whose ``q`` takes the signs of R's diagonal, and takes the logs
-and running sums of all |r_ii| once after it.
+of all |r_ii| once after it.  A sweep goes in chunks that carry q, or only
+the signs while every matrix so far is triangular, and the running sums,
+each chunk one cumulative sum from the last one's end.
 
 For the perturbed cocycle the forward and backward exponents at a point are
 limsups of (1/n) log |orbit|; the finite surrogate used here is the maximum
@@ -44,21 +46,34 @@ run takes one product, norm and divide per step, rolled back to the step
 where a row falls to the switch-back level; it ends before a growth out of
 [2^-511, 2^511], and a run that starts on one takes that step alone.  The
 block commits both kinds at the earlier end.  A scaled run takes a closed
-form instead when three things hold: every matrix of the walk is diagonal,
-every row's unit vector is a signed axis vector +-e_i, and each row's
-entries m = A[i, i] over the run are non-zero with m^2 a normal float.  The
+form instead when three things hold: every matrix of the walk's current
+read is diagonal, every row's unit vector is a signed axis vector +-e_i,
+and each row's entries m = A[i, i] over the run are non-zero with m^2 a
+normal float.  The
 product is then +-m e_i exactly, its norm sqrt(fl(m^2)) = |m|, and the
 divide leaves sign(m) times the unit, so a step's growth is one gathered
 |A[i, i]| and the unit's sign a running product; the loop's unit differs at
 most in the signs of its zeros, which no norm reads.  Every row is bit for
 bit the orbit it would trace when walked alone, so
 ``conservation_experiment`` walks one block per direction.
+
+An exponent run keeps two arrays that grow with its steps: the walk's log
+norms, one float per row and step, which each ``NonlinearExponent`` views,
+and the forward matrices that the QR sweep stores in the orbit segment and
+the forward walk reads there again.  Everything else is bounded by a chunk
+size.  The walks read their matrices, or inverses, _READ_CHUNK steps at a
+time and store none (``OrbitCache.streamed_matrices``); an orbit segment
+fills _FILL_CHUNK entries at a time; the sweep keeps only the running sums
+its callers read; and the tail statistics read the tail of the logs when
+first asked for.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -109,6 +124,9 @@ _FRAME_STEPS = 256  # QR steps of the backward frame in conservation_experiment
 #: widens.
 _WALK_SCRATCH = 1 << 11
 
+#: Steps per matrix read of a walk and per chunk of a QR sweep.
+_READ_CHUNK = 1 << 11
+
 
 class NumericalBreakdownError(RuntimeError):
     """QR factorization produced a zero diagonal entry."""
@@ -133,13 +151,13 @@ def _check_steps(steps: int) -> None:
         raise ValueError(f"steps = {steps} exceeds the limit of {MAX_STEPS}")
 
 
-def _qr_loop(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Repeated QR of the (N, d, d) block ``mats`` by LAPACK: per matrix one
-    factorization of ``m @ q``, whose R diagonal is kept and whose q takes its
-    signs, then one zero test, log and running sum over all diagonals.  The
+def _qr_loop(mats: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Repeated QR of the (N, d, d) block ``mats`` from the orthonormal ``q``
+    by LAPACK: per matrix one factorization of ``m @ q``, whose R diagonal is
+    kept and whose q takes its signs, then one zero test and log over all
+    diagonals.  Returns the last q and the (N, d) logs of |r_ii|.  The
     positive diagonal of ``_positive_qr`` is r_ii sign(r_ii) = |r_ii| exactly,
-    so the sums and the last q are those of one ``_positive_qr`` per matrix."""
-    q = np.eye(mats.shape[-1])
+    so these are the logs and the q of one ``_positive_qr`` per matrix."""
     diags = np.empty(mats.shape[:2])
     for k, m in enumerate(mats):
         q, r = np.linalg.qr(m @ q)
@@ -147,7 +165,7 @@ def _qr_loop(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         q *= np.sign(diag)
     if not diags.all():
         raise NumericalBreakdownError("zero diagonal entry in QR factor")
-    return q, np.cumsum(np.log(np.abs(diags)), axis=0)
+    return q, np.log(np.abs(diags))
 
 
 def _is_upper_triangular(mats: np.ndarray) -> bool:
@@ -162,35 +180,62 @@ def _is_diagonal(mats: np.ndarray) -> bool:
     return _is_upper_triangular(mats) and _is_upper_triangular(mats.transpose(0, 2, 1))
 
 
-def _qr_sweep(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _triangular_q(m: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """The q of the closed form after its factorization of the triangular
+    ``m``, where ``signs`` is the running product of the R diagonals' signs
+    through m: one factorization of m times the product before m."""
+    return _positive_qr(m @ (np.eye(len(signs)) * (signs * np.sign(np.diagonal(m)))))[0]
+
+
+def _qr_sweep(mats: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Repeated QR of the finite (N, d, d) block ``mats``, starting from the identity.
 
-    Returns the last orthonormal factor and the running sums of the log R
-    diagonals: row k holds the sum over the first k + 1 factorizations.  An
-    upper-triangular block takes the closed form in the module docstring,
-    bit for bit the per-step loop; any other block runs the loop.
+    Returns the last orthonormal factor and, for each k of ``counts`` (1 <=
+    k <= N), the running sum of the log R diagonals over the first k
+    factorizations.  The block goes in chunks of _READ_CHUNK matrices, each
+    one cumulative sum that starts from the last chunk's, so the sums are
+    those of one cumulative sum.  While every matrix so far is upper
+    triangular, a chunk takes the closed form in the module docstring and
+    carries only the signs; the first other chunk starts the loop from the
+    closed form's q, bit for bit the per-step loop's, and the rest run it.
     """
-    if not len(mats) or not _is_upper_triangular(mats):
-        return _qr_loop(mats)
-    diag = np.diagonal(mats, axis1=1, axis2=2)
-    if not diag.all():
-        raise NumericalBreakdownError("zero diagonal entry in QR factor")
-    signs = np.sign(diag[:-1]).prod(axis=0)
-    q, _ = _positive_qr(mats[-1] @ (np.eye(mats.shape[-1]) * signs))
-    return q, np.cumsum(np.log(np.abs(diag)), axis=0)
+    n, dim = mats.shape[0], mats.shape[-1]
+    counts = np.asarray(counts, dtype=np.int64)
+    sums = np.empty((len(counts), dim))
+    q, signs, triangular = np.eye(dim), np.ones(dim), True
+    run = np.zeros((min(n, _READ_CHUNK) + 1, dim))  # run[0]: the sums before the chunk
+    for a in range(0, n, _READ_CHUNK):
+        block = mats[a : a + _READ_CHUNK]
+        logs = run[1 : len(block) + 1]
+        if triangular and _is_upper_triangular(block):
+            diag = np.diagonal(block, axis1=1, axis2=2)
+            if not diag.all():
+                raise NumericalBreakdownError("zero diagonal entry in QR factor")
+            logs[:] = np.log(np.abs(diag))
+            signs *= np.sign(diag).prod(axis=0)
+        else:
+            if triangular and a:
+                q = _triangular_q(mats[a - 1], signs)
+            triangular = False
+            q, logs[:] = _qr_loop(block, q)
+        part = run[: len(block) + 1]
+        np.cumsum(part, axis=0, out=part)
+        hit = (a < counts) & (counts <= a + len(block))
+        sums[hit] = part[counts[hit] - a]
+        run[0] = part[-1]
+    if triangular and n:
+        q = _triangular_q(mats[-1], signs)
+    return q, sums
 
 
-def _sorted_exponents(sums: np.ndarray, steps: int) -> np.ndarray:
-    """Exponents after the first ``steps`` factorizations of a sweep, descending."""
-    if steps < 1:
-        raise ValueError("steps must be positive")
-    return np.sort(sums[steps - 1] / steps)[::-1]
-
-
-def _forward_sums(orbit: OrbitCache, steps: int) -> np.ndarray:
-    """Running log-R sums of the sweep over the matrices at 0 <= n < steps."""
+def _exponents(orbit: OrbitCache, steps: int, counts: Sequence[int]) -> list[np.ndarray]:
+    """The exponents after each of ``counts`` factorizations of one sweep
+    over the matrices at 0 <= n < steps, each sorted descending."""
     _check_steps(steps)
-    return _qr_sweep(orbit.matrices(0, steps))[1]
+    sums = _qr_sweep(orbit.matrices(0, steps), [k for k in counts if k >= 1])[1]
+    if min(counts) < 1:
+        raise ValueError("steps must be positive")
+    return [np.sort(s / k)[::-1] for s, k in zip(sums, counts)]
 
 
 def linear_exponents_qr(orbit: OrbitCache, steps: int) -> np.ndarray:
@@ -199,7 +244,7 @@ def linear_exponents_qr(orbit: OrbitCache, steps: int) -> np.ndarray:
     Repeated QR along the orbit: exponents are the averaged logs of the R
     diagonals over ``steps`` factorizations.
     """
-    return _sorted_exponents(_forward_sums(orbit, steps), steps)
+    return _exponents(orbit, steps, (steps,))[0]
 
 
 def linear_exponents_and_half(orbit: OrbitCache, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -208,8 +253,7 @@ def linear_exponents_and_half(orbit: OrbitCache, steps: int) -> tuple[np.ndarray
 
     The gap between the two is the lyapunov experiment's convergence column.
     """
-    sums = _forward_sums(orbit, steps)
-    return _sorted_exponents(sums, steps), _sorted_exponents(sums, steps // 2)
+    return tuple(_exponents(orbit, steps, (steps, steps // 2)))
 
 
 def backward_qr_frame(orbit: OrbitCache, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -222,7 +266,7 @@ def backward_qr_frame(orbit: OrbitCache, steps: int) -> tuple[np.ndarray, np.nda
     if steps < 1:
         raise ValueError("steps must be positive")
     _check_steps(steps)
-    q, sums = _qr_sweep(orbit.matrices(-steps, 0))
+    q, sums = _qr_sweep(orbit.matrices(-steps, 0), (steps,))
     rates = sums[-1] / steps
     order = np.argsort(-rates)
     return q[:, order], rates[order]
@@ -232,20 +276,55 @@ def backward_qr_frame(orbit: OrbitCache, steps: int) -> tuple[np.ndarray, np.nda
 class NonlinearExponent:
     """Tail-max surrogate of a forward or backward growth exponent.
 
-    ``estimate`` is the max of (1/n) log |orbit_n| over the tail half of the
-    run (n signed for the backward direction), ``tail_min`` the corresponding
-    min; ``converged`` is false when they disagree by more than 0.05.
-    ``regression_residual`` is the rms residual of a straight-line fit to the
-    log norms over the tail, a convergence diagnostic.
+    ``log_norms`` holds log |orbit_n| for n = 1..steps, a view of the walk's
+    logs shared by the rows walked together.  The statistics read its tail
+    half when first asked for: ``estimate`` is the max of (1/n) log |orbit_n|
+    there (n signed for the backward direction), ``tail_min`` the
+    corresponding min; ``converged`` is false when they disagree by more
+    than 0.05.  ``regression_residual`` is the rms residual of a
+    straight-line fit to the log norms over the tail, a convergence
+    diagnostic.
     """
 
     direction: str
     steps: int
-    estimate: float
-    tail_min: float
-    converged: bool
-    regression_residual: float
-    values: np.ndarray
+    log_norms: np.ndarray
+
+    @property
+    def values(self) -> np.ndarray:
+        """The (steps, 2) rows (n, (1/n) log |orbit_n|), n signed backward."""
+        ns = np.arange(1, self.steps + 1)
+        return np.column_stack([ns, self.log_norms / self._signed(ns)])
+
+    def _signed(self, ns: np.ndarray) -> np.ndarray:
+        return ns if self.direction == "forward" else -ns
+
+    @cached_property
+    def _tail(self) -> tuple[float, float, float]:
+        """(estimate, tail_min, regression_residual) over n = ceil(steps / 2)..steps."""
+        first = math.ceil(self.steps / 2)
+        ns = np.arange(first, self.steps + 1)
+        tail = self.log_norms[first - 1:]
+        fit = np.polyfit(ns, tail, 1)
+        rms = float(np.sqrt(np.mean((tail - np.polyval(fit, ns))**2)))
+        values = tail / self._signed(ns)  # after the fit, whose temporaries are gone
+        return float(np.max(values)), float(np.min(values)), rms
+
+    @property
+    def estimate(self) -> float:
+        return self._tail[0]
+
+    @property
+    def tail_min(self) -> float:
+        return self._tail[1]
+
+    @property
+    def converged(self) -> bool:
+        return self.estimate - self.tail_min <= _CONVERGENCE_SPREAD
+
+    @property
+    def regression_residual(self) -> float:
+        return self._tail[2]
 
 
 def _axis_growth(
@@ -322,13 +401,16 @@ def _orbit_log_norms(
 
     Each row is plain (``vec``, stepped exactly) or scaled (a unit vector,
     stepped linearly, whose log norm is the row's last logged value); a pure
-    linear map starts every row scaled.  The walk goes in blocks of at most
-    ``chunk`` steps (_WALK_SCRATCH floats), within the coefficient rows
-    held; a plain step outside them reads those of ``chunk`` steps.  Unless
-    steps of an earlier run are held, the plain rows take the block's steps
-    into a (c + 1, k_plain, d) buffer, each one product plus kick (one
-    ``invert_step`` backward), and one ``_row_norms`` measures them all,
-    norms out of [_TINY_NORM, _HUGE_NORM] again scaled.  Such a run takes at
+    linear map starts every row scaled.  The matrices (inverses backward)
+    are read _READ_CHUNK steps at a time by ``OrbitCache.streamed_matrices``
+    (``streamed_inverses``), so a walk stores none and holds one read.  The
+    walk goes in blocks of at most ``chunk`` steps (_WALK_SCRATCH floats),
+    within the read and the coefficient rows held; a plain step outside
+    them reads those of ``chunk`` steps.  Unless steps of an earlier run are
+    held, the plain rows take the block's steps into a (c + 1, k_plain, d)
+    buffer, each one product plus kick (one ``invert_step`` backward), and
+    one ``_row_norms`` measures them all, norms out of [_TINY_NORM,
+    _HUGE_NORM] again scaled.  Such a run takes at
     most one step more than the plain rows walked since a row last turned
     plain, so the runs double up to ``chunk`` and the steps a walk computes
     past its last plain one are no more than its plain steps.  The block
@@ -341,8 +423,11 @@ def _orbit_log_norms(
     run's later steps are held for the rows still plain until a row turns
     plain.  A plain step past a block's end may leave the float range
     (numpy's overflow and invalid warnings are off in the run) or raise, and
-    its error is raised only when a block reaches it.  Per-row logs use
-    math.log, whose last bit np.log does not always match.
+    its error is raised only when a block reaches it.  A walk that fails
+    reads the rest of its range first, so a fill error anywhere in it is
+    raised instead, as if the walk had read its whole range up front; of
+    several, the first in walk order.  Per-row logs use math.log, whose last
+    bit np.log does not always match.
     """
     _check_steps(steps)
     xs = np.asarray(xs, dtype=float)
@@ -351,8 +436,21 @@ def _orbit_log_norms(
     if not norms.all():
         raise DegenerateOrbitError("starting point has zero norm")
     pure_linear = perturbation.bound == 0.0
-    mats = orbit.matrices(0, steps) if forward else orbit.inverses(-steps, 0)[::-1]
-    diagonal = _is_diagonal(mats)
+
+    def read(lo: int) -> tuple[np.ndarray, bool]:
+        # The matrices of the steps lo <= n < lo + _READ_CHUNK, none stored,
+        # and whether every one of them is diagonal.
+        hi = min(lo + _READ_CHUNK, steps)
+        if forward:
+            mats = orbit.streamed_matrices(lo, hi)
+        else:
+            mats = orbit.streamed_inverses(-hi, -lo)[::-1]
+        return mats, _is_diagonal(mats)
+
+    # mats[j] is the matrix of step m_lo + j, for the steps up to m_hi.  The
+    # first read comes before the walk's arrays, so that the temporaries of
+    # its fill do not add to them.
+    mats, diagonal = read(0)
     log_low = math.log(_BIG_NORM) - 2.0
     chunk = max(1, min(steps, _WALK_SCRATCH // (k * (dim + 1))))
     # units[j + 1] holds the rows' directions after step j of a chunk run,
@@ -379,89 +477,102 @@ def _orbit_log_norms(
     # at run[at].  They outlive a row's switch to scaled, not one to plain.
     # ``since`` is the step where a row last turned plain.
     held = at = since = 0
-    n = 0
-    while n < steps:
-        c = min(chunk, steps - n)
-        fail = None  # the error of the block's step c, if it gets there
-        if len(plain):
-            if not cs_lo <= n < cs_lo + len(cs):
-                cs_lo, hi = n, min(n + chunk, steps)
-                ns = np.arange(n, hi) if forward else np.arange(-hi, -n)
-                cs = orbit.evaluate(perturbation.coefficients, ns, "coefficients")
-                cs = cs if forward else cs[::-1]
-            if not held:
-                at, j = 0, n - cs_lo
-                held = min(c, len(cs) - j, n - since + 1)
-                run = scratch[:(held + 1) * len(plain) * dim].reshape(held + 1, len(plain), dim)
-                run[0] = vec[sel]
-                run_norms, fail = _plain_run(perturbation, mats[n:n + held], cs[j:j + held],
-                                             forward, run)
-                held = len(run_norms)
-            c = min(c, held)
-            hit = np.flatnonzero(((run_norms[at:at + c] == 0.0)
-                                  | (run_norms[at:at + c] > _BIG_NORM)).any(axis=1))
-            if hit.size:
-                c = int(hit[0]) + 1
-                fail = None if run_norms[at + c - 1].all() else DegenerateOrbitError(
-                    f"orbit norm vanished after {n + c} steps")
-            elif fail is not None:
-                c += 1
-        plain_end = c
-        signs, low = None, ()
-        if len(plain) < k:
-            grown = growth[:c, :, 0, 0]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                signs = _axis_growth(mats[n:n + c], diagonal, unit, grown)
-                if signs is None:
-                    for m, u, w, wt, g in zip(mats[n:], units, units[1:], units_t[1:], growth[:c]):
-                        np.matmul(m, u, out=w)
-                        np.sqrt(np.matmul(wt, w, out=g), out=g)
-                        np.divide(w, g, out=w)
-                grown[:, plain] = 1.0
-                if not _TINY_NORM <= grown.min() <= grown.max() <= _HUGE_NORM:
-                    c = int(np.argmin(((grown >= _TINY_NORM) & (grown <= _HUGE_NORM)).all(axis=1)))
-                if not c:  # a step out of the band, taken alone
-                    signs, c = None, 1
-                    w = np.matmul(mats[n], units[0], out=units[1])
-                    grown[0] = np.where(scaled, _scaled_row_norms(w[:, :, 0]), 1.0)
-                    if not grown[0].all():
-                        raise DegenerateOrbitError("scaled orbit direction collapsed")
-                    np.divide(w, growth[0], out=w)
-            block = logs[n:n + c + 1]
-            block[1:] = np.reshape(list(map(math.log, grown[:c].ravel().tolist())), (c, k))
-            np.cumsum(block, axis=0, out=block)
-            if not pure_linear:
-                low = np.flatnonzero(((block[1:] < log_low) & scaled).any(axis=1))
-            if len(low):
-                c = int(low[0]) + 1
-        if fail is not None and c == plain_end:
-            raise fail
-        if signs is None:
-            units[0] = units[c]
-        else:
-            unit *= signs[:c].prod(axis=0)[:, None]
-        switched = False
-        if len(plain):
-            nl, new = run_norms[at:at + c], run[at + c]
-            vec[sel] = new
-            logs[n + 1:n + c + 1, sel] = np.reshape(
-                list(map(math.log, nl.ravel().tolist())), (c, len(plain)))
-            held, at = held - c, at + c
-            big = nl[-1] > _BIG_NORM
-            if big.any():
-                unit[plain[big]] = new[big] / nl[-1, big, None]
-                scaled[plain[big]] = True
-                run, run_norms = run[:, ~big], run_norms[:, ~big]
-                switched = True
-        if len(low) and c > low[0]:  # rows fall back to plain; the plain run starts anew
-            for i in np.flatnonzero(scaled & (logs[n + c] < log_low)).tolist():
-                vec[i] = unit[i] * math.exp(logs[n + c, i])
-                scaled[i] = False
-            held, switched, since = 0, True, n + c
-        n += c
-        if switched:
-            plain = np.flatnonzero(~scaled)
-            sel = slice(None) if len(plain) == k else plain
+    n = m_lo = 0
+    m_hi = len(mats)
+    try:
+        while n < steps:
+            if n == m_hi:
+                mats, diagonal = read(n)
+                m_lo, m_hi = n, n + len(mats)
+            here = mats[n - m_lo:]  # the matrices from step n on
+            c = min(chunk, m_hi - n)
+            fail = None  # the error of the block's step c, if it gets there
+            if len(plain):
+                if not cs_lo <= n < cs_lo + len(cs):
+                    cs_lo, hi = n, min(n + chunk, steps)
+                    ns = np.arange(n, hi) if forward else np.arange(-hi, -n)
+                    cs = orbit.evaluate(perturbation.coefficients, ns, "coefficients")
+                    cs = cs if forward else cs[::-1]
+                if not held:
+                    at, j = 0, n - cs_lo
+                    held = min(c, len(cs) - j, n - since + 1)
+                    run = scratch[:(held + 1) * len(plain) * dim].reshape(held + 1, -1, dim)
+                    run[0] = vec[sel]
+                    run_norms, fail = _plain_run(perturbation, here[:held], cs[j:j + held],
+                                                 forward, run)
+                    held = len(run_norms)
+                c = min(c, held)
+                hit = np.flatnonzero(((run_norms[at:at + c] == 0.0)
+                                      | (run_norms[at:at + c] > _BIG_NORM)).any(axis=1))
+                if hit.size:
+                    c = int(hit[0]) + 1
+                    fail = None if run_norms[at + c - 1].all() else DegenerateOrbitError(
+                        f"orbit norm vanished after {n + c} steps")
+                elif fail is not None:
+                    c += 1
+            plain_end = c
+            signs, low = None, ()
+            if len(plain) < k:
+                grown = growth[:c, :, 0, 0]
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    signs = _axis_growth(here[:c], diagonal, unit, grown)
+                    if signs is None:
+                        for m, u, w, wt, g in zip(here, units, units[1:], units_t[1:], growth[:c]):
+                            np.matmul(m, u, out=w)
+                            np.sqrt(np.matmul(wt, w, out=g), out=g)
+                            np.divide(w, g, out=w)
+                    grown[:, plain] = 1.0
+                    if not _TINY_NORM <= grown.min() <= grown.max() <= _HUGE_NORM:
+                        inside = (grown >= _TINY_NORM) & (grown <= _HUGE_NORM)
+                        c = int(np.argmin(inside.all(axis=1)))
+                    if not c:  # a step out of the band, taken alone
+                        signs, c = None, 1
+                        w = np.matmul(here[0], units[0], out=units[1])
+                        grown[0] = np.where(scaled, _scaled_row_norms(w[:, :, 0]), 1.0)
+                        if not grown[0].all():
+                            raise DegenerateOrbitError("scaled orbit direction collapsed")
+                        np.divide(w, growth[0], out=w)
+                block = logs[n:n + c + 1]
+                block[1:] = np.reshape(list(map(math.log, grown[:c].ravel().tolist())),
+                                       (c, k))
+                np.cumsum(block, axis=0, out=block)
+                if not pure_linear:
+                    low = np.flatnonzero(((block[1:] < log_low) & scaled).any(axis=1))
+                if len(low):
+                    c = int(low[0]) + 1
+            if fail is not None and c == plain_end:
+                raise fail
+            if signs is None:
+                units[0] = units[c]
+            else:
+                unit *= signs[:c].prod(axis=0)[:, None]
+            switched = False
+            if len(plain):
+                nl, new = run_norms[at:at + c], run[at + c]
+                vec[sel] = new
+                logs[n + 1:n + c + 1, sel] = np.reshape(
+                    list(map(math.log, nl.ravel().tolist())), (c, len(plain)))
+                held, at = held - c, at + c
+                big = nl[-1] > _BIG_NORM
+                if big.any():
+                    unit[plain[big]] = new[big] / nl[-1, big, None]
+                    scaled[plain[big]] = True
+                    run, run_norms = run[:, ~big], run_norms[:, ~big]
+                    switched = True
+            if len(low) and c > low[0]:  # rows fall back to plain; the run starts anew
+                for i in np.flatnonzero(scaled & (logs[n + c] < log_low)).tolist():
+                    vec[i] = unit[i] * math.exp(logs[n + c, i])
+                    scaled[i] = False
+                held, switched, since = 0, True, n + c
+            n += c
+            if switched:
+                plain = np.flatnonzero(~scaled)
+                sel = slice(None) if len(plain) == k else plain
+    except Exception:
+        if n < m_hi:  # a walk error: a fill error further on is raised first
+            for lo in range(m_hi, steps, _READ_CHUNK):
+                read(lo)
+        raise
     return logs[1:]
 
 
@@ -483,29 +594,8 @@ def nonlinear_exponent(
         raise ValueError(f"xs must be a (k, {orbit.dim}) block of starting points")
     if not len(xs):
         return []
-    forward = direction == "forward"
-    walks = _orbit_log_norms(perturbation, orbit, xs, forward, steps)
-    ns = np.arange(1, steps + 1)
-    signed = ns if forward else -ns
-    tail = slice(math.ceil(steps / 2) - 1, steps)
-    results = []
-    for logs in walks.T:
-        values = logs / signed
-        est = float(np.max(values[tail]))
-        low = float(np.min(values[tail]))
-        fit = np.polyfit(ns[tail], logs[tail], 1)
-        resid = logs[tail] - np.polyval(fit, ns[tail])
-        rms = float(np.sqrt(np.mean(resid**2)))
-        results.append(NonlinearExponent(
-            direction=direction,
-            steps=steps,
-            estimate=est,
-            tail_min=low,
-            converged=(est - low) <= _CONVERGENCE_SPREAD,
-            regression_residual=rms,
-            values=np.column_stack([ns, values]),
-        ))
-    return results
+    walks = _orbit_log_norms(perturbation, orbit, xs, direction == "forward", steps)
+    return [NonlinearExponent(direction, steps, logs) for logs in walks.T]
 
 
 @dataclass(frozen=True)
@@ -616,8 +706,10 @@ def conservation_experiment(
     window = Window.symmetric(window_half)
     weights = scenario.default_weights(window)
 
-    lin = linear_exponents_qr(orbit, steps=steps)
+    # The frame's matrices first: the sweep's then extend their block by the
+    # sweep's length, where the other order would double the sweep's block.
     frame, _ = backward_qr_frame(orbit, steps=min(steps, _FRAME_STEPS))
+    lin = linear_exponents_qr(orbit, steps=steps)
 
     linear = Perturbation.zero(dim)
     starts = np.empty((dim, dim))

@@ -132,7 +132,7 @@ def test_output_digests_cover_config_files_and_demo_stdout(monkeypatch, capsys):
         assert len(out[name]) == 64, name
     assert out[checks[1]] != out[checks[2]]  # the seeds draw different rows
     walks = [f"walks/remark-scalar/{direction}{suffix}" for direction in ("forward", "backward")
-             for suffix in ("", "/mixed", "/mixed-zero")]
+             for suffix in ("", "/mixed", "/mixed-zero", "/long")] + ["sweeps/remark-scalar"]
     for name in walks:
         assert len(out[name]) == 64, name
     assert len(set(out[name] for name in walks)) == len(walks)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -383,22 +384,26 @@ def _constant(value, range_form):
 
 
 def test_range_fills_reject_bad_projectors_and_bounds(block4):
+    # Each read raises as one fill of its range, in fills of 3 indices too,
+    # and the streamed reads of the generator raise as its fill.
     sc = block4
-    for range_form in (False, True):
+    for range_form, chunk in itertools.product((False, True), (3, cocycle_module._FILL_CHUNK)):
+        patch = mock.patch.object(cocycle_module, "_FILL_CHUNK", chunk)
         wrong_shape = replace(sc.dichotomy, projector=_constant(np.eye(3), range_form))
-        with pytest.raises(ValueError, match="^projector has wrong shape$"):
+        with patch, pytest.raises(ValueError, match="^projector has wrong shape$"):
             OrbitCache(sc.cocycle, sc.base_point, wrong_shape).projectors(-2, 5)
-        with pytest.raises(ValueError, match="^projector has wrong shape$"):
+        with patch, pytest.raises(ValueError, match="^projector has wrong shape$"):
             OrbitCache(sc.cocycle, sc.base_point, wrong_shape).stable_maps(-2, 5)
         wrong_gen = replace(sc.cocycle, generator=_constant(np.eye(3), range_form))
         message = r"^generator returned shape \(3, 3\), expected \(4, 4\)$"
-        with pytest.raises(ValueError, match=message):
-            OrbitCache(wrong_gen, sc.base_point).matrices(-2, 5)
+        for read in ("matrices", "inverses", "streamed_matrices", "streamed_inverses"):
+            with patch, pytest.raises(ValueError, match=message):
+                getattr(OrbitCache(wrong_gen, sc.base_point), read)(-2, 5)
         for k in (0.0, -1.0, math.nan):
             bad_bound = replace(sc.dichotomy, bound=_constant(k, range_form))
-            with pytest.raises(ValueError, match="^dichotomy bound K must be positive$"):
+            with patch, pytest.raises(ValueError, match="^dichotomy bound K must be positive$"):
                 OrbitCache(sc.cocycle, sc.base_point, bad_bound).bounds(-2, 5)
-            with pytest.raises(ValueError, match="^dichotomy bound K must be positive$"):
+            with patch, pytest.raises(ValueError, match="^dichotomy bound K must be positive$"):
                 OrbitCache(sc.cocycle, sc.base_point, bad_bound).bound(3)
     # Range forms only: too few rows.  Rows of the wrong shape, in either form.
     short = RangeMap(lambda point: 1.0, lambda omega, ns: np.ones(len(ns) - 1))
@@ -868,3 +873,75 @@ def test_adapted_norms_near_the_float_range(scenarios, block4, magnitude):
         assert _bytes(both[1][: len(ns)]) == _bytes(alone[1])
         assert _bytes(both[0][len(ns) :]) == _bytes(stable[::-1])
         assert _bytes(both[1][len(ns) :]) == _bytes(unstable[::-1])
+
+
+_READS = ("matrices", "inverses", "projectors", "bounds", "stable_maps", "unstable_maps")
+
+
+def test_chunked_fills_match_one_shot_fills_bitwise(scenarios, block4):
+    # Fills of 7 indices, so most reads span several chunks and the held
+    # entries of earlier reads split them unevenly, give the bytes of fills
+    # that take every missing index at once.
+    for sc in list(scenarios.values()) + [block4]:
+        chunked, whole = sc.orbit(), sc.orbit()
+        for n_lo, n_hi in _RANGES:
+            for read in _READS:
+                with mock.patch.object(cocycle_module, "_FILL_CHUNK", 7):
+                    got = getattr(chunked, read)(n_lo, n_hi)
+                with mock.patch.object(cocycle_module, "_FILL_CHUNK", 1 << 30):
+                    want = getattr(whole, read)(n_lo, n_hi)
+                assert got.tobytes() == want.tobytes(), (sc.name, read, n_lo, n_hi)
+
+
+@pytest.mark.parametrize("range_form", [False, True], ids=["per-point", "range-form"])
+def test_chunked_fill_names_the_lowest_bad_index(range_form):
+    # Bad matrices at 4 and 11 lie in the chunks [0, 8) and [8, 16): the
+    # first chunk raises, naming 4, before the second is evaluated, and
+    # keeps nothing of itself.  A bad matrix in the second chunk alone is
+    # named after the first chunk was stored.
+    with mock.patch.object(cocycle_module, "_FILL_CHUNK", 8):
+        calls = []
+        cache = OrbitCache(_offset_generator(bad=(4, 11), calls=calls, range_form=range_form),
+                           ShiftPoint(5))
+        with pytest.raises(SingularityError) as err:
+            cache.matrices(0, 20)
+        assert err.value.index == 4
+        assert max(calls) < 8 and not cache._mats.filled.any()
+        cache = OrbitCache(_offset_generator(bad=(11,), range_form=range_form), ShiftPoint(5))
+        for read in (cache.matrices, cache.inverses, cache.streamed_matrices,
+                     cache.streamed_inverses):
+            with pytest.raises(SingularityError) as err:
+                read(0, 20)
+            assert err.value.index == 11
+        assert cache._mats.filled[:8].all() and not cache._mats.filled[8:].any()
+
+
+def test_streamed_reads_match_stored_reads_and_store_nothing(scenarios, block4):
+    # A streamed read returns the bytes of a stored read and stores nothing:
+    # a view where the segment holds every entry, else a new array whose
+    # held entries are copied and whose others are evaluated once each.
+    for sc in list(scenarios.values()) + [block4]:
+        stored = sc.orbit()
+        calls = []
+        generator = sc.cocycle.generator
+
+        def counted(point):
+            calls.append(point)
+            return generator(point)
+
+        streamed = OrbitCache(replace(sc.cocycle, generator=counted), sc.base_point)
+        streamed.matrices(-3, 4)
+        streamed.inverses(-2, 0)
+        calls.clear()
+        for n_lo, n_hi in [(-9, 6), (-3, 4), (-2, 0), (5, 12), (-40, -31)]:
+            for kind in ("matrices", "inverses"):
+                got = getattr(streamed, "streamed_" + kind)(n_lo, n_hi)
+                want = getattr(stored, kind)(n_lo, n_hi)
+                assert got.tobytes() == want.tobytes(), (sc.name, kind, n_lo, n_hi)
+        held = streamed.streamed_matrices(-3, 4)
+        assert held.base is not None and not held.flags.writeable
+        assert len(streamed._mats.filled) == 7 and len(streamed._invs.filled) == 2
+        # Each read evaluates the matrices it finds not held, its inverses
+        # those over the span of the missing inverses: 8 and 8 for (-9, 6),
+        # 7 and 7 for (5, 12), 9 and 9 for (-40, -31), none for the others.
+        assert len(calls) == 8 + 8 + 7 + 7 + 9 + 9, sc.name

@@ -397,3 +397,28 @@ def test_benchmark_tracer_reads_the_traced_arguments(tmp_path):
     assert counts["green.green_apply.indices"] > 0
     assert counts["green.weighted_norm.indices"] > 0
     assert counts["lyapunov.orbit_steps"] > 0
+
+
+@pytest.mark.parametrize("experiment", ["lyapunov", "conservation"])
+def test_exponent_run_memory_grows_by_its_logs_and_forward_matrices(tmp_path, experiment):
+    # Per step a run keeps its log norms, 8 bytes per walked row, and the
+    # forward matrices, 32 bytes on uniform-diag; the rest of its scratch
+    # is bounded by the chunk sizes, which 4096 steps already exceed.  The
+    # traced peak at 8192 steps may exceed the one at 4096 by 80 bytes per
+    # added step.
+    import tracemalloc
+
+    def peak(steps):
+        cfg = ExperimentConfig(scenario="uniform-diag", experiment=experiment, samples=2,
+                               steps=steps, out_dir=str(tmp_path / str(steps)))
+        tracemalloc.start()
+        try:
+            assert run_experiment(cfg) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    get_scenario("uniform-diag")  # the registry is built outside the traced runs
+    steps = 4096
+    low, high = peak(steps), peak(2 * steps)
+    assert high - low <= 80 * steps, (high - low) / steps

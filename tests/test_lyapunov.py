@@ -16,6 +16,7 @@ from shadowrds import (
     RangeMap,
     RotationPoint,
     ShiftPoint,
+    SingularityError,
     Window,
     WindowSequence,
     backward_qr_frame,
@@ -693,6 +694,17 @@ def _reference_qr_sweep(mats):
     return q, np.array(sums)
 
 
+def _full_sweep(mats):
+    """``_qr_sweep`` keeping the running sums after every factorization."""
+    return _qr_sweep(mats, range(1, len(mats) + 1))
+
+
+def _loop_sweep(mats):
+    """``_qr_loop`` from the identity, with the running sums of its logs."""
+    q, logs = _qr_loop(mats, np.eye(mats.shape[-1]))
+    return q, np.cumsum(logs, axis=0)
+
+
 @pytest.mark.parametrize(
     "indices",
     [range(300), range(-300, 0), range(1), range(2), range(3), range(37, 900)],
@@ -702,7 +714,7 @@ def test_qr_sweep_matches_running_sum_loop(scenarios, block4, indices):
     # Bytes, not values: q feeds nonlinear_orbit, so its signed zeros count.
     for sc in list(scenarios.values()) + [block4]:
         cache = OrbitCache(sc.cocycle, sc.base_point)
-        q, sums = _qr_sweep(cache.matrices(indices.start, indices.stop))
+        q, sums = _full_sweep(cache.matrices(indices.start, indices.stop))
         ref_q, ref_sums = _reference_qr_sweep(
             np.array([cache.matrix(n) for n in indices])
         )
@@ -722,7 +734,7 @@ def test_qr_loop_matches_positive_qr_loop(scenarios, block4, forward):
         blocks.append(np.array(cache.matrices(0, 300) if forward else cache.matrices(-300, 0)))
     blocks.append(np.random.default_rng(3 if forward else 4).standard_normal((200, 3, 3)))
     for mats in blocks:
-        q, sums = _qr_loop(mats)
+        q, sums = _loop_sweep(mats)
         ref_q, ref_sums = _reference_qr_sweep(mats)
         assert sums.tobytes() == ref_sums.tobytes()
         assert q.tobytes() == ref_q.tobytes()
@@ -735,7 +747,7 @@ def test_qr_loop_breaks_down_on_a_singular_matrix(singular):
     # raises after its last step, like the per-step loop at that step.
     mats = np.random.default_rng(8).standard_normal((40, 3, 3))
     mats[17] = singular
-    for sweep in (_qr_loop, _qr_sweep, _reference_qr_sweep):
+    for sweep in (_loop_sweep, _full_sweep, _reference_qr_sweep):
         with pytest.raises(NumericalBreakdownError, match="zero diagonal entry"):
             sweep(mats)
 
@@ -755,9 +767,9 @@ def _triangular_blocks(draw, min_dim=1):
 
 
 def _sweep_counting_qr(mats):
-    """``_qr_sweep(mats)`` and the number of LAPACK factorizations it made."""
+    """``_full_sweep(mats)`` and the number of LAPACK factorizations it made."""
     with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as counted:
-        q, sums = _qr_sweep(mats)
+        q, sums = _full_sweep(mats)
     return q, sums, counted.call_count
 
 
@@ -794,7 +806,7 @@ def test_zero_diagonal_breaks_down_on_both_paths(mats, data):
     i = data.draw(st.integers(0, dim - 1))
     mats[k, i, i] = data.draw(st.sampled_from([0.0, -0.0]))
     with pytest.raises(NumericalBreakdownError):
-        _qr_sweep(mats)
+        _full_sweep(mats)
     with pytest.raises(NumericalBreakdownError):
         _reference_qr_sweep(mats)
 
@@ -1059,3 +1071,125 @@ def test_conservation_walks_each_direction_once(scenarios, name, samples):
 def test_conservation_rejects_a_non_scenario():
     with pytest.raises(TypeError, match="scenario must be a Scenario"):
         conservation_experiment("remark-scalar", 600, 1)
+
+
+def _read_steps(steps):
+    """``mock.patch`` of the walks' and sweeps' matrix reads to ``steps`` matrices."""
+    return mock.patch.object(lyapunov, "_READ_CHUNK", steps)
+
+
+@pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
+def test_fill_error_anywhere_in_the_range_wins_over_a_walk_error(forward):
+    # A plain row vanishes after 4 steps, or a kick fails at orbit offset
+    # +-6.  Step 30 meets a singular matrix, several reads of 8 steps past
+    # either walk error: its SingularityError is raised instead, at every
+    # read size, as when the walk read its whole range first.
+    def orbit(scale, bad):
+        return _offset_orbit(lambda n: [[0.0 if n == bad else scale(n)]])
+
+    def kick(cs, x):
+        if np.any(np.abs(cs) == 6):
+            raise ValueError("kick fails at offset 6")
+        return x * 0.0
+
+    failing = Perturbation(lambda p: (p.offset,), kick, 0.0, bound=1e-2)
+    cases = [(lambda n: 1e-100 if n >= 0 else 1e100, _ZERO_KICK, DegenerateOrbitError,
+              "vanished after 4 steps"),
+             (lambda n: 0.5 if n >= 0 else 2.0, failing, ValueError, "kick fails")]
+    bad = 30 if forward else -31  # the matrix of step 30
+    xs = np.array([[1.0], [-3.0]])
+    for scale, pert, error, message in cases:
+        for read in (8, lyapunov._READ_CHUNK):
+            with _read_steps(read):
+                with pytest.raises(error, match=message):
+                    _orbit_log_norms(pert, orbit(scale, None), xs, forward, 40)
+                with pytest.raises(SingularityError) as err:
+                    _orbit_log_norms(pert, orbit(scale, bad), xs, forward, 40)
+                assert err.value.index == bad
+
+
+def _mixed_triangular_block(rng, steps, dim, switch):
+    """``steps`` (dim, dim) matrices, upper triangular with diagonal entries of
+    either sign before ``switch`` and dense after it."""
+    mats = rng.standard_normal((steps, dim, dim))
+    mats[:switch] = np.triu(mats[:switch]) + np.eye(dim) * np.sign(mats[:switch])
+    return mats
+
+
+@pytest.mark.parametrize("read", [1, 7, 64])
+def test_chunked_qr_sweep_matches_running_sum_loop(scenarios, block4, read):
+    # Chunks that do not divide the 300 steps: triangular blocks carry their
+    # signs over the seams, the others q, and a block whose first 150
+    # matrices are triangular hands the closed form's q to the loop at the
+    # chunk holding step 150.  The LAPACK calls are one per step of the
+    # loop plus the closed form's one, and any counts, in any order, read
+    # the reference's running sums.
+    blocks = []
+    for sc in list(scenarios.values()) + [block4]:
+        cache = OrbitCache(sc.cocycle, sc.base_point)
+        blocks += [np.array(cache.matrices(0, 300)), np.array(cache.matrices(-300, 0))]
+    rng = np.random.default_rng(read)
+    blocks += [_mixed_triangular_block(rng, 300, dim, 150) for dim in (1, 2, 3)]
+    counts = [300, 150, 1, 299, read, 7]
+    for mats in blocks:
+        with _read_steps(read):
+            q, sums, calls = _sweep_counting_qr(mats)
+            _, some = _qr_sweep(mats, counts)
+        ref_q, ref_sums = _reference_qr_sweep(mats)
+        assert q.tobytes() == ref_q.tobytes()
+        assert sums.tobytes() == ref_sums.tobytes()
+        assert some.tobytes() == ref_sums[np.array(counts) - 1].tobytes()
+        triangular = [lyapunov._is_upper_triangular(mats[:k]) for k in (1, 150, 300)]
+        if triangular[-1]:
+            assert calls == 1
+        elif triangular[1]:
+            start = 150 // read * read
+            assert calls == 300 - start + (start > 0)
+        else:
+            assert calls == 300
+
+
+@pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
+def test_walk_decides_diagonal_per_read(forward):
+    # Diagonal matrices for the first 40 steps, then ones with an entry off
+    # the diagonal: reads of 16 steps take the closed form while they hold
+    # diagonal matrices only, and the loop from the read holding step 40;
+    # one read of the whole walk takes the loop throughout.  Every walk is
+    # the per-vector walk's bytes.
+    def matrix(n):
+        a = np.diag([0.5, 2.0])
+        if not -40 <= n < 40:
+            a[0, 1] = 0.25
+        return a
+
+    xs = np.array([[0.0, 3.0], [-1.0, 0.0], [0.0, -1e-3]])
+    cache = _offset_orbit(matrix)
+    with _read_steps(16):
+        for paths in _assert_walks_like_per_vector(Perturbation.zero(2), cache, xs, forward,
+                                                   100).values():
+            assert paths["closed"] >= 32 and paths["loop"] >= 52, paths
+    for paths in _assert_walks_like_per_vector(Perturbation.zero(2), cache, xs, forward,
+                                               100).values():
+        assert paths == {"closed": 0, "loop": 100}
+
+
+def test_nonlinear_exponents_share_the_walk_logs(scenarios):
+    # The rows walked together keep views of one log array; ``values`` and
+    # the tail statistics are today's per-row arrays and numbers.
+    sc = scenarios["uniform-rot-coupled"]
+    xs = _spread_rows(np.random.default_rng(5), 3, 2)
+    for direction, sign in (("forward", 1), ("backward", -1)):
+        block = nonlinear_exponent(sc.orbit(), sc.perturbation, xs, direction, 301)
+        logs = _orbit_log_norms(sc.perturbation, sc.orbit(), xs, direction == "forward", 301)
+        ns = np.arange(1, 302)
+        tail = slice(150, 301)
+        for i, res in enumerate(block):
+            assert res.log_norms.base is block[0].log_norms.base is not None
+            values = logs[:, i] / (sign * ns)
+            assert res.values.tobytes() == np.column_stack([ns, values]).tobytes()
+            fit = np.polyfit(ns[tail], logs[tail, i], 1)
+            resid = logs[tail, i] - np.polyval(fit, ns[tail])
+            assert res.estimate == float(np.max(values[tail]))
+            assert res.tail_min == float(np.min(values[tail]))
+            assert res.regression_residual == float(np.sqrt(np.mean(resid**2)))
+            assert res.converged == (res.estimate - res.tail_min <= 0.05)
