@@ -40,8 +40,13 @@ For each builtin scenario it times, over STEPS orbit indices:
   chunk runs computed in closed form (``closed``: a diagonal block with every
   row on an axis) and by the per-step loop (``loop``), counted on one
   untimed walk.  The runs beside the plain runs of a block with plain and
-  scaled rows are counted too, and so are the steps that a rollback, a plain
-  row's switch or a growth out of the float's normal range discards;
+  scaled rows are counted too, and so are the steps that a rollback or a
+  growth out of the float's normal range discards;
+- ``walk_plain_steps`` / ``walk_linear_plain_steps``: for the same walks, the
+  plain row-steps (steps times rows) that the plain runs (``_plain_run``)
+  computed, counted on that untimed walk: the steps a walk commits, those
+  past a row's switch to scaled, and those of the rows still plain there,
+  which the next block steps again.  A linear walk takes none;
 - ``peak_kb``: the ``tracemalloc`` peak, in kB, of one forward and one
   backward ``nonlinear_exponent`` of max(K_VALUES) rows over STEPS steps,
   each on a new orbit segment and with its tail statistics read.
@@ -101,18 +106,25 @@ def _median_us(call, per: int, setup=None) -> float:
     return statistics.median(times) / per * 1e6
 
 
-def _walk_path(walk) -> dict:
-    """Steps of ``walk()``'s chunk runs in closed form and by the loop."""
-    path = {"closed": 0, "loop": 0}
+def _walk_path(walk) -> tuple[dict, int]:
+    """Steps of ``walk()``'s chunk runs in closed form and by the loop, and
+    the plain row-steps of its plain runs."""
+    path, plain = {"closed": 0, "loop": 0}, [0]
 
     def counted(mats, *args, read=lyapunov._axis_growth):
         signs = read(mats, *args)
         path["loop" if signs is None else "closed"] += len(mats)
         return signs
 
-    with mock.patch.object(lyapunov, "_axis_growth", counted):
+    def stepped(*args, run=lyapunov._plain_run):
+        norms, error = run(*args)
+        plain[0] += norms.size
+        return norms, error
+
+    with mock.patch.object(lyapunov, "_axis_growth", counted), \
+            mock.patch.object(lyapunov, "_plain_run", stepped):
         walk(None)
-    return path
+    return path, plain[0]
 
 
 def _scenario_row(sc) -> dict:
@@ -148,22 +160,23 @@ def _scenario_row(sc) -> dict:
     qr_us = _median_us(lambda _: linear_exponents_and_half(orbit, STEPS), STEPS)
     qr_lapack_us = _median_us(lambda _: _qr_loop(mats, np.eye(dim)), STEPS)
 
-    def walks(perturbation) -> tuple[dict, dict]:
-        times, paths = {}, {}
+    def walks(perturbation) -> tuple[dict, dict, dict]:
+        times, paths, plain = {}, {}, {}
         for direction, forward in (("forward", True), ("backward", False)):
-            times[direction], paths[direction] = {}, {}
+            times[direction], paths[direction], plain[direction] = {}, {}, {}
             for k in K_VALUES:
                 xs = np.random.default_rng(k).standard_normal((k, dim))
 
                 def walk(_, xs=xs, forward=forward):
                     _orbit_log_norms(perturbation, orbit, xs, forward, STEPS)
 
-                paths[direction][str(k)] = _walk_path(walk)
+                paths[direction][str(k)], plain[direction][str(k)] = _walk_path(walk)
                 times[direction][str(k)] = _median_us(walk, STEPS)
-        return times, paths
+        return times, paths, plain
 
-    walk_us, walk_path = walks(sc.perturbation)
-    walk_linear_us, walk_linear_path = walks(shadowrds.Perturbation.zero(dim))
+    walk_us, walk_path, walk_plain_steps = walks(sc.perturbation)
+    walk_linear_us, walk_linear_path, walk_linear_plain_steps = walks(
+        shadowrds.Perturbation.zero(dim))
 
     xs = np.random.default_rng(0).standard_normal((max(K_VALUES), dim))
     tracemalloc.start()
@@ -192,6 +205,8 @@ def _scenario_row(sc) -> dict:
         "walk_linear_us": walk_linear_us,
         "walk_path": walk_path,
         "walk_linear_path": walk_linear_path,
+        "walk_plain_steps": walk_plain_steps,
+        "walk_linear_plain_steps": walk_linear_plain_steps,
         "peak_kb": peak_kb,
     }
     if sc.layering is not None:

@@ -35,27 +35,26 @@ measured again scaled by the power of two of the row's largest entry
 The sampled orbits of one direction share the base orbit, so
 ``nonlinear_exponent`` walks a (k, d) block of starting points in lock-step,
 and each row switches between the plain and the scaled representation on its
-own, through a per-row flag.  Both kinds advance in chunk runs.  A plain run
-steps the plain rows exactly, one batched product plus kick per step (one
-batched ``invert_step`` backward) with the coefficient rows read by orbit
-range, and measures all its steps with one norm call; plain runs double in
-length from one step up to the chunk.  A block ends at the first step where
-a plain row passes _BIG_NORM, and the run's later steps of the other rows
-are kept for the next blocks.  Scaled steps read no coefficients.  A scaled
-run takes one product, norm and divide per step, rolled back to the step
-where a row falls to the switch-back level; it ends before a growth out of
-[2^-511, 2^511], and a run that starts on one takes that step alone.  The
-block commits both kinds at the earlier end.  A scaled run takes a closed
-form instead when three things hold: every matrix of the walk's current
-read is diagonal, every row's unit vector is a signed axis vector +-e_i,
-and each row's entries m = A[i, i] over the run are non-zero with m^2 a
-normal float.  The
-product is then +-m e_i exactly, its norm sqrt(fl(m^2)) = |m|, and the
-divide leaves sign(m) times the unit, so a step's growth is one gathered
-|A[i, i]| and the unit's sign a running product; the loop's unit differs at
-most in the signs of its zeros, which no norm reads.  Every row is bit for
-bit the orbit it would trace when walked alone, so
-``conservation_experiment`` walks one block per direction.
+own, through a per-row flag.  The walk goes in blocks of two chunk runs from
+the same step and one commit.  The plain run steps the plain rows exactly,
+one batched product plus kick per step (one batched ``invert_step``
+backward) with the coefficient rows read by orbit range, and measures all its
+steps with one norm call.  It reaches the first step where a plain row
+vanishes, passes _BIG_NORM or fails, and its length doubles from one step up
+to the chunk while the plain rows stay the same.  The scaled run reads no
+coefficients and takes one product, norm and divide per step.  It reaches
+the step where a row falls to the switch-back level, and ends before a
+growth out of [2^-511, 2^511]; a run that starts on one takes that step
+alone.  The block commits both runs at the smaller reach.  A scaled run
+takes a closed form instead when three things hold: every matrix of the
+walk's current read is diagonal, every row's unit vector is a signed axis
+vector +-e_i, and each row's entries m = A[i, i] over the run are non-zero
+with m^2 a normal float.  The product is then +-m e_i exactly, its norm
+sqrt(fl(m^2)) = |m|, and the divide leaves sign(m) times the unit, so a
+step's growth is one gathered |A[i, i]| and the unit's sign a running
+product; the loop's unit differs at most in the signs of its zeros, which
+no norm reads.  Every row is bit for bit the orbit it would trace when
+walked alone, so ``conservation_experiment`` walks one block per direction.
 
 An exponent run keeps two arrays that grow with its steps: the walk's log
 norms, one float per row and step, which each ``NonlinearExponent`` views,
@@ -399,35 +398,28 @@ def _orbit_log_norms(
     """log |orbit| of each row of xs after 1..steps applications of F (or
     F^{-1}), all rows walked in lock-step; shape (steps, k).
 
-    Each row is plain (``vec``, stepped exactly) or scaled (a unit vector,
-    stepped linearly, whose log norm is the row's last logged value); a pure
-    linear map starts every row scaled.  The matrices (inverses backward)
-    are read _READ_CHUNK steps at a time by ``OrbitCache.streamed_matrices``
-    (``streamed_inverses``), so a walk stores none and holds one read.  The
-    walk goes in blocks of at most ``chunk`` steps (_WALK_SCRATCH floats),
-    within the read and the coefficient rows held; a plain step outside
-    them reads those of ``chunk`` steps.  Unless steps of an earlier run are
-    held, the plain rows take the block's steps into a (c + 1, k_plain, d)
-    buffer, each one product plus kick (one ``invert_step`` backward), and
-    one ``_row_norms`` measures them all, norms out of [_TINY_NORM,
-    _HUGE_NORM] again scaled.  Such a run takes at
-    most one step more than the plain rows walked since a row last turned
-    plain, so the runs double up to ``chunk`` and the steps a walk computes
-    past its last plain one are no more than its plain steps.  The block
-    ends at the first step where a plain row vanishes or passes _BIG_NORM.
-    The scaled run then steps every row's unit by the loop or
-    ``_axis_growth``'s closed form and sets the plain rows' growths to 1, so
-    their stale units reach no test and no log, before one cumulative sum
-    over the log growths; it ends the block earlier where the module
-    docstring says.  Both kinds commit at the block's end, and the plain
-    run's later steps are held for the rows still plain until a row turns
-    plain.  A plain step past a block's end may leave the float range
-    (numpy's overflow and invalid warnings are off in the run) or raise, and
-    its error is raised only when a block reaches it.  A walk that fails
-    reads the rest of its range first, so a fill error anywhere in it is
-    raised instead, as if the walk had read its whole range up front; of
-    several, the first in walk order.  Per-row logs use math.log, whose last
-    bit np.log does not always match.
+    Each row is plain (``vec``, stepped exactly) or scaled (``unit``, stepped
+    linearly, whose log norm is the row's last logged value); a pure linear
+    map starts every row scaled.  The matrices (inverses backward) come
+    _READ_CHUNK steps at a time from ``OrbitCache.streamed_matrices``
+    (``streamed_inverses``), none stored, and a block of at most ``chunk``
+    steps (_WALK_SCRATCH floats) lies within one read.  From step n:
+
+    - the plain run steps the plain rows from ``vec`` by ``_plain_run``, with
+      the coefficient rows of ``chunk`` steps read by range at a plain step
+      outside those held.  It takes at most one step more than the walk has
+      taken since the plain rows last changed, so the steps computed past a
+      switch are no more than the plain ones before it;
+    - the scaled run steps every row's unit over the plain run's reach by
+      ``_axis_growth`` or the loop, the plain rows' growths set to 1 so that
+      their units reach no test and no log.
+
+    Both commit at the smaller reach; a plain run's error is raised only
+    when the commit reaches its step.  A walk that fails reads the rest of
+    its range first, so a fill error anywhere in it is raised instead, as if
+    the walk had read its whole range up front; of several, the first in
+    walk order.  Per-row logs use math.log, whose last bit np.log does not
+    always match.
     """
     _check_steps(steps)
     xs = np.asarray(xs, dtype=float)
@@ -447,13 +439,14 @@ def _orbit_log_norms(
             mats = orbit.streamed_inverses(-hi, -lo)[::-1]
         return mats, _is_diagonal(mats)
 
-    # mats[j] is the matrix of step m_lo + j, for the steps up to m_hi.  The
-    # first read comes before the walk's arrays, so that the temporaries of
-    # its fill do not add to them.
+    # The first read comes before the walk's arrays, so that the temporaries
+    # of its fill do not add to them.
     mats, diagonal = read(0)
-    log_low = math.log(_BIG_NORM) - 2.0
+    m_lo, m_hi = 0, len(mats)  # mats[j] is the matrix of step m_lo + j
+    # A scaled row falls back to plain below log_low, never under a linear map.
+    log_low = -math.inf if pure_linear else math.log(_BIG_NORM) - 2.0
     chunk = max(1, min(steps, _WALK_SCRATCH // (k * (dim + 1))))
-    # units[j + 1] holds the rows' directions after step j of a chunk run,
+    # units[j + 1] holds the rows' directions after step j of a scaled run,
     # growth[j] the norms they were divided by; units[0] is the current one.
     units = np.empty((chunk + 1, k, dim, 1))
     units_t = units.transpose(0, 1, 3, 2)
@@ -462,56 +455,38 @@ def _orbit_log_norms(
     unit[:] = xs / norms[:, None]
     vec = xs.copy()
     scratch = np.empty((chunk + 1) * k * dim)  # the plain runs' buffer
-    # logs[n] holds the log norms after n steps; a scaled row's log norm is
-    # its last logged value.
-    logs = np.empty((steps + 1, k))
+    logs = np.empty((steps + 1, k))  # logs[n]: the log norms after n steps
     logs[0] = [math.log(v) for v in norms.tolist()]
     scaled = np.full(k, pure_linear)
-    # The plain rows' indices, and their selection: every row when all are plain.
-    plain = np.flatnonzero(~scaled)
-    sel = slice(None) if len(plain) == k else plain
-
     cs, cs_lo = np.empty(0), 0  # cs[j] is the coefficient row of step cs_lo + j
-    # The plain run: run[j] holds the plain rows j steps past its start, and
-    # run_norms[j] the norms of run[j + 1]; the ``held`` steps past n start
-    # at run[at].  They outlive a row's switch to scaled, not one to plain.
-    # ``since`` is the step where a row last turned plain.
-    held = at = since = 0
-    n = m_lo = 0
-    m_hi = len(mats)
+    n = since = 0  # since: the step where the plain rows last changed
     try:
         while n < steps:
             if n == m_hi:
                 mats, diagonal = read(n)
                 m_lo, m_hi = n, n + len(mats)
-            here = mats[n - m_lo:]  # the matrices from step n on
-            c = min(chunk, m_hi - n)
-            fail = None  # the error of the block's step c, if it gets there
+            here = mats[n - m_lo:]
+            plain = np.flatnonzero(~scaled)
+            reach, fail = min(chunk, m_hi - n), None
             if len(plain):
                 if not cs_lo <= n < cs_lo + len(cs):
                     cs_lo, hi = n, min(n + chunk, steps)
                     ns = np.arange(n, hi) if forward else np.arange(-hi, -n)
                     cs = orbit.evaluate(perturbation.coefficients, ns, "coefficients")
                     cs = cs if forward else cs[::-1]
-                if not held:
-                    at, j = 0, n - cs_lo
-                    held = min(c, len(cs) - j, n - since + 1)
-                    run = scratch[:(held + 1) * len(plain) * dim].reshape(held + 1, -1, dim)
-                    run[0] = vec[sel]
-                    run_norms, fail = _plain_run(perturbation, here[:held], cs[j:j + held],
-                                                 forward, run)
-                    held = len(run_norms)
-                c = min(c, held)
-                hit = np.flatnonzero(((run_norms[at:at + c] == 0.0)
-                                      | (run_norms[at:at + c] > _BIG_NORM)).any(axis=1))
+                j = n - cs_lo
+                reach = min(reach, len(cs) - j, n - since + 1)
+                run = scratch[:(reach + 1) * len(plain) * dim].reshape(reach + 1, -1, dim)
+                run[0] = vec[plain]
+                run_norms, fail = _plain_run(perturbation, here[:reach], cs[j:j + reach],
+                                             forward, run)
+                reach = len(run_norms) + (fail is not None)
+                hit = np.flatnonzero(((run_norms == 0.0) | (run_norms > _BIG_NORM)).any(axis=1))
                 if hit.size:
-                    c = int(hit[0]) + 1
-                    fail = None if run_norms[at + c - 1].all() else DegenerateOrbitError(
-                        f"orbit norm vanished after {n + c} steps")
-                elif fail is not None:
-                    c += 1
-            plain_end = c
-            signs, low = None, ()
+                    reach = int(hit[0]) + 1
+                    fail = None if run_norms[reach - 1].all() else DegenerateOrbitError(
+                        f"orbit norm vanished after {n + reach} steps")
+            c = reach
             if len(plain) < k:
                 grown = growth[:c, :, 0, 0]
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -536,38 +511,32 @@ def _orbit_log_norms(
                 block[1:] = np.reshape(list(map(math.log, grown[:c].ravel().tolist())),
                                        (c, k))
                 np.cumsum(block, axis=0, out=block)
-                if not pure_linear:
-                    low = np.flatnonzero(((block[1:] < log_low) & scaled).any(axis=1))
+                low = np.flatnonzero(((block[1:] < log_low) & scaled).any(axis=1))
                 if len(low):
                     c = int(low[0]) + 1
-            if fail is not None and c == plain_end:
+            if fail is not None and c == reach:
                 raise fail
-            if signs is None:
-                units[0] = units[c]
-            else:
-                unit *= signs[:c].prod(axis=0)[:, None]
-            switched = False
+            # The commit of both runs at step n + c.
+            if len(plain) < k:
+                if signs is None:
+                    units[0] = units[c]
+                else:
+                    unit *= signs[:c].prod(axis=0)[:, None]
             if len(plain):
-                nl, new = run_norms[at:at + c], run[at + c]
-                vec[sel] = new
-                logs[n + 1:n + c + 1, sel] = np.reshape(
-                    list(map(math.log, nl.ravel().tolist())), (c, len(plain)))
-                held, at = held - c, at + c
-                big = nl[-1] > _BIG_NORM
-                if big.any():
-                    unit[plain[big]] = new[big] / nl[-1, big, None]
-                    scaled[plain[big]] = True
-                    run, run_norms = run[:, ~big], run_norms[:, ~big]
-                    switched = True
-            if len(low) and c > low[0]:  # rows fall back to plain; the run starts anew
-                for i in np.flatnonzero(scaled & (logs[n + c] < log_low)).tolist():
-                    vec[i] = unit[i] * math.exp(logs[n + c, i])
-                    scaled[i] = False
-                held, switched, since = 0, True, n + c
+                vec[plain] = run[c]
+                logs[n + 1:n + c + 1, plain] = np.reshape(
+                    list(map(math.log, run_norms[:c].ravel().tolist())), (c, len(plain)))
+                last = run_norms[c - 1]
+                big = last > _BIG_NORM
+                unit[plain[big]] = vec[plain[big]] / last[big, None]
+                scaled[plain[big]] = True
             n += c
-            if switched:
-                plain = np.flatnonzero(~scaled)
-                sel = slice(None) if len(plain) == k else plain
+            back = np.flatnonzero(scaled & (logs[n] < log_low))
+            for i in back.tolist():
+                vec[i] = unit[i] * math.exp(logs[n, i])
+            scaled[back] = False
+            if len(back) or scaled[plain].any():
+                since = n
     except Exception:
         if n < m_hi:  # a walk error: a fill error further on is raised first
             for lo in range(m_hi, steps, _READ_CHUNK):

@@ -22,6 +22,15 @@ from shadowrds import (  # noqa: E402
 )
 
 
+def scaled_norm(v) -> float:
+    """np.linalg.norm of v scaled by the power of two of its largest |entry|,
+    then scaled back: the bytes of np.linalg.norm in range, and no underflow
+    of the squares of tiny vectors.  The per-row oracle of the walks' and
+    the kernels' overflow-safe norms."""
+    _, exp = np.frexp(np.max(np.abs(v)))
+    return float(np.ldexp(np.linalg.norm(np.ldexp(v, -exp)), exp))
+
+
 def _rot2(theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])

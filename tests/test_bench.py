@@ -32,12 +32,30 @@ def test_exponent_steps_row_runs(monkeypatch):
         walks = row["walk_linear_us"][direction]
         assert list(walks) == [str(k) for k in bench.K_VALUES]
         assert all(us > 0 for us in walks.values())
-        for key in ("walk_path", "walk_linear_path"):
+        for key in ("walk_path", "walk_linear_path", "walk_plain_steps",
+                    "walk_linear_plain_steps"):
             assert list(row[key][direction]) == list(walks)
+        assert all(steps > 0 for steps in row["walk_plain_steps"][direction].values())
+        assert all(steps == 0 for steps in row["walk_linear_plain_steps"][direction].values())
         for path in row["walk_linear_path"][direction].values():
             assert path == {"closed": 0, "loop": 8}
         for path in scalar["walk_linear_path"][direction].values():
             assert path == {"closed": 8, "loop": 0}
+
+
+def test_source_size_counts_lines_and_tokens_of_every_module(capsys):
+    import json
+
+    bench = _load("source_size")
+    assert bench.module_size("x = 1  # one\n\nif x:\n    y = (x,\n         2)\n") == {
+        "lines": 5, "tokens": 19}
+    bench.main([])
+    sizes = json.loads(capsys.readouterr().out)
+    modules = sorted(p.name for p in bench.SRC.glob("*.py"))
+    assert list(sizes) == modules + ["total"] and "lyapunov.py" in modules
+    for key in ("lines", "tokens"):
+        assert all(sizes[name][key] > 0 for name in modules)
+        assert sizes["total"][key] == sum(sizes[name][key] for name in modules)
 
 
 def test_invariant_checks_row_times_every_check_of_the_suite(monkeypatch):

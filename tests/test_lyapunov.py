@@ -42,6 +42,8 @@ from shadowrds.lyapunov import (
 )
 from shadowrds.shadowing import _INVERT_MAX_ITER, InversionError
 
+from conftest import scaled_norm as _scaled_norm
+
 
 def _reference_invert_step(inverse_matrix, perturbation, point, target, tol):
     """The per-vector backward step: the fixed-point iteration on one vector."""
@@ -54,14 +56,6 @@ def _reference_invert_step(inverse_matrix, perturbation, point, target, tol):
     raise InversionError(
         f"backward inversion did not converge within {_INVERT_MAX_ITER} iterations"
     )
-
-
-def _scaled_norm(v):
-    """np.linalg.norm of v scaled by the power of two of its largest |entry|,
-    then scaled back: the bytes of np.linalg.norm in range, and no underflow
-    of the squares of tiny vectors."""
-    _, exp = np.frexp(np.max(np.abs(v)))
-    return float(np.ldexp(np.linalg.norm(np.ldexp(v, -exp)), exp))
 
 
 def _reference_orbit_log_norms(perturbation, cache, x, forward, steps, plain=None):
@@ -459,9 +453,9 @@ def test_plain_step_error_raises_where_the_walk_reaches_it(forward):
 @pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
 def test_scaled_row_falls_back_beside_plain_rows(forward):
     # Halving steps with a kick: the row of 1e31 turns scaled at step 1 and
-    # falls below _BIG_NORM / e^2 at step 7, inside the run held for the two
-    # plain rows; their run starts anew with it, and every row is the
-    # per-vector walk.
+    # falls below _BIG_NORM / e^2 at step 7, inside a run of the two plain
+    # rows; their run starts anew with it, and every row is the per-vector
+    # walk.
     cache = _shift_orbit(lambda offset: 0.5 if offset >= 0 else 2.0)
     xs = np.array([[1e31], [1.0], [-3.0]])
     pert = _kicked()
@@ -472,6 +466,37 @@ def test_scaled_row_falls_back_beside_plain_rows(forward):
             assert got[:, i].tobytes() == ref.tobytes(), (chunk, i)
     assert refs[0][0] > math.log(_BIG_NORM) > math.log(_BIG_NORM) - 2.0 > refs[0][6]
 
+
+@st.composite
+def _walk_blocks(draw):
+    """(scenario name, forward, linear, starting rows, chunk) of a walk whose
+    rows switch to scaled and back at staggered steps: norms log-uniform over
+    [1e-4, 1e34], each row on a random direction or on a signed axis."""
+    name = draw(st.sampled_from(["uniform-diag", "uniform-rot-coupled", "nonuniform-layered",
+                                 "remark-scalar", "block4"]))
+    k = draw(st.integers(1, 6))
+    dim = 4 if name == "block4" else {"remark-scalar": 1}.get(name, 2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    axes = draw(st.lists(st.integers(-1, dim - 1), min_size=k, max_size=k))
+    rows = np.array([rng.standard_normal(dim) if i < 0 else np.eye(dim)[i] * rng.choice([-1, 1])
+                     for i in axes])
+    exps = draw(st.lists(st.floats(-4.0, 34.0), min_size=k, max_size=k))
+    rows *= (10.0 ** np.array(exps) / np.linalg.norm(rows, axis=1))[:, None]
+    chunk = draw(st.one_of(st.integers(1, 9), st.none()))
+    return name, draw(st.booleans()), draw(st.booleans()), rows, chunk
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(block=_walk_blocks())
+def test_drawn_walks_match_the_per_vector_walk(scenarios, block4, block):
+    name, forward, linear, xs, chunk = block
+    sc = block4 if name == "block4" else scenarios[name]
+    pert = Perturbation.zero(sc.cocycle.dim) if linear else sc.perturbation
+    cache = sc.orbit()
+    got = _chunked_walk(pert, cache, xs, forward, 60, chunk)
+    for i, x in enumerate(xs):
+        ref = _reference_orbit_log_norms(pert, cache, x, forward, 60)
+        assert got[:, i].tobytes() == ref.tobytes(), i
 
 def test_nonlinear_exponent_returns_one_result_per_row(scenarios):
     sc = scenarios["uniform-rot-coupled"]

@@ -33,6 +33,8 @@ from shadowrds.checks import noisy_pseudo_orbit
 from shadowrds.cocycle import _adapted_norm_parts, _row_norms, _scaled_row_norms
 from shadowrds.shadowing import _defect_allowance, _source_terms, _window_steps
 
+from conftest import scaled_norm as _scaled_norm
+
 
 def _nonlinear_step(prob, n, x):
     """One step of the perturbed map at time n, read per point:
@@ -638,13 +640,6 @@ def test_row_norms_match_linalg_norm_bitwise(dim):
         got = _row_norms(rows)
         ref = np.array([np.linalg.norm(row) for row in rows])
     assert np.array_equal(got, ref)
-
-
-def _scaled_norm(row):
-    """The per-row form: np.linalg.norm of the row scaled by the power of two
-    of its largest |entry|, then scaled back."""
-    _, exp = np.frexp(np.max(np.abs(row)))
-    return float(np.ldexp(np.linalg.norm(np.ldexp(row, -exp)), exp))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4])
