@@ -22,13 +22,15 @@ and back to plain, so plain and scaled rows step together) and with
 LONG_STEPS steps, long enough to cross the seams of the chunked reads,
 fills and sweeps several times.  Over LONG_STEPS steps it also digests the
 bytes of ``linear_exponents_and_half`` and ``backward_qr_frame`` (frame and
-rates), the forward and the backward QR sweep.  The result is one JSON
-object on stdout, keyed by ``configs/<name>.cfg/<file>``,
+rates), the forward and the backward QR sweep.  For each builtin with
+layering data it digests the bytes of ``envelope_along_orbit`` over
+[-300, 300] at the base point and the ``layer_index`` of 16 points drawn
+with WALK_SEED.  The result is one JSON object on stdout, keyed by ``configs/<name>.cfg/<file>``,
 ``configs/<name>.cfg/stdout``, ``configs/<name>.cfg/exit``,
 ``demos/<name>.py/stdout``, ``checks/<scenario>/self-test``,
 ``checks/<scenario>/suite-<seed>``, ``walks/<scenario>/<direction>``,
 ``walks/<scenario>/<direction>/mixed`` (``/mixed-zero``, ``/long``) and
-``sweeps/<scenario>``, so two versions give byte-identical outputs exactly
+``sweeps/<scenario>`` and ``envelopes/<scenario>``, so two versions give byte-identical outputs exactly
 when their objects are equal:
 
     diff <(PYTHONPATH=src python3 bench/output_digests.py) \\
@@ -63,6 +65,7 @@ from shadowrds import (  # noqa: E402
     nonlinear_exponent,
 )
 from shadowrds.checks import run_invariant_suite, scenario_self_test  # noqa: E402
+from shadowrds.cocycle import envelope_along_orbit  # noqa: E402
 from shadowrds.experiments import OUTPUT_DIR_ENV  # noqa: E402
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -175,6 +178,21 @@ def sweep_digest(scenario) -> dict[str, str]:
     return {f"sweeps/{scenario.name}": _sha(data)}
 
 
+def envelope_digest(scenario) -> dict[str, str]:
+    """The digest of a layered scenario's envelope D(sigma^n w) for
+    -300 <= n <= 300 at its base point, then the first-hitting layers of 16
+    points drawn with WALK_SEED (-1 for None); none without layering data."""
+    layering = scenario.layering
+    if layering is None:
+        return {}
+    env = layering.envelope
+    values = envelope_along_orbit(scenario.orbit(), env.rho, env.half_width, -300, 300)
+    rng = np.random.default_rng(WALK_SEED)
+    layers = [layering.layer_index(scenario.sample_point(rng)) for _ in range(16)]
+    data = values.tobytes() + " ".join(str(-1 if m is None else m) for m in layers).encode()
+    return {f"envelopes/{scenario.name}": _sha(data)}
+
+
 def main() -> None:
     out: dict[str, object] = {}
     for path in CONFIGS:
@@ -186,6 +204,7 @@ def main() -> None:
             out.update(check_digests(scenario))
             out.update(walk_digests(scenario))
             out.update(sweep_digest(scenario))
+            out.update(envelope_digest(scenario))
     print(json.dumps(out, indent=2, sort_keys=True))
 
 

@@ -42,12 +42,15 @@ Every function that works along one orbit sigma^n w takes that orbit segment,
 an ``OrbitCache``, as its first argument: the segment carries the system, the
 base point w and the dichotomy data, and holds what is evaluated along it in
 blocks read by index range (matrices, inverses, projectors, bounds and the
-one-step maps).  A generator, projector or bound may be a ``RangeMap``,
-which carries its orbit-range form: the segment then fills a whole index
-range with one call instead of one call per point; ``OrbitCache.evaluate``
-reads every scenario callable, perturbation coefficients included, either
-way.  Tempered envelopes read K from the segment too: the envelope along an
-orbit is one range read of its bounds.
+one-step maps); a single entry is a one-index range read.  A generator,
+projector or bound may be a ``RangeMap``, which carries its orbit-range
+form: the segment then fills a whole index range with one call instead of
+one call per point.  ``OrbitCache.evaluate`` reads every scenario callable,
+perturbation coefficients included, either way, and stacks and checks the
+values with one routine, ``_stacked``.  A streamed read stores nothing: it
+is a view of held entries or one fresh fill of its range, never a mix.
+Tempered envelopes read K from the segment too: the envelope along an orbit
+is one range read of its bounds.
 
 Cocycle matrices have one product loop, ``_products``: the running
 products of a stack of factors onto a start matrix.  ``_cocycle_at(orbit, m,
@@ -148,10 +151,11 @@ _WRONG_SHAPE = {
 
 
 def _stacked(values, ns: np.ndarray, shape: tuple[int, ...] | None, name: str) -> np.ndarray:
-    """A range form's values at the orbit indices ns as one float array of
-    shape (len(ns),) + shape (None: any).  Rows of the wrong shape raise the
-    ValueError of one wrong per-point value; a wrong row count names the
-    whole shape."""
+    """A scenario callable's values at the orbit indices ns, a range form's
+    array or a list of per-point values, as one float array of shape
+    (len(ns),) + shape (None: any).  Rows of one wrong shape raise the
+    ValueError that ``name`` selects in ``_WRONG_SHAPE``, rows of unequal
+    shapes numpy's; a wrong row count names the whole shape."""
     values = np.asarray(values, dtype=float)
     if shape is not None and values.shape[1:] != shape:
         raise ValueError(_WRONG_SHAPE[name].format(values.shape[1:], shape))
@@ -280,26 +284,11 @@ class _Block:
 
     def peek(self, n_lo: int, n_hi: int, fill: _Fill) -> np.ndarray:
         """The values for n_lo <= n < n_hi, none stored: a read-only view
-        where every one is held, else a new array of the held values and
-        ``fill(ns)`` at the indices ns of the others."""
+        where every one is held, else ``fill`` of the whole range."""
         i, j = n_lo - self.lo, n_hi - self.lo
         if 0 <= i and j <= len(self.filled) and self.filled[i:j].all():
             return self.data[i:j]
-        out = np.empty((n_hi - n_lo,) + self.data.shape[1:])
-        held = np.zeros(n_hi - n_lo, dtype=bool)
-        a, b = max(i, 0), min(j, len(self.filled))
-        if a < b:
-            held[a - i : b - i] = self.filled[a:b]
-            out[held] = self.data[a:b][self.filled[a:b]]
-        missing = np.flatnonzero(~held)
-        out[missing] = fill(n_lo + missing)
-        return out
-
-    def row(self, n: int, fill: _Fill) -> np.ndarray:
-        i = n - self.lo
-        if 0 <= i < len(self.filled) and self.filled[i]:
-            return self.data[i]
-        return self.read(n, n + 1, fill)[0]
+        return fill(np.arange(n_lo, n_hi))
 
     def _cover(self, n_lo: int, n_hi: int) -> None:
         lo, size = self.lo, len(self.filled)
@@ -348,22 +337,24 @@ class OrbitCache:
     the others are (m, d, d)), ``stable_maps`` P_{n+1} A_n and
     ``unstable_maps`` (I - P_n) A_n^{-1}, which step stable vectors from n to
     n+1 and unstable ones from n+1 to n.  ``matrix(n)``, ``inverse(n)``,
-    ``projector(n)`` and ``bound(n)`` read one entry.  A read fills only its
-    missing entries, in chunks of _FILL_CHUNK indices, ascending: per chunk
-    one ``evaluate`` of the generator, projector or bound, then the
-    finiteness and COND_LIMIT check over new matrices (one stacked
-    determinant certificate, ``np.linalg.cond`` only for the matrices it does
-    not admit; a SingularityError names the lowest bad index of the chunk,
-    and so of the read), the K > 0 check over new bounds, and one stacked
-    ``np.linalg.inv`` or ``np.matmul`` for inverses and maps.  A read more than
-    _SPAN_LIMIT indices away from a block replaces it.  Base points are not
-    stored: ``point(n)`` computes sigma^n w, an exact step.
+    ``projector(n)`` and ``bound(n)`` are their one-index reads.  A read
+    fills only its missing entries, in chunks of _FILL_CHUNK indices,
+    ascending: per chunk one ``evaluate`` of the generator, projector or
+    bound, then the finiteness and COND_LIMIT check over new matrices (one
+    stacked determinant certificate, ``np.linalg.cond`` only for the
+    matrices it does not admit; a SingularityError names the lowest bad
+    index of the chunk, and so of the read), the K > 0 check over new
+    bounds, and one stacked ``np.linalg.inv`` or ``np.matmul`` for inverses
+    and maps.  A read more than _SPAN_LIMIT indices away from a block
+    replaces it.  Base points are not stored: ``point(n)`` computes
+    sigma^n w, an exact step.
 
     A segment keeps every entry it fills, in one array per block, until it
-    is dropped.  ``streamed_matrices`` and ``streamed_inverses`` read without
-    storing: the held entries as a view, or copied beside the missing ones,
-    which they evaluate and check like a fill, so a long walk holds one read
-    of them at a time.
+    is dropped.  ``streamed_matrices`` reads without storing: a view where
+    the segment holds every entry of the range, else the whole range
+    evaluated and checked as one fill.  ``streamed_inverses`` inverts that
+    read and touches no inverse block.  A long walk holds one streamed read
+    at a time.
     """
 
     def __init__(
@@ -396,27 +387,17 @@ class OrbitCache:
     def evaluate(self, fn: Callable, ns: np.ndarray, name: str,
                  shape: tuple[int, ...] | None = None, at: Callable | None = None) -> np.ndarray:
         """The values of a scenario callable at the ascending orbit indices ns,
-        stacked: one ``along`` call for a ``RangeMap``, else one call per point
-        (through ``at`` when given).  A fill gives the values' ``shape``: per
-        point they fill a preallocated block, and a wrong shape raises the
-        ValueError that ``name`` selects in ``_WRONG_SHAPE``.  Coefficient rows
-        (no shape) are stacked as they come; ragged rows raise numpy's.  No
+        stacked and checked by ``_stacked``: one ``along`` call for a
+        ``RangeMap``, else one call per point (through ``at`` when given).  No
         indices make no call."""
         if not ns.size:
             return np.empty(ns.shape + (shape or ()))
         if isinstance(fn, RangeMap):
-            return _stacked(fn.along(self.omega, ns), ns, shape, name)
-        at, base = fn if at is None else at, self.system.base
-        values = (at(step(base, self.omega, n)) for n in ns.tolist())
-        if shape is None:
-            return np.array(list(values), dtype=float)
-        out = np.empty(ns.shape + shape)
-        for i, value in enumerate(values):
-            value = np.asarray(value, dtype=float)
-            if value.shape != shape:
-                raise ValueError(_WRONG_SHAPE[name].format(value.shape, shape))
-            out[i] = value
-        return out
+            values = fn.along(self.omega, ns)
+        else:
+            at, base = fn if at is None else at, self.system.base
+            values = [at(step(base, self.omega, n)) for n in ns.tolist()]
+        return _stacked(values, ns, shape, name)
 
     def _fill_matrices(self, ns: np.ndarray) -> np.ndarray:
         generator = self.system.generator
@@ -462,28 +443,26 @@ class OrbitCache:
 
     def streamed_matrices(self, n_lo: int, n_hi: int) -> np.ndarray:
         """``matrices(n_lo, n_hi)`` with nothing stored: a view where the
-        segment holds every entry, else the held ones and the others
-        evaluated and checked as a fill would."""
+        segment holds every entry, else the whole range evaluated and checked
+        as one fill."""
         return self._mats.peek(n_lo, n_hi, self._fill_matrices)
 
     def streamed_inverses(self, n_lo: int, n_hi: int) -> np.ndarray:
-        """``inverses(n_lo, n_hi)`` with nothing stored; a missing inverse is
-        taken of its ``streamed_matrices`` entry."""
-        return self._invs.peek(
-            n_lo, n_hi, lambda ns: np.linalg.inv(_at(self.streamed_matrices, ns))
-        )
+        """``inverses(n_lo, n_hi)`` with nothing stored: the inverses of
+        ``streamed_matrices(n_lo, n_hi)``, in a new array."""
+        return np.linalg.inv(self.streamed_matrices(n_lo, n_hi))
 
     def matrix(self, n: int) -> np.ndarray:
-        return self._mats.row(n, self._fill_matrices)
+        return self.matrices(n, n + 1)[0]
 
     def inverse(self, n: int) -> np.ndarray:
-        return self._invs.row(n, self._fill_inverses)
+        return self.inverses(n, n + 1)[0]
 
     def projector(self, n: int) -> np.ndarray:
-        return self._projs.row(n, self._fill_projectors)
+        return self.projectors(n, n + 1)[0]
 
     def bound(self, n: int) -> float:
-        return float(self._bounds.row(n, self._fill_bounds))
+        return float(self.bounds(n, n + 1)[0])
 
     def apply(self, n_lo: int, xs: np.ndarray) -> np.ndarray:
         """Rows A(sigma^{n_lo + i} w) xs_i of an (m, d) array, as one batched product."""
@@ -874,34 +853,22 @@ def envelope_along_orbit(
 
 
 @dataclass(frozen=True)
-class EnvelopeReport:
-    """Diagnostics from building a windowed tempered envelope at one point."""
-
-    origin_value: float
-    dominates_bound: bool
-    max_growth_violation: float
-    boundary_certified: bool
-
-
-@dataclass(frozen=True)
 class TemperedEnvelope:
     """Windowed envelope D dominating K with controlled growth along orbits."""
 
     rho: float
     half_width: int
     bound: Callable[[BasePoint], float]
-    build_report: EnvelopeReport
 
 
 def build_envelope(orbit: OrbitCache, rho: float, half_width: int) -> TemperedEnvelope:
-    """Construct D(p) = max_{|j| <= half_width} K(sigma^j p) e^{-rho |j|}.
+    """Construct D(p) = max_{|j| <= half_width} K(sigma^j p) e^{-rho |j|}
+    for the orbit's system and dichotomy.
 
     The returned envelope satisfies K <= D everywhere by construction; its
-    ``bound(p)`` reads K along a new segment through p.  The build report
-    checks D(sigma^n w) <= D(w) e^{rho |n|} on the sampled window around the
-    orbit's base point w and flags the result uncertified when the defining
-    max is still attained at the window edge (K may keep growing beyond the
-    sampled window).
+    ``bound(p)`` reads K along a new segment through p.  Nothing is read
+    here: ``checks.check_envelope_growth`` checks K <= D and the growth
+    D(sigma^n w) <= D(w) e^{rho |n|} along sampled orbits.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -913,23 +880,4 @@ def build_envelope(orbit: OrbitCache, rho: float, half_width: int) -> TemperedEn
         segment = OrbitCache(system, point, dichotomy)
         return float(envelope_along_orbit(segment, rho, half_width)[0])
 
-    # D on [-half_width, half_width] reads K over twice the half-width on each
-    # side, which also holds the defining terms of D(w).
-    values = envelope_along_orbit(orbit, rho, half_width, -half_width, half_width)
-    origin = values[half_width]
-    offsets = np.abs(np.arange(-half_width, half_width + 1))
-    violation = float(np.max(values / (origin * np.exp(rho * offsets))) - 1.0)
-
-    ks = orbit.bounds(-half_width, half_width + 1)
-    terms = ks * np.exp(-rho * offsets)
-    interior = float(np.max(terms[1:-1]))
-    edge = float(max(terms[0], terms[-1]))
-    boundary_certified = edge < interior * (1.0 - 1e-12)
-
-    report = EnvelopeReport(
-        origin_value=float(origin),
-        dominates_bound=bool(ks[half_width] <= origin * (1 + 1e-12)),
-        max_growth_violation=violation,
-        boundary_certified=boundary_certified,
-    )
-    return TemperedEnvelope(rho, half_width, envelope, report)
+    return TemperedEnvelope(rho, half_width, envelope)

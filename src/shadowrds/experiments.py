@@ -56,7 +56,8 @@ OUTPUT_DIR_ENV = "SHADOW_RDS_OUT"
 
 
 class ConfigError(ValueError):
-    """The config file is missing, malformed, or names unknown entities."""
+    """The config file is missing, malformed, or names unknown entities, or
+    its output directory cannot be created."""
 
 
 @dataclass
@@ -104,6 +105,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"config path is not a file: {path}")
     raw: dict[str, str] = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         text = line.split("#", 1)[0].strip()
@@ -353,5 +356,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     except KeyError as exc:
         raise ConfigError(str(exc)) from exc
     out = cfg.resolve_out_dir()
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror or exc}") from exc
     return EXPERIMENT_KINDS[cfg.experiment](cfg, scenario, out)

@@ -154,5 +154,8 @@ def test_output_digests_cover_config_files_and_demo_stdout(monkeypatch, capsys):
     for name in walks:
         assert len(out[name]) == 64, name
     assert len(set(out[name] for name in walks)) == len(walks)
-    assert len(out) == 6 + len(checks) + len(walks)
+    assert len(out) == 6 + len(checks) + len(walks)  # remark-scalar has no layering data
     assert "SHADOW_RDS_OUT" not in os.environ  # restored after the config run
+    envelope = bench.envelope_digest(get_scenario("nonuniform-layered"))
+    assert list(envelope) == ["envelopes/nonuniform-layered"]
+    assert len(envelope["envelopes/nonuniform-layered"]) == 64

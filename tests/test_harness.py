@@ -343,6 +343,31 @@ def test_cli_exit_codes_for_configs(tmp_path, capsys, body, code):
         assert math.isfinite(summary["residual_floor"])
 
 
+def test_cli_exit_codes_for_unusable_paths(tmp_path, capsys, monkeypatch):
+    # A config path that is a directory, and an output directory that cannot
+    # be created under a regular file, from the config or from
+    # $SHADOW_RDS_OUT, are config errors: exit 2 and one error line naming
+    # the path.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    body = "scenario = uniform-diag\nwindow = 0\n"
+    monkeypatch.delenv("SHADOW_RDS_OUT", raising=False)
+    cases = [
+        (tmp_path, None, f"error: config path is not a file: {tmp_path}"),
+        (_write(tmp_path, body + f"out_dir = {blocker / 'out'}\n", "blocked.cfg"), None,
+         f"error: cannot create output directory {blocker / 'out'}: "),
+        (_write(tmp_path, body + f"out_dir = {tmp_path / 'out'}\n"), blocker / "env",
+         f"error: cannot create output directory {blocker / 'env'}: "),
+    ]
+    for config, env_out, message in cases:
+        if env_out is not None:
+            monkeypatch.setenv("SHADOW_RDS_OUT", str(env_out))
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(message), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_the_orbit_segment_is_the_only_orbit_argument():
     for module in (cocycle, green, lyapunov, shadowing):
         for name in module.__all__:
